@@ -16,6 +16,7 @@ mixer, so sample ``i`` depends only on ``(seed, i)``.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -60,6 +61,9 @@ class OpenCurve3D:
     def __post_init__(self):
         if len(self.points) < 2:
             raise TooFewPoints("a curve needs at least two points")
+        for index, p in enumerate(self.points):
+            if not all(map(math.isfinite, p)):
+                raise ParseError(f"point {index} has a non-finite coordinate: {p}")
         for p, q in zip(self.points, self.points[1:]):
             if p == q:
                 raise DuplicateConsecutivePoint(f"repeated consecutive point {p}")
@@ -180,6 +184,107 @@ def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
+def _segment_crossings(pts2, depth, tol) -> list[dict]:
+    """Crossing records of the projected polyline, in ascending ``(i, j)``
+    segment-pair order; raises for the first degenerate pair in that order.
+
+    Broad phase: sort the segments' boxes, inflated by ``2 * tol``, by their
+    left edge and sweep.  A pair whose inflated boxes are disjoint is more
+    than ``4 * tol`` apart, so the narrow phase could neither record nor
+    reject it: an overlap needs a gap below ``tol``, and a crossing's point
+    lies within ``tol`` of both segments (its parameters may overshoot each
+    segment by ``tol`` of length).  The margin beyond that absorbs rounding.
+    Adjacent pairs are never candidates: they meet at their shared vertex,
+    and a fold-back between them is the cusp guard's case.  The candidates
+    then run through the narrow phase in ascending ``(i, j)`` order, so the
+    records and the first rejection are those of testing every pair.
+    """
+    nseg = len(pts2) - 1
+    pad = 2.0 * tol
+    seg_d = []
+    seg_len = []
+    xlo, xhi, ylo, yhi = [], [], [], []
+    for i in range(nseg):
+        (ax, ay), (bx, by) = pts2[i], pts2[i + 1]
+        d = (bx - ax, by - ay)
+        seg_d.append(d)
+        seg_len.append(math.hypot(*d))
+        xlo.append(min(ax, bx) - pad)
+        xhi.append(max(ax, bx) + pad)
+        ylo.append(min(ay, by) - pad)
+        yhi.append(max(ay, by) + pad)
+    order = sorted(range(nseg), key=xlo.__getitem__)
+    candidates = []
+    for rank, i in enumerate(order):
+        right, low, high = xhi[i], ylo[i], yhi[i]
+        for k in range(rank + 1, nseg):
+            j = order[k]
+            if xlo[j] > right:
+                break
+            if ylo[j] <= high and low <= yhi[j] and abs(i - j) > 1:
+                candidates.append((i, j) if i < j else (j, i))
+    candidates.sort()
+
+    crossings = []
+    for i, j in candidates:
+        a1 = pts2[i]
+        da, la = seg_d[i], seg_len[i]
+        b1 = pts2[j]
+        db, lb = seg_d[j], seg_len[j]
+        denom = da[0] * db[1] - da[1] * db[0]
+        rhs = (b1[0] - a1[0], b1[1] - a1[1])
+        if abs(denom) <= tol * la * lb:
+            # near-parallel: reject only if the lines nearly overlap
+            a2, b2 = pts2[i + 1], pts2[j + 1]
+            gap = min(
+                _point_segment_distance(b1, a1, a2),
+                _point_segment_distance(b2, a1, a2),
+                _point_segment_distance(a1, b1, b2),
+                _point_segment_distance(a2, b1, b2),
+            )
+            if gap < tol:
+                raise DegenerateDirection("near-parallel segment overlap")
+            continue
+        t = (rhs[0] * db[1] - rhs[1] * db[0]) / denom
+        s = (rhs[0] * da[1] - rhs[1] * da[0]) / denom
+        margin_t = tol / max(la, tol)
+        margin_s = tol / max(lb, tol)
+        if t < -margin_t or t > 1 + margin_t or s < -margin_s or s > 1 + margin_s:
+            continue
+        if (
+            t < margin_t
+            or t > 1 - margin_t
+            or s < margin_s
+            or s > 1 - margin_s
+        ):
+            raise DegenerateDirection("crossing within tol of a vertex")
+        za = depth[i] + t * (depth[i + 1] - depth[i])
+        zb = depth[j] + s * (depth[j + 1] - depth[j])
+        if abs(za - zb) < tol:
+            raise DegenerateDirection("depth tie at crossing")
+        point = (a1[0] + t * da[0], a1[1] + t * da[1])
+        crossings.append(
+            {"point": point, "i": i, "t": t, "j": j, "s": s, "za": za, "zb": zb}
+        )
+    return crossings
+
+
+def _check_triple_points(points, tol) -> None:
+    """Triple-point proxy: reject if two crossing points lie within ``tol``.
+
+    Sweeps the points in x order; a pair whose x gap reaches ``tol`` is at
+    least that far apart, so the sweep stops there.
+    """
+    ordered = sorted(points)
+    for m, (xm, ym) in enumerate(ordered):
+        for n in range(m + 1, len(ordered)):
+            xn, yn = ordered[n]
+            if xn - xm >= tol:
+                break
+            if math.hypot(xm - xn, ym - yn) < tol:
+                raise DegenerateDirection("two crossings within tol (triple point)")
+
+
 def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult:
     """Project along ``direction`` and extract the knotoid diagram.
 
@@ -211,66 +316,8 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         if math.hypot(a2[0] - a1[0], a2[1] - a1[1]) < tol:
             raise DegenerateDirection("segment parallel to view direction")
 
-    # segment-pair intersections
-    events = []  # (segment index, parameter, crossing record)
-    crossings = []  # dicts with point, segments, params
-    for i in range(nseg):
-        a1, a2 = pts2[i], pts2[i + 1]
-        da = (a2[0] - a1[0], a2[1] - a1[1])
-        la = math.hypot(*da)
-        for j in range(i + 1, nseg):
-            b1, b2 = pts2[j], pts2[j + 1]
-            db = (b2[0] - b1[0], b2[1] - b1[1])
-            lb = math.hypot(*db)
-            denom = da[0] * db[1] - da[1] * db[0]
-            rhs = (b1[0] - a1[0], b1[1] - a1[1])
-            if abs(denom) <= tol * la * lb:
-                if j == i + 1:
-                    # straight continuation through the shared vertex is
-                    # harmless; a fold-back is caught by the cusp guard below
-                    continue
-                # near-parallel: reject only if the lines nearly overlap
-                gap = min(
-                    _point_segment_distance(b1, a1, a2),
-                    _point_segment_distance(b2, a1, a2),
-                    _point_segment_distance(a1, b1, b2),
-                    _point_segment_distance(a2, b1, b2),
-                )
-                if gap < tol:
-                    raise DegenerateDirection("near-parallel segment overlap")
-                continue
-            t = (rhs[0] * db[1] - rhs[1] * db[0]) / denom
-            s = (rhs[0] * da[1] - rhs[1] * da[0]) / denom
-            margin_t = tol / max(la, tol)
-            margin_s = tol / max(lb, tol)
-            if t < -margin_t or t > 1 + margin_t or s < -margin_s or s > 1 + margin_s:
-                continue
-            if j == i + 1:
-                # adjacent segments meet at their shared vertex or overlap;
-                # a genuine interior crossing is impossible
-                continue
-            if (
-                t < margin_t
-                or t > 1 - margin_t
-                or s < margin_s
-                or s > 1 - margin_s
-            ):
-                raise DegenerateDirection("crossing within tol of a vertex")
-            za = depth[i] + t * (depth[i + 1] - depth[i])
-            zb = depth[j] + s * (depth[j + 1] - depth[j])
-            if abs(za - zb) < tol:
-                raise DegenerateDirection("depth tie at crossing")
-            point = (a1[0] + t * da[0], a1[1] + t * da[1])
-            crossings.append(
-                {"point": point, "i": i, "t": t, "j": j, "s": s, "za": za, "zb": zb}
-            )
-
-    # triple-point proxy: two crossing points too close together
-    for m in range(len(crossings)):
-        for n in range(m + 1, len(crossings)):
-            pm, pn = crossings[m]["point"], crossings[n]["point"]
-            if math.hypot(pm[0] - pn[0], pm[1] - pn[1]) < tol:
-                raise DegenerateDirection("two crossings within tol (triple point)")
+    crossings = _segment_crossings(pts2, depth, tol)
+    _check_triple_points([rec["point"] for rec in crossings], tol)
 
     # endpoint grazing another strand
     for endpoint, skip in ((pts2[0], {0}), (pts2[-1], {nseg - 1})):
@@ -280,6 +327,7 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
             if _point_segment_distance(endpoint, pts2[i], pts2[i + 1]) < tol:
                 raise DegenerateDirection("endpoint within tol of a strand")
 
+    events = []  # (segment index, parameter, crossing record)
     for rec in crossings:
         events.append((rec["i"], rec["t"], rec))
         events.append((rec["j"], rec["s"], rec))
@@ -372,13 +420,14 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     by_rec: dict[int, list[int]] = {}
     for (seg, par, rec), label in zip(events, pass_labels):
         by_rec.setdefault(id(rec), []).append(label)
+    role_of = {label: role for (_, role), label in zip(passes, pass_labels)}
     for rec in crossings:
         rec_passes = by_rec[id(rec)]
         cid = ids[id(rec)]
         # identify which pass is over from the recorded roles
-        roles = [p[1] for p, lab in zip(passes, pass_labels) if lab in rec_passes]
-        over_label = rec_passes[0] if roles[0] == "over" else rec_passes[1]
-        under_label = rec_passes[1] if roles[0] == "over" else rec_passes[0]
+        first_over = role_of[rec_passes[0]] == "over"
+        over_label = rec_passes[0] if first_over else rec_passes[1]
+        under_label = rec_passes[1] if first_over else rec_passes[0]
         tokens.append(Crossing(signs[cid], over_label, under_label))
     labels = max(next_label - 1, 1)
     decomp = RotDecomp(labels, tokens)
@@ -407,62 +456,109 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
 # greedy Gauss-code simplification (only removing moves; endpoints never cross
 # a strand, so the forbidden moves are never applied)
 
-def _try_r1(passes, signs):
-    for idx in range(len(passes) - 1):
-        if passes[idx][0] == passes[idx + 1][0]:
-            cid = passes[idx][0]
-            new_passes = passes[:idx] + passes[idx + 2 :]
-            new_signs = {k: v for k, v in signs.items() if k != cid}
-            return new_passes, new_signs
-    return None
-
-
-def _try_r2(passes, signs):
-    adjacency: dict[frozenset, list[int]] = {}
-    for idx in range(len(passes) - 1):
-        (c1, _), (c2, _) = passes[idx], passes[idx + 1]
-        if c1 == c2:
-            continue
-        adjacency.setdefault(frozenset((c1, c2)), []).append(idx)
-    for pair, positions in adjacency.items():
-        if len(positions) < 2:
-            continue
-        c1, c2 = tuple(pair)
-        if signs[c1] == signs[c2]:
-            continue
-        for pos_a in positions:
-            roles_a = {passes[pos_a][1], passes[pos_a + 1][1]}
-            if len(roles_a) != 1:
-                continue
-            for pos_b in positions:
-                if pos_b <= pos_a:
-                    continue
-                if pos_b == pos_a + 1:
-                    continue
-                roles_b = {passes[pos_b][1], passes[pos_b + 1][1]}
-                if len(roles_b) != 1 or roles_a == roles_b:
-                    continue
-                drop = {pos_a, pos_a + 1, pos_b, pos_b + 1}
-                new_passes = [p for n, p in enumerate(passes) if n not in drop]
-                new_signs = {k: v for k, v in signs.items() if k not in pair}
-                return new_passes, new_signs
-    return None
-
-
 def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
     """Greedy monotone reduction: remove kinks and opposite-sign bigons.
 
     Sound (each removal is a diagram move on realizable codes) but not
-    complete; the crossing count strictly decreases every step.
+    complete; the crossing count strictly decreases every step.  Each step
+    takes the kink at the earliest position if there is one, else the
+    removable bigon whose crossing pair first becomes adjacent earliest, at
+    its lexicographically least pair of adjacency positions.
+
+    Passes stay in a linked list over their original positions, which keeps
+    their order, and pending moves in two heaps that are checked when popped.
+    A move changes adjacencies only at the junctions it leaves, so only the
+    junctions are examined again.
     """
-    passes = list(code.passes)
-    signs = dict(code.signs)
+    passes = code.passes
+    signs = dict(code.signs)  # the crossings still present
+    size = len(passes)
+    cid = [c for c, _ in passes]
+    role = [r for _, r in passes]
+    nxt = list(range(1, size)) + [-1]
+    prv = list(range(-1, size - 1))
+    where: dict[int, list[int]] = {}
+    for k, c in enumerate(cid):
+        where.setdefault(c, []).append(k)
+
+    def is_kink(k: int) -> bool:
+        return cid[k] in signs and nxt[k] != -1 and cid[nxt[k]] == cid[k]
+
+    def bigon(c1: int, c2: int):
+        """Least ``(pos_a, pos_b)`` removing the pair as a bigon, or None.
+
+        A pair is adjacent at most three times, and three times only as
+        c1 c2 c1 c2, so ``pos_a`` is always the pair's first adjacency and
+        heap order is first-occurrence order."""
+        if signs[c1] == signs[c2]:
+            return None
+        positions = sorted(
+            k
+            for k in where[c1] + where[c2]
+            if nxt[k] != -1 and cid[nxt[k]] != cid[k] and cid[nxt[k]] in (c1, c2)
+        )
+        # pos_b is never the node after pos_a: there the pair reads c1 c2 c1,
+        # and c1's two passes have opposite roles
+        for pos_a in positions:
+            if role[pos_a] != role[nxt[pos_a]]:
+                continue
+            for pos_b in positions:
+                if pos_b <= pos_a:
+                    continue
+                if role[pos_b] != role[nxt[pos_b]] or role[pos_b] == role[pos_a]:
+                    continue
+                return pos_a, pos_b
+        return None
+
+    kinks = [k for k in range(size - 1) if cid[k] == cid[k + 1]]
+    bigons = []
+    pairs = {frozenset((cid[k], cid[k + 1])) for k in range(size - 1)}
+    for pair in pairs:
+        if len(pair) == 2:
+            found = bigon(*pair)
+            if found is not None:
+                bigons.append((*found, *pair))
+    heapq.heapify(bigons)
+
+    def remove(nodes) -> None:
+        lefts = []
+        for k in nodes:
+            p, n = prv[k], nxt[k]
+            if p != -1:
+                nxt[p] = n
+                lefts.append(p)
+            if n != -1:
+                prv[n] = p
+        for k in nodes:
+            signs.pop(cid[k], None)
+        # nodes run left to right, so each left neighbour survives the move
+        for p in dict.fromkeys(lefts):
+            n = nxt[p]
+            if n == -1:
+                continue
+            if cid[p] == cid[n]:
+                heapq.heappush(kinks, p)
+            else:
+                found = bigon(cid[p], cid[n])
+                if found is not None:
+                    heapq.heappush(bigons, (*found, cid[p], cid[n]))
+
     while True:
-        hit = _try_r1(passes, signs) or _try_r2(passes, signs)
-        if hit is None:
+        while kinks and not is_kink(kinks[0]):
+            heapq.heappop(kinks)
+        if kinks:
+            k = heapq.heappop(kinks)
+            remove((k, nxt[k]))
+            continue
+        while bigons:
+            pos_a, pos_b, c1, c2 = heapq.heappop(bigons)
+            if c1 in signs and c2 in signs and bigon(c1, c2) == (pos_a, pos_b):
+                remove((pos_a, nxt[pos_a], pos_b, nxt[pos_b]))
+                break
+        else:
             break
-        passes, signs = hit
-    return OrientedGaussCode(passes, signs).relabeled()
+    remaining = [p for p in passes if p[0] in signs]
+    return OrientedGaussCode(remaining, signs).relabeled()
 
 
 def class_label(code: OrientedGaussCode) -> str:

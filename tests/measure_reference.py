@@ -1,0 +1,140 @@
+"""Slow, independent references for the measure path (test-only).
+
+These are the original quadratic implementations that the sweep-based
+crossing search, the sorted triple-point check and the incremental Gauss-code
+simplifier in ``knotoidal.measure`` replaced.  The property tests require the
+fast versions to produce exactly what these produce.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+from knotoidal import measure
+from knotoidal.diagram import OrientedGaussCode
+from knotoidal.errors import DegenerateDirection
+from knotoidal.measure import _point_segment_distance
+
+
+def all_pairs_crossings(pts2, depth, tol):
+    """Test every segment pair in ascending ``(i, j)`` order."""
+    nseg = len(pts2) - 1
+    crossings = []
+    for i in range(nseg):
+        a1, a2 = pts2[i], pts2[i + 1]
+        da = (a2[0] - a1[0], a2[1] - a1[1])
+        la = math.hypot(*da)
+        for j in range(i + 1, nseg):
+            b1, b2 = pts2[j], pts2[j + 1]
+            db = (b2[0] - b1[0], b2[1] - b1[1])
+            lb = math.hypot(*db)
+            denom = da[0] * db[1] - da[1] * db[0]
+            rhs = (b1[0] - a1[0], b1[1] - a1[1])
+            if abs(denom) <= tol * la * lb:
+                if j == i + 1:
+                    continue
+                gap = min(
+                    _point_segment_distance(b1, a1, a2),
+                    _point_segment_distance(b2, a1, a2),
+                    _point_segment_distance(a1, b1, b2),
+                    _point_segment_distance(a2, b1, b2),
+                )
+                if gap < tol:
+                    raise DegenerateDirection("near-parallel segment overlap")
+                continue
+            t = (rhs[0] * db[1] - rhs[1] * db[0]) / denom
+            s = (rhs[0] * da[1] - rhs[1] * da[0]) / denom
+            margin_t = tol / max(la, tol)
+            margin_s = tol / max(lb, tol)
+            if t < -margin_t or t > 1 + margin_t or s < -margin_s or s > 1 + margin_s:
+                continue
+            if j == i + 1:
+                continue
+            if (
+                t < margin_t
+                or t > 1 - margin_t
+                or s < margin_s
+                or s > 1 - margin_s
+            ):
+                raise DegenerateDirection("crossing within tol of a vertex")
+            za = depth[i] + t * (depth[i + 1] - depth[i])
+            zb = depth[j] + s * (depth[j + 1] - depth[j])
+            if abs(za - zb) < tol:
+                raise DegenerateDirection("depth tie at crossing")
+            point = (a1[0] + t * da[0], a1[1] + t * da[1])
+            crossings.append(
+                {"point": point, "i": i, "t": t, "j": j, "s": s, "za": za, "zb": zb}
+            )
+    return crossings
+
+
+def all_pairs_triple_points(points, tol):
+    """Test every pair of crossing points."""
+    for m in range(len(points)):
+        for n in range(m + 1, len(points)):
+            pm, pn = points[m], points[n]
+            if math.hypot(pm[0] - pn[0], pm[1] - pn[1]) < tol:
+                raise DegenerateDirection("two crossings within tol (triple point)")
+
+
+def reference_project(curve, direction, tol):
+    """``measure.project`` with both pair searches replaced by all-pairs loops."""
+    with mock.patch.object(measure, "_segment_crossings", all_pairs_crossings), \
+            mock.patch.object(measure, "_check_triple_points", all_pairs_triple_points):
+        return measure.project(curve, direction, tol)
+
+
+def _try_r1(passes, signs):
+    for idx in range(len(passes) - 1):
+        if passes[idx][0] == passes[idx + 1][0]:
+            cid = passes[idx][0]
+            new_passes = passes[:idx] + passes[idx + 2 :]
+            new_signs = {k: v for k, v in signs.items() if k != cid}
+            return new_passes, new_signs
+    return None
+
+
+def _try_r2(passes, signs):
+    adjacency: dict[frozenset, list[int]] = {}
+    for idx in range(len(passes) - 1):
+        (c1, _), (c2, _) = passes[idx], passes[idx + 1]
+        if c1 == c2:
+            continue
+        adjacency.setdefault(frozenset((c1, c2)), []).append(idx)
+    for pair, positions in adjacency.items():
+        if len(positions) < 2:
+            continue
+        c1, c2 = tuple(pair)
+        if signs[c1] == signs[c2]:
+            continue
+        for pos_a in positions:
+            roles_a = {passes[pos_a][1], passes[pos_a + 1][1]}
+            if len(roles_a) != 1:
+                continue
+            for pos_b in positions:
+                if pos_b <= pos_a:
+                    continue
+                if pos_b == pos_a + 1:
+                    continue
+                roles_b = {passes[pos_b][1], passes[pos_b + 1][1]}
+                if len(roles_b) != 1 or roles_a == roles_b:
+                    continue
+                drop = {pos_a, pos_a + 1, pos_b, pos_b + 1}
+                new_passes = [p for n, p in enumerate(passes) if n not in drop]
+                new_signs = {k: v for k, v in signs.items() if k not in pair}
+                return new_passes, new_signs
+    return None
+
+
+def reference_simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
+    """Rescan the whole code after every move: first kink by position, else
+    the first removable bigon in first-occurrence order."""
+    passes = list(code.passes)
+    signs = dict(code.signs)
+    while True:
+        hit = _try_r1(passes, signs) or _try_r2(passes, signs)
+        if hit is None:
+            break
+        passes, signs = hit
+    return OrientedGaussCode(passes, signs).relabeled()

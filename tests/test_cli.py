@@ -185,6 +185,15 @@ def test_measure_missing_file_exits_2():
     assert result.returncode == 2
 
 
+def test_measure_non_finite_coordinate_exits_2(tmp_path):
+    curve = tmp_path / "nan.xyz"
+    curve.write_text("0 0 0\nnan 1 2\n3 3 3\n")
+    result = run_cli("measure", "--file", str(curve), "--samples", "5")
+    assert result.returncode == 2
+    assert "non-finite coordinate" in result.stderr
+    assert "cannot convert" not in result.stderr
+
+
 def test_thread_cap_env_validation(tmp_path):
     curve = tmp_path / "segment.xyz"
     curve.write_text(SEGMENT)

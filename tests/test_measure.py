@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knotoidal.diagram import parse_gauss_code, writhe
+from knotoidal.diagram import OrientedGaussCode, parse_gauss_code, writhe
 from knotoidal.errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
@@ -17,6 +20,7 @@ from knotoidal.measure import (
     MeasureEstimate,
     OpenCurve3D,
     TRIVIAL_CLASS,
+    _check_triple_points,
     _estimate_with_directions,
     builtin_curve_path,
     class_label,
@@ -29,6 +33,11 @@ from knotoidal.measure import (
     sample_direction,
     sample_directions,
     simplify_gauss,
+)
+from measure_reference import (
+    all_pairs_triple_points,
+    reference_project,
+    reference_simplify_gauss,
 )
 
 TOL = 1e-9
@@ -72,6 +81,19 @@ def test_load_rejects_malformed(tmp_path):
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
         OpenCurve3D(((0.0, 0.0, 0.0),))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+def test_load_rejects_non_finite(tmp_path, text):
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"0 0 0\n1 {text} 2\n3 3 3\n")
+    with pytest.raises(ParseError, match="point 1 has a non-finite coordinate"):
+        load_curve(path)
+
+
+def test_curve_rejects_non_finite():
+    with pytest.raises(ParseError):
+        OpenCurve3D(((0.0, 0.0, 0.0), (1.0, 1.0, float("inf"))))
 
 
 # -- projection ----------------------------------------------------------------
@@ -142,6 +164,8 @@ def test_unit_vector_required(trefoil):
 
 
 def test_degenerate_overlap_rejected():
+    # the vertical middle segment is rejected first, as parallel to the view
+    # direction; test_degenerate_reason has a true overlap
     folded = OpenCurve3D(
         ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0))
     )
@@ -150,11 +174,216 @@ def test_degenerate_overlap_rejected():
 
 
 def test_degenerate_endpoint_grazing_rejected():
+    # the last segment crosses the first at its start vertex, which is
+    # rejected before the endpoint check; test_degenerate_reason has a true
+    # grazing
     grazing = OpenCurve3D(
         ((0.0, 0.0, 0.0), (3.0, 0.0, 1.0), (3.0, 3.0, 1.0), (-3.0, -3.0, 1.0))
     )
     with pytest.raises(DegenerateDirection):
         project(grazing, (0.0, 0.0, 1.0), TOL)
+
+
+# One constructed curve per rejection reason, viewed along +z with TOL.  The
+# remaining reason, "winding center on the path", is not reachable: a vertex
+# projecting exactly onto the leg (or head) ends a segment of zero projected
+# length or lies on a segment other than the endpoint's own, so the
+# parallel-segment check or the endpoint check rejects first.
+_FOLD = 1e-7  # below the angle guard of 1e3 * TOL, above TOL
+DEGENERATE_CURVES = [
+    ("segment parallel to view direction", ((0, 0, 0), (0, 0, 1), (1, 0, 1))),
+    (
+        "near-parallel segment overlap",
+        ((0, 0, 0), (2, 0, 0), (3, 1, 1), (3, 0, 1), (1, 0, 1)),
+    ),
+    (
+        "crossing within tol of a vertex",
+        ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, -1, 1), (2, 1, 1)),
+    ),
+    ("depth tie at crossing", ((0, 0, 0), (2, 0, 0), (2, 2, 0), (1, -1, 0))),
+    (
+        "two crossings within tol (triple point)",
+        ((-2, 0, 0), (1, 0, 0), (1, 1, 1), (-1, -1, 1), (-1, 1, 2), (1, -1, 2)),
+    ),
+    (
+        # the leg sits half a tol above the last segment, and the first
+        # segment leaves it at too shallow an angle to cross near its vertex
+        "endpoint within tol of a strand",
+        ((0, 5e-10, 0), (1, 0.1 + 5e-10, 0), (1, 2, 1), (-1, 2, 1), (-1, 0, 1), (2, 0, 1)),
+    ),
+    (
+        "projection folds back (cusp)",
+        ((0, 0, 0), (1, 0, 0), (1 - 0.5 * math.cos(_FOLD), 0.5 * math.sin(_FOLD), 1)),
+    ),
+    # the projected segment points straight down: half a turn from upward
+    ("turning ambiguous at half rotation", ((0, 0, 0), (-1, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("reason, points", DEGENERATE_CURVES, ids=[r for r, _ in DEGENERATE_CURVES])
+def test_degenerate_reason(reason, points):
+    curve = OpenCurve3D(tuple(tuple(float(c) for c in p) for p in points))
+    with pytest.raises(DegenerateDirection) as exc:
+        project(curve, (0.0, 0.0, 1.0), TOL)
+    assert exc.value.reason == reason
+
+
+# -- oracles: the all-pairs searches and the rescanning simplifier ---------------
+
+def _walk(points: int, seed: int, long_step: bool) -> OpenCurve3D:
+    """Unit-step random walk; with ``long_step`` one step is 40 units long."""
+    rng = random.Random(seed)
+    long_at = rng.randrange(points - 1) if long_step else -1
+    out = [(0.0, 0.0, 0.0)]
+    for step in range(points - 1):
+        dz = rng.uniform(-1.0, 1.0)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        r = math.sqrt(1.0 - dz * dz)
+        size = 40.0 if step == long_at else 1.0
+        x, y, z = out[-1]
+        out.append((x + size * r * math.cos(theta), y + size * r * math.sin(theta), z + size * dz))
+    return OpenCurve3D(tuple(out))
+
+
+def _lattice_walk(points: int, seed: int) -> OpenCurve3D:
+    """Walk of unit steps along the axes: most views of it are degenerate,
+    for one reason or another."""
+    rng = random.Random(seed)
+    steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    out = [(0.0, 0.0, 0.0)]
+    for _ in range(points - 1):
+        x, y, z = out[-1]
+        dx, dy, dz = rng.choice(steps)
+        out.append((x + dx, y + dy, z + dz))
+    return OpenCurve3D(tuple(out))
+
+
+def _project_or_reason(fn, curve, direction):
+    try:
+        return fn(curve, direction, TOL)
+    except DegenerateDirection as exc:
+        return exc.reason
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 128),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_project_matches_all_pairs(points, seed, long_step, direction_index):
+    curve = _walk(points, seed, long_step)
+    direction = sample_direction(seed, direction_index)
+    assert _project_or_reason(project, curve, direction) == _project_or_reason(
+        reference_project, curve, direction
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 64),
+    st.integers(0, 2**32),
+    st.sampled_from([(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1e-7, 0.0, 1.0), (0.6, 0.0, 0.8), (1.0, 2.0, 3.0)]),
+)
+def test_project_matches_all_pairs_on_lattice_walks(points, seed, direction):
+    curve = _lattice_walk(points, seed)
+    norm = math.sqrt(sum(c * c for c in direction))
+    direction = tuple(c / norm for c in direction)
+    assert _project_or_reason(project, curve, direction) == _project_or_reason(
+        reference_project, curve, direction
+    )
+
+
+def test_project_matches_all_pairs_on_trefoil(trefoil):
+    for i in range(40):
+        direction = sample_direction(11, i)
+        assert _project_or_reason(project, trefoil, direction) == _project_or_reason(
+            reference_project, trefoil, direction
+        )
+
+
+def _raises_degenerate(check, points) -> bool:
+    try:
+        check(points, TOL)
+    except DegenerateDirection:
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.floats(-2 * TOL, 2 * TOL),
+            st.floats(-2 * TOL, 2 * TOL),
+        ),
+        max_size=12,
+    )
+)
+def test_triple_point_sweep_matches_all_pairs(raw):
+    # crossing points clustered on a coarse grid, some pairs about tol apart
+    points = [(x + dx, y + dy) for x, y, dx, dy in raw]
+    assert _raises_degenerate(_check_triple_points, points) == _raises_degenerate(
+        all_pairs_triple_points, points
+    )
+
+
+@st.composite
+def gauss_code_st(draw):
+    crossings = draw(st.integers(0, 40))
+    order = draw(st.permutations([c for c in range(1, crossings + 1) for _ in range(2)]))
+    first_over = draw(st.lists(st.booleans(), min_size=crossings, max_size=crossings))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=crossings, max_size=crossings))
+    seen = set()
+    passes = []
+    for cid in order:
+        over = first_over[cid - 1] != (cid in seen)
+        seen.add(cid)
+        passes.append((cid, "over" if over else "under"))
+    return OrientedGaussCode(passes, {cid: signs[cid - 1] for cid in range(1, crossings + 1)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(gauss_code_st())
+def test_simplify_matches_rescanning_reference(code):
+    assert simplify_gauss(code) == reference_simplify_gauss(code)
+
+
+# -- label assembly ---------------------------------------------------------------
+
+def _decomp_gauss_code(decomp) -> OrientedGaussCode:
+    """Read a decomposition's crossings in ascending label order."""
+    at_label = {}
+    for tok in decomp.crossings():
+        at_label[tok.over] = (tok, "over")
+        at_label[tok.under] = (tok, "under")
+    ids = {}
+    passes = []
+    for label in sorted(at_label):
+        tok, role = at_label[label]
+        passes.append((ids.setdefault(tok, len(ids) + 1), role))
+    return OrientedGaussCode(passes, {ids[tok]: tok.sign for tok in decomp.crossings()})
+
+
+def _accepted_projections(curve, seed, n):
+    for i in range(n):
+        try:
+            yield project(curve, sample_direction(seed, i), TOL)
+        except DegenerateDirection:
+            continue
+
+
+def test_decomposition_reads_back_the_code(trefoil):
+    walk = _walk(128, 4, False)
+    checked = 0
+    for curve in (trefoil, walk):
+        for proj in _accepted_projections(curve, 2, 12):
+            assert _decomp_gauss_code(proj.decomp) == proj.code
+            checked += 1
+    assert checked >= 20
 
 
 # -- simplification --------------------------------------------------------------
