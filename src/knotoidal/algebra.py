@@ -573,11 +573,6 @@ class DTensor:
 # ---------------------------------------------------------------------------
 # named operations
 
-def normal_order_mul(u: DElement, v: DElement) -> DElement:
-    """Product of two elements, re-expressed in the normal-ordered basis."""
-    return u * v
-
-
 def r_matrix(caps: Caps) -> DTensor:
     """The quasitriangular structure, truncated to the h-degree cap.
 

@@ -53,6 +53,10 @@ class DegreeOutOfRange(KnotoidalError):
     pass
 
 
+class NonIntegralScale(KnotoidalError):
+    """A coefficient times the walk's scale ``L**h`` is not an integer."""
+
+
 # -- representation data -------------------------------------------------------
 
 class DimensionMismatch(KnotoidalError):

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoidal.algebra import DElement, _exp_ab_raw, antipode
+from knotoidal import invariant
+from knotoidal.algebra import DElement, _exp_ab_raw, antipode, get_context, rotation_element
 from knotoidal.diagram import (
     Crossing,
     RotDecomp,
@@ -17,9 +19,18 @@ from knotoidal.diagram import (
     parse_decomposition,
     reverse_decomposition,
 )
-from knotoidal.errors import CapsMismatch, DegreeOutOfRange
-from knotoidal.invariant import compare, epsilon_coefficient, evaluate_Z
+from knotoidal.errors import CapsMismatch, DegreeOutOfRange, KnotoidalError, NonIntegralScale
+from knotoidal.invariant import (
+    _crossing_terms,
+    _scaled,
+    _walk_scale,
+    compare,
+    epsilon_coefficient,
+    evaluate_Z,
+)
 from knotoidal.series import Caps
+
+from invariant_reference import reference_evaluate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,3 +190,66 @@ def test_invariant_json_layout(fixture_values):
         data["terms"],
         key=lambda t: (sum(t["monomial"]), t["monomial"], t["eps"], t["hbar"]),
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer-scaled walk against the Fraction walker, and its scale
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 2), Caps(1, 4)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st())
+def test_walk_matches_fraction_walker(caps, d):
+    assert evaluate_Z(d, caps).element.to_json() == reference_evaluate(d, caps).to_json()
+
+
+def test_walk_matches_fraction_walker_on_fixtures():
+    caps = Caps(1, 4)
+    for name, (_, decomp) in fixtures().items():
+        value = evaluate_Z(decomp, caps)
+        assert value.element.to_json() == reference_evaluate(decomp, caps).to_json(), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st(), n=st.integers(1, 3))
+def test_truncation_consistent_across_caps(d, n):
+    # each caps has its own scale L, so this also checks the scale across caps
+    raw = evaluate_Z(d, Caps(1, n + 1)).element.raw()
+    assert DElement(Caps(1, n), raw) == evaluate_Z(d, Caps(1, n)).element
+    raw = evaluate_Z(d, Caps(1, n)).element.raw()
+    assert DElement(Caps(0, n), raw) == evaluate_Z(d, Caps(0, n)).element
+
+
+def _walk_inputs(caps: Caps):
+    """Every coefficient series the walk scales: deposits and rewriting tables."""
+    ctx = get_context(caps)
+    sds = [sd for terms in _crossing_terms(caps).values() for *_, sd in terms]
+    sds += [sd for s in (1, -1) for sd in rotation_element(s, caps).raw().values()]
+    return sds + [ctx.q, *ctx.tail.values()]
+
+
+def _integral(sds, scale: int) -> bool:
+    return all((c * scale**h).denominator == 1 for sd in sds for (_, h), c in sd.items())
+
+
+@pytest.mark.parametrize("eps_order", [0, 1, 2])
+def test_walk_scale_makes_every_input_integral(eps_order):
+    for n in range(9):
+        caps = Caps(eps_order, n)
+        assert _integral(_walk_inputs(caps), _walk_scale(n)), caps
+
+
+def test_walk_scale_needs_the_factor_two():
+    # 1/(2^h h!) of a rotation element: 1/8 at hbar^2, and lcm(1, 2, 3) = 6
+    assert not _integral(_walk_inputs(Caps(1, 2)), lcm(1, 2, 3))
+    with pytest.raises(NonIntegralScale):
+        _scaled(Fraction(1, 8), 2, lcm(1, 2, 3))
+    assert _scaled(Fraction(1, 8), 2, _walk_scale(2)) == 18
+    assert issubclass(NonIntegralScale, KnotoidalError)
+
+
+def test_walk_raises_rather_than_rounds(monkeypatch):
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    monkeypatch.setattr(invariant, "_walk_scale", lambda n: lcm(*range(1, n + 2)))
+    with pytest.raises(NonIntegralScale):
+        evaluate_Z(parse_decomposition("labels 1; C+ 1"), Caps(1, 2))
