@@ -451,6 +451,37 @@ class DElement:
         return cls(caps, terms)
 
 
+def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
+    """Slotwise product of two tensor-power elements.
+
+    Keys are tuples of monomials, one per tensor factor, of the same length
+    in both operands; slot ``i`` of a product term is the normal-formed
+    product of slot ``i`` of the two factors.
+    """
+    K, N = ctx.K, ctx.N
+    out: dict[tuple, SDict] = {}
+    for ka, sa in a.items():
+        for kb, sb in b.items():
+            scal = _smul(sa, sb, K, N)
+            if not scal:
+                continue
+            partial = [((), scal)]
+            for ma, mb in zip(ka, kb):
+                prod = ctx.mon_mul(ma, mb)
+                partial = [
+                    (key + (m,), p)
+                    for key, sd in partial
+                    for m, s in prod.items()
+                    if (p := _smul(sd, s, K, N))
+                ]
+            for key, sd in partial:
+                cur = out.setdefault(key, {})
+                _sadd_into(cur, sd)
+                if not cur:
+                    del out[key]
+    return out
+
+
 class DTensor:
     """An element of the two-fold tensor square, normal-formed per factor."""
 
@@ -511,27 +542,7 @@ class DTensor:
         if self.caps != other.caps:
             raise CapsMismatch(f"{self.caps} vs {other.caps}")
         ctx = get_context(self.caps)
-        out: dict[tuple[Mon, Mon], SDict] = {}
-        for (a1, a2), sa in self._terms.items():
-            for (b1, b2), sb in other._terms.items():
-                scal = _smul(sa, sb, ctx.K, ctx.N)
-                if not scal:
-                    continue
-                left = ctx.mon_mul(a1, b1)
-                right = ctx.mon_mul(a2, b2)
-                for m1, s1 in left.items():
-                    part = _smul(scal, s1, ctx.K, ctx.N)
-                    if not part:
-                        continue
-                    for m2, s2 in right.items():
-                        full = _smul(part, s2, ctx.K, ctx.N)
-                        if not full:
-                            continue
-                        cur = out.setdefault((m1, m2), {})
-                        _sadd_into(cur, full)
-                        if not cur:
-                            del out[(m1, m2)]
-        return DTensor(self.caps, out)
+        return DTensor(self.caps, _tensor_mul(self._terms, other._terms, ctx))
 
     def map_slot(self, func, slot: int) -> "DTensor":
         """Apply a DElement -> DElement map to one tensor factor (0 or 1)."""
@@ -646,33 +657,6 @@ def antipode(u: DElement) -> DElement:
 # ---------------------------------------------------------------------------
 # consistency checks used by the test suite
 
-def _t3_mul(a, b, ctx):
-    out: dict[tuple[Mon, Mon, Mon], SDict] = {}
-    for ka, sa in a.items():
-        for kb, sb in b.items():
-            scal = _smul(sa, sb, ctx.K, ctx.N)
-            if not scal:
-                continue
-            slots = [ctx.mon_mul(ka[i], kb[i]) for i in range(3)]
-            for m0, s0 in slots[0].items():
-                p0 = _smul(scal, s0, ctx.K, ctx.N)
-                if not p0:
-                    continue
-                for m1, s1 in slots[1].items():
-                    p1 = _smul(p0, s1, ctx.K, ctx.N)
-                    if not p1:
-                        continue
-                    for m2, s2 in slots[2].items():
-                        p2 = _smul(p1, s2, ctx.K, ctx.N)
-                        if not p2:
-                            continue
-                        cur = out.setdefault((m0, m1, m2), {})
-                        _sadd_into(cur, p2)
-                        if not cur:
-                            del out[(m0, m1, m2)]
-    return out
-
-
 def yang_baxter_holds(caps: Caps) -> bool:
     """Check R12 R13 R23 = R23 R13 R12 in the truncated triple tensor algebra."""
     ctx = get_context(caps)
@@ -688,6 +672,6 @@ def yang_baxter_holds(caps: Caps) -> bool:
         return out
 
     r12, r13, r23 = place((0, 1)), place((0, 2)), place((1, 2))
-    lhs = _t3_mul(_t3_mul(r12, r13, ctx), r23, ctx)
-    rhs = _t3_mul(_t3_mul(r23, r13, ctx), r12, ctx)
+    lhs = _tensor_mul(_tensor_mul(r12, r13, ctx), r23, ctx)
+    rhs = _tensor_mul(_tensor_mul(r23, r13, ctx), r12, ctx)
     return lhs == rhs

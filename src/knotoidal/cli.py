@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -59,20 +58,6 @@ class Config:
 
 class UsageError(Exception):
     pass
-
-
-def _thread_cap() -> int:
-    """Upper bound on worker threads; evaluation currently runs on one."""
-    raw = os.environ.get("KNOTOIDAL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"KNOTOIDAL_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise UsageError("KNOTOIDAL_THREADS must be at least 1")
-    return cap
 
 
 def _load_decomposition(args) -> tuple[str, RotDecomp]:
@@ -267,7 +252,6 @@ def main(argv=None) -> int:
             fmt=args.fmt,
         )
         cfg.validate()
-        _thread_cap()
         handler = {
             "invariant": cmd_invariant,
             "compare": cmd_compare,

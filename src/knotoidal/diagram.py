@@ -239,6 +239,37 @@ class RotDecomp:
     def writhe(self) -> int:
         return sum(t.sign for t in self.crossings())
 
+    def walk(self) -> tuple[tuple, ...]:
+        """The strand walk: one step per label that carries a token, ascending.
+
+        A step is ``("rot", sign)``, ``("open", sign, over_first)`` or
+        ``("close", slot)``.  A crossing opens at the lower of its two labels,
+        where ``over_first`` says whether that is its over-segment, and closes
+        at the higher one.  Every walk state at a given label has the same
+        crossings pending, in the order they opened, so a state keeps its
+        pending data as a plain tuple in that order and ``slot`` is the
+        position of the closing crossing in it.
+        """
+        at: dict[int, tuple] = {}
+        for tok in self.tokens:
+            if isinstance(tok, Crossing):
+                first, second = sorted((tok.over, tok.under))
+                at[first] = ("open", tok.sign, tok.over < tok.under)
+                at[second] = ("close", first)
+            else:
+                at[tok.label] = ("rot", tok.sign)
+        steps, pending = [], []
+        for label in sorted(at):
+            step = at[label]
+            if step[0] == "open":
+                pending.append(label)
+            elif step[0] == "close":
+                slot = pending.index(step[1])
+                del pending[slot]
+                step = ("close", slot)
+            steps.append(step)
+        return tuple(steps)
+
     def render(self) -> str:
         lines = [f"labels {self.labels}"]
         for tok in self.tokens:

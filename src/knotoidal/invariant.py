@@ -5,7 +5,10 @@ its labeled segments in ascending order, every crossing deposits the two
 tensor factors of the (inverse) quasitriangular structure on its over- and
 under-segment, every rotation token deposits a rotation element, and the
 deposits are multiplied together in walk order, each new one on the left of
-the running product.
+the running product.  The walk order and the layout of the pending crossings
+come from :meth:`RotDecomp.walk`: a crossing's second factor waits, as a
+monomial in a tuple kept in opening order, from its first label to its
+second.
 
 The evaluator enumerates crossing contributions under a global h-degree
 budget: a crossing term of internal degree d carries an explicit factor
@@ -50,8 +53,8 @@ from .algebra import (
     r_matrix,
     rotation_element,
 )
-from .diagram import Crossing, RotDecomp, Rotation
-from .errors import CapsMismatch, DegreeOutOfRange, InvalidDecomposition, NonIntegralScale
+from .diagram import RotDecomp
+from .errors import CapsMismatch, DegreeOutOfRange, NonIntegralScale
 from .series import Caps, _sadd_into, _smul
 
 
@@ -224,53 +227,31 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     """Universal invariant of the decomposition at the given caps."""
     tables = _walk_tables(caps)
     K, N = caps.eps_order, caps.hbar_order
-    plan: dict[int, tuple] = {}
-    for tok in d.tokens:
-        if isinstance(tok, Crossing):
-            first, second = sorted((tok.over, tok.under))
-            plan[first] = ("open", tok)
-            plan[second] = ("close", tok)
-        elif isinstance(tok, Rotation):
-            plan[tok.label] = ("rot", tok)
-        else:  # pragma: no cover - RotDecomp already validates
-            raise InvalidDecomposition(f"unknown token {tok!r}")
-
-    # state: pending tuple of (crossing token id, monomial) -> main element,
-    # the latter as {(monomial, e, h): coefficient * L**h}
+    # state: pending monomials, in the order their crossings opened -> main
+    # element, the latter as {(monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {(UNIT_MON, 0, 0): 1}}
-    token_ids = {id(tok): n for n, tok in enumerate(d.tokens)}
 
-    for label in range(1, d.labels + 1):
-        action = plan.get(label)
-        if action is None:
-            continue
-        kind, tok = action
+    for step in d.walk():
         new_states: dict[tuple, dict] = {}
-        if kind == "rot":
-            dep = tables.rotation[tok.sign]
+        if step[0] == "rot":
+            dep = tables.rotation[step[1]]
             for pending, main in states.items():
                 _deposit(new_states.setdefault(pending, {}), dep, _UNIT_SCALAR, main, K, N)
-        elif kind == "open":
-            cid = token_ids[id(tok)]
-            over_first = tok.over < tok.under
-            for over_mon, under_mon, scalar in tables.crossing[tok.sign]:
+        elif step[0] == "open":
+            _, sign, over_first = step
+            for over_mon, under_mon, scalar in tables.crossing[sign]:
                 now_mon, pend_mon = (
                     (over_mon, under_mon) if over_first else (under_mon, over_mon)
                 )
-                dep, entry = tables.monomial(now_mon), (cid, pend_mon)
+                dep = tables.monomial(now_mon)
                 for pending, main in states.items():
-                    new_pending = tuple(sorted(pending + (entry,)))
-                    _deposit(new_states.setdefault(new_pending, {}), dep, scalar, main, K, N)
+                    acc = new_states.setdefault(pending + (pend_mon,), {})
+                    _deposit(acc, dep, scalar, main, K, N)
         else:  # close
-            cid = token_ids[id(tok)]
+            slot = step[1]
             for pending, main in states.items():
-                match = [entry for entry in pending if entry[0] == cid]
-                if not match:
-                    raise InvalidDecomposition(
-                        f"crossing closes at label {label} without being open"
-                    )
-                rest = tuple(entry for entry in pending if entry[0] != cid)
-                dep = tables.monomial(match[0][1])
+                rest = pending[:slot] + pending[slot + 1:]
+                dep = tables.monomial(pending[slot])
                 _deposit(new_states.setdefault(rest, {}), dep, _UNIT_SCALAR, main, K, N)
         states = {}
         for pending, acc in new_states.items():
@@ -278,12 +259,8 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
             if main:
                 states[pending] = main
         if not states:
-            states = {(): {}}
             break
 
-    leftover = [p for p in states if p]
-    if leftover:
-        raise InvalidDecomposition("crossing opened but never closed")
     element = tables.element(states.get((), {}))
     return InvariantValue(element, caps, _decomposition_fingerprint(d, caps))
 

@@ -5,7 +5,10 @@ ring: the braiding matrix ``R`` of a positive crossing and the rotation weight
 ``h`` (the image of the clockwise rotation element) with its inverse.  The
 state sum over index assignments is evaluated by sequential tensor contraction
 along the strand, so the cost is polynomial in the number of segments for a
-fixed dimension; the full state space is never materialized.
+fixed dimension; the full state space is never materialized.  The walk is the
+one of :meth:`RotDecomp.walk`, which :func:`knotoidal.invariant.evaluate_Z`
+also follows: an open crossing waits as an ``(enter, exit)`` index pair in a
+tuple kept in opening order.
 
 Index convention for ``R``: entry ``R[i*d+j][k*d+l]`` is the weight of an
 upward crossing with top-left edge ``i``, top-right ``j``, bottom-left ``k``
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import DElement, r_matrix, rotation_element
-from .diagram import Crossing, RotDecomp
+from .diagram import RotDecomp
 from .errors import CapsMismatch, DimensionMismatch, NotInvertible
 from .series import Caps, ScalarSeries
 
@@ -204,31 +207,15 @@ def rt_evaluate(d: RotDecomp, rep: RepData, ev: EndpointVectors) -> ScalarSeries
         raise DimensionMismatch("endpoint vectors must have length dim")
     caps = rep.caps
     dim = rep.dim
-    plan: dict[int, tuple] = {}
-    for tok in d.tokens:
-        if isinstance(tok, Crossing):
-            first, second = sorted((tok.over, tok.under))
-            plan[first] = ("open", tok)
-            plan[second] = ("close", tok)
-        else:
-            plan[tok.label] = ("rot", tok)
-    token_ids = {id(tok): n for n, tok in enumerate(d.tokens)}
 
-    def weight(tok: Crossing, i, j, k, l) -> ScalarSeries:
-        M = rep.R if tok.sign > 0 else rep.r_inverse()
-        return M[i * dim + j][k * dim + l]
-
-    # state: (current edge index, pending tuple of (cid, enter_idx, exit_idx))
+    # state: (current edge index, pending (enter, exit) index pairs in the
+    # order their crossings opened)
     states: dict[tuple, ScalarSeries] = {}
     for idx, amp in enumerate(ev.eta):
         if not amp.is_zero():
             states[(idx, ())] = amp
 
-    for label in range(1, d.labels + 1):
-        action = plan.get(label)
-        if action is None:
-            continue
-        kind, tok = action
+    for step in d.walk():
         new_states: dict[tuple, ScalarSeries] = {}
 
         def bump(key, amp):
@@ -237,46 +224,35 @@ def rt_evaluate(d: RotDecomp, rep: RepData, ev: EndpointVectors) -> ScalarSeries
             cur = new_states.get(key)
             new_states[key] = amp if cur is None else cur + amp
 
-        if kind == "rot":
-            M = rep.h_inv if tok.sign > 0 else rep.h
+        if step[0] == "rot":
+            M = rep.h_inv if step[1] > 0 else rep.h
             for (cur, pending), amp in states.items():
                 for out in range(dim):
                     bump((out, pending), amp * M[out][cur])
-        elif kind == "open":
-            cid = token_ids[id(tok)]
-            over_first = tok.over < tok.under
+        elif step[0] == "open":
+            _, sign, over_first = step
+            M = rep.R if sign > 0 else rep.r_inverse()
+            # the walk enters bottom-left and exits top-right on the
+            # over-pass of a positive or the under-pass of a negative
+            # crossing, and enters bottom-right and exits top-left otherwise
+            left_to_right = (sign > 0) == over_first
             for (cur, pending), amp in states.items():
                 for out in range(dim):
                     for enter in range(dim):
                         for exit_ in range(dim):
-                            if tok.sign > 0:
-                                if over_first:
-                                    # walk enters bottom-left, exits top-right
-                                    w = weight(tok, exit_, out, cur, enter)
-                                else:
-                                    # under-pass first: enters bottom-right, exits top-left
-                                    w = weight(tok, out, exit_, enter, cur)
+                            if left_to_right:
+                                w = M[exit_ * dim + out][cur * dim + enter]
                             else:
-                                if over_first:
-                                    # negative over-pass: enters bottom-right, exits top-left
-                                    w = weight(tok, out, exit_, enter, cur)
-                                else:
-                                    w = weight(tok, exit_, out, cur, enter)
+                                w = M[out * dim + exit_][enter * dim + cur]
                             if w.is_zero():
                                 continue
-                            key = (out, tuple(sorted(pending + ((cid, enter, exit_),))))
-                            bump(key, amp * w)
+                            bump((out, pending + ((enter, exit_),)), amp * w)
         else:  # close
-            cid = token_ids[id(tok)]
+            slot = step[1]
             for (cur, pending), amp in states.items():
-                match = [p for p in pending if p[0] == cid]
-                if not match:
-                    continue
-                _, enter, exit_ = match[0]
-                if enter != cur:
-                    continue
-                rest = tuple(p for p in pending if p[0] != cid)
-                bump((exit_, rest), amp)
+                enter, exit_ = pending[slot]
+                if enter == cur:
+                    bump((exit_, pending[:slot] + pending[slot + 1:]), amp)
         states = new_states
 
     total = ScalarSeries.zero(caps)

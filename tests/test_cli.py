@@ -193,17 +193,3 @@ def test_measure_non_finite_coordinate_exits_2(tmp_path):
     assert "non-finite coordinate" in result.stderr
     assert "cannot convert" not in result.stderr
 
-
-def test_thread_cap_env_validation(tmp_path):
-    curve = tmp_path / "segment.xyz"
-    curve.write_text(SEGMENT)
-    import os
-
-    env = dict(os.environ, KNOTOIDAL_THREADS="zero")
-    result = subprocess.run(
-        [sys.executable, "-m", "knotoidal.cli", "measure", "--file", str(curve), "--samples", "5"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert result.returncode == 1

@@ -2,7 +2,6 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from knotoidal.diagram import (
     Crossing,
@@ -28,6 +27,8 @@ from knotoidal.errors import (
     MalformedToken,
     SignCountMismatch,
 )
+
+from decomp_strategies import small_decomposition_st
 
 ROW_5_7 = "-1 -2 3 4 -3 2 -5 1 5 -4 - - - + +"
 ROW_5_12 = "-1 2 -3 1 4 -5 -2 3 -4 5 - - - - -"
@@ -186,34 +187,64 @@ def test_insert_helpers_produce_valid_decompositions():
         insert_r2_pair(d, 3, 3)
 
 
-@st.composite
-def decomposition_st(draw):
-    slots = draw(st.integers(1, 10))
-    labels = list(range(1, slots + 1))
-    rng_order = draw(st.permutations(labels))
-    tokens = []
-    idx = 0
-    while idx < slots:
-        remaining = slots - idx
-        if remaining >= 2 and draw(st.booleans()):
-            sign = draw(st.sampled_from([1, -1]))
-            tokens.append(Crossing(sign, rng_order[idx], rng_order[idx + 1]))
-            idx += 2
-        else:
-            sign = draw(st.sampled_from([1, -1]))
-            tokens.append(Rotation(sign, rng_order[idx]))
-            idx += 1
-    return RotDecomp(slots, tokens)
+def test_walk_of_the_worked_example():
+    d = parse_decomposition("labels 5; R+ 1 4; R+ 5 2; C- 3")
+    assert d.walk() == (
+        ("open", 1, True),
+        ("open", 1, False),
+        ("rot", -1),
+        ("close", 0),
+        ("close", 0),
+    )
+
+
+def test_walk_closes_out_of_opening_order_and_skips_empty_labels():
+    # the crossing opened second closes first, from the middle of three
+    # pending slots; label 4 carries no token
+    d = parse_decomposition("labels 8; R- 6 1; R+ 3 7; R+ 2 5; C- 8")
+    assert d.walk() == (
+        ("open", -1, False),
+        ("open", 1, True),
+        ("open", 1, True),
+        ("close", 1),
+        ("close", 0),
+        ("close", 0),
+        ("rot", -1),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(decomposition_st())
+@given(small_decomposition_st(max_slots=10))
+def test_walk_replays_the_tokens(d):
+    by_label = {}
+    for tok in d.tokens:
+        if isinstance(tok, Crossing):
+            by_label[tok.over] = by_label[tok.under] = tok
+        else:
+            by_label[tok.label] = tok
+    steps = d.walk()
+    assert len(steps) == len(by_label)
+    pending = []
+    for label, step in zip(sorted(by_label), steps):
+        tok = by_label[label]
+        if isinstance(tok, Rotation):
+            assert step == ("rot", tok.sign)
+        elif label == min(tok.over, tok.under):
+            assert step == ("open", tok.sign, tok.over == label)
+            pending.append(tok)
+        else:
+            assert step[0] == "close" and pending.pop(step[1]) is tok
+    assert not pending
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_decomposition_st(max_slots=10))
 def test_decomposition_render_round_trip(d):
     assert parse_decomposition(d.render()) == d
 
 
 @settings(max_examples=60, deadline=None)
-@given(decomposition_st())
+@given(small_decomposition_st(max_slots=10))
 def test_decomposition_json_round_trip(d):
     assert RotDecomp.from_json(json.loads(json.dumps(d.to_json()))) == d
 

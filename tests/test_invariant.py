@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from knotoidal import invariant
 from knotoidal.algebra import DElement, _exp_ab_raw, antipode, get_context, rotation_element
 from knotoidal.diagram import (
-    Crossing,
-    RotDecomp,
-    Rotation,
     TRIVIAL_DECOMP,
     fixtures,
     insert_r2_pair,
@@ -30,6 +27,7 @@ from knotoidal.invariant import (
 )
 from knotoidal.series import Caps
 
+from decomp_strategies import small_decomposition_st
 from invariant_reference import reference_evaluate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,24 +143,6 @@ def test_leading_normalization_of_5_7(fixture_values):
 def test_golden_rendering_of_5_7(fixture_values):
     golden = (GOLDEN / "z_5_7_caps_1_3.txt").read_text()
     assert fixture_values["5_7"].element.render() + "\n" == golden
-
-
-@st.composite
-def small_decomposition_st(draw):
-    slots = draw(st.integers(1, 8))
-    order = draw(st.permutations(list(range(1, slots + 1))))
-    tokens = []
-    idx = 0
-    while idx < slots:
-        if slots - idx >= 2 and draw(st.booleans()):
-            tokens.append(
-                Crossing(draw(st.sampled_from([1, -1])), order[idx], order[idx + 1])
-            )
-            idx += 2
-        else:
-            tokens.append(Rotation(draw(st.sampled_from([1, -1])), order[idx]))
-            idx += 1
-    return RotDecomp(slots, tokens)
 
 
 @settings(max_examples=15, deadline=None)

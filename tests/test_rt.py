@@ -1,8 +1,19 @@
 import json
+import random
+from functools import cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knotoidal.diagram import TRIVIAL_DECOMP, insert_r2_pair, parse_decomposition
+from knotoidal.diagram import (
+    TRIVIAL_DECOMP,
+    Crossing,
+    Rotation,
+    insert_r2_pair,
+    parse_decomposition,
+)
 from knotoidal.errors import DimensionMismatch
 from knotoidal.rt import (
     EndpointVectors,
@@ -11,11 +22,14 @@ from knotoidal.rt import (
     load_rep_json,
     matrix_eq,
     matrix_identity,
+    matrix_inverse,
     matrix_mul,
     recovery_check,
     rt_evaluate,
 )
 from knotoidal.series import Caps, ScalarSeries
+
+from decomp_strategies import small_decomposition_st
 
 CAPS = Caps(1, 3)
 
@@ -148,6 +162,93 @@ def test_recovery_dim2():
     rep = derive_rep(CAPS, rho)
     ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])
     assert recovery_check(EXAMPLE, rep, rho, ev).passed
+
+
+@cache
+def _dim2_rep():
+    rho = rho_dim2()
+    return rho, derive_rep(CAPS, rho)
+
+
+_VECTOR_ST = st.lists(st.integers(-5, 5), min_size=2, max_size=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st(), eta=_VECTOR_ST, eps_=_VECTOR_ST)
+def test_recovery_on_random_decompositions(d, eta, eps_):
+    rho, rep = _dim2_rep()
+    ev = EndpointVectors([one(v) for v in eta], [one(v) for v in eps_])
+    result = recovery_check(d, rep, rho, ev)
+    assert result.passed, result.details
+
+
+def brute_force_state_sum(d, rep: RepData, ev: EndpointVectors) -> ScalarSeries:
+    """The state sum over every labeling of the strand edges, term by term.
+
+    Edge ``k`` leaves label ``k`` (edge 0 enters label 1).  A pass runs from
+    its bottom to its top edge; on a positive crossing the over-pass runs
+    bottom-left to top-right and the under-pass bottom-right to top-left,
+    and a negative crossing (weights ``R^-1``) has them the other way round.
+    """
+    dim = rep.dim
+    tok_at = {}
+    for tok in d.tokens:
+        for lab in (tok.over, tok.under) if isinstance(tok, Crossing) else (tok.label,):
+            tok_at[lab] = tok
+    total = ScalarSeries.zero(rep.caps)
+    for idx in product(range(dim), repeat=d.labels + 1):
+        amp = ev.eta[idx[0]] * ev.eps_[idx[-1]]
+        for lab in range(1, d.labels + 1):
+            tok = tok_at.get(lab)
+            if tok is None:
+                w = ScalarSeries.one(rep.caps) if idx[lab] == idx[lab - 1] else None
+            elif isinstance(tok, Rotation):
+                w = (rep.h_inv if tok.sign > 0 else rep.h)[idx[lab]][idx[lab - 1]]
+            elif lab == tok.over:
+                M = rep.R if tok.sign > 0 else rep.r_inverse()
+                over = (idx[tok.over - 1], idx[tok.over])
+                under = (idx[tok.under - 1], idx[tok.under])
+                # (bottom-left, top-right) and (bottom-right, top-left)
+                bl_tr, br_tl = (over, under) if tok.sign > 0 else (under, over)
+                w = M[br_tl[1] * dim + bl_tr[1]][bl_tr[0] * dim + br_tl[0]]
+            else:
+                continue  # the weight of a crossing is taken at its over-pass
+            if w is None or w.is_zero():
+                amp = None
+                break
+            amp = amp * w
+        if amp is not None:
+            total = total + amp
+    return total
+
+
+@cache
+def _generic_rep() -> RepData:
+    """A 2-dimensional rep with no structure: every index choice shows."""
+    caps = Caps(0, 1)
+    rng = random.Random(7)
+
+    def entry(diag):
+        return ScalarSeries.term(caps, rng.randint(-3, 3) + diag) + ScalarSeries.term(
+            caps, rng.randint(-3, 3), 0, 1
+        )
+
+    R = [[entry(6 if r == c else 0) for c in range(4)] for r in range(4)]
+    t = ScalarSeries.term(caps, 1, 0, 1)
+    one_, zero = ScalarSeries.one(caps), ScalarSeries.zero(caps)
+    h = [[one_ + t, one_], [zero, one_]]
+    return RepData(2, R, h, matrix_inverse(h))
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=small_decomposition_st(), eta=_VECTOR_ST, eps_=_VECTOR_ST)
+def test_state_sum_matches_brute_force(d, eta, eps_):
+    rep = _generic_rep()
+    ev = EndpointVectors(
+        [ScalarSeries.term(rep.caps, v) for v in eta],
+        [ScalarSeries.term(rep.caps, v) for v in eps_],
+    )
+    assert rt_evaluate(d, rep, ev) == brute_force_state_sum(d, rep, ev)
 
 
 def test_recovery_fails_with_corrupted_rotation_weight():
