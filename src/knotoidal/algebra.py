@@ -21,6 +21,7 @@ functions, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import CapsMismatch, DegreeOutOfRange
@@ -61,6 +62,7 @@ def _eadd_into(dst: EDict, src: EDict, scal: SDict | None = None, K: int = 0, N:
                 del dst[mon]
 
 
+@cache
 def _shifted_ba(j: int, k: int, shift: int, K: int):
     """Expansion of b^j a^k y^s (or x^s b^j a^k) commutation shifts.
 
@@ -81,18 +83,6 @@ def _shifted_ba(j: int, k: int, shift: int, K: int):
                 continue
             out.append((t, s, e_extra, cb * ca))
     return out
-
-
-_SHIFT_CACHE: dict = {}
-
-
-def _shifted_ba_cached(j, k, shift, K):
-    key = (j, k, shift, K)
-    hit = _SHIFT_CACHE.get(key)
-    if hit is None:
-        hit = _shifted_ba(j, k, shift, K)
-        _SHIFT_CACHE[key] = hit
-    return hit
 
 
 def _exp_ab_raw(ca: Fraction, cb: Fraction, K: int, N: int) -> EDict:
@@ -134,7 +124,7 @@ class _Context:
         self.left_x: dict[Mon, EDict] = {}
         self.mul: dict[tuple[Mon, Mon], EDict] = {}
         self.antipode_mon: dict[Mon, EDict] = {}
-        self.antipode_gen_powers: dict[str, list[EDict]] = {}
+        self.antipode_gen_powers: dict[Mon, list[EDict]] = {}
 
     # -- x * mon, the only rewriting that branches
 
@@ -145,7 +135,7 @@ class _Context:
         i, j, k, l = mon
         out: EDict = {}
         if i == 0:
-            for t, s, e_extra, coeff in _shifted_ba_cached(j, k, 1, self.K):
+            for t, s, e_extra, coeff in _shifted_ba(j, k, 1, self.K):
                 out.setdefault((0, t, s, l + 1), {})[(e_extra, 0)] = coeff
         else:
             rest = (i - 1, j, k, l)
@@ -172,13 +162,13 @@ class _Context:
         i2, j2, k2, l2 = m2
         out: EDict = {}
         if l1 == 0:
-            for t, s, e_extra, coeff in _shifted_ba_cached(j1, k1, i2, self.K):
+            for t, s, e_extra, coeff in _shifted_ba(j1, k1, i2, self.K):
                 mon = (i1 + i2, t + j2, s + k2, l2)
                 sd = out.setdefault(mon, {})
                 keyd = (e_extra, 0)
                 sd[keyd] = sd.get(keyd, Fraction(0)) + coeff
         elif i2 == 0:
-            for t, s, e_extra, coeff in _shifted_ba_cached(j2, k2, l1, self.K):
+            for t, s, e_extra, coeff in _shifted_ba(j2, k2, l1, self.K):
                 mon = (i1, j1 + t, k1 + s, l1 + l2)
                 sd = out.setdefault(mon, {})
                 keyd = (e_extra, 0)
@@ -209,28 +199,16 @@ class _Context:
 
     # -- antipode -----------------------------------------------------------
 
-    def _antipode_gen_power(self, gen: str, power: int) -> EDict:
-        """Powers of the antipode images of single generators."""
-        cache = self.antipode_gen_powers.setdefault(gen, [dict({UNIT_MON: dict(_ONE_SD)})])
-        while len(cache) <= power:
-            if len(cache) == 1:
-                if gen == "x":
-                    base = self.elem_mul(
-                        {(0, 0, 0, 1): dict(_ONE_SD)},
-                        _exp_ab_raw(Fraction(1), Fraction(0), self.K, self.N),
-                    )
-                elif gen == "y":
-                    base = self.elem_mul(
-                        {(1, 0, 0, 0): dict(_ONE_SD)},
-                        _exp_ab_raw(Fraction(0), Fraction(1), self.K, self.N),
-                    )
-                else:
-                    raise ValueError(gen)
-                base = {m: _sscale(sd, Fraction(-1)) for m, sd in base.items()}
-                cache.append(base)
-            else:
-                cache.append(self.elem_mul(cache[-1], cache[1]))
-        return cache[power]
+    def _antipode_gen_power(self, gen: Mon, ca: int, cb: int, power: int) -> EDict:
+        """``power``-th power of the antipode image
+        ``-gen * exp(ca*eps*hbar*a + cb*hbar*b)`` of a single generator."""
+        powers = self.antipode_gen_powers.setdefault(gen, [{UNIT_MON: dict(_ONE_SD)}])
+        if len(powers) == 1 and power:
+            image = self.elem_mul({gen: dict(_ONE_SD)}, _exp_ab_raw(ca, cb, self.K, self.N))
+            powers.append({m: _sscale(sd, Fraction(-1)) for m, sd in image.items()})
+        while len(powers) <= power:
+            powers.append(self.elem_mul(powers[-1], powers[1]))
+        return powers[power]
 
     def antipode(self, mon: Mon) -> EDict:
         """Anti-homomorphism with S(y) = -y*exp(hbar*b), S(b) = -b, S(a) = -a,
@@ -244,12 +222,12 @@ class _Context:
         if hit is not None:
             return hit
         i, j, k, l = mon
-        out = self._antipode_gen_power("x", l)
+        out = self._antipode_gen_power((0, 0, 0, 1), 1, 0, l)
         mid: Mon = (0, j, k, 0)
         sign = Fraction((-1) ** (j + k))
         out = self.elem_mul(out, {mid: {(0, 0): sign}})
         if i:
-            out = self.elem_mul(out, self._antipode_gen_power("y", i))
+            out = self.elem_mul(out, self._antipode_gen_power((1, 0, 0, 0), 0, 1, i))
         self.antipode_mon[mon] = out
         return out
 
@@ -562,24 +540,6 @@ class DTensor:
                     del out[pair]
         return DTensor(self.caps, out)
 
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        lines = []
-        for (m1, m2) in sorted(self._terms, key=lambda p: (_mon_degree_key(p[0]), _mon_degree_key(p[1]))):
-            sd = self._terms[(m1, m2)]
-            for (e, h) in sorted(sd):
-                factors = [str(sd[(e, h)])]
-                if e:
-                    factors.append("eps" if e == 1 else f"eps^{e}")
-                if h:
-                    factors.append("hbar" if h == 1 else f"hbar^{h}")
-                lines.append(
-                    " * ".join(factors)
-                    + f" * ({render_monomial(m1)}) (x) ({render_monomial(m2)})"
-                )
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # named operations
@@ -629,19 +589,18 @@ def r_inverse(caps: Caps) -> DTensor:
     return out
 
 
-# Exponent sign of the counter-clockwise rotation element: a counter-clockwise
-# full rotation carries exp(+(eps*hbar*a + hbar*b)/2) and a clockwise one its
-# inverse.  Calibrated so that rotation insertion pairs cancel, the worked
-# two-crossing example composes correctly, and the five-crossing pair that the
-# invariant cannot separate indeed evaluates equal.
-CCW_EXPONENT_SIGN = 1
-
-
 def rotation_element(sign: int, caps: Caps) -> DElement:
-    """Value of a full rotation: ``sign=+1`` counter-clockwise, ``-1`` clockwise."""
+    """Value of a full rotation: ``sign=+1`` counter-clockwise, ``-1`` clockwise.
+
+    A counter-clockwise full rotation carries ``exp(+(eps*hbar*a + hbar*b)/2)``
+    and a clockwise one its inverse.  That exponent sign is calibrated so that
+    rotation insertion pairs cancel, the worked two-crossing example composes
+    correctly, and the five-crossing pair that the invariant cannot separate
+    indeed evaluates equal.
+    """
     if sign not in (1, -1):
         raise ValueError("rotation sign must be +1 or -1")
-    c = Fraction(CCW_EXPONENT_SIGN * sign, 2)
+    c = Fraction(sign, 2)
     return DElement(caps, _exp_ab_raw(c, c, caps.eps_order, caps.hbar_order), _trusted=True)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .diagram import (
     RotDecomp,
@@ -23,37 +22,13 @@ from .diagram import (
 )
 from .errors import CapsMismatch, DegreeOutOfRange, KnotoidalError
 from .invariant import compare, epsilon_coefficient, evaluate_Z
-from .measure import dominant_knotoid, estimate_measure, load_curve
+from .measure import ZMEAN_CAPS, dominant_knotoid, estimate_measure, load_curve
 from .series import Caps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_CAPS = 3
-
-
-@dataclass
-class Config:
-    eps_order: int = 1
-    hbar_order: int = 6
-    seed: int = 0
-    samples: int = 2000
-    tol: float = 1e-9
-    fmt: str = "json"
-
-    def validate(self):
-        if self.eps_order < 0 or self.hbar_order < 0:
-            raise UsageError("orders must be non-negative")
-        if self.samples < 1:
-            raise UsageError("--samples must be at least 1")
-        if self.tol <= 0:
-            raise UsageError("--tol must be positive")
-        if self.fmt not in ("json", "text"):
-            raise UsageError("--format must be json or text")
-
-    @property
-    def caps(self) -> Caps:
-        return Caps(self.eps_order, self.hbar_order)
 
 
 class UsageError(Exception):
@@ -67,41 +42,41 @@ def _load_decomposition(args) -> tuple[str, RotDecomp]:
         return args.file, parse_decomposition(handle.read())
 
 
-def _emit(data: dict, cfg: Config, text_lines) -> None:
-    if cfg.fmt == "json":
+def _emit(data: dict, fmt: str, text_lines) -> None:
+    if fmt == "json":
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
         for line in text_lines:
             print(line)
 
 
-def cmd_invariant(args, cfg: Config) -> int:
+def cmd_invariant(args, caps: Caps) -> int:
     name, decomp = _load_decomposition(args)
-    value = evaluate_Z(decomp, cfg.caps)
+    value = evaluate_Z(decomp, caps)
     if args.eps_coefficient is not None:
         element = epsilon_coefficient(value, args.eps_coefficient)
         data = element.to_json()
         data["input"] = name
         data["eps_coefficient"] = args.eps_coefficient
-        _emit(data, cfg, [element.render()])
+        _emit(data, args.fmt, [element.render()])
     else:
         data = value.to_json()
         data["input"] = name
-        _emit(data, cfg, [value.render()])
+        _emit(data, args.fmt, [value.render()])
     return EXIT_OK
 
 
-def _comparison_rows(name_a, decomp_a, name_b, decomp_b, cfg, with_reversal):
-    za = evaluate_Z(decomp_a, cfg.caps)
-    zb = evaluate_Z(decomp_b, cfg.caps)
+def _comparison_rows(name_a, decomp_a, name_b, decomp_b, caps, with_reversal):
+    za = evaluate_Z(decomp_a, caps)
+    zb = evaluate_Z(decomp_b, caps)
     rows = [(f"{name_a} vs {name_b}", compare(za, zb))]
     if with_reversal:
-        zra = evaluate_Z(reverse_decomposition(decomp_a), cfg.caps)
+        zra = evaluate_Z(reverse_decomposition(decomp_a), caps)
         rows.append((f"reverse({name_a}) vs {name_b}", compare(zra, zb)))
     return rows
 
 
-def cmd_compare(args, cfg: Config) -> int:
+def cmd_compare(args, caps: Caps) -> int:
     if args.fixtures:
         name_a, name_b = args.fixtures
         decomp_a = fixture_decomposition(name_a)
@@ -112,20 +87,20 @@ def cmd_compare(args, cfg: Config) -> int:
             decomp_a = parse_decomposition(fh.read())
         with open(name_b) as fh:
             decomp_b = parse_decomposition(fh.read())
-    rows = _comparison_rows(name_a, decomp_a, name_b, decomp_b, cfg, args.with_reversal)
+    rows = _comparison_rows(name_a, decomp_a, name_b, decomp_b, caps, args.with_reversal)
     data = {
-        "caps": {"eps_order": cfg.eps_order, "hbar_order": cfg.hbar_order},
+        "caps": {"eps_order": caps.eps_order, "hbar_order": caps.hbar_order},
         "comparisons": [
             {"pair": label, "equal": c.equal, "detail": c.describe()} for label, c in rows
         ],
     }
-    _emit(data, cfg, [f"{label}: {c.describe()}" for label, c in rows])
+    _emit(data, args.fmt, [f"{label}: {c.describe()}" for label, c in rows])
     if args.expect_distinct:
         return EXIT_OK if all(not c.equal for _, c in rows) else EXIT_USAGE
     return EXIT_OK
 
 
-def cmd_table(args, cfg: Config) -> int:
+def cmd_table(args, caps: Caps) -> int:
     available = fixtures()
     rows_out = []
     text = []
@@ -134,7 +109,7 @@ def cmd_table(args, cfg: Config) -> int:
         row = {"pair": [k1, k2], "writhe": writhe(code), "gauss_code": code.render()}
         if k1 in available and k2 in available:
             comparisons = _comparison_rows(
-                k1, available[k1][1], k2, available[k2][1], cfg, args.with_reversal
+                k1, available[k1][1], k2, available[k2][1], caps, args.with_reversal
             )
             verdicts = [c for _, c in comparisons]
             row["comparisons"] = [
@@ -159,19 +134,23 @@ def cmd_table(args, cfg: Config) -> int:
         for comp in row.get("comparisons", []):
             text.append(f"    {comp['pair']}: {comp['detail']}")
     data = {
-        "caps": {"eps_order": cfg.eps_order, "hbar_order": cfg.hbar_order},
+        "caps": {"eps_order": caps.eps_order, "hbar_order": caps.hbar_order},
         "rows": rows_out,
         "summary": summary,
     }
     text.append(f"summary: {summary}")
-    _emit(data, cfg, text)
+    _emit(data, args.fmt, text)
     return EXIT_OK
 
 
-def cmd_measure(args, cfg: Config) -> int:
+def cmd_measure(args, caps: Caps) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if args.tol <= 0:
+        raise UsageError("--tol must be positive")
     curve = load_curve(args.file)
     estimate = estimate_measure(
-        curve, cfg.samples, seed=cfg.seed, tol=cfg.tol, phi=args.phi, caps=cfg.caps
+        curve, args.samples, seed=args.seed, tol=args.tol, phi=args.phi, caps=caps
     )
     data = estimate.to_json()
     data["dominant"] = dominant_knotoid(estimate)
@@ -186,7 +165,7 @@ def cmd_measure(args, cfg: Config) -> int:
         f"  {float(freq):.4f}  {label}"
         for label, freq in sorted(estimate.class_freq.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-    _emit(data, cfg, text)
+    _emit(data, args.fmt, text)
     return EXIT_OK
 
 
@@ -198,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--eps-order", type=int, default=1)
-        p.add_argument("--hbar-order", type=int, default=6)
+    def common(p, caps=Caps(1, 6)):
+        p.add_argument("--eps-order", type=int, default=caps.eps_order)
+        p.add_argument("--hbar-order", type=int, default=caps.hbar_order)
         p.add_argument("--format", dest="fmt", default="json", choices=["json", "text"])
 
     p_inv = sub.add_parser("invariant", help="evaluate the invariant of a decomposition")
@@ -234,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mea.add_argument("--tol", type=float, default=1e-9)
     p_mea.add_argument("--phi", default="classes", choices=["classes", "zmean"])
     p_mea.add_argument("--csv", default=None, help="also write a class,count,frequency CSV")
-    common(p_mea)
+    common(p_mea, ZMEAN_CAPS)
 
     return parser
 
@@ -243,22 +222,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = Config(
-            eps_order=args.eps_order,
-            hbar_order=args.hbar_order,
-            seed=getattr(args, "seed", 0),
-            samples=getattr(args, "samples", 2000),
-            tol=getattr(args, "tol", 1e-9),
-            fmt=args.fmt,
-        )
-        cfg.validate()
+        if args.eps_order < 0 or args.hbar_order < 0:
+            raise UsageError("orders must be non-negative")
         handler = {
             "invariant": cmd_invariant,
             "compare": cmd_compare,
             "table": cmd_table,
             "measure": cmd_measure,
         }[args.command]
-        return handler(args, cfg)
+        return handler(args, Caps(args.eps_order, args.hbar_order))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,6 @@ taken on trust.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -451,10 +450,6 @@ _FIXTURE_DECOMPS = {
     "5_593": "labels 12; R- 1 6; R- 7 2; R- 8 12; R- 3 9; R- 10 4; C+ 11; C+ 5",
 }
 
-DISTINGUISHED_PAIRS = (("5_9", "5_561"), ("5_12", "5_593"))
-UNDISTINGUISHED_PAIRS = (("5_7", "5_421"),)
-
-
 def table_rows():
     """The tabulated unresolved pairs: (first, second, shared Gauss code)."""
     return [(k1, k2, parse_gauss_code(code)) for (k1, k2), code in _TABLE_CODES.items()]
@@ -482,11 +477,3 @@ def fixture_decomposition(name: str) -> RotDecomp:
         return fixtures()[name][1]
     except KeyError:
         raise KeyError(f"no fixture named {name!r}") from None
-
-
-def code_to_json_str(code: OrientedGaussCode) -> str:
-    return json.dumps(code.to_json(), sort_keys=True)
-
-
-def decomp_to_json_str(d: RotDecomp) -> str:
-    return json.dumps(d.to_json(), sort_keys=True)

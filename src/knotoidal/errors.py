@@ -27,10 +27,6 @@ class LabelOutOfRange(KnotoidalError):
     pass
 
 
-class InvalidDecomposition(KnotoidalError):
-    pass
-
-
 # -- truncated series arithmetic ----------------------------------------------
 
 class CapsMismatch(KnotoidalError):

@@ -46,9 +46,13 @@ Vec2 = tuple[float, float]
 
 TRIVIAL_CLASS = "trivial"
 
-# rounding guard for turning angles and winding numbers, in units of the
-# geometric tolerance
-ANGLE_GUARD_FACTOR = 1e3
+# default caps of the zmean invariant average
+ZMEAN_CAPS = Caps(1, 2)
+
+# rounding guard for turning angles, in radians, whatever the coordinate
+# tolerance; it is the double 1e3 * 1e-9, one ulp above 1e-6, with which the
+# pinned projection outputs of the tests and the benchmark were recorded
+ANGLE_GUARD = 1.0000000000000002e-06
 
 
 # ---------------------------------------------------------------------------
@@ -327,120 +331,85 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
             if _point_segment_distance(endpoint, pts2[i], pts2[i + 1]) < tol:
                 raise DegenerateDirection("endpoint within tol of a strand")
 
-    events = []  # (segment index, parameter, crossing record)
-    for rec in crossings:
-        events.append((rec["i"], rec["t"], rec))
-        events.append((rec["j"], rec["s"], rec))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-
-    # crossing ids in order of first traversal; roles and signs
-    ids: dict[int, int] = {}
-    passes = []
-    signs = {}
-    for seg, par, rec in events:
-        if id(rec) not in ids:
-            ids[id(rec)] = len(ids) + 1
-        cid = ids[id(rec)]
-        on_first = seg == rec["i"] and par == rec["t"]
-        my_depth, other_depth = (
-            (rec["za"], rec["zb"]) if on_first else (rec["zb"], rec["za"])
-        )
-        role = "over" if my_depth > other_depth else "under"
-        passes.append((cid, role))
-        if cid not in signs:
-            di = (
-                pts2[rec["i"] + 1][0] - pts2[rec["i"]][0],
-                pts2[rec["i"] + 1][1] - pts2[rec["i"]][1],
-            )
-            dj = (
-                pts2[rec["j"] + 1][0] - pts2[rec["j"]][0],
-                pts2[rec["j"] + 1][1] - pts2[rec["j"]][1],
-            )
-            over_dir, under_dir = (di, dj) if rec["za"] > rec["zb"] else (dj, di)
-            cross = over_dir[0] * under_dir[1] - over_dir[1] * under_dir[0]
-            signs[cid] = 1 if cross > 0 else -1
-    code = OrientedGaussCode(passes, signs)
-
     # continuous tangent-angle lift along the polyline
     seg_dirs = [
         (pts2[i + 1][0] - pts2[i][0], pts2[i + 1][1] - pts2[i][1]) for i in range(nseg)
     ]
-    angle_guard = tol * ANGLE_GUARD_FACTOR
     lifted = [math.atan2(seg_dirs[0][1], seg_dirs[0][0])]
     for prev, cur in zip(seg_dirs, seg_dirs[1:]):
         delta = _wrap_angle(
             math.atan2(cur[1], cur[0]) - math.atan2(prev[1], prev[0])
         )
-        if abs(abs(delta) - math.pi) < angle_guard:
+        if abs(abs(delta) - math.pi) < ANGLE_GUARD:
             raise DegenerateDirection("projection folds back (cusp)")
         lifted.append(lifted[-1] + delta)
 
     def snap(angle: float, anchor: float) -> int:
         turns = (angle - anchor) / (2.0 * math.pi)
         nearest = round(turns)
-        if abs(abs(turns - nearest) - 0.5) < angle_guard / (2.0 * math.pi):
+        if abs(abs(turns - nearest) - 0.5) < ANGLE_GUARD / (2.0 * math.pi):
             raise DegenerateDirection("turning ambiguous at half rotation")
         return int(nearest)
 
-    # Integer turn marks per event.  The first pass of each crossing and the
+    def rotations(spin: int, first_label: int) -> list[Rotation]:
+        step = 1 if spin > 0 else -1
+        return [Rotation(step, first_label + n) for n in range(abs(spin))]
+
+    # The passes in strand order: (segment, parameter, crossing index).
+    # Crossing k is over on its segment i exactly when za > zb.
+    events = []
+    for k, rec in enumerate(crossings):
+        events += ((rec["i"], rec["t"], k), (rec["j"], rec["s"], k))
+    events.sort(key=lambda ev: ev[:2])
+
+    # Integer turn marks per pass.  The first pass of each crossing and the
     # leg snap against the upward direction; the partner pass of a crossing
     # and the head anchor to their partner's residual direction instead, so
     # that a rounding flip only ever happens for a crossing as a whole (a
     # full-crossing rotation) or for both endpoints together (a matched pair
     # of endpoint twists).  Both are invariances of the evaluated invariant;
-    # independent per-pass rounding would not be.
-    leg_mark = snap(lifted[0], 0.5 * math.pi)
-    leg_residual = lifted[0] - 2.0 * math.pi * leg_mark
-    first_residual: dict[int, float] = {}
-    marks = [leg_mark]
-    for seg, _par, rec in events:
-        angle = lifted[seg]
-        partner = first_residual.get(id(rec))
-        if partner is None:
-            mark = snap(angle, 0.5 * math.pi)
-            first_residual[id(rec)] = angle - 2.0 * math.pi * mark
+    # independent per-pass rounding would not be.  Rotation tokens fill the
+    # gaps between passes, and labels count tokens and passes in strand order.
+    mark = snap(lifted[0], 0.5 * math.pi)
+    leg_residual = lifted[0] - 2.0 * math.pi * mark
+    ids = [0] * len(crossings)  # crossing ids in order of first traversal
+    residual = [0.0] * len(crossings)
+    labels = [[0, 0] for _ in crossings]  # over and under label
+    passes, signs, tokens = [], {}, []
+    for seg, _par, k in events:
+        rec = crossings[k]
+        over_first = rec["za"] > rec["zb"]
+        if not ids[k]:
+            ids[k] = len(signs) + 1
+            di, dj = seg_dirs[rec["i"]], seg_dirs[rec["j"]]
+            over_dir, under_dir = (di, dj) if over_first else (dj, di)
+            cross = over_dir[0] * under_dir[1] - over_dir[1] * under_dir[0]
+            signs[ids[k]] = 1 if cross > 0 else -1
+            new_mark = snap(lifted[seg], 0.5 * math.pi)
+            residual[k] = lifted[seg] - 2.0 * math.pi * new_mark
         else:
-            mark = snap(angle, partner)
-        marks.append(mark)
-    marks.append(snap(lifted[-1], leg_residual))
+            new_mark = snap(lifted[seg], residual[k])
+        tokens += rotations(new_mark - mark, len(tokens) + len(passes) + 1)
+        mark = new_mark
+        over = (seg == rec["i"]) == over_first
+        passes.append((ids[k], "over" if over else "under"))
+        labels[k][0 if over else 1] = len(tokens) + len(passes)
+    head_mark = snap(lifted[-1], leg_residual)
+    tokens += rotations(head_mark - mark, len(tokens) + len(passes) + 1)
+    label_count = max(len(tokens) + len(passes), 1)
+    tokens += [Crossing(signs[ids[k]], *labels[k]) for k in range(len(crossings))]
+    code = OrientedGaussCode(passes, signs)
+    decomp = RotDecomp(label_count, tokens)
 
-    # assemble decomposition: rotation tokens fill the gaps between passes
-    tokens = []
-    pass_labels = []
-    next_label = 1
-    for gap in range(len(events) + 1):
-        spin = marks[gap + 1] - marks[gap]
-        step = 1 if spin > 0 else -1
-        for _ in range(abs(spin)):
-            tokens.append(Rotation(step, next_label))
-            next_label += 1
-        if gap < len(events):
-            pass_labels.append(next_label)
-            next_label += 1
-    by_rec: dict[int, list[int]] = {}
-    for (seg, par, rec), label in zip(events, pass_labels):
-        by_rec.setdefault(id(rec), []).append(label)
-    role_of = {label: role for (_, role), label in zip(passes, pass_labels)}
-    for rec in crossings:
-        rec_passes = by_rec[id(rec)]
-        cid = ids[id(rec)]
-        # identify which pass is over from the recorded roles
-        first_over = role_of[rec_passes[0]] == "over"
-        over_label = rec_passes[0] if first_over else rec_passes[1]
-        under_label = rec_passes[1] if first_over else rec_passes[0]
-        tokens.append(Crossing(signs[cid], over_label, under_label))
-    labels = max(next_label - 1, 1)
-    decomp = RotDecomp(labels, tokens)
-
-    # coframing from winding numbers around the projected endpoints
+    # Coframing from winding numbers around the projected endpoints.  No
+    # vertex projects onto an endpoint: it would end a segment shorter than
+    # tol, or lie within tol of the endpoint on a segment other than the
+    # endpoint's own, and both are rejected above.
     def winding(center: Vec2, pts) -> int:
         total = 0.0
         prev = None
         for p in pts:
-            vec = (p[0] - center[0], p[1] - center[1])
-            if vec == (0.0, 0.0):
-                raise DegenerateDirection("winding center on the path")
-            ang = math.atan2(vec[1], vec[0])
+            ang = math.atan2(p[1] - center[1], p[0] - center[0])
             if prev is not None:
                 total += _wrap_angle(ang - prev)
             prev = ang
@@ -657,7 +626,7 @@ def estimate_measure(
     seed: int = 0,
     tol: float = 1e-9,
     phi: str = "classes",
-    caps: Caps | None = None,
+    caps: Caps = ZMEAN_CAPS,
 ) -> MeasureEstimate:
     """Empirical class frequencies (and optionally invariant means) over
     ``n`` uniformly sampled projection directions."""
@@ -665,8 +634,6 @@ def estimate_measure(
         raise ValueError("need at least one sample")
     if phi not in ("classes", "zmean"):
         raise ValueError(f"unknown phi {phi!r}")
-    if phi == "zmean" and caps is None:
-        caps = Caps(1, 2)
     directions = sample_directions(seed, n)
     tallies, freq, mean, rejected = _estimate_with_directions(
         curve, directions, tol, phi, caps

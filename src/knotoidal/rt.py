@@ -170,12 +170,6 @@ class EndpointVectors:
     eta: list[ScalarSeries]
     eps_: list[ScalarSeries]
 
-    @classmethod
-    def standard(cls, caps: Caps, dim: int, slot: int = 0) -> "EndpointVectors":
-        eta = [ScalarSeries.term(caps, int(i == slot)) for i in range(dim)]
-        eps_ = [ScalarSeries.term(caps, int(i == slot)) for i in range(dim)]
-        return cls(eta, eps_)
-
     def to_json(self) -> dict:
         return {
             "eta": [v.to_json() for v in self.eta],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import CapsMismatch, ExpDomain, NotInvertible, SqrtDomain
 
@@ -286,16 +286,11 @@ class ScalarSeries:
 # ---------------------------------------------------------------------------
 # q-combinatorics used by the quasitriangular structure
 
-def q_power_series(j: int, caps: Caps) -> ScalarSeries:
-    """q^j with q = exp(eps*hbar), truncated."""
-    return ScalarSeries.term(caps, j, 1, 1).exp()
-
-
 def q_integer(k: int, caps: Caps) -> ScalarSeries:
-    """[k]_q = 1 + q + ... + q^(k-1)."""
+    """[k]_q = 1 + q + ... + q^(k-1) with q = exp(eps*hbar), truncated."""
     out = ScalarSeries.zero(caps)
     for j in range(k):
-        out = out + q_power_series(j, caps)
+        out = out + ScalarSeries.term(caps, j, 1, 1).exp()
     return out
 
 
@@ -307,7 +302,3 @@ def q_factorial(m: int, caps: Caps) -> ScalarSeries:
     for k in range(2, m + 1):
         out = out * q_integer(k, caps)
     return out
-
-
-def binomial_fraction(n: int, k: int) -> Fraction:
-    return Fraction(comb(n, k))

@@ -23,8 +23,12 @@ from knotoidal.algebra import (
     rotation_element,
 )
 from knotoidal.diagram import Crossing, RotDecomp, Rotation
-from knotoidal.errors import InvalidDecomposition
+from knotoidal.errors import KnotoidalError
 from knotoidal.series import Caps, _smul
+
+
+class InvalidDecomposition(KnotoidalError):
+    """A decomposition this walker cannot follow."""
 
 
 def reference_crossing_terms(caps: Caps):

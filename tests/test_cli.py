@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from knotoidal.measure import builtin_curve_path
+from knotoidal.measure import builtin_curve_path, estimate_measure, load_curve
 
 SEGMENT = "0 0 0\n1 2 3\n"
 
@@ -170,6 +170,15 @@ def test_measure_zmean(tmp_path):
     data = json.loads(result.stdout)
     assert data["invariant_mean"]["eps_degree"] == 1
     assert data["invariant_mean"]["components"]
+
+
+def test_measure_zmean_default_caps_match_api():
+    path = builtin_curve_path("open_trefoil")
+    result = run_cli("measure", "--file", path, "--samples", "50", "--phi", "zmean")
+    assert result.returncode == 0
+    cli_mean = json.loads(result.stdout)["invariant_mean"]
+    api_mean = estimate_measure(load_curve(path), 50, phi="zmean").to_json()["invariant_mean"]
+    assert json.dumps(cli_mean, sort_keys=True) == json.dumps(api_mean, sort_keys=True)
 
 
 def test_measure_zero_samples_usage_error(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -189,7 +190,7 @@ def test_degenerate_endpoint_grazing_rejected():
 # projecting exactly onto the leg (or head) ends a segment of zero projected
 # length or lies on a segment other than the endpoint's own, so the
 # parallel-segment check or the endpoint check rejects first.
-_FOLD = 1e-7  # below the angle guard of 1e3 * TOL, above TOL
+_FOLD = 1e-7  # below the angle guard ANGLE_GUARD (about 1e-6 radians), above TOL
 DEGENERATE_CURVES = [
     ("segment parallel to view direction", ((0, 0, 0), (0, 0, 1), (1, 0, 1))),
     (
@@ -386,6 +387,38 @@ def test_decomposition_reads_back_the_code(trefoil):
     assert checked >= 20
 
 
+def _projection_digest(curve, directions) -> str:
+    """sha256 over each projection's code, decomposition and biframing, or
+    over its rejection reason."""
+    lines = []
+    for direction in directions:
+        try:
+            proj = project(curve, direction, TOL)
+        except DegenerateDirection as exc:
+            lines.append(f"rejected: {exc.reason}")
+            continue
+        decomp = proj.decomp.render().replace("\n", "; ")
+        framing = f"{proj.biframing.framing} {proj.biframing.coframing}"
+        lines.append(f"{proj.code.render()} | {decomp} | {framing}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# recorded before the decomposition assembly in project was rewritten; they
+# pin the rotation-token labels and the coframing, which the all-pairs
+# oracle shares with project and so cannot check
+PROJECT_DIGESTS = {
+    "trefoil": "5e84541c2f24d386624552ca1416ff48b3b586eca8f8cf77cdba67301b65803c",
+    "walk128": "9ccadb462cda417b8f394e6cc9d790e29544b956376fe5616139e562740692cc",
+}
+
+
+def test_project_output_pinned(trefoil):
+    directions = sample_directions(0, 200)
+    assert _projection_digest(trefoil, directions) == PROJECT_DIGESTS["trefoil"]
+    walk = _walk(128, 4, False)
+    assert _projection_digest(walk, directions) == PROJECT_DIGESTS["walk128"]
+
+
 # -- simplification --------------------------------------------------------------
 
 def test_simplify_single_kink():
@@ -498,8 +531,23 @@ def test_estimate_validation(trefoil):
 def test_all_samples_degenerate():
     segment = OpenCurve3D(((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 1.0)))
     with pytest.raises(AllSamplesDegenerate):
-        # absurd tolerance forces every direction to fail the guards
-        estimate_measure(segment, 5, seed=0, tol=0.5)
+        # a tolerance above the curve's extent: every segment projects
+        # shorter than tol, so every direction is rejected
+        estimate_measure(segment, 5, seed=0, tol=2.0)
+
+
+def test_coordinate_sized_tol_keeps_directions(trefoil):
+    # the angle guard is a fixed number of radians, so a tol sized to
+    # coordinates given to three decimals rejects only near-degenerate views
+    reasons = []
+    for direction in sample_directions(0, 200):
+        try:
+            project(trefoil, direction, 1e-3)
+        except DegenerateDirection as exc:
+            reasons.append(exc.reason)
+    assert len(reasons) <= 5
+    assert "projection folds back (cusp)" not in reasons
+    assert "turning ambiguous at half rotation" not in reasons
 
 
 def test_dominant_tie_break():
