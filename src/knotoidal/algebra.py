@@ -14,6 +14,20 @@ the constant term cancels identically, and no negative powers ever arise.
 h-degrees and e-degrees never decrease under rewriting, so truncated products
 are exact truncations of the full products.
 
+The rewriting tables of :class:`_Context` hold integers, not fractions: a
+coefficient ``c`` at ``hbar^h`` is stored as ``c * L**h`` for the one scale
+``L = 2 * lcm(1, ..., N+1)`` per hbar cap ``N``.  Their inputs scale to
+integers (``q = exp(eps*hbar)`` carries ``1/h!`` at ``hbar^h``, the relation
+tail ``1/(h+1)!``, and the commutation shifts are integers at ``hbar^0``), and
+products keep the scale because ``L**a * L**b == L**(a+b)``, so filling the
+tables never takes a gcd.  The strand walk of :mod:`knotoidal.invariant`
+works at the same scale and scales its own inputs with
+:meth:`_Context.scaled`.  In this module ``Fraction`` values meet the tables
+in exactly two places, :meth:`_Context.elem_mul` and :func:`_tensor_mul`:
+they multiply each operand scalar by ``L**h``, multiply by the tables, and
+divide the result by ``L**h`` once.  A coefficient that is not an integer after scaling raises
+:class:`NonIntegralScale`; nothing is ever rounded.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -22,9 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .errors import CapsMismatch, DegreeOutOfRange
+from .errors import CapsMismatch, DegreeOutOfRange, NonIntegralScale
 from .series import (
     Caps,
     ScalarSeries,
@@ -62,23 +76,36 @@ def _eadd_into(dst: EDict, src: EDict, scal: SDict | None = None, K: int = 0, N:
                 del dst[mon]
 
 
+def _walk_scale(hbar_order: int) -> int:
+    """The scale ``L = 2 * lcm(1, ..., N+1)`` of the tables and the walk."""
+    return 2 * lcm(*range(1, hbar_order + 2))
+
+
+def _scaled(coeff: Fraction, h: int, scale: int) -> int:
+    """``coeff * scale**h`` as an int; raises if that is not an integer."""
+    num = coeff * scale**h
+    if num.denominator != 1:
+        raise NonIntegralScale(f"{coeff} * {scale}^{h} is not an integer")
+    return num.numerator
+
+
 @cache
 def _shifted_ba(j: int, k: int, shift: int, K: int):
     """Expansion of b^j a^k y^s (or x^s b^j a^k) commutation shifts.
 
     Returns the terms of (b - eps*shift)^j (a - shift)^k as a list of
-    ``(b_exp, a_exp, eps_extra, coeff)``.
+    ``(b_exp, a_exp, eps_extra, coeff)`` with integer ``coeff``.
     """
     out = []
     for t in range(j + 1):
         e_extra = j - t
         if e_extra > K:
             continue
-        cb = Fraction(comb(j, t) * (-shift) ** e_extra)
+        cb = comb(j, t) * (-shift) ** e_extra
         if not cb:
             continue
         for s in range(k + 1):
-            ca = Fraction(comb(k, s) * (-shift) ** (k - s))
+            ca = comb(k, s) * (-shift) ** (k - s)
             if not ca:
                 continue
             out.append((t, s, e_extra, cb * ca))
@@ -114,17 +141,47 @@ def _relation_tail(K: int, N: int) -> EDict:
 
 
 class _Context:
-    """Per-caps workspace holding memoized rewriting tables."""
+    """Per-caps workspace holding memoized rewriting tables.
+
+    ``q``, ``tail``, ``left_x`` and ``mul`` hold integer terms ``c * L**h``
+    at the scale ``L = self.scale``; ``antipode_mon`` and
+    ``antipode_gen_powers`` hold exact ``Fraction`` elements.
+    """
 
     def __init__(self, K: int, N: int):
         self.K = K
         self.N = N
-        self.q: SDict = ScalarSeries.term(Caps(K, N), 1, 1, 1).exp().coeffs
-        self.tail: EDict = _relation_tail(K, N)
+        self.scale = _walk_scale(N)
+        self.powers = [self.scale**h for h in range(N + 1)]
+        self.q: SDict = self.scaled(ScalarSeries.term(Caps(K, N), 1, 1, 1).exp().coeffs)
+        self.tail: EDict = {m: self.scaled(sd) for m, sd in _relation_tail(K, N).items()}
         self.left_x: dict[Mon, EDict] = {}
         self.mul: dict[tuple[Mon, Mon], EDict] = {}
         self.antipode_mon: dict[Mon, EDict] = {}
         self.antipode_gen_powers: dict[Mon, list[EDict]] = {}
+
+    # -- the scale
+
+    def scaled(self, sd: SDict) -> SDict:
+        """The integer terms ``c * L**h`` of an exact series; raises if one is not an integer."""
+        return {(e, h): _scaled(c, h, self.scale) for (e, h), c in sd.items()}
+
+    def lifted(self, terms: dict) -> dict:
+        """Exact terms, keyed by monomials or tuples of them, each times
+        ``L**h``; unlike :meth:`scaled`, the results need not be integers."""
+        powers = self.powers
+        return {
+            key: {(e, h): c * powers[h] for (e, h), c in sd.items()}
+            for key, sd in terms.items()
+        }
+
+    def unscaled(self, terms: dict) -> dict:
+        """The inverse of :meth:`lifted`: exact ``Fraction`` terms."""
+        powers = self.powers
+        return {
+            key: {(e, h): Fraction(c, powers[h]) for (e, h), c in sd.items()}
+            for key, sd in terms.items()
+        }
 
     # -- x * mon, the only rewriting that branches
 
@@ -166,15 +223,15 @@ class _Context:
                 mon = (i1 + i2, t + j2, s + k2, l2)
                 sd = out.setdefault(mon, {})
                 keyd = (e_extra, 0)
-                sd[keyd] = sd.get(keyd, Fraction(0)) + coeff
+                sd[keyd] = sd.get(keyd, 0) + coeff
         elif i2 == 0:
             for t, s, e_extra, coeff in _shifted_ba(j2, k2, l1, self.K):
                 mon = (i1, j1 + t, k1 + s, l1 + l2)
                 sd = out.setdefault(mon, {})
                 keyd = (e_extra, 0)
-                sd[keyd] = sd.get(keyd, Fraction(0)) + coeff
+                sd[keyd] = sd.get(keyd, 0) + coeff
         else:
-            cur: EDict = {m2: dict(_ONE_SD)}
+            cur: EDict = {m2: {(0, 0): 1}}
             for _ in range(l1):
                 nxt: EDict = {}
                 for mon, sd in cur.items():
@@ -189,13 +246,15 @@ class _Context:
         return out
 
     def elem_mul(self, e1: EDict, e2: EDict) -> EDict:
+        """Product of two exact elements, through the integer tables."""
         out: EDict = {}
-        for m1, s1 in e1.items():
-            for m2, s2 in e2.items():
+        right = self.lifted(e2).items()
+        for m1, s1 in self.lifted(e1).items():
+            for m2, s2 in right:
                 scal = _smul(s1, s2, self.K, self.N)
                 if scal:
                     _eadd_into(out, self.mon_mul(m1, m2), scal, self.K, self.N)
-        return out
+        return self.unscaled(out)
 
     # -- antipode -----------------------------------------------------------
 
@@ -434,12 +493,14 @@ def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
 
     Keys are tuples of monomials, one per tensor factor, of the same length
     in both operands; slot ``i`` of a product term is the normal-formed
-    product of slot ``i`` of the two factors.
+    product of slot ``i`` of the two factors.  The operands are exact; the
+    products run at the scale of the integer tables.
     """
     K, N = ctx.K, ctx.N
     out: dict[tuple, SDict] = {}
-    for ka, sa in a.items():
-        for kb, sb in b.items():
+    right = ctx.lifted(b).items()
+    for ka, sa in ctx.lifted(a).items():
+        for kb, sb in right:
             scal = _smul(sa, sb, K, N)
             if not scal:
                 continue
@@ -457,7 +518,7 @@ def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
                 _sadd_into(cur, sd)
                 if not cur:
                     del out[key]
-    return out
+    return ctx.unscaled(out)
 
 
 class DTensor:

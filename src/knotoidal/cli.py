@@ -177,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=Caps(1, 6)):
-        p.add_argument("--eps-order", type=int, default=caps.eps_order)
-        p.add_argument("--hbar-order", type=int, default=caps.hbar_order)
+    def common(p, caps: Caps | None = Caps(1, 6)):
+        p.add_argument("--eps-order", type=int, default=None if caps is None else caps.eps_order)
+        p.add_argument("--hbar-order", type=int, default=None if caps is None else caps.hbar_order)
         p.add_argument("--format", dest="fmt", default="json", choices=["json", "text"])
 
     p_inv = sub.add_parser("invariant", help="evaluate the invariant of a decomposition")
@@ -213,24 +213,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_mea.add_argument("--tol", type=float, default=1e-9)
     p_mea.add_argument("--phi", default="classes", choices=["classes", "zmean"])
     p_mea.add_argument("--csv", default=None, help="also write a class,count,frequency CSV")
-    common(p_mea, ZMEAN_CAPS)
+    # no default here: the orders are read only with --phi zmean (see _caps)
+    common(p_mea, None)
 
     return parser
+
+
+def _caps(args) -> Caps:
+    """The caps of the order flags; ``measure`` takes them only with
+    ``--phi zmean`` and defaults each to ``ZMEAN_CAPS``."""
+    eps, hbar = args.eps_order, args.hbar_order
+    if args.command == "measure":
+        if args.phi != "zmean" and (eps, hbar) != (None, None):
+            raise UsageError("--eps-order and --hbar-order apply only to --phi zmean")
+        eps = ZMEAN_CAPS.eps_order if eps is None else eps
+        hbar = ZMEAN_CAPS.hbar_order if hbar is None else hbar
+    if eps < 0 or hbar < 0:
+        raise UsageError("orders must be non-negative")
+    return Caps(eps, hbar)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.eps_order < 0 or args.hbar_order < 0:
-            raise UsageError("orders must be non-negative")
+        caps = _caps(args)
         handler = {
             "invariant": cmd_invariant,
             "compare": cmd_compare,
             "table": cmd_table,
             "measure": cmd_measure,
         }[args.command]
-        return handler(args, Caps(args.eps_order, args.hbar_order))
+        return handler(args, caps)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,18 +17,19 @@ truncation and is pruned.  The number of admissible combinations grows
 polynomially in the crossing count at fixed caps.
 
 The walk carries integer terms, not rational series.  A state maps
-``(monomial, e, h)`` to ``c * L**h`` for the exact coefficient ``c``, with
-one scale ``L = 2 * lcm(1, ..., N+1)`` per hbar cap ``N``.  The
-coefficients the algebra feeds the walk are integers once scaled: the
-relation tail carries ``1/(h+1)!`` at ``hbar^h``, which divides
-``lcm(1..N+1)**h``, and a rotation element carries ``1/(2**h * h!)``, which
-needs the extra factor 2 (the tests check every input for eps caps 0-2 and
-hbar caps 0-8).  Scaled terms stay scaled under products because
-``L**a * L**b == L**(a+b)``, so a deposit is one degree check and one
-integer multiply, the walk never takes a gcd, and the result is divided
-back to ``Fraction(c, L**h)`` once, at the end.  Converting a coefficient
-that is not integral after scaling raises :class:`NonIntegralScale`; nothing
-is ever rounded.
+``(monomial, e, h)`` to ``c * L**h`` for the exact coefficient ``c``, at the
+scale ``L = 2 * lcm(1, ..., N+1)`` of the rewriting tables of
+:mod:`knotoidal.algebra`, which already hold integer terms.  The other
+inputs of the walk are integers once scaled too: a crossing's scalar, and a
+rotation element, which carries ``1/(2**h * h!)`` and so needs the factor 2
+of ``L`` (the tests check every input for eps caps 0-2 and hbar caps 0-8).
+Each deposit is scaled once, when it is built, and its rows are filled from
+the tables in integer arithmetic.  Scaled terms stay scaled under products
+because ``L**a * L**b == L**(a+b)``, so a walk step is one degree check and
+one integer multiply, neither the walk nor the fill takes a gcd, and the
+result is divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling
+a coefficient that is not integral raises :class:`NonIntegralScale`;
+nothing is ever rounded.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -40,21 +41,20 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .algebra import (
     DElement,
     EDict,
     Mon,
     UNIT_MON,
-    _ONE_SD,
+    _Context,
     get_context,
     r_inverse,
     r_matrix,
     rotation_element,
 )
 from .diagram import RotDecomp
-from .errors import CapsMismatch, NonIntegralScale
+from .errors import CapsMismatch
 from .series import Caps, _sadd_into, _smul
 
 
@@ -80,19 +80,6 @@ def _decomposition_fingerprint(d: RotDecomp, caps: Caps) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _walk_scale(hbar_order: int) -> int:
-    """The scale ``L = 2 * lcm(1, ..., N+1)`` of the walk's integer terms."""
-    return 2 * lcm(*range(1, hbar_order + 2))
-
-
-def _scaled(coeff: Fraction, h: int, scale: int) -> int:
-    """``coeff * scale**h`` as an int; raises if that is not an integer."""
-    num = coeff * scale**h
-    if num.denominator != 1:
-        raise NonIntegralScale(f"{coeff} * {scale}^{h} is not an integer")
-    return num.numerator
-
-
 def _crossing_terms(caps: Caps):
     """Per-sign crossing deposits: lists of (over_mon, under_mon, scalar).
 
@@ -112,20 +99,21 @@ class _Deposit:
     terms ``(h, e, monomial, c * L**h)`` sorted by h-degree, so a walk step
     stops at the first term past its budget.  A row is one flat tuple of
     those four fields, term after term, which spares a tuple object per
-    term.  Rows are filled on first use from the exact tables of
-    :mod:`knotoidal.algebra`.
+    term.  ``terms`` holds the element's own integer terms, scaled once
+    here; rows are filled on first use by multiplying them with the integer
+    tables of :mod:`knotoidal.algebra`.
     """
 
-    __slots__ = ("terms", "min_h", "rows", "tables")
+    __slots__ = ("terms", "min_h", "rows", "ctx")
 
-    def __init__(self, terms: EDict, tables: "_WalkTables"):
-        self.terms = terms
+    def __init__(self, terms: EDict, ctx: _Context):
+        self.terms = {mon: ctx.scaled(sd) for mon, sd in terms.items()}
         self.min_h = min(h for sd in terms.values() for (_, h) in sd)
         self.rows: dict[Mon, tuple] = {}
-        self.tables = tables
+        self.ctx = ctx
 
     def fill(self, mon: Mon) -> tuple:
-        ctx, scale = self.tables.ctx, self.tables.scale
+        ctx = self.ctx
         acc: EDict = {}
         for fmon, fsd in self.terms.items():
             for pmon, psd in ctx.mon_mul(fmon, mon).items():
@@ -134,16 +122,14 @@ class _Deposit:
                 if scal:
                     _sadd_into(acc.setdefault(pmon, {}), scal)
         terms = sorted(
-            (h, e, pmon, _scaled(c, h, scale))
-            for pmon, sd in acc.items()
-            for (e, h), c in sd.items()
+            (h, e, pmon, c) for pmon, sd in acc.items() for (e, h), c in sd.items()
         )
         row = self.rows[mon] = tuple(chain.from_iterable(terms))
         return row
 
 
 class _WalkTables:
-    """Per-caps deposits of the walk and the scale of its integer terms.
+    """Per-caps deposits of the walk, as integer terms at the tables' scale.
 
     A crossing term deposits a single monomial times a scalar; its rows are
     those of the monomial alone, shared with every other term and with the
@@ -155,9 +141,8 @@ class _WalkTables:
     def __init__(self, caps: Caps):
         self.caps = caps
         self.ctx = get_context(caps)
-        self.scale = _walk_scale(caps.hbar_order)
         self.monomials: dict[Mon, _Deposit] = {}
-        self.rotation = {s: _Deposit(rotation_element(s, caps).raw(), self) for s in (1, -1)}
+        self.rotation = {s: _Deposit(rotation_element(s, caps).raw(), self.ctx) for s in (1, -1)}
         self.crossing = {
             sign: [(over, under, self.scalar(sd)) for over, under, sd in terms]
             for sign, terms in _crossing_terms(caps).items()
@@ -166,15 +151,15 @@ class _WalkTables:
     def monomial(self, mon: Mon) -> _Deposit:
         dep = self.monomials.get(mon)
         if dep is None:
-            dep = self.monomials[mon] = _Deposit({mon: _ONE_SD}, self)
+            dep = self.monomials[mon] = _Deposit({mon: {(0, 0): 1}}, self.ctx)
         return dep
 
     def scalar(self, sd) -> tuple:
         """A scalar series as integer terms ``(h, e, c * L**h)``, sorted by h."""
-        return tuple(sorted((h, e, _scaled(c, h, self.scale)) for (e, h), c in sd.items()))
+        return tuple(sorted((h, e, c) for (e, h), c in self.ctx.scaled(sd).items()))
 
     def element(self, state: dict) -> DElement:
-        powers = [self.scale**h for h in range(self.caps.hbar_order + 1)]
+        powers = self.ctx.powers
         terms: EDict = {}
         for (mon, e, h), c in state.items():
             terms.setdefault(mon, {})[(e, h)] = Fraction(c, powers[h])
@@ -239,14 +224,20 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
                 _deposit(new_states.setdefault(pending, {}), dep, _UNIT_SCALAR, main, K, N)
         elif step[0] == "open":
             _, sign, over_first = step
+            # a crossing term of h-degree d reaches only states with a term
+            # of h-degree at most N - d; rotation and closing deposits start
+            # at hbar^0 and reach every state
+            lows = [(pending, main, min(h for _, _, h in main)) for pending, main in states.items()]
             for over_mon, under_mon, scalar in tables.crossing[sign]:
                 now_mon, pend_mon = (
                     (over_mon, under_mon) if over_first else (under_mon, over_mon)
                 )
                 dep = tables.monomial(now_mon)
-                for pending, main in states.items():
-                    acc = new_states.setdefault(pending + (pend_mon,), {})
-                    _deposit(acc, dep, scalar, main, K, N)
+                reach = N - dep.min_h - scalar[0][0]
+                for pending, main, low in lows:
+                    if low <= reach:
+                        acc = new_states.setdefault(pending + (pend_mon,), {})
+                        _deposit(acc, dep, scalar, main, K, N)
         else:  # close
             slot = step[1]
             for pending, main in states.items():

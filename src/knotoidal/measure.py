@@ -583,7 +583,9 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
 
     tallies: dict[str, int] = {}
     rejected = 0
-    zsums: dict[tuple, Fraction] = {}
+    # zmean: accepted decompositions with their counts, in first-seen order;
+    # many directions project to the same one, and each is evaluated once
+    decomps: dict = {}
     for direction in directions:
         try:
             proj = project(curve, direction, tol)
@@ -593,12 +595,14 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
         label = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
-            value = evaluate_Z(proj.decomp, caps)
-            part = value.element.epsilon_part(1)
-            for mon, sd in part.raw().items():
-                for (e, h), coeff in sd.items():
-                    key = (mon, h)
-                    zsums[key] = zsums.get(key, Fraction(0)) + coeff
+            decomps[proj.decomp] = decomps.get(proj.decomp, 0) + 1
+    zsums: dict[tuple, Fraction] = {}
+    for decomp, count in decomps.items():
+        part = evaluate_Z(decomp, caps).element.epsilon_part(1)
+        for mon, sd in part.raw().items():
+            for (e, h), coeff in sd.items():
+                key = (mon, h)
+                zsums[key] = zsums.get(key, Fraction(0)) + count * coeff
     accepted = sum(tallies.values())
     if accepted == 0:
         raise AllSamplesDegenerate("every sampled direction was degenerate")

@@ -45,7 +45,7 @@ def require_same_caps(a, b):
 # ---------------------------------------------------------------------------
 # raw-dict helpers
 
-def _sadd_into(dst: SDict, src: SDict, mult: Fraction = Fraction(1)) -> None:
+def _sadd_into(dst: SDict, src: SDict, mult: Fraction | int = 1) -> None:
     for key, val in src.items():
         new = dst.get(key, 0) + val * mult
         if new:

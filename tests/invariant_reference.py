@@ -3,8 +3,10 @@
 This is the original walker of ``knotoidal.invariant.evaluate_Z``: every
 state carries ``{monomial: {(e, h): Fraction}}`` dicts, and every deposit is
 a truncated ``Fraction`` series product followed by a rewritten monomial
-product.  The property tests require the integer-scaled walk to produce
-exactly what this produces.
+product.  The rewriting and the inverse quasitriangular structure come from
+the ``Fraction`` oracle of ``tests/algebra_reference.py``, not from the
+package's integer tables.  The property tests require the integer-scaled
+walk to produce exactly what this produces.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from knotoidal.algebra import (
     EDict,
     Mon,
     UNIT_MON,
-    _eadd_into,
-    get_context,
-    r_inverse,
     r_matrix,
     rotation_element,
 )
 from knotoidal.diagram import Crossing, RotDecomp, Rotation
 from knotoidal.errors import KnotoidalError
 from knotoidal.series import Caps, _smul
+
+from algebra_reference import _eadd_into, reference_context, reference_r_inverse
 
 
 class InvalidDecomposition(KnotoidalError):
@@ -34,14 +35,14 @@ class InvalidDecomposition(KnotoidalError):
 def reference_crossing_terms(caps: Caps):
     """Per-sign crossing deposits: lists of (over_mon, under_mon, scalar)."""
     return {
-        sign: [(m1, m2, sd) for (m1, m2), sd in tensor.raw().items()]
-        for sign, tensor in ((1, r_matrix(caps)), (-1, r_inverse(caps)))
+        sign: [(m1, m2, sd) for (m1, m2), sd in terms.items()]
+        for sign, terms in ((1, r_matrix(caps).raw()), (-1, reference_r_inverse(caps)))
     }
 
 
 def reference_evaluate(d: RotDecomp, caps: Caps) -> DElement:
     """Universal invariant of the decomposition, walked on Fraction dicts."""
-    ctx = get_context(caps)
+    ctx = reference_context(caps)
     plan: dict[int, tuple] = {}
     for tok in d.tokens:
         if isinstance(tok, Crossing):

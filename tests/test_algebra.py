@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from algebra_reference import reference_context, reference_r_inverse
 from conftest import random_element
 from knotoidal.algebra import (
     DElement,
     DTensor,
     _relation_tail,
     antipode,
+    get_context,
     r_inverse,
     r_matrix,
     rotation_element,
@@ -220,3 +224,38 @@ def test_scale_and_epsilon_part(caps14):
     mixed = g["a"] + g["b"].scale(eps_series(caps14))
     assert mixed.epsilon_part(0) == g["a"]
     assert mixed.epsilon_part(1) == g["b"].scale(eps_series(caps14))
+
+
+# ---------------------------------------------------------------------------
+# the integer rewriting tables against the Fraction oracle
+
+monomial_st = st.tuples(*[st.integers(0, 4)] * 4)
+
+
+def _all_ints(tables) -> bool:
+    return all(type(c) is int for terms in tables for sd in terms.values() for c in sd.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(m1=monomial_st, m2=monomial_st, K=st.integers(0, 2), N=st.integers(0, 6))
+def test_integer_tables_match_fraction_oracle(m1, m2, K, N):
+    caps = Caps(K, N)
+    ctx, ref = get_context(caps), reference_context(caps)
+    assert ctx.unscaled(ctx.mon_mul(m1, m2)) == ref.mon_mul(m1, m2)
+    assert ctx.unscaled(ctx.left_x_mon(m1)) == ref.left_x_mon(m1)
+    assert _all_ints([{(): ctx.q}, ctx.tail, *ctx.mul.values(), *ctx.left_x.values()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32), N=st.integers(0, 4))
+def test_element_products_match_fraction_oracle(seed, N):
+    # the Fraction boundary: lift the operands, multiply, divide back once
+    caps = Caps(1, N)
+    rng = random.Random(seed)
+    u, v = random_element(rng, caps), random_element(rng, caps)
+    assert (u * v).raw() == reference_context(caps).elem_mul(u.raw(), v.raw())
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+def test_r_inverse_matches_fraction_oracle(caps):
+    assert r_inverse(caps).raw() == reference_r_inverse(caps)

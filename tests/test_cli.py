@@ -189,6 +189,19 @@ def test_measure_zero_samples_usage_error(tmp_path):
     assert "usage error" in result.stderr
 
 
+def test_measure_classes_rejects_order_flags(tmp_path):
+    curve = tmp_path / "segment.xyz"
+    curve.write_text(SEGMENT)
+    for flags in (["--eps-order", "0"], ["--hbar-order", "9"], ["--phi", "classes", "--hbar-order", "2"]):
+        result = run_cli("measure", "--file", str(curve), "--samples", "5", *flags)
+        assert result.returncode == 1, flags
+        assert "apply only to --phi zmean" in result.stderr
+    assert run_cli("measure", "--file", str(curve), "--samples", "5").returncode == 0
+    result = run_cli("measure", "--file", str(curve), "--samples", "5", "--phi", "zmean", "--hbar-order", "-1")
+    assert result.returncode == 1
+    assert "non-negative" in result.stderr
+
+
 def test_measure_missing_file_exits_2():
     result = run_cli("measure", "--file", "/definitely/not/here.xyz")
     assert result.returncode == 2

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoidal import invariant
-from knotoidal.algebra import DElement, _exp_ab_raw, antipode, get_context, rotation_element
+from knotoidal import algebra, invariant
+from knotoidal.algebra import DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
     fixtures,
@@ -17,16 +17,10 @@ from knotoidal.diagram import (
     reverse_decomposition,
 )
 from knotoidal.errors import CapsMismatch, DegreeOutOfRange, KnotoidalError, NonIntegralScale
-from knotoidal.invariant import (
-    _crossing_terms,
-    _scaled,
-    _walk_scale,
-    compare,
-    epsilon_coefficient,
-    evaluate_Z,
-)
+from knotoidal.invariant import _crossing_terms, compare, epsilon_coefficient, evaluate_Z
 from knotoidal.series import Caps
 
+from algebra_reference import reference_context
 from decomp_strategies import small_decomposition_st
 from invariant_reference import reference_evaluate
 
@@ -201,11 +195,12 @@ def test_truncation_consistent_across_caps(d, n):
 
 
 def _walk_inputs(caps: Caps):
-    """Every coefficient series the walk scales: deposits and rewriting tables."""
-    ctx = get_context(caps)
+    """Every exact coefficient series the walk and the tables scale: deposits,
+    and the inputs of the rewriting tables as the ``Fraction`` oracle has them."""
+    ref = reference_context(caps)
     sds = [sd for terms in _crossing_terms(caps).values() for *_, sd in terms]
     sds += [sd for s in (1, -1) for sd in rotation_element(s, caps).raw().values()]
-    return sds + [ctx.q, *ctx.tail.values()]
+    return sds + [ref.q, *ref.tail.values()]
 
 
 def _integral(sds, scale: int) -> bool:
@@ -229,7 +224,8 @@ def test_walk_scale_needs_the_factor_two():
 
 
 def test_walk_raises_rather_than_rounds(monkeypatch):
+    monkeypatch.setattr(algebra, "_CONTEXTS", {})
     monkeypatch.setattr(invariant, "_TABLES", {})
-    monkeypatch.setattr(invariant, "_walk_scale", lambda n: lcm(*range(1, n + 2)))
+    monkeypatch.setattr(algebra, "_walk_scale", lambda n: lcm(*range(1, n + 2)))
     with pytest.raises(NonIntegralScale):
         evaluate_Z(parse_decomposition("labels 1; C+ 1"), Caps(1, 2))

@@ -521,6 +521,39 @@ def test_estimate_zmean(trefoil):
     assert values[((1, 0, 0, 1), 2)] == "-13/5"
 
 
+def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
+    from knotoidal import invariant
+    from knotoidal.series import Caps
+
+    caps, directions = Caps(1, 2), sample_directions(1, 200)
+    original, calls = invariant.evaluate_Z, []
+
+    def counted(d, caps):
+        calls.append(d)
+        return original(d, caps)
+
+    monkeypatch.setattr(invariant, "evaluate_Z", counted)
+    _, _, mean, rejected = _estimate_with_directions(trefoil, directions, TOL, "zmean", caps)
+    decomps = []
+    for direction in directions:
+        try:
+            decomps.append(project(trefoil, direction, TOL).decomp)
+        except DegenerateDirection:
+            pass
+    distinct = list(dict.fromkeys(decomps))
+    assert calls == distinct
+    assert len(distinct) < len(decomps) == 200 - rejected
+    # the same mean as one evaluation per accepted direction
+    sums: dict = {}
+    for d in decomps:
+        for mon, sd in original(d, caps).element.epsilon_part(1).raw().items():
+            for (_, h), coeff in sd.items():
+                sums[(mon, h)] = sums.get((mon, h), 0) + coeff
+    assert [(tuple(c["monomial"]), c["hbar"], c["mean"]) for c in mean["components"]] == [
+        (mon, h, str(total / len(decomps))) for (mon, h), total in sorted(sums.items())
+    ]
+
+
 def test_estimate_validation(trefoil):
     with pytest.raises(ValueError):
         estimate_measure(trefoil, 0)
