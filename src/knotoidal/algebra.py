@@ -14,6 +14,22 @@ the constant term cancels identically, and no negative powers ever arise.
 h-degrees and e-degrees never decrease under rewriting, so truncated products
 are exact truncations of the full products.
 
+Normal ordering is closed.  With ``T`` the relation tail above and ``P``,
+``Q`` commutative polynomials in ``b, a``, the relations give
+
+    P(b, a) * y = y * P(b - eps, a - 1),      x * P(b, a) = P(b - eps, a - 1) * x,
+    x * y^m = q^m * y^m * x + y^(m-1) * F_m(b, a),
+        F_m = sum_{t<m} q^t * T(b - (m-1-t)*eps, a - (m-1-t)),
+    x * (y^m Q x^s) = q^m * y^m * Q(b - eps, a - 1) * x^(s+1) + y^(m-1) * (F_m Q) * x^s.
+
+The last rule, one x at a time, fills a table keyed by ``(l, i)`` with the
+``Q_r`` of ``x^l * y^i = sum_r y^(i-r) * Q_r(b, a) * x^(l-r)``, and the first
+moves the outer factors of a product onto it:
+
+    y^i1 b^j1 a^k1 x^l1 * y^i2 b^j2 a^k2 x^l2 = sum_r y^(i1+i2-r)
+        * (b - (i2-r)*eps)^j1 (a - (i2-r))^k1 * Q_r * (b - (l1-r)*eps)^j2 (a - (l1-r))^k2
+        * x^(l1-r+l2).
+
 The rewriting tables of :class:`_Context` hold integers, not fractions: a
 coefficient ``c`` at ``hbar^h`` is stored as ``c * L**h`` for the one scale
 ``L = 2 * lcm(1, ..., N+1)`` per hbar cap ``N``.  Their inputs scale to
@@ -51,6 +67,8 @@ from .series import (
 
 Mon = tuple[int, int, int, int]  # exponents of y^i b^j a^k x^l
 EDict = dict[Mon, SDict]
+# a commutative polynomial in b, a: (b_exp, a_exp, e, h) -> c * L**h
+Poly = dict[tuple[int, int, int, int], int]
 
 UNIT_MON: Mon = (0, 0, 0, 0)
 
@@ -90,13 +108,10 @@ def _scaled(coeff: Fraction, h: int, scale: int) -> int:
 
 
 @cache
-def _shifted_ba(j: int, k: int, shift: int, K: int):
-    """Expansion of b^j a^k y^s (or x^s b^j a^k) commutation shifts.
-
-    Returns the terms of (b - eps*shift)^j (a - shift)^k as a list of
-    ``(b_exp, a_exp, eps_extra, coeff)`` with integer ``coeff``.
-    """
-    out = []
+def _shifted_ba(j: int, k: int, shift: int, K: int) -> Poly:
+    """``(b - eps*shift)^j (a - shift)^k`` as a polynomial with integer
+    coefficients at ``hbar^0``."""
+    out = {}
     for t in range(j + 1):
         e_extra = j - t
         if e_extra > K:
@@ -106,10 +121,38 @@ def _shifted_ba(j: int, k: int, shift: int, K: int):
             continue
         for s in range(k + 1):
             ca = comb(k, s) * (-shift) ** (k - s)
-            if not ca:
-                continue
-            out.append((t, s, e_extra, cb * ca))
+            if ca:
+                out[(t, s, e_extra, 0)] = cb * ca
     return out
+
+
+def _poly_mul(p: Poly, r: Poly, K: int, N: int) -> Poly:
+    """Product of two polynomials in ``b, a``, truncated to the caps."""
+    if len(r) == 1:
+        [((j2, k2, e2, h2), c2)] = r.items()
+        if c2 == 1 and not e2 and not h2:  # a monomial b^j2 a^k2
+            return {(j1 + j2, k1 + k2, e1, h1): c1 for (j1, k1, e1, h1), c1 in p.items()}
+    out: Poly = {}
+    for (j1, k1, e1, h1), c1 in p.items():
+        for (j2, k2, e2, h2), c2 in r.items():
+            e, h = e1 + e2, h1 + h2
+            if e > K or h > N:
+                continue
+            key = (j1 + j2, k1 + k2, e, h)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _poly_shift(p: Poly, shift: int, K: int) -> Poly:
+    """``P(b - eps*shift, a - shift)``."""
+    out: Poly = {}
+    for (j, k, e, h), c in p.items():
+        for (t, s, e_extra, _), coeff in _shifted_ba(j, k, shift, K).items():
+            e_new = e + e_extra
+            if e_new <= K:
+                key = (t, s, e_new, h)
+                out[key] = out.get(key, 0) + c * coeff
+    return {key: c for key, c in out.items() if c}
 
 
 def _exp_ab_raw(ca: Fraction, cb: Fraction, K: int, N: int) -> EDict:
@@ -143,9 +186,13 @@ def _relation_tail(K: int, N: int) -> EDict:
 class _Context:
     """Per-caps workspace holding memoized rewriting tables.
 
-    ``q``, ``tail``, ``left_x`` and ``mul`` hold integer terms ``c * L**h``
-    at the scale ``L = self.scale``; ``antipode_mon`` and
-    ``antipode_gen_powers`` hold exact ``Fraction`` elements.
+    ``q_powers``, ``tail``, ``tail_sums`` (the ``F_m``), ``left_x`` and
+    ``mul`` hold integer terms ``c * L**h`` at the scale ``L = self.scale``;
+    ``antipode_mon`` and ``antipode_gen_powers`` hold exact ``Fraction``
+    elements.  ``left_x[(l, i)]`` is the list of the ``Q_r`` of
+    ``x^l * y^i``; ``mul`` memoizes the monomial products of element and
+    tensor products, not those of the strand walk, whose rows are their
+    own memo.
     """
 
     def __init__(self, K: int, N: int):
@@ -153,9 +200,15 @@ class _Context:
         self.N = N
         self.scale = _walk_scale(N)
         self.powers = [self.scale**h for h in range(N + 1)]
-        self.q: SDict = self.scaled(ScalarSeries.term(Caps(K, N), 1, 1, 1).exp().coeffs)
-        self.tail: EDict = {m: self.scaled(sd) for m, sd in _relation_tail(K, N).items()}
-        self.left_x: dict[Mon, EDict] = {}
+        q = self.scaled(ScalarSeries.term(Caps(K, N), 1, 1, 1).exp().coeffs)
+        self.q_powers: list[Poly] = [{(0, 0, 0, 0): 1}, {(0, 0, e, h): c for (e, h), c in q.items()}]
+        self.tail: Poly = {
+            (j, k, e, h): c
+            for (_, j, k, _), sd in _relation_tail(K, N).items()
+            for (e, h), c in self.scaled(sd).items()
+        }
+        self.tail_sums: list[Poly] = [{}]
+        self.left_x: dict[tuple[int, int], list[Poly]] = {}
         self.mul: dict[tuple[Mon, Mon], EDict] = {}
         self.antipode_mon: dict[Mon, EDict] = {}
         self.antipode_gen_powers: dict[Mon, list[EDict]] = {}
@@ -183,67 +236,70 @@ class _Context:
             for key, sd in terms.items()
         }
 
-    # -- x * mon, the only rewriting that branches
+    # -- normal ordering
 
-    def left_x_mon(self, mon: Mon) -> EDict:
-        hit = self.left_x.get(mon)
-        if hit is not None:
-            return hit
-        i, j, k, l = mon
-        out: EDict = {}
-        if i == 0:
-            for t, s, e_extra, coeff in _shifted_ba(j, k, 1, self.K):
-                out.setdefault((0, t, s, l + 1), {})[(e_extra, 0)] = coeff
+    def q_power(self, m: int) -> Poly:
+        """``q^m`` as a constant polynomial."""
+        powers = self.q_powers
+        while len(powers) <= m:
+            powers.append(_poly_mul(powers[-1], powers[1], self.K, self.N))
+        return powers[m]
+
+    def tail_sum(self, m: int) -> Poly:
+        """``F_m``, the polynomial with ``x * y^m = q^m y^m x + y^(m-1) F_m``."""
+        sums = self.tail_sums
+        while len(sums) <= m:
+            n = len(sums)
+            f = _poly_mul(self.q_power(1), sums[-1], self.K, self.N)
+            _sadd_into(f, _poly_shift(self.tail, n - 1, self.K))
+            sums.append(f)
+        return sums[m]
+
+    def x_power_y_power(self, l: int, i: int) -> list[Poly]:
+        """The ``Q_r`` of ``x^l * y^i = sum_r y^(i-r) Q_r(b, a) x^(l-r)``."""
+        entry = self.left_x.get((l, i))
+        if entry is not None:
+            return entry
+        if l == 0:
+            entry = [{(0, 0, 0, 0): 1}]
         else:
-            rest = (i - 1, j, k, l)
-            # x*y = q*y*x + tail, applied to x*(y*rest)
-            for m2, sd in self.left_x_mon(rest).items():
-                lifted = (m2[0] + 1, m2[1], m2[2], m2[3])
-                inc = _smul(sd, self.q, self.K, self.N)
-                if inc:
-                    cur = out.setdefault(lifted, {})
-                    _sadd_into(cur, inc)
-            for tmon, tsd in self.tail.items():
-                prod = self.mon_mul(tmon, rest)
-                _eadd_into(out, prod, tsd, self.K, self.N)
-        out = {m: sd for m, sd in out.items() if sd}
-        self.left_x[mon] = out
+            K, N = self.K, self.N
+            # x * y^m Q x^s = q^m y^m Q(b-eps, a-1) x^(s+1) + y^(m-1) (F_m Q) x^s
+            entry = [{} for _ in range(min(l, i) + 1)]
+            for r, q_r in enumerate(self.x_power_y_power(l - 1, i)):
+                m = i - r
+                _sadd_into(entry[r], _poly_mul(self.q_power(m), _poly_shift(q_r, 1, K), K, N))
+                if m:
+                    _sadd_into(entry[r + 1], _poly_mul(self.tail_sum(m), q_r, K, N))
+        self.left_x[(l, i)] = entry
+        return entry
+
+    def product(self, m1: Mon, m2: Mon) -> EDict:
+        """``m1 * m2`` in normal form, not memoized."""
+        i1, j1, k1, l1 = m1
+        i2, j2, k2, l2 = m2
+        K, N = self.K, self.N
+        out: EDict = {}
+        for r, q_r in enumerate(self.x_power_y_power(l1, i2)):
+            # y^i1 b^j1 a^k1 y^(i2-r) Q_r x^(l1-r) b^j2 a^k2 x^l2
+            ba = _poly_mul(_shifted_ba(j1, k1, i2 - r, K), q_r, K, N)
+            ba = _poly_mul(ba, _shifted_ba(j2, k2, l1 - r, K), K, N)
+            i, l = i1 + i2 - r, l1 - r + l2
+            for (j, k, e, h), c in ba.items():
+                out.setdefault((i, j, k, l), {})[(e, h)] = c
         return out
 
     def mon_mul(self, m1: Mon, m2: Mon) -> EDict:
+        """``m1 * m2`` in normal form, memoized in ``mul``."""
         key = (m1, m2)
         hit = self.mul.get(key)
-        if hit is not None:
-            return hit
-        i1, j1, k1, l1 = m1
-        i2, j2, k2, l2 = m2
-        out: EDict = {}
-        if l1 == 0:
-            for t, s, e_extra, coeff in _shifted_ba(j1, k1, i2, self.K):
-                mon = (i1 + i2, t + j2, s + k2, l2)
-                sd = out.setdefault(mon, {})
-                keyd = (e_extra, 0)
-                sd[keyd] = sd.get(keyd, 0) + coeff
-        elif i2 == 0:
-            for t, s, e_extra, coeff in _shifted_ba(j2, k2, l1, self.K):
-                mon = (i1, j1 + t, k1 + s, l1 + l2)
-                sd = out.setdefault(mon, {})
-                keyd = (e_extra, 0)
-                sd[keyd] = sd.get(keyd, 0) + coeff
-        else:
-            cur: EDict = {m2: {(0, 0): 1}}
-            for _ in range(l1):
-                nxt: EDict = {}
-                for mon, sd in cur.items():
-                    _eadd_into(nxt, self.left_x_mon(mon), sd, self.K, self.N)
-                cur = nxt
-            head = (i1, j1, k1, 0)
-            for mon, sd in cur.items():
-                _eadd_into(out, self.mon_mul(head, mon), sd, self.K, self.N)
-        out = {m: {k: v for k, v in sd.items() if v} for m, sd in out.items()}
-        out = {m: sd for m, sd in out.items() if sd}
-        self.mul[key] = out
-        return out
+        if hit is None:
+            hit = self.mul[key] = self.product(m1, m2)
+        return hit
+
+    def left_x_mon(self, mon: Mon) -> EDict:
+        """``x * mon`` in normal form."""
+        return self.product((0, 0, 0, 1), mon)
 
     def elem_mul(self, e1: EDict, e2: EDict) -> EDict:
         """Product of two exact elements, through the integer tables."""

@@ -20,7 +20,7 @@ from .diagram import (
     table_rows,
     writhe,
 )
-from .errors import CapsMismatch, DegreeOutOfRange, KnotoidalError
+from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange, KnotoidalError
 from .invariant import compare, epsilon_coefficient, evaluate_Z
 from .measure import ZMEAN_CAPS, dominant_knotoid, estimate_measure, load_curve
 from .series import Caps
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapsMismatch, DegreeOutOfRange) as exc:
+    except (CapsMismatch, CapsTooCostly, DegreeOutOfRange) as exc:
         print(f"caps error: {exc}", file=sys.stderr)
         return EXIT_CAPS
     except (KnotoidalError, OSError, KeyError, ValueError) as exc:

@@ -53,6 +53,10 @@ class NonIntegralScale(KnotoidalError):
     """A coefficient times the walk's scale ``L**h`` is not an integer."""
 
 
+class CapsTooCostly(KnotoidalError):
+    """The caps are past the cost limit of the strand walk."""
+
+
 # -- representation data -------------------------------------------------------
 
 class DimensionMismatch(KnotoidalError):

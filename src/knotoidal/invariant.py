@@ -54,7 +54,7 @@ from .algebra import (
     rotation_element,
 )
 from .diagram import RotDecomp
-from .errors import CapsMismatch
+from .errors import CapsMismatch, CapsTooCostly
 from .series import Caps, _sadd_into, _smul
 
 
@@ -100,8 +100,9 @@ class _Deposit:
     stops at the first term past its budget.  A row is one flat tuple of
     those four fields, term after term, which spares a tuple object per
     term.  ``terms`` holds the element's own integer terms, scaled once
-    here; rows are filled on first use by multiplying them with the integer
-    tables of :mod:`knotoidal.algebra`.
+    here; rows are filled on first use by multiplying them with monomial
+    products in normal form from :meth:`_Context.product`, which keeps none
+    of them, so the rows are the only memo of the walk's products.
     """
 
     __slots__ = ("terms", "min_h", "rows", "ctx")
@@ -116,7 +117,7 @@ class _Deposit:
         ctx = self.ctx
         acc: EDict = {}
         for fmon, fsd in self.terms.items():
-            for pmon, psd in ctx.mon_mul(fmon, mon).items():
+            for pmon, psd in ctx.product(fmon, mon).items():
                 # looked up in this module, where perfbench/layers.py counts it
                 scal = _smul(fsd, psd, ctx.K, ctx.N)
                 if scal:
@@ -168,11 +169,31 @@ class _WalkTables:
 
 _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
+# The cold time and peak memory of a walk about double with each hbar order
+# and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
+# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 5.3 s at 98 MiB peak
+# RSS, (1,9) 10.5 s at 188 MiB, (1,10) 20.5 s at 372 MiB, (0,12) 31.5 s at
+# 694 MiB, (10,8) 21.6 s at 402 MiB.  The limit is the cost of (1,10), the
+# largest caps the acceptance checks may reach; a diagram with more
+# crossings costs more at the same caps.
+CAPS_COST_LIMIT = 2048
+
+
+def _check_cost(caps: Caps) -> None:
+    """Raise :class:`CapsTooCostly` for caps past :data:`CAPS_COST_LIMIT`."""
+    cost = (caps.eps_order + 1) * 2**caps.hbar_order
+    if cost > CAPS_COST_LIMIT:
+        raise CapsTooCostly(
+            f"caps (eps {caps.eps_order}, hbar {caps.hbar_order}) cost (eps+1)*2^hbar = {cost},"
+            f" past the limit {CAPS_COST_LIMIT} of caps (1,10)"
+        )
+
 
 def _walk_tables(caps: Caps) -> _WalkTables:
     key = (caps.eps_order, caps.hbar_order)
     tables = _TABLES.get(key)
     if tables is None:
+        _check_cost(caps)
         tables = _TABLES[key] = _WalkTables(caps)
     return tables
 
@@ -209,7 +230,12 @@ def _deposit(acc: dict, dep: _Deposit, scalar: tuple, main: dict, K: int, N: int
 
 
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
-    """Universal invariant of the decomposition at the given caps."""
+    """Universal invariant of the decomposition at the given caps.
+
+    Raises :class:`CapsTooCostly`, before any table is filled, for caps
+    whose ``(eps_order + 1) * 2**hbar_order`` is past
+    :data:`CAPS_COST_LIMIT`.
+    """
     tables = _walk_tables(caps)
     K, N = caps.eps_order, caps.hbar_order
     # state: pending monomials, in the order their crossings opened -> main

@@ -10,6 +10,7 @@ from conftest import random_element
 from knotoidal.algebra import (
     DElement,
     DTensor,
+    _Context,
     _relation_tail,
     antipode,
     get_context,
@@ -232,8 +233,11 @@ def test_scale_and_epsilon_part(caps14):
 monomial_st = st.tuples(*[st.integers(0, 4)] * 4)
 
 
-def _all_ints(tables) -> bool:
-    return all(type(c) is int for terms in tables for sd in terms.values() for c in sd.values())
+def _all_ints(ctx) -> bool:
+    """Every value of every integer table the context holds is an ``int``."""
+    polys = [ctx.tail, *ctx.q_powers, *ctx.tail_sums, *(q_r for entry in ctx.left_x.values() for q_r in entry)]
+    polys += [sd for terms in ctx.mul.values() for sd in terms.values()]
+    return all(type(c) is int for p in polys for c in p.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,7 +247,23 @@ def test_integer_tables_match_fraction_oracle(m1, m2, K, N):
     ctx, ref = get_context(caps), reference_context(caps)
     assert ctx.unscaled(ctx.mon_mul(m1, m2)) == ref.mon_mul(m1, m2)
     assert ctx.unscaled(ctx.left_x_mon(m1)) == ref.left_x_mon(m1)
-    assert _all_ints([{(): ctx.q}, ctx.tail, *ctx.mul.values(), *ctx.left_x.values()])
+    assert _all_ints(ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m1=st.tuples(*[st.integers(0, 3)] * 3, st.integers(0, 6)),
+    m2=st.tuples(st.integers(0, 6), *[st.integers(0, 3)] * 3),
+    K=st.integers(0, 2),
+    N=st.integers(0, 6),
+)
+def test_closed_normal_ordering_matches_fraction_oracle(m1, m2, K, N):
+    # x^l1 y^i2 from the (l, i) table, against the oracle's left_x recursion
+    ctx, ref = _Context(K, N), reference_context(Caps(K, N))
+    expected = ref.mon_mul(m1, m2)
+    assert ctx.unscaled(ctx.product(m1, m2)) == expected
+    assert ctx.unscaled(ctx.mon_mul(m1, m2)) == expected
+    assert ctx.left_x and _all_ints(ctx)
 
 
 @settings(max_examples=30, deadline=None)

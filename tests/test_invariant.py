@@ -16,7 +16,13 @@ from knotoidal.diagram import (
     parse_decomposition,
     reverse_decomposition,
 )
-from knotoidal.errors import CapsMismatch, DegreeOutOfRange, KnotoidalError, NonIntegralScale
+from knotoidal.errors import (
+    CapsMismatch,
+    CapsTooCostly,
+    DegreeOutOfRange,
+    KnotoidalError,
+    NonIntegralScale,
+)
 from knotoidal.invariant import _crossing_terms, compare, epsilon_coefficient, evaluate_Z
 from knotoidal.series import Caps
 
@@ -229,3 +235,21 @@ def test_walk_raises_rather_than_rounds(monkeypatch):
     monkeypatch.setattr(algebra, "_walk_scale", lambda n: lcm(*range(1, n + 2)))
     with pytest.raises(NonIntegralScale):
         evaluate_Z(parse_decomposition("labels 1; C+ 1"), Caps(1, 2))
+
+
+def test_costly_caps_raise_before_any_table_is_filled(monkeypatch):
+    monkeypatch.setattr(algebra, "_CONTEXTS", {})
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    decomp = fixtures()["5_7"][1]
+    for caps in (Caps(1, 11), Caps(0, 12), Caps(2, 10), Caps(8, 8), Caps(1, 40)):
+        with pytest.raises(CapsTooCostly):
+            evaluate_Z(decomp, caps)
+    assert algebra._CONTEXTS == {} and invariant._TABLES == {}
+    assert issubclass(CapsTooCostly, KnotoidalError)
+
+
+def test_caps_guard_admits_the_caps_in_use():
+    # (1,10) is the highest the acceptance checks may reach; (2,5) the
+    # highest eps order the tests use; (1,5) and (1,4) the benchmark's
+    for caps in (Caps(1, 10), Caps(0, 11), Caps(2, 9), Caps(7, 8), Caps(2, 5), Caps(1, 5), Caps(1, 4)):
+        invariant._check_cost(caps)
