@@ -38,10 +38,12 @@ tail ``1/(h+1)!``, and the commutation shifts are integers at ``hbar^0``), and
 products keep the scale because ``L**a * L**b == L**(a+b)``, so filling the
 tables never takes a gcd.  The strand walk of :mod:`knotoidal.invariant`
 works at the same scale and scales its own inputs with
-:meth:`_Context.scaled`.  In this module ``Fraction`` values meet the tables
-in exactly two places, :meth:`_Context.elem_mul` and :func:`_tensor_mul`:
-they multiply each operand scalar by ``L**h``, multiply by the tables, and
-divide the result by ``L**h`` once.  A coefficient that is not an integer after scaling raises
+:meth:`_Context.scaled`.  The tables are built from ``q`` and the relation
+tail, each scaled once when a :class:`_Context` is made; after that, in this
+module ``Fraction`` values meet the tables in exactly two places,
+:meth:`_Context.elem_mul` and :func:`_tensor_mul`: they multiply each operand
+scalar by ``L**h``, multiply by the tables, and divide the result by ``L**h``
+once.  A coefficient that is not an integer after scaling raises
 :class:`NonIntegralScale`; nothing is ever rounded.
 
 All values are immutable after construction and all operations are pure
@@ -54,7 +56,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .errors import CapsMismatch, DegreeOutOfRange, NonIntegralScale
+from .errors import DegreeOutOfRange, NonIntegralScale
 from .series import (
     Caps,
     ScalarSeries,
@@ -63,6 +65,7 @@ from .series import (
     _smul,
     _sscale,
     q_factorial,
+    require_same_caps,
 )
 
 Mon = tuple[int, int, int, int]  # exponents of y^i b^j a^k x^l
@@ -162,25 +165,18 @@ def _exp_ab_raw(ca: Fraction, cb: Fraction, K: int, N: int) -> EDict:
         base = Fraction(1, factorial(r))
         for s in range(min(r, K) + 1):
             coeff = base * comb(r, s) * ca**s * cb ** (r - s)
-            if not coeff:
-                continue
-            mon = (0, r - s, s, 0)
-            out.setdefault(mon, {})[(s, r)] = (
-                out.get(mon, {}).get((s, r), Fraction(0)) + coeff
-            )
-    return {m: {k: v for k, v in sd.items() if v} for m, sd in out.items() if sd}
+            if coeff:
+                out[(0, r - s, s, 0)] = {(s, r): coeff}
+    return out
 
 
 def _relation_tail(K: int, N: int) -> EDict:
     """(1 - exp(-eps*hbar*a - hbar*b)) / hbar in normal form."""
-    out: EDict = {}
-    for r in range(1, N + 2):
-        base = Fraction(-((-1) ** r), factorial(r))
-        for s in range(min(r, K) + 1):
-            coeff = base * comb(r, s)
-            mon = (0, r - s, s, 0)
-            out.setdefault(mon, {})[(s, r - 1)] = coeff
-    return out
+    return {
+        mon: {(e, h - 1): -c for (e, h), c in sd.items()}
+        for mon, sd in _exp_ab_raw(-1, -1, K, N + 1).items()
+        if mon != UNIT_MON
+    }
 
 
 class _Context:
@@ -378,26 +374,85 @@ def render_monomial(mon: Mon) -> str:
     return "*".join(parts)
 
 
-class DElement:
-    """An algebra element in normal form: map monomial -> scalar series."""
+class _Terms:
+    """Exact terms at one caps: a map from a key (a monomial, or a tuple of
+    them) to a scalar series, with no zero coefficient and no degree
+    outside the caps."""
 
     __slots__ = ("caps", "_terms")
 
-    def __init__(self, caps: Caps, terms: EDict | None = None, _trusted: bool = False):
+    def __init__(self, caps: Caps, terms: dict | None = None, _trusted: bool = False):
         self.caps = caps
         if _trusted:
             self._terms = terms or {}
             return
-        clean: EDict = {}
-        for mon, sd in (terms or {}).items():
+        clean = {}
+        for key, sd in (terms or {}).items():
             filtered = {
                 k: Fraction(v)
                 for k, v in sd.items()
                 if caps.admits(*k) and Fraction(v)
             }
             if filtered:
-                clean[mon] = filtered
+                clean[key] = filtered
         self._terms = clean
+
+    def raw(self) -> dict:
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.caps == other.caps
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash(
+            (
+                self.caps,
+                tuple(
+                    (key, tuple(sorted(sd.items())))
+                    for key, sd in sorted(self._terms.items())
+                ),
+            )
+        )
+
+    def __add__(self, other):
+        require_same_caps(self, other)
+        out = {key: dict(sd) for key, sd in self._terms.items()}
+        _eadd_into(out, other._terms)
+        return type(self)(self.caps, out, _trusted=True)
+
+    def __sub__(self, other):
+        return self + other.scale(Fraction(-1))
+
+    def scale(self, c):
+        if isinstance(c, ScalarSeries):
+            K, N = self.caps.eps_order, self.caps.hbar_order
+            out = {key: _smul(sd, c.coeffs, K, N) for key, sd in self._terms.items()}
+        else:
+            out = {key: _sscale(sd, Fraction(c)) for key, sd in self._terms.items()}
+        return type(self)(self.caps, {key: sd for key, sd in out.items() if sd}, _trusted=True)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        require_same_caps(self, other)
+        terms = self._product(get_context(self.caps), other._terms)
+        return type(self)(self.caps, terms, _trusted=True)
+
+
+class DElement(_Terms):
+    """An algebra element in normal form: map monomial -> scalar series."""
+
+    __slots__ = ()
 
     # -- constructors
 
@@ -429,60 +484,8 @@ class DElement:
             for mon, sd in sorted(self._terms.items(), key=lambda kv: _mon_degree_key(kv[0]))
         }
 
-    def raw(self) -> EDict:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DElement)
-            and self.caps == other.caps
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.caps,
-                tuple(
-                    (mon, tuple(sorted(sd.items())))
-                    for mon, sd in sorted(self._terms.items())
-                ),
-            )
-        )
-
-    def __add__(self, other: "DElement") -> "DElement":
-        if self.caps != other.caps:
-            raise CapsMismatch(f"{self.caps} vs {other.caps}")
-        out = {m: dict(sd) for m, sd in self._terms.items()}
-        _eadd_into(out, other._terms)
-        return DElement(self.caps, out, _trusted=True)
-
-    def __sub__(self, other: "DElement") -> "DElement":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "DElement":
-        if isinstance(c, ScalarSeries):
-            ctx = get_context(self.caps)
-            out = {
-                m: _smul(sd, c.coeffs, ctx.K, ctx.N) for m, sd in self._terms.items()
-            }
-        else:
-            out = {m: _sscale(sd, Fraction(c)) for m, sd in self._terms.items()}
-        return DElement(self.caps, {m: sd for m, sd in out.items() if sd}, _trusted=True)
-
-    def __mul__(self, other: "DElement") -> "DElement":
-        if not isinstance(other, DElement):
-            return NotImplemented
-        if self.caps != other.caps:
-            raise CapsMismatch(f"{self.caps} vs {other.caps}")
-        ctx = get_context(self.caps)
-        return DElement(self.caps, ctx.elem_mul(self._terms, other._terms), _trusted=True)
+    def _product(self, ctx: _Context, other: EDict) -> EDict:
+        return ctx.elem_mul(self._terms, other)
 
     def epsilon_part(self, k: int) -> "DElement":
         """The sub-element collecting exactly e-degree ``k`` terms."""
@@ -560,39 +563,27 @@ def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
             scal = _smul(sa, sb, K, N)
             if not scal:
                 continue
-            partial = [((), scal)]
+            partial = {(): scal}
             for ma, mb in zip(ka, kb):
                 prod = ctx.mon_mul(ma, mb)
-                partial = [
-                    (key + (m,), p)
-                    for key, sd in partial
+                partial = {
+                    key + (m,): p
+                    for key, sd in partial.items()
                     for m, s in prod.items()
                     if (p := _smul(sd, s, K, N))
-                ]
-            for key, sd in partial:
-                cur = out.setdefault(key, {})
-                _sadd_into(cur, sd)
-                if not cur:
-                    del out[key]
+                }
+            _eadd_into(out, partial)
     return ctx.unscaled(out)
 
 
-class DTensor:
+class DTensor(_Terms):
     """An element of the two-fold tensor square, normal-formed per factor."""
 
-    __slots__ = ("caps", "_terms")
-
-    def __init__(self, caps: Caps, terms: dict[tuple[Mon, Mon], SDict] | None = None):
-        self.caps = caps
-        self._terms = {
-            pair: {k: v for k, v in sd.items() if v}
-            for pair, sd in (terms or {}).items()
-        }
-        self._terms = {pair: sd for pair, sd in self._terms.items() if sd}
+    __slots__ = ()
 
     @classmethod
     def unit(cls, caps: Caps) -> "DTensor":
-        return cls(caps, {(UNIT_MON, UNIT_MON): dict(_ONE_SD)})
+        return cls(caps, {(UNIT_MON, UNIT_MON): dict(_ONE_SD)}, _trusted=True)
 
     @property
     def terms(self):
@@ -601,61 +592,20 @@ class DTensor:
             for pair, sd in sorted(self._terms.items())
         }
 
-    def raw(self):
-        return self._terms
-
-    def is_zero(self):
-        return not self._terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DTensor)
-            and self.caps == other.caps
-            and self._terms == other._terms
-        )
-
-    def __add__(self, other: "DTensor") -> "DTensor":
-        if self.caps != other.caps:
-            raise CapsMismatch(f"{self.caps} vs {other.caps}")
-        out = {p: dict(sd) for p, sd in self._terms.items()}
-        for p, sd in other._terms.items():
-            cur = out.setdefault(p, {})
-            _sadd_into(cur, sd)
-            if not cur:
-                del out[p]
-        return DTensor(self.caps, out)
-
-    def scale(self, c: Fraction) -> "DTensor":
-        return DTensor(self.caps, {p: _sscale(sd, Fraction(c)) for p, sd in self._terms.items()})
-
-    def __sub__(self, other: "DTensor") -> "DTensor":
-        return self + other.scale(Fraction(-1))
-
-    def __mul__(self, other: "DTensor") -> "DTensor":
-        if not isinstance(other, DTensor):
-            return NotImplemented
-        if self.caps != other.caps:
-            raise CapsMismatch(f"{self.caps} vs {other.caps}")
-        ctx = get_context(self.caps)
-        return DTensor(self.caps, _tensor_mul(self._terms, other._terms, ctx))
+    def _product(self, ctx: _Context, other: dict) -> dict:
+        return _tensor_mul(self._terms, other, ctx)
 
     def map_slot(self, func, slot: int) -> "DTensor":
         """Apply a DElement -> DElement map to one tensor factor (0 or 1)."""
-        ctx = get_context(self.caps)
         out: dict[tuple[Mon, Mon], SDict] = {}
         for (m1, m2), sd in self._terms.items():
             target = m1 if slot == 0 else m2
             image = func(DElement(self.caps, {target: dict(_ONE_SD)}, _trusted=True))
-            for mon, isd in image.raw().items():
-                scal = _smul(sd, isd, ctx.K, ctx.N)
-                if not scal:
-                    continue
-                pair = (mon, m2) if slot == 0 else (m1, mon)
-                cur = out.setdefault(pair, {})
-                _sadd_into(cur, scal)
-                if not cur:
-                    del out[pair]
-        return DTensor(self.caps, out)
+            placed = {
+                ((mon, m2) if slot == 0 else (m1, mon)): isd for mon, isd in image.raw().items()
+            }
+            _eadd_into(out, placed, sd, self.caps.eps_order, self.caps.hbar_order)
+        return DTensor(self.caps, out, _trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,17 @@ def parse_decomposition(text: str) -> RotDecomp:
     return RotDecomp(labels, tokens)
 
 
+def _relabeled(tokens, label, rotation_sign: int = 1) -> list:
+    """The tokens with every label mapped through ``label``; each rotation's
+    sign is multiplied by ``rotation_sign``."""
+    return [
+        Crossing(tok.sign, label(tok.over), label(tok.under))
+        if isinstance(tok, Crossing)
+        else Rotation(rotation_sign * tok.sign, label(tok.label))
+        for tok in tokens
+    ]
+
+
 def reverse_decomposition(d: RotDecomp) -> RotDecomp:
     """Decomposition of the reverse knotoid.
 
@@ -357,24 +368,13 @@ def reverse_decomposition(d: RotDecomp) -> RotDecomp:
     the invariant of the input - is enforced by the test suite.
     """
     flip = d.labels + 1
-    tokens = []
-    for tok in reversed(d.tokens):
-        if isinstance(tok, Crossing):
-            tokens.append(Crossing(tok.sign, flip - tok.over, flip - tok.under))
-        else:
-            tokens.append(Rotation(-tok.sign, flip - tok.label))
-    return RotDecomp(d.labels, tokens)
+    return RotDecomp(d.labels, _relabeled(reversed(d.tokens), lambda k: flip - k, -1))
 
 
 def chain_decompositions(first: RotDecomp, second: RotDecomp) -> RotDecomp:
     """Concatenate two decompositions along the strand (label-shifted)."""
     off = first.labels
-    tokens = list(first.tokens)
-    for tok in second.tokens:
-        if isinstance(tok, Crossing):
-            tokens.append(Crossing(tok.sign, tok.over + off, tok.under + off))
-        else:
-            tokens.append(Rotation(tok.sign, tok.label + off))
+    tokens = list(first.tokens) + _relabeled(second.tokens, lambda k: k + off)
     return RotDecomp(first.labels + second.labels, tokens)
 
 
@@ -391,15 +391,9 @@ def _split_map(labels: int, cuts: dict[int, int]):
 def insert_rotation_pair(d: RotDecomp, at_label: int) -> RotDecomp:
     """Split segment ``at_label`` and insert a canceling C+ C- pair on it."""
     remap, total = _split_map(d.labels, {at_label: 2})
-    tokens = []
-    for tok in d.tokens:
-        if isinstance(tok, Crossing):
-            tokens.append(Crossing(tok.sign, remap[tok.over], remap[tok.under]))
-        else:
-            tokens.append(Rotation(tok.sign, remap[tok.label]))
     base = remap[at_label]
-    tokens.append(Rotation(1, base + 1))
-    tokens.append(Rotation(-1, base + 2))
+    tokens = _relabeled(d.tokens, remap.__getitem__)
+    tokens += [Rotation(1, base + 1), Rotation(-1, base + 2)]
     return RotDecomp(total, tokens)
 
 
@@ -415,12 +409,7 @@ def insert_r2_pair(d: RotDecomp, first_label: int, second_label: int, sign: int 
         raise DuplicateLabel("the two strands of the inserted pair must differ")
     lo, hi = sorted((first_label, second_label))
     remap, total = _split_map(d.labels, {lo: 2, hi: 2})
-    tokens = []
-    for tok in d.tokens:
-        if isinstance(tok, Crossing):
-            tokens.append(Crossing(tok.sign, remap[tok.over], remap[tok.under]))
-        else:
-            tokens.append(Rotation(tok.sign, remap[tok.label]))
+    tokens = _relabeled(d.tokens, remap.__getitem__)
     lo1, lo2 = remap[lo] + 1, remap[lo] + 2
     hi1, hi2 = remap[hi] + 1, remap[hi] + 2
     # over-strand stays the same on both crossings; signs opposite

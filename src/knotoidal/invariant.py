@@ -102,14 +102,15 @@ class _Deposit:
     term.  ``terms`` holds the element's own integer terms, scaled once
     here; rows are filled on first use by multiplying them with monomial
     products in normal form from :meth:`_Context.product`, which keeps none
-    of them, so the rows are the only memo of the walk's products.
+    of them, so the rows are the only memo of the walk's products.  Every
+    deposit, a monomial or a rotation element, has a term at ``hbar^0``, so
+    the states a walk step reaches depend only on its scalar.
     """
 
-    __slots__ = ("terms", "min_h", "rows", "ctx")
+    __slots__ = ("terms", "rows", "ctx")
 
     def __init__(self, terms: EDict, ctx: _Context):
         self.terms = {mon: ctx.scaled(sd) for mon, sd in terms.items()}
-        self.min_h = min(h for sd in terms.values() for (_, h) in sd)
         self.rows: dict[Mon, tuple] = {}
         self.ctx = ctx
 
@@ -203,7 +204,7 @@ _UNIT_SCALAR = ((0, 0, 1),)
 
 def _deposit(acc: dict, dep: _Deposit, scalar: tuple, main: dict, K: int, N: int) -> None:
     """Add ``scalar * dep * main`` into ``acc``, all as scaled integer terms."""
-    rows, reach = dep.rows, N - dep.min_h - scalar[0][0]
+    rows, reach = dep.rows, N - scalar[0][0]
     for (mmon, me, mh), mc in main.items():
         if mh > reach:
             continue
@@ -259,7 +260,7 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
                     (over_mon, under_mon) if over_first else (under_mon, over_mon)
                 )
                 dep = tables.monomial(now_mon)
-                reach = N - dep.min_h - scalar[0][0]
+                reach = N - scalar[0][0]
                 for pending, main, low in lows:
                     if low <= reach:
                         acc = new_states.setdefault(pending + (pend_mon,), {})

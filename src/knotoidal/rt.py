@@ -90,8 +90,10 @@ def _constant_inverse(A: Matrix) -> list[list[Fraction]]:
 
 def matrix_inverse(A: Matrix) -> Matrix:
     """Series inverse: invert the constant term exactly, then correct order by order."""
-    caps = A[0][0].caps
     n = len(A)
+    if any(len(row) != n for row in A):
+        raise DimensionMismatch("only a square matrix has an inverse")
+    caps = A[0][0].caps
     const_inv = _constant_inverse(A)
     M0inv = [[ScalarSeries.term(caps, v) for v in row] for row in const_inv]
     # A = M0 (I + M0^-1 (A - M0)); the correction is nilpotent within caps.
@@ -118,11 +120,11 @@ class RepData:
     def __init__(self, dim: int, R: Matrix, h: Matrix, h_inv: Matrix):
         if dim < 1:
             raise DimensionMismatch("dimension must be positive")
-        caps = h[0][0].caps
         if len(R) != dim * dim or any(len(row) != dim * dim for row in R):
             raise DimensionMismatch("R must be d^2 x d^2")
-        if len(h) != dim or len(h_inv) != dim:
+        if any(len(M) != dim or any(len(row) != dim for row in M) for M in (h, h_inv)):
             raise DimensionMismatch("h and h_inv must be d x d")
+        caps = h[0][0].caps
         if not matrix_eq(matrix_mul(h, h_inv), matrix_identity(caps, dim)):
             raise DimensionMismatch("h * h_inv must be the identity")
         if not all(e.caps == caps for M in (R, h, h_inv) for row in M for e in row):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, repeat
 from math import factorial
 
 from .errors import CapsMismatch, ExpDomain, NotInvertible, SqrtDomain
@@ -201,56 +202,45 @@ class ScalarSeries:
 
     # -- analytic operations on the truncated ring
 
+    def _power_sum(self, rest: SDict, coeffs) -> "ScalarSeries":
+        """``sum_k c_k * rest**k`` for the coefficients ``c_0, c_1, ...`` of
+        ``coeffs``; ``rest`` has zero constant term, so its powers truncate
+        to zero after at most ``K + N`` steps and the sum stops there."""
+        K, N = self.caps.eps_order, self.caps.hbar_order
+        out: SDict = {}
+        power: SDict = {(0, 0): Fraction(1)}
+        for c in coeffs:
+            _sadd_into(out, power, c)
+            power = _smul(power, rest, K, N)
+            if not power:
+                break
+        return ScalarSeries(self.caps, out)
+
     def invert(self) -> "ScalarSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         c = self.constant_term
         if not c:
             raise NotInvertible("series has zero constant term")
-        K, N = self.caps.eps_order, self.caps.hbar_order
         # 1/s = (1/c) * sum_k (1 - s/c)^k; (1 - s/c) is nilpotent here.
-        rest = _sscale(self.coeffs, Fraction(1) / c)
-        del rest[(0, 0)]
-        rest = _sscale(rest, Fraction(-1))
-        out: SDict = {(0, 0): Fraction(1)}
-        power: SDict = {(0, 0): Fraction(1)}
-        for _ in range(K + N + 1):
-            power = _smul(power, rest, K, N)
-            if not power:
-                break
-            _sadd_into(out, power)
-        return ScalarSeries(self.caps, _sscale(out, Fraction(1) / c))
+        rest = {key: -v / c for key, v in self.coeffs.items() if key != (0, 0)}
+        return self._power_sum(rest, repeat(1 / c))
 
     def exp(self) -> "ScalarSeries":
         """exp of a series with zero constant term (so the sum terminates)."""
         if self.constant_term:
             raise ExpDomain("exp requires zero constant term")
-        K, N = self.caps.eps_order, self.caps.hbar_order
-        out: SDict = {(0, 0): Fraction(1)}
-        power: SDict = {(0, 0): Fraction(1)}
-        for k in range(1, K + N + 2):
-            power = _smul(power, self.coeffs, K, N)
-            if not power:
-                break
-            _sadd_into(out, power, Fraction(1, factorial(k)))
-        return ScalarSeries(self.caps, out)
+        return self._power_sum(self.coeffs, (Fraction(1, factorial(k)) for k in count()))
 
     def sqrt(self) -> "ScalarSeries":
         """Square root of a series with constant term 1."""
         if self.constant_term != 1:
             raise SqrtDomain("sqrt requires constant term 1")
-        K, N = self.caps.eps_order, self.caps.hbar_order
-        rest = dict(self.coeffs)
-        del rest[(0, 0)]
-        out: SDict = {(0, 0): Fraction(1)}
-        power: SDict = {(0, 0): Fraction(1)}
-        binom = Fraction(1)
-        for k in range(1, K + N + 2):
-            binom *= Fraction(2 * (1 - k) + 1, 2 * k)  # binom(1/2, k) recursion
-            power = _smul(power, rest, K, N)
-            if not power:
-                break
-            _sadd_into(out, power, binom)
-        return ScalarSeries(self.caps, out)
+        rest = {key: v for key, v in self.coeffs.items() if key != (0, 0)}
+        # binom(1/2, k) = binom(1/2, k-1) * (3 - 2k) / (2k)
+        binoms = accumulate(
+            count(1), lambda c, k: c * Fraction(3 - 2 * k, 2 * k), initial=Fraction(1)
+        )
+        return self._power_sum(rest, binoms)
 
     # -- rendering
 

@@ -180,6 +180,21 @@ def test_whole_crossing_rotation_commutes(caps14):
             assert pair * tensor == tensor * pair
 
 
+def test_tensor_constructor_cleans_like_an_element(caps14):
+    pair = ((1, 0, 0, 0), (0, 0, 0, 1))
+    clean = DTensor(caps14, {pair: {(0, 1): Fraction(2)}})
+    padded = DTensor(
+        caps14,
+        {
+            pair: {(0, 1): 2, (1, 2): 0, (0, caps14.hbar_order + 1): 5},
+            (pair[1], pair[0]): {(caps14.eps_order + 1, 0): 1},
+        },
+    )
+    assert padded == clean
+    assert hash(padded) == hash(clean)
+    assert all(isinstance(v, Fraction) for sd in padded.raw().values() for v in sd.values())
+
+
 def test_antipode_unit(caps14):
     one = DElement.unit(caps14)
     assert antipode(one) == one

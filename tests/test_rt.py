@@ -278,6 +278,25 @@ def test_rep_data_validation():
         RepData(2, r, [[one()]], [[one()]])
 
 
+def test_rep_data_rejects_ragged_rotation_matrices():
+    R = matrix_identity(CAPS, 4)
+    square = matrix_identity(CAPS, 2)
+    ragged = [[one()], [one()]]
+    first_column = [[one()], [one(0)]]
+    for h, h_inv in ((ragged, ragged), (ragged, square), (square, first_column)):
+        with pytest.raises(DimensionMismatch):
+            RepData(2, R, h, h_inv)
+    # without h_inv, the JSON loader inverts h before RepData sees it
+    payload = {
+        "dim": 2,
+        "caps": {"eps_order": CAPS.eps_order, "hbar_order": CAPS.hbar_order},
+        "R": [[entry.to_json() for entry in row] for row in R],
+        "h": [[entry.to_json() for entry in row] for row in ragged],
+    }
+    with pytest.raises(DimensionMismatch):
+        RepData.from_json(payload)
+
+
 def test_rep_json_round_trip():
     rep = derive_rep(CAPS, rho_dim2())
     ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])

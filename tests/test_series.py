@@ -128,6 +128,19 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=40, deadline=None)
+@given(series_st(), series_st())
+def test_invert_sqrt_exp_identities(a, b):
+    one = ScalarSeries.one(CAPS)
+    if a.constant_term:
+        assert a * a.invert() == one
+    a0 = a - ScalarSeries.term(CAPS, a.constant_term)
+    b0 = b - ScalarSeries.term(CAPS, b.constant_term)
+    unit = one + a0
+    assert unit.sqrt() * unit.sqrt() == unit
+    assert (a0 + b0).exp() == a0.exp() * b0.exp()
+
+
 def test_render_and_json_round_trip():
     s = series({(0, 0): 1, (1, 2): Fraction(-3, 4)})
     assert s.render() == "1 + -3/4*eps*hbar^2"
