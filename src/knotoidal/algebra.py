@@ -40,11 +40,11 @@ tables never takes a gcd.  The strand walk of :mod:`knotoidal.invariant`
 works at the same scale and scales its own inputs with
 :meth:`_Context.scaled`.  The tables are built from ``q`` and the relation
 tail, each scaled once when a :class:`_Context` is made; after that, in this
-module ``Fraction`` values meet the tables in exactly two places,
-:meth:`_Context.elem_mul` and :func:`_tensor_mul`: they multiply each operand
-scalar by ``L**h``, multiply by the tables, and divide the result by ``L**h``
-once.  A coefficient that is not an integer after scaling raises
-:class:`NonIntegralScale`; nothing is ever rounded.
+module ``Fraction`` values meet the tables in :func:`_tensor_mul` only, which
+also multiplies elements (:meth:`_Context.elem_mul` is its one-slot case): it
+multiplies each operand scalar by ``L**h``, multiplies by the tables, and
+divides the result by ``L**h`` once.  A coefficient that is not an integer
+after scaling raises :class:`NonIntegralScale`; nothing is ever rounded.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -298,15 +298,11 @@ class _Context:
         return self.product((0, 0, 0, 1), mon)
 
     def elem_mul(self, e1: EDict, e2: EDict) -> EDict:
-        """Product of two exact elements, through the integer tables."""
-        out: EDict = {}
-        right = self.lifted(e2).items()
-        for m1, s1 in self.lifted(e1).items():
-            for m2, s2 in right:
-                scal = _smul(s1, s2, self.K, self.N)
-                if scal:
-                    _eadd_into(out, self.mon_mul(m1, m2), scal, self.K, self.N)
-        return self.unscaled(out)
+        """Product of two exact elements: :func:`_tensor_mul` with one slot."""
+        out = _tensor_mul(
+            {(m,): sd for m, sd in e1.items()}, {(m,): sd for m, sd in e2.items()}, self
+        )
+        return {m: sd for (m,), sd in out.items()}
 
     # -- antipode -----------------------------------------------------------
 
@@ -552,8 +548,9 @@ def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
 
     Keys are tuples of monomials, one per tensor factor, of the same length
     in both operands; slot ``i`` of a product term is the normal-formed
-    product of slot ``i`` of the two factors.  The operands are exact; the
-    products run at the scale of the integer tables.
+    product of slot ``i`` of the two factors; with one slot this is the
+    element product.  The operands are exact; the products run at the scale
+    of the integer tables.
     """
     K, N = ctx.K, ctx.N
     out: dict[tuple, SDict] = {}

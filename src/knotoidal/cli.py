@@ -35,11 +35,11 @@ class UsageError(Exception):
     pass
 
 
-def _load_decomposition(args) -> tuple[str, RotDecomp]:
-    if args.fixture is not None:
-        return args.fixture, fixture_decomposition(args.fixture)
-    with open(args.file) as handle:
-        return args.file, parse_decomposition(handle.read())
+def _load_decomposition(fixture: str | None, file: str | None) -> tuple[str, RotDecomp]:
+    if fixture is not None:
+        return fixture, fixture_decomposition(fixture)
+    with open(file) as handle:
+        return file, parse_decomposition(handle.read())
 
 
 def _emit(data: dict, fmt: str, text_lines) -> None:
@@ -51,7 +51,7 @@ def _emit(data: dict, fmt: str, text_lines) -> None:
 
 
 def cmd_invariant(args, caps: Caps) -> int:
-    name, decomp = _load_decomposition(args)
+    name, decomp = _load_decomposition(args.fixture, args.file)
     value = evaluate_Z(decomp, caps)
     if args.eps_coefficient is not None:
         element = epsilon_coefficient(value, args.eps_coefficient)
@@ -66,37 +66,27 @@ def cmd_invariant(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def _comparison_rows(name_a, decomp_a, name_b, decomp_b, caps, with_reversal):
+def _comparison_rows(name_a, decomp_a, name_b, decomp_b, caps, with_reversal) -> list[dict]:
     za = evaluate_Z(decomp_a, caps)
     zb = evaluate_Z(decomp_b, caps)
     rows = [(f"{name_a} vs {name_b}", compare(za, zb))]
     if with_reversal:
         zra = evaluate_Z(reverse_decomposition(decomp_a), caps)
         rows.append((f"reverse({name_a}) vs {name_b}", compare(zra, zb)))
-    return rows
+    return [{"pair": label, "equal": c.equal, "detail": c.describe()} for label, c in rows]
 
 
 def cmd_compare(args, caps: Caps) -> int:
-    if args.fixtures:
-        name_a, name_b = args.fixtures
-        decomp_a = fixture_decomposition(name_a)
-        decomp_b = fixture_decomposition(name_b)
-    else:
-        name_a, name_b = args.files
-        with open(name_a) as fh:
-            decomp_a = parse_decomposition(fh.read())
-        with open(name_b) as fh:
-            decomp_b = parse_decomposition(fh.read())
+    inputs = zip(args.fixtures or (None, None), args.files or (None, None))
+    (name_a, decomp_a), (name_b, decomp_b) = (_load_decomposition(*pair) for pair in inputs)
     rows = _comparison_rows(name_a, decomp_a, name_b, decomp_b, caps, args.with_reversal)
     data = {
         "caps": {"eps_order": caps.eps_order, "hbar_order": caps.hbar_order},
-        "comparisons": [
-            {"pair": label, "equal": c.equal, "detail": c.describe()} for label, c in rows
-        ],
+        "comparisons": rows,
     }
-    _emit(data, args.fmt, [f"{label}: {c.describe()}" for label, c in rows])
+    _emit(data, args.fmt, [f"{row['pair']}: {row['detail']}" for row in rows])
     if args.expect_distinct:
-        return EXIT_OK if all(not c.equal for _, c in rows) else EXIT_USAGE
+        return EXIT_OK if all(not row["equal"] for row in rows) else EXIT_USAGE
     return EXIT_OK
 
 
@@ -108,27 +98,16 @@ def cmd_table(args, caps: Caps) -> int:
     for k1, k2, code in table_rows():
         row = {"pair": [k1, k2], "writhe": writhe(code), "gauss_code": code.render()}
         if k1 in available and k2 in available:
-            comparisons = _comparison_rows(
+            row["comparisons"] = _comparison_rows(
                 k1, available[k1][1], k2, available[k2][1], caps, args.with_reversal
             )
-            verdicts = [c for _, c in comparisons]
-            row["comparisons"] = [
-                {"pair": label, "equal": c.equal, "detail": c.describe()}
-                for label, c in comparisons
-            ]
-            if all(not c.equal for c in verdicts):
-                row["status"] = "distinct"
-                summary["distinct"] += 1
-            elif all(c.equal for c in verdicts):
-                row["status"] = "equal_up_to_caps"
-                summary["equal_up_to_caps"] += 1
-            else:
-                row["status"] = "mixed"
-                summary.setdefault("mixed", 0)
-                summary["mixed"] += 1
+            verdicts = {comp["equal"] for comp in row["comparisons"]}
+            row["status"] = "mixed" if len(verdicts) > 1 else (
+                "equal_up_to_caps" if verdicts == {True} else "distinct"
+            )
         else:
             row["status"] = "no_decomposition"
-            summary["no_decomposition"] += 1
+        summary[row["status"]] = summary.get(row["status"], 0) + 1
         rows_out.append(row)
         text.append(f"({k1}, {k2}): {row['status']} [writhe {row['writhe']}]")
         for comp in row.get("comparisons", []):

@@ -20,7 +20,6 @@ is used and the over-strand runs from bottom-right to top-left.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import DElement, r_matrix, rotation_element
 from .diagram import RotDecomp
@@ -57,58 +56,36 @@ def matrix_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def matrix_add(A: Matrix, B: Matrix) -> Matrix:
-    return [[A[r][c] + B[r][c] for c in range(len(A[0]))] for r in range(len(A))]
-
-
-def matrix_scale(A: Matrix, s) -> Matrix:
-    return [[entry * s for entry in row] for row in A]
-
-
 def matrix_eq(A: Matrix, B: Matrix) -> bool:
     return all(A[r][c] == B[r][c] for r in range(len(A)) for c in range(len(A[0])))
 
 
-def _constant_inverse(A: Matrix) -> list[list[Fraction]]:
-    """Exact inverse of the constant-term matrix by Gaussian elimination."""
-    n = len(A)
-    work = [[A[r][c].constant_term for c in range(n)] + [Fraction(int(r == c)) for c in range(n)]
-            for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise NotInvertible("constant term of matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 def matrix_inverse(A: Matrix) -> Matrix:
-    """Series inverse: invert the constant term exactly, then correct order by order."""
+    """Inverse by Gauss-Jordan elimination over the truncated series ring.
+
+    A series is a unit exactly when its constant term is nonzero, so such an
+    entry can always serve as a pivot.  Taking constant terms is a ring
+    homomorphism, so the constant terms of the rows follow Gaussian
+    elimination over Q with the same pivots: a pivot is missing exactly when
+    the constant-term matrix is singular, and then ``A`` has no inverse.
+    """
     n = len(A)
     if any(len(row) != n for row in A):
         raise DimensionMismatch("only a square matrix has an inverse")
-    caps = A[0][0].caps
-    const_inv = _constant_inverse(A)
-    M0inv = [[ScalarSeries.term(caps, v) for v in row] for row in const_inv]
-    # A = M0 (I + M0^-1 (A - M0)); the correction is nilpotent within caps.
-    correction = matrix_mul(M0inv, A)
-    for r in range(n):
-        correction[r][r] = correction[r][r] - ScalarSeries.one(caps)
-    out = matrix_identity(caps, n)
-    power = matrix_identity(caps, n)
-    for _ in range(caps.eps_order + caps.hbar_order + 1):
-        power = matrix_mul(power, correction)
-        if all(entry.is_zero() for row in power for entry in row):
-            break
-        out = matrix_add(out, matrix_scale(power, Fraction(-1)))
-        power = matrix_scale(power, Fraction(-1))
-    return matrix_mul(out, M0inv)
+    identity = matrix_identity(A[0][0].caps, n)
+    work = [A[r] + identity[r] for r in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col].constant_term), None)
+        if pivot is None:
+            raise NotInvertible("constant term of matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = work[col][col].invert()
+        work[col] = [v * inv for v in work[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and not factor.is_zero():
+                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
+    return [row[n:] for row in work]
 
 
 # ---------------------------------------------------------------------------

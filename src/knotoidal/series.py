@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from math import factorial
 
-from .errors import CapsMismatch, ExpDomain, NotInvertible, SqrtDomain
+from .errors import CapsMismatch, DegreeOutOfRange, ExpDomain, NotInvertible, ParseError, SqrtDomain
 
 SKey = tuple[int, int]
 SDict = dict[SKey, Fraction]
@@ -77,22 +77,6 @@ def _sscale(a: SDict, c: Fraction) -> SDict:
     return {key: val * c for key, val in a.items()}
 
 
-def _sshift(a: SDict, de: int, dh: int, K: int, N: int) -> SDict:
-    out: SDict = {}
-    for (e, h), val in a.items():
-        e, h = e + de, h + dh
-        if 0 <= e <= K and 0 <= h <= N:
-            out[(e, h)] = val
-    return out
-
-
-def _spow(a: SDict, n: int, K: int, N: int) -> SDict:
-    out: SDict = {(0, 0): Fraction(1)}
-    for _ in range(n):
-        out = _smul(out, a, K, N)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public series type
 
@@ -106,7 +90,7 @@ class ScalarSeries:
         clean: SDict = {}
         for (e, h), v in (coeffs or {}).items():
             if not caps.admits(e, h):
-                raise ValueError(f"degree ({e},{h}) outside caps {caps}")
+                raise DegreeOutOfRange(f"degree ({e},{h}) outside caps {caps}")
             v = Fraction(v)
             if v:
                 clean[(e, h)] = v
@@ -190,15 +174,22 @@ class ScalarSeries:
     def shift(self, de: int, dh: int) -> "ScalarSeries":
         """Multiply by e^de * h^dh, dropping whatever leaves the caps."""
         return ScalarSeries(
-            self.caps, _sshift(self.coeffs, de, dh, self.caps.eps_order, self.caps.hbar_order)
+            self.caps,
+            {
+                (e + de, h + dh): val
+                for (e, h), val in self.coeffs.items()
+                if self.caps.admits(e + de, h + dh)
+            },
         )
 
     def pow(self, n: int) -> "ScalarSeries":
         if n < 0:
             return self.invert().pow(-n)
-        return ScalarSeries(
-            self.caps, _spow(self.coeffs, n, self.caps.eps_order, self.caps.hbar_order)
-        )
+        K, N = self.caps.eps_order, self.caps.hbar_order
+        out: SDict = {(0, 0): Fraction(1)}
+        for _ in range(n):
+            out = _smul(out, self.coeffs, K, N)
+        return ScalarSeries(self.caps, out)
 
     # -- analytic operations on the truncated ring
 
@@ -268,8 +259,11 @@ class ScalarSeries:
     def from_json(cls, caps: Caps, data: dict) -> "ScalarSeries":
         coeffs: SDict = {}
         for key, sval in data.items():
-            e, h = (int(p) for p in key.split(","))
-            coeffs[(e, h)] = Fraction(sval)
+            try:
+                e, h = (int(p) for p in key.split(","))
+                coeffs[(e, h)] = Fraction(sval)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad series term {key!r}: {sval!r}") from exc
         return cls(caps, coeffs)
 
 

@@ -122,6 +122,20 @@ def test_table_statuses():
     assert writhes[("5_24", "5_891")] == -3
 
 
+def test_table_mixed_row_with_reversal():
+    result = run_cli("table", "--with-reversal", "--hbar-order", "2")
+    assert result.returncode == 0
+    data = json.loads(result.stdout)
+    status = {tuple(row["pair"]): row["status"] for row in data["rows"]}
+    assert status[("5_7", "5_421")] == "mixed"
+    assert data["summary"] == {
+        "distinct": 2,
+        "equal_up_to_caps": 0,
+        "no_decomposition": 3,
+        "mixed": 1,
+    }
+
+
 def test_table_eps_zero_pairs_all_equal():
     result = run_cli("table", "--eps-order", "0", "--hbar-order", "3")
     data = json.loads(result.stdout)

@@ -1,9 +1,11 @@
-"""Every module-level name the package defines has a user.
+"""Every name the package defines has a user.
 
 A function, class or constant defined at the top of a module in
 ``src/knotoidal`` must be named somewhere in ``src/``, ``tests/``,
 ``perfbench/`` or ``README.md`` outside its own definition; otherwise it is
-dead code.  Dunder names (``__all__``, ``__version__``) are exempt.
+dead code.  Likewise each method or property of a class there must appear as
+``.name`` outside its own definition.  Dunder names (``__all__``,
+``__version__``, ``__init__``) are exempt.
 """
 
 import ast
@@ -22,33 +24,47 @@ def _sources() -> dict[Path, str]:
 
 
 def _definitions(tree: ast.Module):
-    """``(name, first line, last line)`` of each module-level definition."""
+    """``(name, name, first line, last line)`` of each module-level definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.name, node.lineno, node.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node.lineno, node.end_lineno
+                    yield target.id, target.id, node.lineno, node.end_lineno
 
 
-def _unreferenced() -> list[str]:
+def _members(tree: ast.Module):
+    """``(Class.name, name, first line, last line)`` of each method or property."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+
+
+def _unreferenced(definitions, prefix: str) -> list[str]:
+    """The definitions whose name, after ``prefix``, appears nowhere else."""
     sources = _sources()
     dead = []
     for module in sorted(PACKAGE.glob("*.py")):
         text = sources[module]
         lines = text.splitlines()
-        for name, first, last in _definitions(ast.parse(text)):
+        for qualname, name, first, last in definitions(ast.parse(text)):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            word = re.compile(rf"{prefix}\b{re.escape(name)}\b")
             outside = "\n".join(lines[: first - 1] + lines[last:])
             others = (src for path, src in sources.items() if path != module)
             if not word.search(outside) and not any(word.search(src) for src in others):
-                dead.append(f"{module.stem}.{name}")
+                dead.append(f"{module.stem}.{qualname}")
     return dead
 
 
 def test_every_module_level_name_is_used():
-    assert _unreferenced() == []
+    assert _unreferenced(_definitions, "") == []
+
+
+def test_every_method_is_used():
+    assert _unreferenced(_members, r"\.") == []

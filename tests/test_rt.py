@@ -1,7 +1,9 @@
 import json
 import random
 from functools import cache
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,13 @@ from knotoidal.diagram import (
     insert_r2_pair,
     parse_decomposition,
 )
-from knotoidal.errors import DimensionMismatch
+from knotoidal.errors import (
+    DegreeOutOfRange,
+    DimensionMismatch,
+    KnotoidalError,
+    NotInvertible,
+    ParseError,
+)
 from knotoidal.rt import (
     EndpointVectors,
     RepData,
@@ -269,6 +277,38 @@ def test_matrix_inverse_round_trip():
     assert matrix_eq(prod, matrix_identity(CAPS, rep.dim * rep.dim))
 
 
+def _determinant(M) -> Fraction:
+    """Leibniz expansion: independent of the elimination under test."""
+    n = len(M)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(M[r][perm[r]] for r in range(n))
+    return total
+
+
+@st.composite
+def square_matrix_st(draw):
+    caps = Caps(draw(st.integers(0, 1)), draw(st.integers(0, 2)))
+    n = draw(st.integers(1, 4))
+    key_st = st.tuples(st.integers(0, caps.eps_order), st.integers(0, caps.hbar_order))
+    entry_st = st.dictionaries(key_st, st.fractions(-3, 3, max_denominator=3), max_size=3)
+    return [[ScalarSeries(caps, draw(entry_st)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrix_st())
+def test_matrix_inverse_is_two_sided_or_raises(A):
+    identity = matrix_identity(A[0][0].caps, len(A))
+    if _determinant([[entry.constant_term for entry in row] for row in A]):
+        inverse = matrix_inverse(A)
+        assert matrix_eq(matrix_mul(A, inverse), identity)
+        assert matrix_eq(matrix_mul(inverse, A), identity)
+    else:
+        with pytest.raises(NotInvertible):
+            matrix_inverse(A)
+
+
 def test_rep_data_validation():
     r = [[one()]]
     t = ScalarSeries.one(CAPS) + ScalarSeries.hbar(CAPS)
@@ -318,3 +358,17 @@ def test_rep_json_h_inverse_is_optional():
     del payload["h_inv"]
     rep2, _ = load_rep_json(json.loads(json.dumps(payload)))
     assert matrix_eq(rep2.h_inv, rep.h_inv)
+
+
+def test_rep_json_bad_series_entry_is_typed():
+    payload = derive_rep(CAPS, rho_dim1()).to_json()
+    for entry, error in (
+        ({"0,9": "1"}, DegreeOutOfRange),
+        ({"a,b": "1"}, ParseError),
+        ({"0,0": "x"}, ParseError),
+    ):
+        bad = json.loads(json.dumps(payload))
+        bad["h"][0][0] = entry
+        with pytest.raises(error) as info:
+            RepData.from_json(bad)
+        assert isinstance(info.value, KnotoidalError)
