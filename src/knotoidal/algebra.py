@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .errors import DegreeOutOfRange, NonIntegralScale
+from .errors import DegreeOutOfRange, NonIntegralScale, ParseError
 from .series import (
     Caps,
     ScalarSeries,
@@ -270,11 +270,11 @@ class _Context:
         self.left_x[(l, i)] = entry
         return entry
 
-    def product(self, m1: Mon, m2: Mon) -> EDict:
-        """``m1 * m2`` in normal form, not memoized."""
+    def product(self, m1: Mon, m2: Mon, hbar_cap: int | None = None) -> EDict:
+        """``m1 * m2`` in normal form to ``hbar^hbar_cap`` (default: the cap), not memoized."""
         i1, j1, k1, l1 = m1
         i2, j2, k2, l2 = m2
-        K, N = self.K, self.N
+        K, N = self.K, self.N if hbar_cap is None else hbar_cap
         out: EDict = {}
         for r, q_r in enumerate(self.x_power_y_power(l1, i2)):
             # y^i1 b^j1 a^k1 y^(i2-r) Q_r x^(l1-r) b^j2 a^k2 x^l2
@@ -346,8 +346,7 @@ def get_context(caps: Caps) -> _Context:
     key = (caps.eps_order, caps.hbar_order)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        ctx = _Context(*key)
-        _CONTEXTS[key] = ctx
+        ctx = _CONTEXTS[key] = _Context(*key)
     return ctx
 
 
@@ -535,12 +534,17 @@ class DElement(_Terms):
 
     @classmethod
     def from_json(cls, data: dict) -> "DElement":
-        caps = Caps(data["caps"]["eps_order"], data["caps"]["hbar_order"])
-        terms: EDict = {}
-        for item in data["terms"]:
-            mon = tuple(item["monomial"])
-            terms.setdefault(mon, {})[(item["eps"], item["hbar"])] = Fraction(item["coeff"])
-        return cls(caps, terms)
+        try:
+            caps = Caps(data["caps"]["eps_order"], data["caps"]["hbar_order"])
+            terms: EDict = {}
+            for item in data["terms"]:
+                mon = tuple(item["monomial"])
+                if len(mon) != 4 or any(type(p) is not int for p in mon):
+                    raise ParseError(f"monomial {item['monomial']!r} is not 4 ints")
+                terms.setdefault(mon, {})[(item["eps"], item["hbar"])] = Fraction(item["coeff"])
+            return cls(caps, terms)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad element JSON: {exc!r}") from exc
 
 
 def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:

@@ -21,6 +21,7 @@ from .errors import (
     LabelOutOfRange,
     MalformedToken,
     SignCountMismatch,
+    UnknownFixture,
 )
 
 
@@ -465,4 +466,4 @@ def fixture_decomposition(name: str) -> RotDecomp:
     try:
         return fixtures()[name][1]
     except KeyError:
-        raise KeyError(f"no fixture named {name!r}") from None
+        raise UnknownFixture(f"no fixture named {name!r}") from None

@@ -27,6 +27,10 @@ class LabelOutOfRange(KnotoidalError):
     pass
 
 
+class UnknownFixture(KnotoidalError, KeyError):
+    """No built-in diagram has that name; still a ``KeyError`` for old callers."""
+
+
 # -- truncated series arithmetic ----------------------------------------------
 
 class CapsMismatch(KnotoidalError):

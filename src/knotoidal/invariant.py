@@ -24,12 +24,14 @@ inputs of the walk are integers once scaled too: a crossing's scalar, and a
 rotation element, which carries ``1/(2**h * h!)`` and so needs the factor 2
 of ``L`` (the tests check every input for eps caps 0-2 and hbar caps 0-8).
 Each deposit is scaled once, when it is built, and its rows are filled from
-the tables in integer arithmetic.  Scaled terms stay scaled under products
-because ``L**a * L**b == L**(a+b)``, so a walk step is one degree check and
-one integer multiply, neither the walk nor the fill takes a gcd, and the
-result is divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling
-a coefficient that is not integral raises :class:`NonIntegralScale`;
-nothing is ever rounded.
+the tables in integer arithmetic, each only to the h-degree budget the walk
+asks for and refilled deeper on demand; a monomial's row is the truncated
+product itself.  Scaled terms stay scaled under products because
+``L**a * L**b == L**(a+b)``, so a walk step is one degree check and one
+integer multiply, neither the walk nor the fill takes a gcd, and the result
+is divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling a
+coefficient that is not integral raises :class:`NonIntegralScale`; nothing
+is ever rounded.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -99,12 +101,15 @@ class _Deposit:
     terms ``(h, e, monomial, c * L**h)`` sorted by h-degree, so a walk step
     stops at the first term past its budget.  A row is one flat tuple of
     those four fields, term after term, which spares a tuple object per
-    term.  ``terms`` holds the element's own integer terms, scaled once
-    here; rows are filled on first use by multiplying them with monomial
-    products in normal form from :meth:`_Context.product`, which keeps none
-    of them, so the rows are the only memo of the walk's products.  Every
-    deposit, a monomial or a rotation element, has a term at ``hbar^0``, so
-    the states a walk step reaches depend only on its scalar.
+    term, and ends with the h-degree budget it was filled to, which reads of
+    four fields at a time drop.  A row is filled to the budget its first read
+    asks for and refilled deeper when a later read needs more, so, sorted by
+    h, it serves every read up to its budget.  A monomial's row is the
+    truncated product from :meth:`_Context.product` itself; a rotation
+    element's multiplies its scaled ``terms`` with those products.  Neither
+    keeps them, so the rows are the only memo of the walk's products.  Every
+    deposit has a term at ``hbar^0``, so the states a walk step reaches
+    depend only on its scalar.
     """
 
     __slots__ = ("terms", "rows", "ctx")
@@ -114,19 +119,21 @@ class _Deposit:
         self.rows: dict[Mon, tuple] = {}
         self.ctx = ctx
 
-    def fill(self, mon: Mon) -> tuple:
+    def fill(self, mon: Mon, budget: int) -> tuple:
         ctx = self.ctx
-        acc: EDict = {}
-        for fmon, fsd in self.terms.items():
-            for pmon, psd in ctx.product(fmon, mon).items():
-                # looked up in this module, where perfbench/layers.py counts it
-                scal = _smul(fsd, psd, ctx.K, ctx.N)
-                if scal:
-                    _sadd_into(acc.setdefault(pmon, {}), scal)
-        terms = sorted(
-            (h, e, pmon, c) for pmon, sd in acc.items() for (e, h), c in sd.items()
-        )
-        row = self.rows[mon] = tuple(chain.from_iterable(terms))
+        (fmon, fsd), *more = self.terms.items()
+        if not more and fsd == {(0, 0): 1}:  # a monomial: its row is the product
+            acc = ctx.product(fmon, mon, budget)
+        else:
+            acc = {}
+            for fmon, fsd in self.terms.items():
+                for pmon, psd in ctx.product(fmon, mon, budget).items():
+                    # looked up in this module, where perfbench/layers.py counts it
+                    scal = _smul(fsd, psd, ctx.K, budget)
+                    if scal:
+                        _sadd_into(acc.setdefault(pmon, {}), scal)
+        terms = sorted((h, e, pmon, c) for pmon, sd in acc.items() for (e, h), c in sd.items())
+        row = self.rows[mon] = (*chain.from_iterable(terms), budget)
         return row
 
 
@@ -206,11 +213,12 @@ def _deposit(acc: dict, dep: _Deposit, scalar: tuple, main: dict, K: int, N: int
     """Add ``scalar * dep * main`` into ``acc``, all as scaled integer terms."""
     rows, reach = dep.rows, N - scalar[0][0]
     for (mmon, me, mh), mc in main.items():
-        if mh > reach:
+        need = reach - mh
+        if need < 0:
             continue
         row = rows.get(mmon)
-        if row is None:
-            row = dep.fill(mmon)
+        if row is None or row[-1] < need:  # row[-1]: the budget it was filled to
+            row = dep.fill(mmon, need)
         for th, te, tc in scalar:
             h0 = mh + th
             if h0 > N:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import DElement, r_matrix, rotation_element
 from .diagram import RotDecomp
-from .errors import CapsMismatch, DimensionMismatch, NotInvertible
+from .errors import CapsMismatch, DimensionMismatch, NotInvertible, ParseError
 from .series import Caps, ScalarSeries
 
 Matrix = list[list[ScalarSeries]]
@@ -132,14 +132,22 @@ class RepData:
 
     @classmethod
     def from_json(cls, data: dict) -> "RepData":
-        caps = Caps(data["caps"]["eps_order"], data["caps"]["hbar_order"])
+        caps = _json_field(data, "caps", lambda c: Caps(c["eps_order"], c["hbar_order"]))
 
         def dec(M):
             return [[ScalarSeries.from_json(caps, entry) for entry in row] for row in M]
 
-        h = dec(data["h"])
-        h_inv = dec(data["h_inv"]) if "h_inv" in data else matrix_inverse(h)
-        return cls(int(data["dim"]), dec(data["R"]), h, h_inv)
+        h = _json_field(data, "h", dec)
+        h_inv = _json_field(data, "h_inv", dec) if "h_inv" in data else matrix_inverse(h)
+        return cls(_json_field(data, "dim", int), _json_field(data, "R", dec), h, h_inv)
+
+
+def _json_field(data: dict, key: str, decode):
+    """``decode(data[key])``; a missing or malformed field raises :class:`ParseError`."""
+    try:
+        return decode(data[key])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"bad rep JSON field {key!r}: {exc!r}") from exc
 
 
 @dataclass
@@ -157,15 +165,15 @@ class EndpointVectors:
 
     @classmethod
     def from_json(cls, caps: Caps, data: dict) -> "EndpointVectors":
-        return cls(
-            [ScalarSeries.from_json(caps, v) for v in data["eta"]],
-            [ScalarSeries.from_json(caps, v) for v in data["eps"]],
-        )
+        def dec(vector):
+            return [ScalarSeries.from_json(caps, v) for v in vector]
+
+        return cls(_json_field(data, "eta", dec), _json_field(data, "eps", dec))
 
 
 def load_rep_json(data: dict) -> tuple[RepData, EndpointVectors]:
     rep = RepData.from_json(data)
-    ev = EndpointVectors.from_json(rep.caps, {"eta": data["eta"], "eps": data["eps"]})
+    ev = EndpointVectors.from_json(rep.caps, data)
     if len(ev.eta) != rep.dim or len(ev.eps_) != rep.dim:
         raise DimensionMismatch("endpoint vectors must have length dim")
     return rep, ev

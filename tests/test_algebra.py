@@ -19,7 +19,7 @@ from knotoidal.algebra import (
     rotation_element,
     yang_baxter_holds,
 )
-from knotoidal.errors import CapsMismatch
+from knotoidal.errors import CapsMismatch, ParseError
 from knotoidal.series import Caps, ScalarSeries
 
 
@@ -235,6 +235,25 @@ def test_element_rendering_canonical(caps14):
     assert DElement.from_json(e.to_json()) == e
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda data: data["terms"][0].update(coeff="x"),
+        lambda data: data.pop("terms"),
+        lambda data: data["terms"][0].update(monomial=[1, 0, 0]),
+        lambda data: data["terms"][0].update(monomial=[1, 0, 0, "x"]),
+        lambda data: data["terms"][0].update(monomial=[1, 0, 0, 0.5]),
+        lambda data: data["terms"][0].update(eps="0"),
+    ],
+    ids=["coeff", "no-terms", "three-exponents", "string-exponent", "float-exponent", "string-degree"],
+)
+def test_element_json_errors_are_typed(caps14, change):
+    data = (gens(caps14)["x"] * gens(caps14)["y"]).to_json()
+    change(data)
+    with pytest.raises(ParseError):
+        DElement.from_json(data)
+
+
 def test_scale_and_epsilon_part(caps14):
     g = gens(caps14)
     mixed = g["a"] + g["b"].scale(eps_series(caps14))
@@ -279,6 +298,16 @@ def test_closed_normal_ordering_matches_fraction_oracle(m1, m2, K, N):
     assert ctx.unscaled(ctx.product(m1, m2)) == expected
     assert ctx.unscaled(ctx.mon_mul(m1, m2)) == expected
     assert ctx.left_x and _all_ints(ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m1=monomial_st, m2=monomial_st, K=st.integers(0, 2), N=st.integers(0, 6))
+def test_product_to_a_budget_is_the_truncated_product(m1, m2, K, N):
+    # the walk fills its rows to a budget below the cap; the (l, i) table stays at the cap
+    ctx, full = _Context(K, N), reference_context(Caps(K, N)).mon_mul(m1, m2)
+    for n in range(N + 1):
+        truncated = {mon: {(e, h): c for (e, h), c in sd.items() if h <= n} for mon, sd in full.items()}
+        assert ctx.unscaled(ctx.product(m1, m2, n)) == {mon: sd for mon, sd in truncated.items() if sd}
 
 
 @settings(max_examples=30, deadline=None)

@@ -58,6 +58,13 @@ def test_invariant_bad_file_exits_2(tmp_path):
     assert result.returncode == 2
 
 
+def test_unknown_fixture_exits_2_with_one_line():
+    for args in (("invariant", "--fixture", "nope"), ("compare", "--fixtures", "nope", "5_7")):
+        result = run_cli(*args)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: \"no fixture named 'nope'\"\n"
+
+
 def test_invariant_eps_coefficient_out_of_caps_exits_3():
     result = run_cli(
         "invariant", "--fixture", "trivial", "--eps-coefficient", "5"

@@ -10,6 +10,7 @@ from knotoidal.diagram import (
     Rotation,
     TRIVIAL_DECOMP,
     chain_decompositions,
+    fixture_decomposition,
     fixtures,
     insert_r2_pair,
     insert_rotation_pair,
@@ -23,9 +24,11 @@ from knotoidal.diagram import (
 from knotoidal.errors import (
     CrossingCountMismatch,
     DuplicateLabel,
+    KnotoidalError,
     LabelOutOfRange,
     MalformedToken,
     SignCountMismatch,
+    UnknownFixture,
 )
 
 from decomp_strategies import small_decomposition_st
@@ -134,6 +137,13 @@ def test_table_rows_cover_six_pairs():
         "5_21": -1,
         "5_24": -3,
     }
+
+
+def test_unknown_fixture_is_typed_and_still_a_key_error():
+    with pytest.raises(UnknownFixture, match="no fixture named 'nope'") as info:
+        fixture_decomposition("nope")
+    assert isinstance(info.value, KeyError) and isinstance(info.value, KnotoidalError)
+    assert fixture_decomposition("trivial") == TRIVIAL_DECOMP
 
 
 def test_fixture_decompositions_as_tabulated():

@@ -10,6 +10,7 @@ from knotoidal import algebra, invariant
 from knotoidal.algebra import DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
+    chain_decompositions,
     fixtures,
     insert_r2_pair,
     insert_rotation_pair,
@@ -198,6 +199,39 @@ def test_truncation_consistent_across_caps(d, n):
     assert DElement(Caps(1, n), raw) == evaluate_Z(d, Caps(1, n)).element
     raw = evaluate_Z(d, Caps(1, n)).element.raw()
     assert DElement(Caps(0, n), raw) == evaluate_Z(d, Caps(0, n)).element
+
+
+def _row_budgets() -> dict:
+    """The budget each filled walk row records, by caps, deposit and monomial."""
+    return {
+        (caps, deposit, mon): row[-1]
+        for caps, tables in invariant._TABLES.items()
+        for deposit, dep in [*tables.monomials.items(), *tables.rotation.items()]
+        for mon, row in dep.rows.items()
+    }
+
+
+def test_rows_refilled_deeper_give_what_a_fresh_walk_gives(monkeypatch):
+    # a row filled to one state's budget must serve, or be refilled for,
+    # every later state and evaluation exactly as a fresh walk would
+    caps, fx = Caps(1, 4), fixtures()
+    chain = fx["5_7"][1]
+    while len(chain.crossings()) < 20:
+        chain = chain_decompositions(chain, fx["5_7"][1])
+    walks = [d for _, d in fx.values()]
+    walks += walks[::-1] + [fx["5_9"][1], chain]
+    fresh = {}
+    for d in walks:
+        monkeypatch.setattr(invariant, "_TABLES", {})
+        fresh[d] = evaluate_Z(d, caps).to_json()
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    refilled = 0
+    for d in walks:
+        before = _row_budgets()
+        assert evaluate_Z(d, caps).to_json() == fresh[d]
+        after = _row_budgets()
+        refilled += sum(after[key] > budget for key, budget in before.items())
+    assert refilled
 
 
 def _walk_inputs(caps: Caps):

@@ -350,6 +350,31 @@ def test_rep_json_round_trip():
     assert rt_evaluate(EXAMPLE, rep2, ev2) == rt_evaluate(EXAMPLE, rep, ev)
 
 
+def _rep_payload() -> dict:
+    payload = derive_rep(CAPS, rho_dim2()).to_json()
+    payload.update(EndpointVectors([one(1), one(2)], [one(3), one(4)]).to_json())
+    return json.loads(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "key, change",
+    [
+        ("caps", lambda data: data.pop("caps")),
+        ("dim", lambda data: data.update(dim="x")),
+        ("R", lambda data: data["R"].__setitem__(0, {"0,0": "1"})),
+        ("h", lambda data: data["h"].__setitem__(1, 7)),
+        ("eta", lambda data: data.pop("eta")),
+    ],
+    ids=["no-caps", "dim-not-int", "R-row-not-list", "h-row-not-list", "no-eta"],
+)
+def test_rep_json_errors_are_typed_and_name_the_key(key, change):
+    data = _rep_payload()
+    load_rep_json(data)
+    change(data)
+    with pytest.raises(ParseError, match=repr(key)):
+        load_rep_json(data)
+
+
 def test_rep_json_h_inverse_is_optional():
     rep = derive_rep(CAPS, rho_dim2())
     ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])
