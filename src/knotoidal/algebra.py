@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .errors import DegreeOutOfRange, NonIntegralScale, ParseError
+from .errors import DegreeOutOfRange, InvalidArgument, NonIntegralScale, ParseError
 from .series import (
     Caps,
     ScalarSeries,
@@ -525,7 +525,7 @@ class DElement(_Terms):
 
     def to_json(self) -> dict:
         return {
-            "caps": {"eps_order": self.caps.eps_order, "hbar_order": self.caps.hbar_order},
+            "caps": self.caps.to_json(),
             "terms": [
                 {"monomial": list(mon), "eps": e, "hbar": h, "coeff": str(coeff)}
                 for mon, e, h, coeff in self.canonical_terms()
@@ -535,16 +535,22 @@ class DElement(_Terms):
     @classmethod
     def from_json(cls, data: dict) -> "DElement":
         try:
-            caps = Caps(data["caps"]["eps_order"], data["caps"]["hbar_order"])
+            caps = Caps.from_json(data["caps"])
             terms: EDict = {}
             for item in data["terms"]:
-                mon = tuple(item["monomial"])
-                if len(mon) != 4 or any(type(p) is not int for p in mon):
-                    raise ParseError(f"monomial {item['monomial']!r} is not 4 ints")
-                terms.setdefault(mon, {})[(item["eps"], item["hbar"])] = Fraction(item["coeff"])
+                mon, degree = tuple(item["monomial"]), (item["eps"], item["hbar"])
+                if len(mon) != 4 or not _naturals(mon):
+                    raise ParseError(f"monomial {item['monomial']!r} is not 4 non-negative ints")
+                if not _naturals(degree):
+                    raise ParseError(f"degree {degree!r} is not 2 non-negative ints")
+                terms.setdefault(mon, {})[degree] = Fraction(item["coeff"])
             return cls(caps, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad element JSON: {exc!r}") from exc
+
+
+def _naturals(values) -> bool:
+    return all(type(v) is int and v >= 0 for v in values)
 
 
 def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
@@ -667,7 +673,7 @@ def rotation_element(sign: int, caps: Caps) -> DElement:
     indeed evaluates equal.
     """
     if sign not in (1, -1):
-        raise ValueError("rotation sign must be +1 or -1")
+        raise InvalidArgument("rotation sign must be +1 or -1")
     c = Fraction(sign, 2)
     return DElement(caps, _exp_ab_raw(c, c, caps.eps_order, caps.hbar_order), _trusted=True)
 

@@ -81,7 +81,7 @@ def cmd_compare(args, caps: Caps) -> int:
     (name_a, decomp_a), (name_b, decomp_b) = (_load_decomposition(*pair) for pair in inputs)
     rows = _comparison_rows(name_a, decomp_a, name_b, decomp_b, caps, args.with_reversal)
     data = {
-        "caps": {"eps_order": caps.eps_order, "hbar_order": caps.hbar_order},
+        "caps": caps.to_json(),
         "comparisons": rows,
     }
     _emit(data, args.fmt, [f"{row['pair']}: {row['detail']}" for row in rows])
@@ -113,7 +113,7 @@ def cmd_table(args, caps: Caps) -> int:
         for comp in row.get("comparisons", []):
             text.append(f"    {comp['pair']}: {comp['detail']}")
     data = {
-        "caps": {"eps_order": caps.eps_order, "hbar_order": caps.hbar_order},
+        "caps": caps.to_json(),
         "rows": rows_out,
         "summary": summary,
     }

@@ -20,6 +20,7 @@ from .errors import (
     DuplicateLabel,
     LabelOutOfRange,
     MalformedToken,
+    ParseError,
     SignCountMismatch,
     UnknownFixture,
 )
@@ -116,10 +117,13 @@ class OrientedGaussCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrientedGaussCode":
-        return cls(
-            [(int(c), r) for c, r in data["passes"]],
-            {int(c): int(s) for c, s in data["signs"].items()},
-        )
+        try:
+            return cls(
+                [(int(c), r) for c, r in data["passes"]],
+                {int(c): int(s) for c, s in data["signs"].items()},
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"bad Gauss code JSON: {exc!r}") from exc
 
 
 def parse_gauss_code(text: str) -> OrientedGaussCode:
@@ -295,15 +299,18 @@ class RotDecomp:
 
     @classmethod
     def from_json(cls, data: dict) -> "RotDecomp":
-        tokens = []
-        for tok in data["tokens"]:
-            if tok["kind"] == "crossing":
-                tokens.append(Crossing(int(tok["sign"]), int(tok["over"]), int(tok["under"])))
-            elif tok["kind"] == "rotation":
-                tokens.append(Rotation(int(tok["sign"]), int(tok["label"])))
-            else:
-                raise MalformedToken(f"unknown token kind {tok['kind']!r}")
-        return cls(int(data["labels"]), tokens)
+        try:
+            tokens = []
+            for tok in data["tokens"]:
+                if tok["kind"] == "crossing":
+                    tokens.append(Crossing(int(tok["sign"]), int(tok["over"]), int(tok["under"])))
+                elif tok["kind"] == "rotation":
+                    tokens.append(Rotation(int(tok["sign"]), int(tok["label"])))
+                else:
+                    raise MalformedToken(f"unknown token kind {tok['kind']!r}")
+            return cls(int(data["labels"]), tokens)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"bad decomposition JSON: {exc!r}") from exc
 
 
 TRIVIAL_DECOMP = RotDecomp(1, [])

@@ -31,6 +31,12 @@ class UnknownFixture(KnotoidalError, KeyError):
     """No built-in diagram has that name; still a ``KeyError`` for old callers."""
 
 
+# -- API arguments ---------------------------------------------------------------
+
+class InvalidArgument(KnotoidalError, ValueError):
+    """A bad argument to a public function; still a ``ValueError`` for old callers."""
+
+
 # -- truncated series arithmetic ----------------------------------------------
 
 class CapsMismatch(KnotoidalError):

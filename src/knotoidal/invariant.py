@@ -24,10 +24,9 @@ inputs of the walk are integers once scaled too: a crossing's scalar, and a
 rotation element, which carries ``1/(2**h * h!)`` and so needs the factor 2
 of ``L`` (the tests check every input for eps caps 0-2 and hbar caps 0-8).
 Each deposit is scaled once, when it is built, and its rows are filled from
-the tables in integer arithmetic, each only to the h-degree budget the walk
-asks for and refilled deeper on demand; a monomial's row is the truncated
-product itself.  Scaled terms stay scaled under products because
-``L**a * L**b == L**(a+b)``, so a walk step is one degree check and one
+the tables in integer arithmetic, each once, to the h-degree that a degree
+bound gives for its deepest read.  Scaled terms stay scaled under products
+because ``L**a * L**b == L**(a+b)``, so a walk step is one degree check and one
 integer multiply, neither the walk nor the fill takes a gcd, and the result
 is divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling a
 coefficient that is not integral raises :class:`NonIntegralScale`; nothing
@@ -97,19 +96,21 @@ def _crossing_terms(caps: Caps):
 class _Deposit:
     """An element the walk multiplies onto the left of the running product.
 
-    ``rows[mon]`` is this element times ``mon`` in normal form, as integer
-    terms ``(h, e, monomial, c * L**h)`` sorted by h-degree, so a walk step
-    stops at the first term past its budget.  A row is one flat tuple of
-    those four fields, term after term, which spares a tuple object per
-    term, and ends with the h-degree budget it was filled to, which reads of
-    four fields at a time drop.  A row is filled to the budget its first read
-    asks for and refilled deeper when a later read needs more, so, sorted by
-    h, it serves every read up to its budget.  A monomial's row is the
-    truncated product from :meth:`_Context.product` itself; a rotation
-    element's multiplies its scaled ``terms`` with those products.  Neither
-    keeps them, so the rows are the only memo of the walk's products.  Every
-    deposit has a term at ``hbar^0``, so the states a walk step reaches
-    depend only on its scalar.
+    ``rows[mon]`` is this element times ``mon`` in normal form, as one flat
+    tuple of integer terms ``h, e, monomial, c * L**h`` sorted by h, so a
+    walk step stops at the first term past its budget.  A monomial's row is
+    the product from :meth:`_Context.product`; a rotation's multiplies its
+    scaled ``terms`` with those.  The rows are the only memo of both.
+
+    A row is filled once, to ``N - ceil((deg D + deg M) / 2)``, where deg is
+    the total exponent, D the lowest monomial of ``terms`` (the unit for a
+    rotation) and M the row's monomial.  No read asks for more.  Every term
+    (mon, e, h) of a product m1*m2 has deg mon + e <= deg m1 + deg m2 + 2h;
+    of R and R^-1, deg m1 + deg m2 + e <= 2h and deg m1, deg m2 <= h; of a
+    rotation, deg + e <= 2h.  So a state term at hbar^h with main monomial M
+    and pending P has 2h >= deg M + deg P.  A rotation read, or a close read
+    on P = D, asks for N - h; an open read, whose scalar starts at
+    hbar^(deg D), asks for N - deg D - h.
     """
 
     __slots__ = ("terms", "rows", "ctx")
@@ -119,8 +120,9 @@ class _Deposit:
         self.rows: dict[Mon, tuple] = {}
         self.ctx = ctx
 
-    def fill(self, mon: Mon, budget: int) -> tuple:
+    def fill(self, mon: Mon) -> tuple:
         ctx = self.ctx
+        budget = ctx.N - (min(map(sum, self.terms)) + sum(mon) + 1) // 2
         (fmon, fsd), *more = self.terms.items()
         if not more and fsd == {(0, 0): 1}:  # a monomial: its row is the product
             acc = ctx.product(fmon, mon, budget)
@@ -133,7 +135,7 @@ class _Deposit:
                     if scal:
                         _sadd_into(acc.setdefault(pmon, {}), scal)
         terms = sorted((h, e, pmon, c) for pmon, sd in acc.items() for (e, h), c in sd.items())
-        row = self.rows[mon] = (*chain.from_iterable(terms), budget)
+        row = self.rows[mon] = tuple(chain.from_iterable(terms))
         return row
 
 
@@ -179,11 +181,10 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
-# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 5.3 s at 98 MiB peak
-# RSS, (1,9) 10.5 s at 188 MiB, (1,10) 20.5 s at 372 MiB, (0,12) 31.5 s at
-# 694 MiB, (10,8) 21.6 s at 402 MiB.  The limit is the cost of (1,10), the
-# largest caps the acceptance checks may reach; a diagram with more
-# crossings costs more at the same caps.
+# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 2.4-2.8 s at 77 MiB
+# peak RSS, (1,9) 6.1-6.4 s at 140 MiB, (1,10) 14-15 s at 266 MiB.  The limit
+# is the cost of (1,10), the largest caps the acceptance checks may reach; a
+# diagram with more crossings costs more at the same caps.
 CAPS_COST_LIMIT = 2048
 
 
@@ -213,12 +214,11 @@ def _deposit(acc: dict, dep: _Deposit, scalar: tuple, main: dict, K: int, N: int
     """Add ``scalar * dep * main`` into ``acc``, all as scaled integer terms."""
     rows, reach = dep.rows, N - scalar[0][0]
     for (mmon, me, mh), mc in main.items():
-        need = reach - mh
-        if need < 0:
+        if mh > reach:
             continue
         row = rows.get(mmon)
-        if row is None or row[-1] < need:  # row[-1]: the budget it was filled to
-            row = dep.fill(mmon, need)
+        if row is None:
+            row = dep.fill(mmon)
         for th, te, tc in scalar:
             h0 = mh + th
             if h0 > N:

@@ -36,6 +36,7 @@ from .errors import (
     DegenerateDirection,
     DuplicateConsecutivePoint,
     EmptyEstimate,
+    InvalidArgument,
     ParseError,
     TooFewPoints,
 )
@@ -143,9 +144,7 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    direction: Vec3
     code: OrientedGaussCode
-    planar_points: tuple[Vec2, ...]
     decomp: RotDecomp
     biframing: Biframing
 
@@ -296,10 +295,10 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     callers sampling the sphere catch it and count a rejection.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise InvalidArgument("tol must be positive")
     norm = math.sqrt(sum(c * c for c in direction))
     if abs(norm - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector within 1e-12")
+        raise InvalidArgument("direction must be a unit vector within 1e-12")
     e1, e2 = _plane_basis(direction)
     pts2 = tuple(
         (
@@ -418,7 +417,7 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     n0 = winding(pts2[0], pts2[1:])
     n1 = winding(pts2[-1], pts2[:-1])
     biframing = Biframing(writhe(code), n0 - n1)
-    return ProjectionResult(direction, code, pts2, decomp, biframing)
+    return ProjectionResult(code, decomp, biframing)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +609,7 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
     mean = None
     if phi == "zmean":
         mean = {
-            "caps": {"eps_order": caps.eps_order, "hbar_order": caps.hbar_order},
+            "caps": caps.to_json(),
             "eps_degree": 1,
             "components": [
                 {
@@ -635,9 +634,9 @@ def estimate_measure(
     """Empirical class frequencies (and optionally invariant means) over
     ``n`` uniformly sampled projection directions."""
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidArgument("need at least one sample")
     if phi not in ("classes", "zmean"):
-        raise ValueError(f"unknown phi {phi!r}")
+        raise InvalidArgument(f"unknown phi {phi!r}")
     directions = sample_directions(seed, n)
     tallies, freq, mean, rejected = _estimate_with_directions(
         curve, directions, tol, phi, caps

@@ -124,7 +124,7 @@ class RepData:
 
         return {
             "dim": self.dim,
-            "caps": {"eps_order": self.caps.eps_order, "hbar_order": self.caps.hbar_order},
+            "caps": self.caps.to_json(),
             "R": enc(self.R),
             "h": enc(self.h),
             "h_inv": enc(self.h_inv),
@@ -132,7 +132,7 @@ class RepData:
 
     @classmethod
     def from_json(cls, data: dict) -> "RepData":
-        caps = _json_field(data, "caps", lambda c: Caps(c["eps_order"], c["hbar_order"]))
+        caps = _json_field(data, "caps", Caps.from_json)
 
         def dec(M):
             return [[ScalarSeries.from_json(caps, entry) for entry in row] for row in M]
@@ -146,7 +146,7 @@ def _json_field(data: dict, key: str, decode):
     """``decode(data[key])``; a missing or malformed field raises :class:`ParseError`."""
     try:
         return decode(data[key])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
         raise ParseError(f"bad rep JSON field {key!r}: {exc!r}") from exc
 
 

@@ -17,7 +17,15 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from math import factorial
 
-from .errors import CapsMismatch, DegreeOutOfRange, ExpDomain, NotInvertible, ParseError, SqrtDomain
+from .errors import (
+    CapsMismatch,
+    DegreeOutOfRange,
+    ExpDomain,
+    InvalidArgument,
+    NotInvertible,
+    ParseError,
+    SqrtDomain,
+)
 
 SKey = tuple[int, int]
 SDict = dict[SKey, Fraction]
@@ -31,8 +39,21 @@ class Caps:
     hbar_order: int
 
     def __post_init__(self):
+        if type(self.eps_order) is not int or type(self.hbar_order) is not int:
+            raise InvalidArgument(f"caps must be ints, got {self.eps_order!r}, {self.hbar_order!r}")
         if self.eps_order < 0 or self.hbar_order < 0:
-            raise ValueError("caps must be non-negative")
+            raise InvalidArgument("caps must be non-negative")
+
+    def to_json(self) -> dict:
+        return {"eps_order": self.eps_order, "hbar_order": self.hbar_order}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Caps":
+        """Caps from ``to_json``; anything but two non-negative ints raises :class:`ParseError`."""
+        try:
+            return cls(data["eps_order"], data["hbar_order"])
+        except (KeyError, TypeError, InvalidArgument) as exc:
+            raise ParseError(f"bad caps JSON: {exc!r}") from exc
 
     def admits(self, e: int, h: int) -> bool:
         return 0 <= e <= self.eps_order and 0 <= h <= self.hbar_order
@@ -281,7 +302,7 @@ def q_integer(k: int, caps: Caps) -> ScalarSeries:
 def q_factorial(m: int, caps: Caps) -> ScalarSeries:
     """[m]_q! = [1]_q [2]_q ... [m]_q; reduces to m! at h-degree zero."""
     if m < 0:
-        raise ValueError("q_factorial requires m >= 0")
+        raise InvalidArgument("q_factorial requires m >= 0")
     out = ScalarSeries.one(caps)
     for k in range(2, m + 1):
         out = out * q_integer(k, caps)

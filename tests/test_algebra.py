@@ -19,7 +19,7 @@ from knotoidal.algebra import (
     rotation_element,
     yang_baxter_holds,
 )
-from knotoidal.errors import CapsMismatch, ParseError
+from knotoidal.errors import CapsMismatch, InvalidArgument, ParseError
 from knotoidal.series import Caps, ScalarSeries
 
 
@@ -244,14 +244,33 @@ def test_element_rendering_canonical(caps14):
         lambda data: data["terms"][0].update(monomial=[1, 0, 0, "x"]),
         lambda data: data["terms"][0].update(monomial=[1, 0, 0, 0.5]),
         lambda data: data["terms"][0].update(eps="0"),
+        lambda data: data["terms"][0].update(hbar=0.0),
+        lambda data: data["terms"][0].update(monomial=[-1, 0, 0, 0]),
+        lambda data: data["caps"].update(eps_order=1.5),
     ],
-    ids=["coeff", "no-terms", "three-exponents", "string-exponent", "float-exponent", "string-degree"],
+    ids=[
+        "coeff",
+        "no-terms",
+        "three-exponents",
+        "string-exponent",
+        "float-exponent",
+        "string-degree",
+        "float-degree",
+        "negative-exponent",
+        "float-cap",
+    ],
 )
 def test_element_json_errors_are_typed(caps14, change):
     data = (gens(caps14)["x"] * gens(caps14)["y"]).to_json()
     change(data)
     with pytest.raises(ParseError):
         DElement.from_json(data)
+
+
+@pytest.mark.parametrize("sign", [0, 2, "+"])
+def test_bad_rotation_sign_is_an_invalid_argument(caps14, sign):
+    with pytest.raises(InvalidArgument):
+        rotation_element(sign, caps14)
 
 
 def test_scale_and_epsilon_part(caps14):
@@ -308,6 +327,29 @@ def test_product_to_a_budget_is_the_truncated_product(m1, m2, K, N):
     for n in range(N + 1):
         truncated = {mon: {(e, h): c for (e, h), c in sd.items() if h <= n} for mon, sd in full.items()}
         assert ctx.unscaled(ctx.product(m1, m2, n)) == {mon: sd for mon, sd in truncated.items() if sd}
+
+
+# The degree bounds by which invariant._Deposit sizes its walk rows; deg is
+# the total exponent of a monomial.
+
+@settings(max_examples=60, deadline=None)
+@given(m1=monomial_st, m2=monomial_st, K=st.integers(0, 2), N=st.integers(0, 6))
+def test_product_terms_keep_the_degree_bound(m1, m2, K, N):
+    for mon, sd in _Context(K, N).product(m1, m2).items():
+        assert all(sum(mon) + e <= sum(m1) + sum(m2) + 2 * h for e, h in sd), mon
+
+
+def test_deposit_terms_keep_the_degree_bound():
+    for K in range(3):
+        for N in range(7):
+            caps = Caps(K, N)
+            for tensor in (r_matrix(caps), r_inverse(caps)):
+                for (m1, m2), sd in tensor.raw().items():
+                    assert all(sum(m1) + sum(m2) + e <= 2 * h for e, h in sd), (caps, m1, m2)
+                    assert max(sum(m1), sum(m2)) <= min(h for _, h in sd), (caps, m1, m2)
+            for sign in (1, -1):
+                for mon, sd in rotation_element(sign, caps).raw().items():
+                    assert all(sum(mon) + e <= 2 * h for e, h in sd), (caps, mon)
 
 
 @settings(max_examples=30, deadline=None)

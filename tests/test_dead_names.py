@@ -4,7 +4,8 @@ A function, class or constant defined at the top of a module in
 ``src/knotoidal`` must be named somewhere in ``src/``, ``tests/``,
 ``perfbench/`` or ``README.md`` outside its own definition; otherwise it is
 dead code.  Likewise each method or property of a class there must appear as
-``.name`` outside its own definition.  Dunder names (``__all__``,
+``.name`` outside its own definition, and so must each field of a
+``@dataclass``.  Dunder names (``__all__``,
 ``__version__``, ``__init__``) are exempt.
 """
 
@@ -44,6 +45,17 @@ def _members(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
 
 
+def _fields(tree: ast.Module):
+    """``(Class.name, name, first line, last line)`` of each dataclass field."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(deco).startswith("dataclass") for deco in node.decorator_list
+        ):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id, item.lineno, item.end_lineno
+
+
 def _unreferenced(definitions, prefix: str) -> list[str]:
     """The definitions whose name, after ``prefix``, appears nowhere else."""
     sources = _sources()
@@ -68,3 +80,7 @@ def test_every_module_level_name_is_used():
 
 def test_every_method_is_used():
     assert _unreferenced(_members, r"\.") == []
+
+
+def test_every_dataclass_field_is_used():
+    assert _unreferenced(_fields, r"\.") == []

@@ -27,6 +27,7 @@ from knotoidal.errors import (
     KnotoidalError,
     LabelOutOfRange,
     MalformedToken,
+    ParseError,
     SignCountMismatch,
     UnknownFixture,
 )
@@ -262,6 +263,36 @@ def test_decomposition_json_round_trip(d):
 def test_code_json_round_trip():
     code = parse_gauss_code(ROW_5_7)
     assert OrientedGaussCode.from_json(json.loads(json.dumps(code.to_json()))) == code
+
+
+@pytest.mark.parametrize(
+    "load, data",
+    [
+        (RotDecomp.from_json, {}),
+        (RotDecomp.from_json, {"labels": "x", "tokens": []}),
+        (RotDecomp.from_json, {"labels": 2, "tokens": [{"kind": "crossing", "sign": 1, "under": 2}]}),
+        (RotDecomp.from_json, {"labels": 1, "tokens": 5}),
+        (RotDecomp.from_json, {"labels": 1, "tokens": ["C+ 1"]}),
+        (OrientedGaussCode.from_json, {"passes": 5, "signs": {}}),
+        (OrientedGaussCode.from_json, {"passes": [[1, "over"]]}),
+        (OrientedGaussCode.from_json, {"passes": [], "signs": []}),
+        (OrientedGaussCode.from_json, {"passes": [["a", "over"]], "signs": {}}),
+    ],
+    ids=[
+        "decomp-empty",
+        "decomp-labels-not-int",
+        "decomp-crossing-no-over",
+        "decomp-tokens-not-list",
+        "decomp-token-not-object",
+        "code-passes-not-list",
+        "code-no-signs",
+        "code-signs-not-object",
+        "code-id-not-int",
+    ],
+)
+def test_diagram_json_errors_are_typed(load, data):
+    with pytest.raises(ParseError):
+        load(data)
 
 
 def test_code_render_round_trip():

@@ -201,19 +201,19 @@ def test_truncation_consistent_across_caps(d, n):
     assert DElement(Caps(0, n), raw) == evaluate_Z(d, Caps(0, n)).element
 
 
-def _row_budgets() -> dict:
-    """The budget each filled walk row records, by caps, deposit and monomial."""
+def _rows() -> dict:
+    """Every filled walk row, by caps, deposit and monomial."""
     return {
-        (caps, deposit, mon): row[-1]
+        (caps, deposit, mon): row
         for caps, tables in invariant._TABLES.items()
         for deposit, dep in [*tables.monomials.items(), *tables.rotation.items()]
         for mon, row in dep.rows.items()
     }
 
 
-def test_rows_refilled_deeper_give_what_a_fresh_walk_gives(monkeypatch):
-    # a row filled to one state's budget must serve, or be refilled for,
-    # every later state and evaluation exactly as a fresh walk would
+def test_rows_written_once_give_what_a_fresh_walk_gives(monkeypatch):
+    # a row filled for one state must serve every later state and
+    # evaluation exactly as a fresh walk would, and is never replaced
     caps, fx = Caps(1, 4), fixtures()
     chain = fx["5_7"][1]
     while len(chain.crossings()) < 20:
@@ -225,13 +225,11 @@ def test_rows_refilled_deeper_give_what_a_fresh_walk_gives(monkeypatch):
         monkeypatch.setattr(invariant, "_TABLES", {})
         fresh[d] = evaluate_Z(d, caps).to_json()
     monkeypatch.setattr(invariant, "_TABLES", {})
-    refilled = 0
     for d in walks:
-        before = _row_budgets()
+        before = _rows()
         assert evaluate_Z(d, caps).to_json() == fresh[d]
-        after = _row_budgets()
-        refilled += sum(after[key] > budget for key, budget in before.items())
-    assert refilled
+        after = _rows()
+        assert all(after[key] is row for key, row in before.items())
 
 
 def _walk_inputs(caps: Caps):

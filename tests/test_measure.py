@@ -14,6 +14,7 @@ from knotoidal.errors import (
     DegenerateDirection,
     DuplicateConsecutivePoint,
     EmptyEstimate,
+    InvalidArgument,
     ParseError,
     TooFewPoints,
 )
@@ -559,6 +560,22 @@ def test_estimate_validation(trefoil):
         estimate_measure(trefoil, 0)
     with pytest.raises(ValueError):
         estimate_measure(trefoil, 10, phi="banana")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda curve: estimate_measure(curve, 0),
+        lambda curve: estimate_measure(curve, 10, phi="banana"),
+        lambda curve: project(curve, (0.0, 0.0, 1.0), 0.0),
+        lambda curve: project(curve, (0.0, 0.0, 1.0), -TOL),
+        lambda curve: project(curve, (0.0, 0.0, 0.5), TOL),
+    ],
+    ids=["no-samples", "unknown-phi", "zero-tol", "negative-tol", "non-unit-direction"],
+)
+def test_bad_arguments_are_invalid_arguments(trefoil, call):
+    with pytest.raises(InvalidArgument):
+        call(trefoil)
 
 
 def test_all_samples_degenerate():

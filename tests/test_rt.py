@@ -375,6 +375,14 @@ def test_rep_json_errors_are_typed_and_name_the_key(key, change):
         load_rep_json(data)
 
 
+@pytest.mark.parametrize("caps", [{"eps_order": -1, "hbar_order": 2}, {"eps_order": 1.5, "hbar_order": 2}, 3])
+def test_rep_json_bad_caps_name_the_key(caps):
+    data = _rep_payload()
+    data["caps"] = caps
+    with pytest.raises(ParseError, match="'caps'"):
+        load_rep_json(data)
+
+
 def test_rep_json_h_inverse_is_optional():
     rep = derive_rep(CAPS, rho_dim2())
     ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoidal.errors import CapsMismatch, ExpDomain, NotInvertible, SqrtDomain
+from knotoidal.errors import (
+    CapsMismatch,
+    ExpDomain,
+    InvalidArgument,
+    KnotoidalError,
+    NotInvertible,
+    ParseError,
+    SqrtDomain,
+)
 from knotoidal.series import Caps, ScalarSeries, q_factorial, q_integer
 
 CAPS = Caps(2, 5)
@@ -74,6 +82,39 @@ def test_caps_validation():
         Caps(-1, 2)
     with pytest.raises(ValueError):
         Caps(1, -2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Caps(-1, 2),
+        lambda: Caps(1, -2),
+        lambda: Caps(1.5, 2),
+        lambda: Caps(1, "2"),
+        lambda: Caps(True, 2),
+        lambda: q_factorial(-1, CAPS),
+    ],
+    ids=["negative-eps", "negative-hbar", "float-cap", "string-cap", "bool-cap", "q-factorial"],
+)
+def test_bad_arguments_are_typed_and_still_value_errors(make):
+    with pytest.raises(InvalidArgument) as info:
+        make()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, KnotoidalError)
+
+
+def test_caps_json_round_trip():
+    assert Caps.from_json(CAPS.to_json()) == CAPS
+    assert CAPS.to_json() == {"eps_order": 2, "hbar_order": 5}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{}, {"eps_order": 1}, {"eps_order": 1, "hbar_order": -1}, {"eps_order": 1.0, "hbar_order": 2}, [1, 2], None],
+    ids=["empty", "no-hbar", "negative", "float", "list", "null"],
+)
+def test_caps_json_errors_are_typed(data):
+    with pytest.raises(ParseError):
+        Caps.from_json(data)
 
 
 def test_q_factorial_base_cases():
