@@ -34,6 +34,15 @@ class Biframing:
     coframing: int
 
 
+def _json_int(value, key: bool = False) -> int:
+    """A JSON int, or with ``key`` a decimal string; all else raises :class:`ParseError`."""
+    if key and isinstance(value, str) and value.isascii() and value.isdecimal():
+        return int(value)
+    if key or type(value) is not int:
+        raise ParseError(f"expected an integer{' key' if key else ''}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # oriented Gauss codes
 
@@ -119,10 +128,10 @@ class OrientedGaussCode:
     def from_json(cls, data: dict) -> "OrientedGaussCode":
         try:
             return cls(
-                [(int(c), r) for c, r in data["passes"]],
-                {int(c): int(s) for c, s in data["signs"].items()},
+                [(_json_int(c), r) for c, r in data["passes"]],
+                {_json_int(c, key=True): _json_int(s) for c, s in data["signs"].items()},
             )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
             raise ParseError(f"bad Gauss code JSON: {exc!r}") from exc
 
 
@@ -205,11 +214,11 @@ class RotDecomp:
         toks = []
         for tok in tokens:
             if isinstance(tok, Crossing):
-                if tok.sign not in (1, -1):
+                if type(tok.sign) is not int or tok.sign not in (1, -1):
                     raise MalformedToken(f"bad crossing sign {tok.sign}")
                 slots = (tok.over, tok.under)
             elif isinstance(tok, Rotation):
-                if tok.sign not in (1, -1):
+                if type(tok.sign) is not int or tok.sign not in (1, -1):
                     raise MalformedToken(f"bad rotation sign {tok.sign}")
                 slots = (tok.label,)
             else:
@@ -303,13 +312,13 @@ class RotDecomp:
             tokens = []
             for tok in data["tokens"]:
                 if tok["kind"] == "crossing":
-                    tokens.append(Crossing(int(tok["sign"]), int(tok["over"]), int(tok["under"])))
+                    tokens.append(Crossing(*(_json_int(tok[k]) for k in ("sign", "over", "under"))))
                 elif tok["kind"] == "rotation":
-                    tokens.append(Rotation(int(tok["sign"]), int(tok["label"])))
+                    tokens.append(Rotation(_json_int(tok["sign"]), _json_int(tok["label"])))
                 else:
                     raise MalformedToken(f"unknown token kind {tok['kind']!r}")
-            return cls(int(data["labels"]), tokens)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            return cls(_json_int(data["labels"]), tokens)
+        except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
             raise ParseError(f"bad decomposition JSON: {exc!r}") from exc
 
 

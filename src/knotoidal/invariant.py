@@ -3,12 +3,15 @@
 The input is a rotational tangle decomposition: the strand is walked through
 its labeled segments in ascending order, every crossing deposits the two
 tensor factors of the (inverse) quasitriangular structure on its over- and
-under-segment, every rotation token deposits a rotation element, and the
-deposits are multiplied together in walk order, each new one on the left of
-the running product.  The walk order and the layout of the pending crossings
-come from :meth:`RotDecomp.walk`: a crossing's second factor waits, as a
-monomial in a tuple kept in opening order, from its first label to its
-second.
+under-segment, and the deposits are multiplied together in walk order, each
+new one on the left of the running product.  The walk order and the layout of
+the pending crossings come from :meth:`RotDecomp.walk`: a crossing's second
+factor waits, as a monomial in a tuple kept in opening order, from its first
+label to its second.  A rotation deposits nothing where it stands: with w
+the y minus the x exponent, ``rot_s * M = q**(-s*w(M)) * M * rot_s``, and R
+and R^-1 have w(over) + w(under) = 0, so rot_s passes the deposits to come,
+of weight ``sum w(p)`` over the pending p, as the twist ``q**(s * sum w(p))``
+on the state.  The net rotation r is deposited, |r| times, after the walk.
 
 The evaluator enumerates crossing contributions under a global h-degree
 budget: a crossing term of internal degree d carries an explicit factor
@@ -145,8 +148,8 @@ class _WalkTables:
     A crossing term deposits a single monomial times a scalar; its rows are
     those of the monomial alone, shared with every other term and with the
     closing deposit on that monomial, and the scalar's integer terms
-    ``(h, e, c * L**h)`` are applied during the walk.  A rotation deposits
-    its whole element, so one row lookup covers all of its monomials.
+    ``(h, e, c * L**h)`` are applied during the walk.  A rotation step only
+    twists; a whole rotation element is deposited on the final state alone.
     """
 
     def __init__(self, caps: Caps):
@@ -165,6 +168,14 @@ class _WalkTables:
             dep = self.monomials[mon] = _Deposit({mon: {(0, 0): 1}}, self.ctx)
         return dep
 
+    def twist(self, main: dict, t: int) -> dict:
+        """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k."""
+        q, K, N = self.ctx.q_powers[1], self.ctx.K, self.ctx.N
+        for (mon, e, h), c in list(main.items()):
+            for k in range(1, min(K - e, N - h) + 1):
+                main[mon, e + k, h + k] = main.get((mon, e + k, h + k), 0) + c * t**k * q[0, 0, k, k]
+        return main
+
     def scalar(self, sd) -> tuple:
         """A scalar series as integer terms ``(h, e, c * L**h)``, sorted by h."""
         return tuple(sorted((h, e, c) for (e, h), c in self.ctx.scaled(sd).items()))
@@ -181,8 +192,8 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
-# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 2.4-2.8 s at 77 MiB
-# peak RSS, (1,9) 6.1-6.4 s at 140 MiB, (1,10) 14-15 s at 266 MiB.  The limit
+# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 2.1-2.5 s at 63 MiB
+# peak RSS, (1,9) 4.9-6.5 s at 111 MiB, (1,10) 12-14 s at 206 MiB.  The limit
 # is the cost of (1,10), the largest caps the acceptance checks may reach; a
 # diagram with more crossings costs more at the same caps.
 CAPS_COST_LIMIT = 2048
@@ -250,18 +261,20 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     # state: pending monomials, in the order their crossings opened -> main
     # element, the latter as {(monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {(UNIT_MON, 0, 0): 1}}
+    rotation = 0  # net rotation, deposited once the walk ends
 
     for step in d.walk():
         new_states: dict[tuple, dict] = {}
         if step[0] == "rot":
-            dep = tables.rotation[step[1]]
+            rotation += step[1]
             for pending, main in states.items():
-                _deposit(new_states.setdefault(pending, {}), dep, _UNIT_SCALAR, main, K, N)
+                t = step[1] * sum(p[0] - p[3] for p in pending)
+                new_states[pending] = tables.twist(main, t) if t else main
         elif step[0] == "open":
             _, sign, over_first = step
             # a crossing term of h-degree d reaches only states with a term
-            # of h-degree at most N - d; rotation and closing deposits start
-            # at hbar^0 and reach every state
+            # of h-degree at most N - d; closing deposits start at hbar^0
+            # and reach every state
             lows = [(pending, main, min(h for _, _, h in main)) for pending, main in states.items()]
             for over_mon, under_mon, scalar in tables.crossing[sign]:
                 now_mon, pend_mon = (
@@ -287,8 +300,11 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
         if not states:
             break
 
-    element = tables.element(states.get((), {}))
-    return InvariantValue(element, caps, _decomposition_fingerprint(d, caps))
+    main = states.get((), {})
+    for _ in range(abs(rotation)):
+        _deposit(acc := {}, tables.rotation[1 if rotation > 0 else -1], _UNIT_SCALAR, main, K, N)
+        main = {key: c for key, c in acc.items() if c}
+    return InvariantValue(tables.element(main), caps, _decomposition_fingerprint(d, caps))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DElement, r_matrix, rotation_element
-from .diagram import RotDecomp
+from .diagram import RotDecomp, _json_int
 from .errors import CapsMismatch, DimensionMismatch, NotInvertible, ParseError
 from .series import Caps, ScalarSeries
 
@@ -139,7 +139,7 @@ class RepData:
 
         h = _json_field(data, "h", dec)
         h_inv = _json_field(data, "h_inv", dec) if "h_inv" in data else matrix_inverse(h)
-        return cls(_json_field(data, "dim", int), _json_field(data, "R", dec), h, h_inv)
+        return cls(_json_field(data, "dim", _json_int), _json_field(data, "R", dec), h, h_inv)
 
 
 def _json_field(data: dict, key: str, decode):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,35 @@ def test_whole_crossing_rotation_commutes(caps14):
                         terms[(m1, m2)] = scal
             pair = DTensor(caps14, terms)
             assert pair * tensor == tensor * pair
+
+
+def _weight(mon) -> int:
+    """The y exponent minus the x exponent; rotations scale a monomial by q^(-s w)."""
+    return mon[0] - mon[3]
+
+
+def test_deposit_terms_are_weight_balanced():
+    # w(over) + w(under) = 0 on every crossing term, so every term of a walk
+    # state has the weight minus that of the state's pending monomials
+    for K in range(3):
+        for N in range(7):
+            caps = Caps(K, N)
+            for tensor in (r_matrix(caps), r_inverse(caps)):
+                for m1, m2 in tensor.raw():
+                    assert _weight(m1) + _weight(m2) == 0, (caps, m1, m2)
+
+
+@pytest.mark.parametrize("caps", [Caps(1, 4), Caps(2, 4)], ids=str)
+def test_rotation_passes_a_monomial_as_a_power_of_q(caps):
+    # rot_s * M = q^(-s w(M)) * M * rot_s: the strand walk leaves each
+    # rotation behind as a scalar and deposits them all once, at the end
+    monomials = [mon for mon in product(range(4), repeat=4) if sum(mon) <= 3]
+    for sign in (1, -1):
+        rot = rotation_element(sign, caps)
+        for mon in monomials:
+            m = DElement.monomial(caps, mon)
+            q_power = ScalarSeries.term(caps, -sign * _weight(mon), 1, 1).exp()
+            assert rot * m == (m * rot).scale(q_power), (sign, mon)
 
 
 def test_tensor_constructor_cleans_like_an_element(caps14):

@@ -115,6 +115,13 @@ def test_parse_decomposition_errors():
         parse_decomposition("R+ 1 2")
 
 
+@pytest.mark.parametrize("token", [Rotation(1.0, 1), Rotation(True, 1), Crossing(-1.0, 1, 2)], ids=repr)
+def test_token_signs_must_be_int(token):
+    # the walk sums rotation signs into a count of end deposits
+    with pytest.raises(MalformedToken):
+        RotDecomp(2, [token])
+
+
 def test_fixtures_complete_and_consistent():
     fx = fixtures()
     assert set(fx) == {"5_7", "5_421", "5_9", "5_561", "5_12", "5_593"}
@@ -277,6 +284,19 @@ def test_code_json_round_trip():
         (OrientedGaussCode.from_json, {"passes": [[1, "over"]]}),
         (OrientedGaussCode.from_json, {"passes": [], "signs": []}),
         (OrientedGaussCode.from_json, {"passes": [["a", "over"]], "signs": {}}),
+        (RotDecomp.from_json, {"labels": 1, "tokens": [{"kind": "rotation", "sign": 1.9, "label": 1}]}),
+        (RotDecomp.from_json, {"labels": 1, "tokens": [{"kind": "rotation", "sign": -1.2, "label": 1}]}),
+        (RotDecomp.from_json, {"labels": 1, "tokens": [{"kind": "rotation", "sign": 1, "label": "1"}]}),
+        (RotDecomp.from_json, {"labels": 2, "tokens": [{"kind": "crossing", "sign": True, "over": 1, "under": 2}]}),
+        (RotDecomp.from_json, {"labels": 2, "tokens": [{"kind": "crossing", "sign": 1, "over": 1.0, "under": 2}]}),
+        (RotDecomp.from_json, {"labels": 1.5, "tokens": []}),
+        (OrientedGaussCode.from_json, {"passes": [[1.5, "over"], [1, "under"]], "signs": {"1": 1}}),
+        (OrientedGaussCode.from_json, {"passes": [["1", "over"], [1, "under"]], "signs": {"1": 1}}),
+        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [True, "under"]], "signs": {"1": 1}}),
+        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {"1": -1.2}}),
+        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {"1": "-1"}}),
+        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {"1.0": 1}}),
+        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {" 1": 1}}),
     ],
     ids=[
         "decomp-empty",
@@ -288,6 +308,19 @@ def test_code_json_round_trip():
         "code-no-signs",
         "code-signs-not-object",
         "code-id-not-int",
+        "decomp-sign-float",
+        "decomp-sign-negative-float",
+        "decomp-label-string",
+        "decomp-sign-bool",
+        "decomp-over-float",
+        "decomp-labels-float",
+        "code-id-float",
+        "code-id-string",
+        "code-id-bool",
+        "code-sign-float",
+        "code-sign-string",
+        "code-sign-key-float",
+        "code-sign-key-space",
     ],
 )
 def test_diagram_json_errors_are_typed(load, data):

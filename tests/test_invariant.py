@@ -3,7 +3,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotoidal import algebra, invariant
@@ -16,6 +16,7 @@ from knotoidal.diagram import (
     insert_rotation_pair,
     parse_decomposition,
     reverse_decomposition,
+    table_rows,
 )
 from knotoidal.errors import (
     CapsMismatch,
@@ -28,7 +29,7 @@ from knotoidal.invariant import _crossing_terms, compare, epsilon_coefficient, e
 from knotoidal.series import Caps
 
 from algebra_reference import reference_context
-from decomp_strategies import small_decomposition_st
+from decomp_strategies import rotations_inside_crossings_st, small_decomposition_st
 from invariant_reference import reference_evaluate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -189,6 +190,36 @@ def test_walk_matches_fraction_walker_on_fixtures():
     for name, (_, decomp) in fixtures().items():
         value = evaluate_Z(decomp, caps)
         assert value.element.to_json() == reference_evaluate(decomp, caps).to_json(), name
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(d=rotations_inside_crossings_st())
+@example(d=parse_decomposition("labels 5; R+ 1 5; C+ 2; R- 3 4"))
+@example(d=parse_decomposition("labels 6; R- 6 1; C+ 2; R+ 3 5; C- 4"))
+@example(d=parse_decomposition("labels 7; R- 1 7; C- 2; R+ 3 6; C- 4; C- 5"))
+def test_walk_matches_fraction_walker_with_rotations_inside_crossings(caps, d):
+    # the walk twists each state where a rotation sits and deposits the net
+    # rotation once at the end; the Fraction walker deposits each in place
+    assert evaluate_Z(d, caps).element.to_json() == reference_evaluate(d, caps).to_json()
+
+
+def test_chain_value_is_the_product_of_the_values():
+    caps, fx = Caps(1, 3), fixtures()
+    for first, second, _ in table_rows():
+        if first in fx:
+            a, b = fx[first][1], fx[second][1]
+            for x, y in ((a, b), (b, a)):
+                value = evaluate_Z(chain_decompositions(x, y), caps).element
+                assert value == evaluate_Z(y, caps).element * evaluate_Z(x, caps).element
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=small_decomposition_st(max_slots=6), b=small_decomposition_st(max_slots=6))
+def test_chain_value_is_the_product_on_random_pairs(a, b):
+    caps = Caps(1, 3)
+    value = evaluate_Z(chain_decompositions(a, b), caps).element
+    assert value == evaluate_Z(b, caps).element * evaluate_Z(a, caps).element
 
 
 @settings(max_examples=20, deadline=None)

@@ -361,11 +361,23 @@ def _rep_payload() -> dict:
     [
         ("caps", lambda data: data.pop("caps")),
         ("dim", lambda data: data.update(dim="x")),
+        ("dim", lambda data: data.update(dim=2.7)),
+        ("dim", lambda data: data.update(dim=True)),
+        ("dim", lambda data: data.update(dim="2")),
         ("R", lambda data: data["R"].__setitem__(0, {"0,0": "1"})),
         ("h", lambda data: data["h"].__setitem__(1, 7)),
         ("eta", lambda data: data.pop("eta")),
     ],
-    ids=["no-caps", "dim-not-int", "R-row-not-list", "h-row-not-list", "no-eta"],
+    ids=[
+        "no-caps",
+        "dim-not-int",
+        "dim-float",
+        "dim-bool",
+        "dim-string",
+        "R-row-not-list",
+        "h-row-not-list",
+        "no-eta",
+    ],
 )
 def test_rep_json_errors_are_typed_and_name_the_key(key, change):
     data = _rep_payload()
