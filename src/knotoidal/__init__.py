@@ -1,95 +1,18 @@
 """Exact quantum invariants of biframed planar knotoids, and knot measures
-of open 3D curves estimated by randomized projection."""
+of open 3D curves estimated by randomized projection.
 
-from .algebra import (
-    DElement,
-    DTensor,
-    antipode,
-    r_inverse,
-    r_matrix,
-    rotation_element,
-)
-from .diagram import (
-    Biframing,
-    Crossing,
-    OrientedGaussCode,
-    RotDecomp,
-    Rotation,
-    chain_decompositions,
-    fixtures,
-    parse_decomposition,
-    parse_gauss_code,
-    reverse_decomposition,
-    table_rows,
-    writhe,
-)
-from .diagram import insert_r2_pair, insert_rotation_pair
-from .invariant import Comparison, InvariantValue, compare, epsilon_coefficient, evaluate_Z
-from .measure import (
-    MeasureEstimate,
-    OpenCurve3D,
-    ProjectionResult,
-    builtin_curve_path,
-    class_label,
-    dominant_knotoid,
-    estimate_measure,
-    knot_to_knotoid,
-    load_curve,
-    perturbed,
-    project,
-    sample_directions,
-    simplify_gauss,
-)
-from .rt import EndpointVectors, RepData, derive_rep, recovery_check, rt_evaluate
-from .series import Caps, ScalarSeries, q_factorial
+The top level holds only the calls of README's Python API; every other
+public name is imported from the module that defines it.
+"""
+
+from .diagram import fixtures, reverse_decomposition
+from .invariant import compare, evaluate_Z
+from .measure import dominant_knotoid, estimate_measure, load_curve
+from .series import Caps
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Biframing",
-    "Caps",
-    "Comparison",
-    "Crossing",
-    "DElement",
-    "DTensor",
-    "EndpointVectors",
-    "InvariantValue",
-    "MeasureEstimate",
-    "OpenCurve3D",
-    "OrientedGaussCode",
-    "ProjectionResult",
-    "RepData",
-    "RotDecomp",
-    "Rotation",
-    "ScalarSeries",
-    "antipode",
-    "builtin_curve_path",
-    "chain_decompositions",
-    "class_label",
-    "compare",
-    "derive_rep",
-    "dominant_knotoid",
-    "epsilon_coefficient",
-    "estimate_measure",
-    "evaluate_Z",
-    "fixtures",
-    "insert_r2_pair",
-    "insert_rotation_pair",
-    "knot_to_knotoid",
-    "load_curve",
-    "parse_decomposition",
-    "parse_gauss_code",
-    "perturbed",
-    "project",
-    "q_factorial",
-    "r_inverse",
-    "r_matrix",
-    "recovery_check",
-    "reverse_decomposition",
-    "rotation_element",
-    "rt_evaluate",
-    "sample_directions",
-    "simplify_gauss",
-    "table_rows",
-    "writhe",
+    "Caps", "compare", "dominant_knotoid", "estimate_measure",
+    "evaluate_Z", "fixtures", "load_curve", "reverse_decomposition",
 ]

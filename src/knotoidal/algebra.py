@@ -61,6 +61,8 @@ from .series import (
     Caps,
     ScalarSeries,
     SDict,
+    _json_coeff,
+    _json_int,
     _sadd_into,
     _smul,
     _sscale,
@@ -538,19 +540,14 @@ class DElement(_Terms):
             caps = Caps.from_json(data["caps"])
             terms: EDict = {}
             for item in data["terms"]:
-                mon, degree = tuple(item["monomial"]), (item["eps"], item["hbar"])
-                if len(mon) != 4 or not _naturals(mon):
-                    raise ParseError(f"monomial {item['monomial']!r} is not 4 non-negative ints")
-                if not _naturals(degree):
-                    raise ParseError(f"degree {degree!r} is not 2 non-negative ints")
-                terms.setdefault(mon, {})[degree] = Fraction(item["coeff"])
+                mon = tuple(map(_json_int, item["monomial"]))
+                degree = (_json_int(item["eps"]), _json_int(item["hbar"]))
+                if len(mon) != 4 or min(mon + degree) < 0:
+                    raise ParseError(f"term {item!r} needs 4 exponents and 2 degrees, all >= 0")
+                terms.setdefault(mon, {})[degree] = _json_coeff(item["coeff"])
             return cls(caps, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad element JSON: {exc!r}") from exc
-
-
-def _naturals(values) -> bool:
-    return all(type(v) is int and v >= 0 for v in values)
 
 
 def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:

@@ -20,7 +20,7 @@ from .diagram import (
     table_rows,
     writhe,
 )
-from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange, KnotoidalError
+from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange, InvalidArgument, KnotoidalError
 from .invariant import compare, epsilon_coefficient, evaluate_Z
 from .measure import ZMEAN_CAPS, dominant_knotoid, estimate_measure, load_curve
 from .series import Caps
@@ -29,10 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_CAPS = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load_decomposition(fixture: str | None, file: str | None) -> tuple[str, RotDecomp]:
@@ -123,10 +119,6 @@ def cmd_table(args, caps: Caps) -> int:
 
 
 def cmd_measure(args, caps: Caps) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if args.tol <= 0:
-        raise UsageError("--tol must be positive")
     curve = load_curve(args.file)
     estimate = estimate_measure(
         curve, args.samples, seed=args.seed, tol=args.tol, phi=args.phi, caps=caps
@@ -204,11 +196,9 @@ def _caps(args) -> Caps:
     eps, hbar = args.eps_order, args.hbar_order
     if args.command == "measure":
         if args.phi != "zmean" and (eps, hbar) != (None, None):
-            raise UsageError("--eps-order and --hbar-order apply only to --phi zmean")
+            raise InvalidArgument("--eps-order and --hbar-order apply only to --phi zmean")
         eps = ZMEAN_CAPS.eps_order if eps is None else eps
         hbar = ZMEAN_CAPS.hbar_order if hbar is None else hbar
-    if eps < 0 or hbar < 0:
-        raise UsageError("orders must be non-negative")
     return Caps(eps, hbar)
 
 
@@ -224,7 +214,7 @@ def main(argv=None) -> int:
             "measure": cmd_measure,
         }[args.command]
         return handler(args, caps)
-    except UsageError as exc:
+    except InvalidArgument as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CapsMismatch, CapsTooCostly, DegreeOutOfRange) as exc:

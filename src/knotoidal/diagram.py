@@ -24,6 +24,7 @@ from .errors import (
     SignCountMismatch,
     UnknownFixture,
 )
+from .series import _json_int
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,6 @@ class Biframing:
 
     framing: int
     coframing: int
-
-
-def _json_int(value, key: bool = False) -> int:
-    """A JSON int, or with ``key`` a decimal string; all else raises :class:`ParseError`."""
-    if key and isinstance(value, str) and value.isascii() and value.isdecimal():
-        return int(value)
-    if key or type(value) is not int:
-        raise ParseError(f"expected an integer{' key' if key else ''}, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +44,12 @@ class OrientedGaussCode:
     __slots__ = ("passes", "signs")
 
     def __init__(self, passes, signs):
-        passes = tuple((int(cid), role) for cid, role in passes)
-        signs = {int(cid): int(sign) for cid, sign in signs.items()}
+        passes = tuple((cid, role) for cid, role in passes)
+        signs = dict(signs)
         seen: dict[int, set] = {}
         for cid, role in passes:
-            if cid <= 0:
-                raise MalformedToken(f"crossing id must be positive, got {cid}")
+            if type(cid) is not int or cid <= 0:
+                raise MalformedToken(f"crossing id must be a positive int, got {cid!r}")
             if role not in ("over", "under"):
                 raise MalformedToken(f"bad pass role {role!r}")
             seen.setdefault(cid, set())
@@ -74,6 +66,8 @@ class OrientedGaussCode:
                 f"signs given for {sorted(signs)} but crossings are {sorted(seen)}"
             )
         for cid, sign in signs.items():
+            if type(cid) is not int or type(sign) is not int:
+                raise MalformedToken(f"crossing id and sign must be ints, got {cid!r}: {sign!r}")
             if sign not in (1, -1):
                 raise SignCountMismatch(f"sign of crossing {cid} must be +1 or -1")
         self.passes = passes
@@ -208,22 +202,24 @@ class RotDecomp:
     __slots__ = ("labels", "tokens")
 
     def __init__(self, labels: int, tokens):
+        if type(labels) is not int:
+            raise MalformedToken(f"label count must be an int, got {labels!r}")
         if labels < 1:
             raise LabelOutOfRange("a decomposition needs at least one label")
         used = set()
         toks = []
         for tok in tokens:
             if isinstance(tok, Crossing):
-                if type(tok.sign) is not int or tok.sign not in (1, -1):
-                    raise MalformedToken(f"bad crossing sign {tok.sign}")
                 slots = (tok.over, tok.under)
             elif isinstance(tok, Rotation):
-                if type(tok.sign) is not int or tok.sign not in (1, -1):
-                    raise MalformedToken(f"bad rotation sign {tok.sign}")
                 slots = (tok.label,)
             else:
                 raise MalformedToken(f"unknown token {tok!r}")
+            if type(tok.sign) is not int or tok.sign not in (1, -1):
+                raise MalformedToken(f"bad {type(tok).__name__.lower()} sign {tok.sign!r}")
             for lab in slots:
+                if type(lab) is not int:
+                    raise MalformedToken(f"label {lab!r} is not an int")
                 if not 1 <= lab <= labels:
                     raise LabelOutOfRange(f"label {lab} outside 1..{labels}")
                 if lab in used:

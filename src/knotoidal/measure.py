@@ -294,10 +294,10 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     Raises :class:`DegenerateDirection` for the measure-zero bad directions;
     callers sampling the sphere catch it and count a rejection.
     """
-    if tol <= 0:
-        raise InvalidArgument("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidArgument("tol must be positive and finite")
     norm = math.sqrt(sum(c * c for c in direction))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # also false for a nan component
         raise InvalidArgument("direction must be a unit vector within 1e-12")
     e1, e2 = _plane_basis(direction)
     pts2 = tuple(
@@ -632,9 +632,9 @@ def estimate_measure(
     caps: Caps = ZMEAN_CAPS,
 ) -> MeasureEstimate:
     """Empirical class frequencies (and optionally invariant means) over
-    ``n`` uniformly sampled projection directions."""
-    if n < 1:
-        raise InvalidArgument("need at least one sample")
+    ``n`` uniformly sampled projection directions; ``project`` checks ``tol``."""
+    if type(n) is not int or n < 1:
+        raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
     if phi not in ("classes", "zmean"):
         raise InvalidArgument(f"unknown phi {phi!r}")
     directions = sample_directions(seed, n)

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DElement, r_matrix, rotation_element
-from .diagram import RotDecomp, _json_int
+from .diagram import RotDecomp
 from .errors import CapsMismatch, DimensionMismatch, NotInvertible, ParseError
-from .series import Caps, ScalarSeries
+from .series import Caps, ScalarSeries, _json_int
 
 Matrix = list[list[ScalarSeries]]
 
@@ -70,8 +70,8 @@ def matrix_inverse(A: Matrix) -> Matrix:
     the constant-term matrix is singular, and then ``A`` has no inverse.
     """
     n = len(A)
-    if any(len(row) != n for row in A):
-        raise DimensionMismatch("only a square matrix has an inverse")
+    if not A or any(len(row) != n for row in A):
+        raise DimensionMismatch("only a non-empty square matrix has an inverse")
     identity = matrix_identity(A[0][0].caps, n)
     work = [A[r] + identity[r] for r in range(n)]
     for col in range(n):

@@ -59,6 +59,22 @@ class Caps:
         return 0 <= e <= self.eps_order and 0 <= h <= self.hbar_order
 
 
+def _json_int(value, key: bool = False) -> int:
+    """A JSON int, or with ``key`` an ASCII decimal string; all else raises :class:`ParseError`."""
+    if key and isinstance(value, str) and value.isascii() and value.isdecimal():
+        return int(value)
+    if key or type(value) is not int:
+        raise ParseError(f"expected an integer{' key' if key else ''}, got {value!r}")
+    return value
+
+
+def _json_coeff(value) -> Fraction:
+    """A coefficient: a string, as ``to_json`` writes it, or a JSON int."""
+    if type(value) not in (str, int):
+        raise ParseError(f"expected a coefficient string or integer, got {value!r}")
+    return Fraction(value)
+
+
 def require_same_caps(a, b):
     if a.caps != b.caps:
         raise CapsMismatch(f"{a.caps} vs {b.caps}")
@@ -279,12 +295,12 @@ class ScalarSeries:
     @classmethod
     def from_json(cls, caps: Caps, data: dict) -> "ScalarSeries":
         coeffs: SDict = {}
-        for key, sval in data.items():
-            try:
-                e, h = (int(p) for p in key.split(","))
-                coeffs[(e, h)] = Fraction(sval)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"bad series term {key!r}: {sval!r}") from exc
+        try:
+            for key, sval in data.items():
+                e, h = (_json_int(p, key=True) for p in key.split(","))
+                coeffs[(e, h)] = _json_coeff(sval)
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad series JSON: {exc!r}") from exc
         return cls(caps, coeffs)
 
 

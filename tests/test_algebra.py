@@ -277,6 +277,8 @@ def test_element_rendering_canonical(caps14):
         lambda data: data["terms"][0].update(hbar=0.0),
         lambda data: data["terms"][0].update(monomial=[-1, 0, 0, 0]),
         lambda data: data["caps"].update(eps_order=1.5),
+        lambda data: data["terms"][0].update(coeff=True),
+        lambda data: data["terms"][0].update(coeff=1.5),
     ],
     ids=[
         "coeff",
@@ -288,6 +290,8 @@ def test_element_rendering_canonical(caps14):
         "float-degree",
         "negative-exponent",
         "float-cap",
+        "bool-coeff",
+        "float-coeff",
     ],
 )
 def test_element_json_errors_are_typed(caps14, change):

@@ -1,9 +1,13 @@
 """End-to-end CLI tests via subprocess."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
+from knotoidal.cli import build_parser
 from knotoidal.measure import builtin_curve_path, estimate_measure, load_curve
 
 SEGMENT = "0 0 0\n1 2 3\n"
@@ -216,6 +220,27 @@ def test_measure_zero_samples_usage_error(tmp_path):
     result = run_cli("measure", "--file", str(curve), "--samples", "0")
     assert result.returncode == 1
     assert "usage error" in result.stderr
+
+
+def test_measure_non_finite_tol_is_a_usage_error():
+    for tol in ("nan", "inf"):
+        result = run_cli("measure", "--file", builtin_curve_path("open_trefoil"), "--tol", tol)
+        assert result.returncode == 1, tol
+        assert "usage error" in result.stderr
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (subcommands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{command} {option}"
+        for command, parser in subcommands.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(rf"{re.escape(option)}(?![\w-])", readme)
+    ]
+    assert missing == []
 
 
 def test_measure_classes_rejects_order_flags(tmp_path):

@@ -7,11 +7,16 @@ dead code.  Likewise each method or property of a class there must appear as
 ``.name`` outside its own definition, and so must each field of a
 ``@dataclass``.  Dunder names (``__all__``,
 ``__version__``, ``__init__``) are exempt.
+
+The top level ``knotoidal`` re-exports exactly the names README imports
+from it, so the package surface cannot grow back with unused aliases.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import knotoidal
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "knotoidal"
@@ -84,3 +89,21 @@ def test_every_method_is_used():
 
 def test_every_dataclass_field_is_used():
     assert _unreferenced(_fields, r"\.") == []
+
+
+def test_top_level_exports_only_readme_api():
+    readme = (ROOT / "README.md").read_text()
+    documented = [
+        name.strip()
+        for names in re.findall(r"^from knotoidal import (.+)$", readme, re.M)
+        for name in names.split(",")
+    ]
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(knotoidal.__all__) == sorted(documented)
+    assert set(knotoidal.__all__) <= bound

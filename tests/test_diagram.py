@@ -122,6 +122,34 @@ def test_token_signs_must_be_int(token):
         RotDecomp(2, [token])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RotDecomp(2, [Rotation(1, 1.5)]),
+        lambda: RotDecomp(2.0, [Rotation(1, 1)]),
+        lambda: RotDecomp(2, [Crossing(1, True, 2)]),
+        lambda: OrientedGaussCode([(1.5, "over"), (1, "under")], {1: -1.2}),
+        lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: -1.2}),
+        lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: True}),
+        lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1.0: 1}),
+    ],
+    ids=[
+        "decomp-label-float",
+        "decomp-labels-float",
+        "decomp-label-bool",
+        "code-id-float",
+        "code-sign-float",
+        "code-sign-bool",
+        "code-sign-key-float",
+    ],
+)
+def test_constructors_take_only_int_labels_ids_and_signs(make):
+    # int() would truncate 1.5 to 1 and -1.2 to -1, and a float label would
+    # render a decomposition that parse_decomposition cannot read back
+    with pytest.raises(MalformedToken):
+        make()
+
+
 def test_fixtures_complete_and_consistent():
     fx = fixtures()
     assert set(fx) == {"5_7", "5_421", "5_9", "5_561", "5_12", "5_593"}

@@ -570,8 +570,26 @@ def test_estimate_validation(trefoil):
         lambda curve: project(curve, (0.0, 0.0, 1.0), 0.0),
         lambda curve: project(curve, (0.0, 0.0, 1.0), -TOL),
         lambda curve: project(curve, (0.0, 0.0, 0.5), TOL),
+        lambda curve: estimate_measure(curve, 2.5),
+        lambda curve: estimate_measure(curve, True),
+        lambda curve: estimate_measure(curve, 10, tol=math.nan),
+        lambda curve: estimate_measure(curve, 10, tol=math.inf),
+        lambda curve: project(curve, (0.0, 0.0, 1.0), math.nan),
+        lambda curve: project(curve, (math.nan, 0.0, 0.0), TOL),
     ],
-    ids=["no-samples", "unknown-phi", "zero-tol", "negative-tol", "non-unit-direction"],
+    ids=[
+        "no-samples",
+        "unknown-phi",
+        "zero-tol",
+        "negative-tol",
+        "non-unit-direction",
+        "float-samples",
+        "bool-samples",
+        "nan-tol",
+        "inf-tol",
+        "project-nan-tol",
+        "nan-direction",
+    ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):
     with pytest.raises(InvalidArgument):

@@ -395,6 +395,14 @@ def test_rep_json_bad_caps_name_the_key(caps):
         load_rep_json(data)
 
 
+def test_rep_json_empty_h_without_inverse_is_a_dimension_mismatch():
+    data = _rep_payload()
+    data["h"] = []
+    del data["h_inv"]
+    with pytest.raises(DimensionMismatch):
+        load_rep_json(data)
+
+
 def test_rep_json_h_inverse_is_optional():
     rep = derive_rep(CAPS, rho_dim2())
     ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])

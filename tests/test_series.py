@@ -186,3 +186,36 @@ def test_render_and_json_round_trip():
     s = series({(0, 0): 1, (1, 2): Fraction(-3, 4)})
     assert s.render() == "1 + -3/4*eps*hbar^2"
     assert ScalarSeries.from_json(CAPS, s.to_json()) == s
+    assert ScalarSeries.from_json(CAPS, {"0,1": -2}) == series({(0, 1): -2})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"\u0661,0": "1"},
+        {" 0 , 1": "1"},
+        {"0,1_0": "1"},
+        {"0": "1"},
+        {"0,0": True},
+        {"0,0": 1.5},
+        {"0,0": None},
+        {"0,0": "x"},
+        ["0,0"],
+        "0,0",
+    ],
+    ids=[
+        "key-arabic-indic-digit",
+        "key-spaces",
+        "key-underscore",
+        "key-one-degree",
+        "coeff-bool",
+        "coeff-float",
+        "coeff-null",
+        "coeff-not-a-number",
+        "list",
+        "string",
+    ],
+)
+def test_series_json_errors_are_typed(data):
+    with pytest.raises(ParseError):
+        ScalarSeries.from_json(CAPS, data)
