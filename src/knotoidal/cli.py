@@ -34,7 +34,7 @@ EXIT_CAPS = 3
 def _load_decomposition(fixture: str | None, file: str | None) -> tuple[str, RotDecomp]:
     if fixture is not None:
         return fixture, fixture_decomposition(fixture)
-    with open(file) as handle:
+    with open(file, encoding="utf-8") as handle:
         return file, parse_decomposition(handle.read())
 
 

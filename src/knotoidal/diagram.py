@@ -24,7 +24,7 @@ from .errors import (
     SignCountMismatch,
     UnknownFixture,
 )
-from .series import _json_int
+from .series import _ascii_number, _json_int
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def parse_gauss_code(text: str) -> OrientedGaussCode:
             raise MalformedToken(f"number {tok!r} after sign block")
         else:
             try:
-                num_tokens.append(int(tok))
+                num_tokens.append(_ascii_number(tok))
             except ValueError:
                 raise MalformedToken(f"bad token {tok!r}") from None
     if any(n == 0 for n in num_tokens):
@@ -339,7 +339,7 @@ def parse_decomposition(text: str) -> RotDecomp:
     if len(header) != 2 or header[0] != "labels":
         raise MalformedToken(f"expected 'labels L' header, got {chunks[0]!r}")
     try:
-        labels = int(header[1])
+        labels = _ascii_number(header[1])
     except ValueError:
         raise MalformedToken(f"bad label count {header[1]!r}") from None
     tokens = []
@@ -347,7 +347,7 @@ def parse_decomposition(text: str) -> RotDecomp:
         parts = chunk.split()
         kind = parts[0]
         try:
-            args = [int(p) for p in parts[1:]]
+            args = [_ascii_number(p) for p in parts[1:]]
         except ValueError:
             raise MalformedToken(f"bad token arguments in {chunk!r}") from None
         if kind in ("R+", "R-") and len(args) == 2:

@@ -19,21 +19,29 @@ hbar^d, so any combination whose total budget exceeds the cap dies by scalar
 truncation and is pruned.  The number of admissible combinations grows
 polynomially in the crossing count at fixed caps.
 
-The walk carries integer terms, not rational series.  A state maps
-``(monomial, e, h)`` to ``c * L**h`` for the exact coefficient ``c``, at the
-scale ``L = 2 * lcm(1, ..., N+1)`` of the rewriting tables of
+The walk carries integer terms, not rational series.  A state maps the
+packed key of ``(monomial, e, h)`` to ``c * L**h`` for the exact coefficient
+``c``, at the scale ``L = 2 * lcm(1, ..., N+1)`` of the rewriting tables of
 :mod:`knotoidal.algebra`, which already hold integer terms.  The other
 inputs of the walk are integers once scaled too: a crossing's scalar, and a
 rotation element, which carries ``1/(2**h * h!)`` and so needs the factor 2
 of ``L`` (the tests check every input for eps caps 0-2 and hbar caps 0-8).
-Each deposit is scaled once, when it is built, and its rows are filled from
-the tables in integer arithmetic, each once, to the h-degree that a degree
-bound gives for its deepest read.  Scaled terms stay scaled under products
-because ``L**a * L**b == L**(a+b)``, so a walk step is one degree check and one
-integer multiply, neither the walk nor the fill takes a gcd, and the result
-is divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling a
-coefficient that is not integral raises :class:`NonIntegralScale`; nothing
-is ever rounded.
+Each deposit is scaled once, when it is built, and its rows are filled in
+integer arithmetic, each once, to the h-degree that a degree bound gives for
+its deepest read.  Scaled terms stay scaled under products because
+``L**a * L**b == L**(a+b)``, so a walk step is one degree check, one integer
+add for the key and one integer multiply, neither the walk nor the fill
+takes a gcd, and the result is divided back to ``Fraction(c, L**h)`` once,
+at the end.  Scaling a coefficient that is not integral raises
+:class:`NonIntegralScale`; nothing is ever rounded.
+
+A key is one int, ``id(mon) * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``
+and ``id`` the monomial's index in :class:`_WalkTables`.  While ``e <= K``
+and ``h <= N`` the fields do not carry, so a product term's key is the row
+term's key plus the state term's ``e * (N+1) + h``, and no tuple is built or
+hashed.  Keys are decoded back to monomials only when the result is built.
+Each crossing term is its own deposit, its scalar folded into its rows, so
+an open step reads each state once for all the crossing terms it reaches.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -51,7 +59,6 @@ from .algebra import (
     EDict,
     Mon,
     UNIT_MON,
-    _Context,
     get_context,
     r_inverse,
     r_matrix,
@@ -59,7 +66,7 @@ from .algebra import (
 )
 from .diagram import RotDecomp
 from .errors import CapsMismatch, CapsTooCostly
-from .series import Caps, _sadd_into, _smul
+from .series import Caps, _smul
 
 
 @dataclass(frozen=True)
@@ -96,95 +103,147 @@ def _crossing_terms(caps: Caps):
     }
 
 
+_UNIT_SD = {(0, 0): 1}
+
+
+def _row_budget(N: int, dmon: Mon, mon: Mon) -> int:
+    """The h-degree a monomial deposit ``dmon`` fills its row at ``mon`` to."""
+    return N - (sum(dmon) + sum(mon) + 1) // 2
+
+
 class _Deposit:
     """An element the walk multiplies onto the left of the running product.
 
-    ``rows[mon]`` is this element times ``mon`` in normal form, as one flat
-    tuple of integer terms ``h, e, monomial, c * L**h`` sorted by h, so a
-    walk step stops at the first term past its budget.  A monomial's row is
-    the product from :meth:`_Context.product`; a rotation's multiplies its
-    scaled ``terms`` with those.  The rows are the only memo of both.
+    The element is a sum of parts ``scalar * D``, D a monomial.  ``rows[i]``
+    is the element times the monomial of id ``i`` in normal form, as one flat
+    tuple of integer terms ``h, e, key, c * L**h`` sorted by h, so a walk
+    read stops at the first term past its budget; ``key`` packs the term's
+    ``(monomial, e, h)``.  ``low`` is the lowest h-degree of the scalars.
+    The rows are the only memo of the walk's products.
 
-    A row is filled once, to ``N - ceil((deg D + deg M) / 2)``, where deg is
-    the total exponent, D the lowest monomial of ``terms`` (the unit for a
-    rotation) and M the row's monomial.  No read asks for more.  Every term
-    (mon, e, h) of a product m1*m2 has deg mon + e <= deg m1 + deg m2 + 2h;
-    of R and R^-1, deg m1 + deg m2 + e <= 2h and deg m1, deg m2 <= h; of a
-    rotation, deg + e <= 2h.  So a state term at hbar^h with main monomial M
-    and pending P has 2h >= deg M + deg P.  A rotation read, or a close read
-    on P = D, asks for N - h; an open read, whose scalar starts at
-    hbar^(deg D), asks for N - deg D - h.
+    A bare monomial D (one part, unit scalar) fills its row at M from
+    :meth:`_Context.product`, once, to ``B = N - ceil((deg D + deg M) / 2)``,
+    deg the total exponent.  Any other deposit, a crossing term or a rotation
+    element, is folded: its row at M is the sum over its parts of
+    ``scalar * row_D(M)``, read off the row of D's own bare deposit.  A
+    scalar term at ``hbar^s``, ``s >= d`` for the scalar's lowest degree d,
+    meets row terms at ``hbar^(t-s)``, ``t - s <= B``, so the folded row is
+    exact to ``hbar^(d+B)``; it is kept to ``min(N, d + B)``, the least
+    over its parts.
+
+    No read asks for more.  Every term (mon, e, h) of a product m1*m2 has
+    deg mon + e <= deg m1 + deg m2 + 2h; of R and R^-1, deg m1 + deg m2 + e
+    <= 2h and deg m1, deg m2 <= h; of a rotation, deg + e <= 2h.  So a state
+    term at hbar^h with main monomial M and pending P has 2h >= deg M +
+    deg P, and a read asks for ``N - h``.  A close read, on P = D, needs
+    ``N - h <= B``.  A folded read needs ``N - h - d <= B``, that is
+    ``h + d >= ceil((deg D + deg M) / 2)``: for a crossing term d >= deg D
+    and h >= deg M / 2; for a rotation d >= deg D / 2 and, on the final
+    state, which has no pending, h >= deg M / 2.
     """
 
-    __slots__ = ("terms", "rows", "ctx")
+    __slots__ = ("tables", "parts", "low", "rows")
 
-    def __init__(self, terms: EDict, ctx: _Context):
-        self.terms = {mon: ctx.scaled(sd) for mon, sd in terms.items()}
-        self.rows: dict[Mon, tuple] = {}
-        self.ctx = ctx
+    def __init__(self, tables: _WalkTables, terms: EDict):
+        self.tables = tables
+        self.parts = [(mon, tables.ctx.scaled(sd)) for mon, sd in terms.items()]
+        self.low = min(h for _, sd in self.parts for _, h in sd)
+        self.rows: dict[int, tuple] = {}
 
-    def fill(self, mon: Mon) -> tuple:
-        ctx = self.ctx
-        budget = ctx.N - (min(map(sum, self.terms)) + sum(mon) + 1) // 2
-        (fmon, fsd), *more = self.terms.items()
-        if not more and fsd == {(0, 0): 1}:  # a monomial: its row is the product
-            acc = ctx.product(fmon, mon, budget)
+    def row(self, mid: int) -> tuple:
+        row = self.rows.get(mid)
+        return self.fill(mid) if row is None else row
+
+    def fill(self, mid: int) -> tuple:
+        tables = self.tables
+        ctx, mon, key = tables.ctx, tables.mons[mid], tables.key
+        K, N, S = ctx.K, ctx.N, tables.S
+        (dmon, dsd), *more = self.parts
+        if not more and dsd == _UNIT_SD:
+            product = ctx.product(dmon, mon, _row_budget(N, dmon, mon))
+            terms = [(h, e, key(pmon, e, h), c) for pmon, sd in product.items() for (e, h), c in sd.items()]
         else:
-            acc = {}
-            for fmon, fsd in self.terms.items():
-                for pmon, psd in ctx.product(fmon, mon, budget).items():
+            depth = min(N, *(min(h for _, h in sd) + _row_budget(N, d, mon) for d, sd in self.parts))
+            acc: dict[int, int] = {}
+            for dmon, dsd in self.parts:
+                unpacked: dict[int, dict] = {}
+                it = iter(tables.monomial(dmon).row(mid))
+                for ph, pe, pkey, pc in zip(it, it, it, it):
+                    unpacked.setdefault(pkey - pkey % S, {})[pe, ph] = pc
+                for base, psd in unpacked.items():
                     # looked up in this module, where perfbench/layers.py counts it
-                    scal = _smul(fsd, psd, ctx.K, budget)
-                    if scal:
-                        _sadd_into(acc.setdefault(pmon, {}), scal)
-        terms = sorted((h, e, pmon, c) for pmon, sd in acc.items() for (e, h), c in sd.items())
-        row = self.rows[mon] = tuple(chain.from_iterable(terms))
+                    for (e, h), c in _smul(dsd, psd, K, depth).items():
+                        k = base + e * (N + 1) + h
+                        acc[k] = acc.get(k, 0) + c
+            terms = [(k % (N + 1), k % S // (N + 1), k, c) for k, c in acc.items() if c]
+        row = self.rows[mid] = tuple(chain.from_iterable(sorted(terms)))
         return row
 
 
 class _WalkTables:
-    """Per-caps deposits of the walk, as integer terms at the tables' scale.
+    """Per-caps deposits of the walk, and the monomial ids of its keys.
 
-    A crossing term deposits a single monomial times a scalar; its rows are
-    those of the monomial alone, shared with every other term and with the
-    closing deposit on that monomial, and the scalar's integer terms
-    ``(h, e, c * L**h)`` are applied during the walk.  A rotation step only
-    twists; a whole rotation element is deposited on the final state alone.
+    ``mons[i]`` is the monomial of id i, given when a row first holds it;
+    a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``.  Bare
+    monomial deposits are shared by the closing deposits and by the folded
+    deposits of crossing terms and rotations.
+    ``crossing[sign, over_first]`` lists ``(low, deposit, pending)`` for each
+    term of R (sign 1) or R^-1 (sign -1), sorted by low: ``deposit`` is the
+    factor the walk multiplies on now, with the scalar folded in (the unit
+    term's is the bare unit monomial), ``pending`` the factor that waits.  A
+    rotation step only twists; a whole rotation element is deposited on the
+    final state alone.
     """
 
     def __init__(self, caps: Caps):
         self.caps = caps
         self.ctx = get_context(caps)
+        self.S = (caps.eps_order + 1) * (caps.hbar_order + 1)
+        self.ids: dict[Mon, int] = {}
+        self.mons: list[Mon] = []
         self.monomials: dict[Mon, _Deposit] = {}
-        self.rotation = {s: _Deposit(rotation_element(s, caps).raw(), self.ctx) for s in (1, -1)}
-        self.crossing = {
-            sign: [(over, under, self.scalar(sd)) for over, under, sd in terms]
-            for sign, terms in _crossing_terms(caps).items()
-        }
+        self.rotation = {s: _Deposit(self, rotation_element(s, caps).raw()) for s in (1, -1)}
+        self.crossing = {}
+        for sign, terms in _crossing_terms(caps).items():
+            for over_first in (True, False):
+                deposits = []
+                for over, under, sd in terms:
+                    now, pend = (over, under) if over_first else (under, over)
+                    dep = self.monomial(now) if sd == _UNIT_SD else _Deposit(self, {now: sd})
+                    deposits.append((dep.low, dep, pend))
+                self.crossing[sign, over_first] = sorted(deposits, key=lambda t: t[0])
+
+    def key(self, mon: Mon, e: int, h: int) -> int:
+        mid = self.ids.get(mon)
+        if mid is None:
+            mid = self.ids[mon] = len(self.mons)
+            self.mons.append(mon)
+        return mid * self.S + e * (self.ctx.N + 1) + h
 
     def monomial(self, mon: Mon) -> _Deposit:
         dep = self.monomials.get(mon)
         if dep is None:
-            dep = self.monomials[mon] = _Deposit({mon: {(0, 0): 1}}, self.ctx)
+            dep = self.monomials[mon] = _Deposit(self, {mon: _UNIT_SD})
         return dep
 
     def twist(self, main: dict, t: int) -> dict:
-        """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k."""
+        """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k,
+        which adds ``k * (N+2)`` to a key."""
         q, K, N = self.ctx.q_powers[1], self.ctx.K, self.ctx.N
-        for (mon, e, h), c in list(main.items()):
+        for key, c in list(main.items()):
+            e, h = divmod(key % self.S, N + 1)
             for k in range(1, min(K - e, N - h) + 1):
-                main[mon, e + k, h + k] = main.get((mon, e + k, h + k), 0) + c * t**k * q[0, 0, k, k]
+                tk = key + k * (N + 2)
+                main[tk] = main.get(tk, 0) + c * t**k * q[0, 0, k, k]
         return main
 
-    def scalar(self, sd) -> tuple:
-        """A scalar series as integer terms ``(h, e, c * L**h)``, sorted by h."""
-        return tuple(sorted((h, e, c) for (e, h), c in self.ctx.scaled(sd).items()))
-
     def element(self, state: dict) -> DElement:
-        powers = self.ctx.powers
+        powers, mons, S, N1 = self.ctx.powers, self.mons, self.S, self.ctx.N + 1
         terms: EDict = {}
-        for (mon, e, h), c in state.items():
-            terms.setdefault(mon, {})[(e, h)] = Fraction(c, powers[h])
+        for key, c in state.items():
+            mid, r = divmod(key, S)
+            e, h = divmod(r, N1)
+            terms.setdefault(mons[mid], {})[(e, h)] = Fraction(c, powers[h])
         return DElement(self.caps, terms, _trusted=True)
 
 
@@ -218,35 +277,28 @@ def _walk_tables(caps: Caps) -> _WalkTables:
     return tables
 
 
-_UNIT_SCALAR = ((0, 0, 1),)
-
-
-def _deposit(acc: dict, dep: _Deposit, scalar: tuple, main: dict, K: int, N: int) -> None:
-    """Add ``scalar * dep * main`` into ``acc``, all as scaled integer terms."""
-    rows, reach = dep.rows, N - scalar[0][0]
-    for (mmon, me, mh), mc in main.items():
-        if mh > reach:
-            continue
-        row = rows.get(mmon)
-        if row is None:
-            row = dep.fill(mmon)
-        for th, te, tc in scalar:
-            h0 = mh + th
-            if h0 > N:
+def _deposit(targets: list, main: dict, K: int, N: int) -> None:
+    """Add ``dep * main`` into ``acc`` for each ``(low, dep, acc)`` of
+    ``targets``, all as packed integer terms.  Each term of ``main`` is
+    decoded once; ``targets`` are sorted by ``low``, the lowest h-degree of
+    ``dep``, so a term's scan stops at the first deposit it cannot reach."""
+    S, N1 = (K + 1) * (N + 1), N + 1
+    for key, mc in main.items():
+        mid, r = divmod(key, S)
+        reach, emax = N - r % N1, K - r // N1
+        for low, dep, acc in targets:
+            if low > reach:
                 break
-            e0 = me + te
-            if e0 > K:
-                continue
-            c0, budget = mc * tc, N - h0
+            row = dep.rows.get(mid)
+            if row is None:
+                row = dep.fill(mid)
             it = iter(row)
-            for ph, pe, pmon, pc in zip(it, it, it, it):
-                if ph > budget:
+            for ph, pe, pkey, pc in zip(it, it, it, it):
+                if ph > reach:
                     break
-                e = e0 + pe
-                if e > K:
-                    continue
-                key = (pmon, e, h0 + ph)
-                acc[key] = acc.get(key, 0) + c0 * pc
+                if pe <= emax:
+                    pkey += r
+                    acc[pkey] = acc.get(pkey, 0) + mc * pc
 
 
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
@@ -259,8 +311,8 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     tables = _walk_tables(caps)
     K, N = caps.eps_order, caps.hbar_order
     # state: pending monomials, in the order their crossings opened -> main
-    # element, the latter as {(monomial, e, h): coefficient * L**h}
-    states: dict[tuple, dict] = {(): {(UNIT_MON, 0, 0): 1}}
+    # element, the latter as {key of (monomial, e, h): coefficient * L**h}
+    states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
     rotation = 0  # net rotation, deposited once the walk ends
 
     for step in d.walk():
@@ -272,26 +324,23 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
                 new_states[pending] = tables.twist(main, t) if t else main
         elif step[0] == "open":
             _, sign, over_first = step
-            # a crossing term of h-degree d reaches only states with a term
-            # of h-degree at most N - d; closing deposits start at hbar^0
-            # and reach every state
-            lows = [(pending, main, min(h for _, _, h in main)) for pending, main in states.items()]
-            for over_mon, under_mon, scalar in tables.crossing[sign]:
-                now_mon, pend_mon = (
-                    (over_mon, under_mon) if over_first else (under_mon, over_mon)
-                )
-                dep = tables.monomial(now_mon)
-                reach = N - scalar[0][0]
-                for pending, main, low in lows:
-                    if low <= reach:
-                        acc = new_states.setdefault(pending + (pend_mon,), {})
-                        _deposit(acc, dep, scalar, main, K, N)
+            crossing = tables.crossing[sign, over_first]
+            for pending, main in states.items():
+                # a crossing term of h-degree low reaches only the state terms
+                # of h-degree at most N - low
+                reach = N - min(key % (N + 1) for key in main)
+                targets = [
+                    (low, dep, new_states.setdefault(pending + (pend,), {}))
+                    for low, dep, pend in crossing
+                    if low <= reach
+                ]
+                _deposit(targets, main, K, N)
         else:  # close
             slot = step[1]
             for pending, main in states.items():
                 rest = pending[:slot] + pending[slot + 1:]
                 dep = tables.monomial(pending[slot])
-                _deposit(new_states.setdefault(rest, {}), dep, _UNIT_SCALAR, main, K, N)
+                _deposit([(0, dep, new_states.setdefault(rest, {}))], main, K, N)
         states = {}
         for pending, acc in new_states.items():
             main = {key: c for key, c in acc.items() if c}
@@ -302,7 +351,7 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
 
     main = states.get((), {})
     for _ in range(abs(rotation)):
-        _deposit(acc := {}, tables.rotation[1 if rotation > 0 else -1], _UNIT_SCALAR, main, K, N)
+        _deposit([(0, tables.rotation[1 if rotation > 0 else -1], acc := {})], main, K, N)
         main = {key: c for key, c in acc.items() if c}
     return InvariantValue(tables.element(main), caps, _decomposition_fingerprint(d, caps))
 

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .series import Caps
+from .series import Caps, _ascii_number
 
 Vec3 = tuple[float, float, float]
 Vec2 = tuple[float, float]
@@ -89,18 +89,21 @@ def builtin_curve_path(name: str = "open_trefoil") -> str:
 def load_curve(path) -> OpenCurve3D:
     """Load an ``x y z`` per-line text file; blank lines and # comments allowed."""
     points = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected three coordinates")
-            try:
-                points.append(tuple(float(p) for p in parts))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad float") from None
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, 1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split()
+                if len(parts) != 3:
+                    raise ParseError(f"{path}:{lineno}: expected three coordinates")
+                try:
+                    points.append(tuple(_ascii_number(p, float) for p in parts))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad float") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if len(points) < 2:
         raise TooFewPoints(f"{path}: a curve needs at least two points")
     return OpenCurve3D(tuple(points))

@@ -12,6 +12,7 @@ with the noncommutative layer in :mod:`knotoidal.algebra`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
@@ -68,11 +69,33 @@ def _json_int(value, key: bool = False) -> int:
     return value
 
 
+_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _json_coeff(value) -> Fraction:
-    """A coefficient: a string, as ``to_json`` writes it, or a JSON int."""
-    if type(value) not in (str, int):
-        raise ParseError(f"expected a coefficient string or integer, got {value!r}")
-    return Fraction(value)
+    """A coefficient as ``to_json`` writes it, ASCII ``-?digits`` or
+    ``-?digits/digits``, or a JSON int; all else raises :class:`ParseError`.
+
+    ``Fraction`` alone would also read decimals and exponents, and expands an
+    exponent exactly: ``"1e10000000"`` would take seconds.
+    """
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str and _COEFF.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:  # past the int digit limit, or n/0
+            raise ParseError(f"bad coefficient {value!r}: {exc}") from None
+    raise ParseError(f"expected a coefficient string or integer, got {value!r}")
+
+
+def _ascii_number(text: str, kind: type = int):
+    """``kind(text)``, ``int`` or ``float``, for the text loaders: ASCII only
+    and no underscores, so ``"1_0"`` and non-ASCII digits raise
+    ``ValueError`` rather than read as 10 or as their ASCII values."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
 
 
 def require_same_caps(a, b):

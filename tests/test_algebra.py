@@ -373,6 +373,14 @@ def test_product_terms_keep_the_degree_bound(m1, m2, K, N):
         assert all(sum(mon) + e <= sum(m1) + sum(m2) + 2 * h for e, h in sd), mon
 
 
+def _folded_row_reaches_every_read(deg_d: int, d: int, N: int) -> bool:
+    """A folded row of a scalar from hbar^d on a monomial of degree deg_d is
+    exact to hbar^(d + N - ceil((deg_d + deg M) / 2)) at a main monomial M;
+    the shallowest state term on M, at hbar^ceil(deg M / 2), reads it to
+    hbar^(N - ceil(deg M / 2))."""
+    return all(N - (m + 1) // 2 <= d + N - (deg_d + m + 1) // 2 for m in range(2 * N + 1))
+
+
 def test_deposit_terms_keep_the_degree_bound():
     for K in range(3):
         for N in range(7):
@@ -381,9 +389,12 @@ def test_deposit_terms_keep_the_degree_bound():
                 for (m1, m2), sd in tensor.raw().items():
                     assert all(sum(m1) + sum(m2) + e <= 2 * h for e, h in sd), (caps, m1, m2)
                     assert max(sum(m1), sum(m2)) <= min(h for _, h in sd), (caps, m1, m2)
+                    for mon in (m1, m2):
+                        assert _folded_row_reaches_every_read(sum(mon), min(h for _, h in sd), N)
             for sign in (1, -1):
                 for mon, sd in rotation_element(sign, caps).raw().items():
                     assert all(sum(mon) + e <= 2 * h for e, h in sd), (caps, mon)
+                    assert _folded_row_reaches_every_read(sum(mon), min(h for _, h in sd), N)
 
 
 @settings(max_examples=30, deadline=None)

@@ -62,6 +62,28 @@ def test_invariant_bad_file_exits_2(tmp_path):
     assert result.returncode == 2
 
 
+def test_malformed_files_exit_2_with_one_line(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("labels 1\n")
+    digits = tmp_path / "digits.txt"
+    digits.write_text("labels ٢; C+ ١\n", encoding="utf-8")
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"labels 1\n# caf\xe9\n")
+    curve = tmp_path / "bad.xyz"
+    curve.write_text("0 0 0\n1_0 2 3\n")
+    for args in (
+        ("invariant", "--file", digits),
+        ("invariant", "--file", not_utf8),
+        ("compare", "--files", good, digits),
+        ("compare", "--files", not_utf8, good),
+        ("measure", "--file", curve, "--samples", "5"),
+        ("measure", "--file", not_utf8, "--samples", "5"),
+    ):
+        result = run_cli(*map(str, args))
+        assert (result.returncode, result.stdout) == (2, ""), args
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
+
+
 def test_unknown_fixture_exits_2_with_one_line():
     for args in (("invariant", "--fixture", "nope"), ("compare", "--fixtures", "nope", "5_7")):
         result = run_cli(*args)

@@ -26,7 +26,7 @@ from knotoidal.errors import (
     NonIntegralScale,
 )
 from knotoidal.invariant import _crossing_terms, compare, epsilon_coefficient, evaluate_Z
-from knotoidal.series import Caps
+from knotoidal.series import Caps, _sadd_into, _smul
 
 from algebra_reference import reference_context
 from decomp_strategies import rotations_inside_crossings_st, small_decomposition_st
@@ -178,7 +178,7 @@ def test_invariant_json_layout(fixture_values):
 # the integer-scaled walk against the Fraction walker, and its scale
 
 
-@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 2), Caps(1, 4)], ids=str)
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 2), Caps(1, 4), Caps(2, 2)], ids=str)
 @settings(max_examples=20, deadline=None)
 @given(d=small_decomposition_st())
 def test_walk_matches_fraction_walker(caps, d):
@@ -186,10 +186,11 @@ def test_walk_matches_fraction_walker(caps, d):
 
 
 def test_walk_matches_fraction_walker_on_fixtures():
-    caps = Caps(1, 4)
-    for name, (_, decomp) in fixtures().items():
-        value = evaluate_Z(decomp, caps)
-        assert value.element.to_json() == reference_evaluate(decomp, caps).to_json(), name
+    # (1,4), then the corners of the packed keys: N = 0, K = 0 and K > 1
+    for caps in (Caps(1, 4), Caps(0, 0), Caps(1, 0), Caps(2, 0), Caps(3, 2)):
+        for name, (_, decomp) in fixtures().items():
+            value = evaluate_Z(decomp, caps)
+            assert value.element.to_json() == reference_evaluate(decomp, caps).to_json(), (caps, name)
 
 
 @pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
@@ -232,14 +233,65 @@ def test_truncation_consistent_across_caps(d, n):
     assert DElement(Caps(0, n), raw) == evaluate_Z(d, Caps(0, n)).element
 
 
+def _deposits(tables) -> list:
+    crossing = [(key, dep) for key, deposits in tables.crossing.items() for _, dep, _ in deposits]
+    return [*tables.monomials.items(), *tables.rotation.items(), *crossing]
+
+
 def _rows() -> dict:
     """Every filled walk row, by caps, deposit and monomial."""
     return {
-        (caps, deposit, mon): row
+        (caps, id(dep), mid): row
         for caps, tables in invariant._TABLES.items()
-        for deposit, dep in [*tables.monomials.items(), *tables.rotation.items()]
-        for mon, row in dep.rows.items()
+        for _, dep in _deposits(tables)
+        for mid, row in dep.rows.items()
     }
+
+
+def _unpacked(tables, row) -> dict:
+    """A walk row as ``{monomial: {(e, h): c * L**h}}``, its keys checked
+    against the terms' own degrees."""
+    out: dict = {}
+    it = iter(row)
+    for h, e, key, c in zip(it, it, it, it):
+        mid, rest = divmod(key, tables.S)
+        assert divmod(rest, tables.ctx.N + 1) == (e, h)
+        out.setdefault(tables.mons[mid], {})[e, h] = c
+    return out
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
+    # the row at M of a crossing term or a rotation element is the sum of its
+    # scalars times the rows of their bare monomials D, computed here with
+    # series._smul on the unpacked terms, kept to min(N, d + budget) over its
+    # parts; there it is also the exact product
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    for _, decomp in fixtures().values():
+        evaluate_Z(decomp, caps)
+    (tables,) = invariant._TABLES.values()
+    ctx, K, N = tables.ctx, caps.eps_order, caps.hbar_order
+    bare = {id(dep) for dep in tables.monomials.values()}
+    folded = set()
+    for key, dep in _deposits(tables):
+        if id(dep) in bare:
+            continue
+        for mid, row in dep.rows.items():
+            mon = tables.mons[mid]
+            budgets = [min(h for _, h in sd) + N - (sum(d) + sum(mon) + 1) // 2 for d, sd in dep.parts]
+            depth = min(N, *budgets)
+            for exact in (False, True):
+                want: dict = {}
+                for dmon, sd in dep.parts:
+                    if exact:
+                        source = ctx.product(dmon, mon)
+                    else:
+                        source = _unpacked(tables, tables.monomials[dmon].rows[mid])
+                    for pmon, psd in source.items():
+                        _sadd_into(want.setdefault(pmon, {}), _smul(sd, psd, K, depth))
+                assert _unpacked(tables, row) == {pmon: psd for pmon, psd in want.items() if psd}
+            folded.add(key if key in (1, -1) else "crossing")
+    assert folded == {1, -1, "crossing"}
 
 
 def test_rows_written_once_give_what_a_fresh_walk_gives(monkeypatch):
