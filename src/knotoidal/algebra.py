@@ -36,15 +36,17 @@ coefficient ``c`` at ``hbar^h`` is stored as ``c * L**h`` for the one scale
 integers (``q = exp(eps*hbar)`` carries ``1/h!`` at ``hbar^h``, the relation
 tail ``1/(h+1)!``, and the commutation shifts are integers at ``hbar^0``), and
 products keep the scale because ``L**a * L**b == L**(a+b)``, so filling the
-tables never takes a gcd.  The strand walk of :mod:`knotoidal.invariant`
-works at the same scale and scales its own inputs with
-:meth:`_Context.scaled`.  The tables are built from ``q`` and the relation
-tail, each scaled once when a :class:`_Context` is made; after that, in this
-module ``Fraction`` values meet the tables in :func:`_tensor_mul` only, which
-also multiplies elements (:meth:`_Context.elem_mul` is its one-slot case): it
-multiplies each operand scalar by ``L**h``, multiplies by the tables, and
-divides the result by ``L**h`` once.  A coefficient that is not an integer
-after scaling raises :class:`NonIntegralScale`; nothing is ever rounded.
+tables never takes a gcd.  The tables are built from ``q`` and the relation
+tail, each scaled once when a :class:`_Context` is made, and
+:meth:`_Context.product` reads them into a scaled monomial product.  The
+strand walk of :mod:`knotoidal.invariant` works at the same scale, scaling
+its own inputs with :meth:`_Context.scaled`; :meth:`_Context.mon_mul` and
+:meth:`_Context.left_x_mon` divide each term back by ``L**h`` once and
+return the exact product, which ``mon_mul`` memoizes.  Everything
+else here, the element and tensor products of :func:`_tensor_mul` and the
+antipode, multiplies exact ``Fraction`` terms, so only the tables and the
+walk know the scale.  A coefficient that is not an integer after scaling
+raises :class:`NonIntegralScale`; nothing is ever rounded.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
@@ -184,8 +186,8 @@ def _relation_tail(K: int, N: int) -> EDict:
 class _Context:
     """Per-caps workspace holding memoized rewriting tables.
 
-    ``q_powers``, ``tail``, ``tail_sums`` (the ``F_m``), ``left_x`` and
-    ``mul`` hold integer terms ``c * L**h`` at the scale ``L = self.scale``;
+    ``q_powers``, ``tail``, ``tail_sums`` (the ``F_m``) and ``left_x`` hold
+    integer terms ``c * L**h`` at the scale ``L = self.scale``; ``mul``,
     ``antipode_mon`` and ``antipode_gen_powers`` hold exact ``Fraction``
     elements.  ``left_x[(l, i)]`` is the list of the ``Q_r`` of
     ``x^l * y^i``; ``mul`` memoizes the monomial products of element and
@@ -217,17 +219,8 @@ class _Context:
         """The integer terms ``c * L**h`` of an exact series; raises if one is not an integer."""
         return {(e, h): _scaled(c, h, self.scale) for (e, h), c in sd.items()}
 
-    def lifted(self, terms: dict) -> dict:
-        """Exact terms, keyed by monomials or tuples of them, each times
-        ``L**h``; unlike :meth:`scaled`, the results need not be integers."""
-        powers = self.powers
-        return {
-            key: {(e, h): c * powers[h] for (e, h), c in sd.items()}
-            for key, sd in terms.items()
-        }
-
-    def unscaled(self, terms: dict) -> dict:
-        """The inverse of :meth:`lifted`: exact ``Fraction`` terms."""
+    def unscaled(self, terms: EDict) -> EDict:
+        """The exact ``Fraction`` terms of integer terms ``c * L**h``."""
         powers = self.powers
         return {
             key: {(e, h): Fraction(c, powers[h]) for (e, h), c in sd.items()}
@@ -288,16 +281,16 @@ class _Context:
         return out
 
     def mon_mul(self, m1: Mon, m2: Mon) -> EDict:
-        """``m1 * m2`` in normal form, memoized in ``mul``."""
+        """``m1 * m2`` in normal form with exact terms, memoized in ``mul``."""
         key = (m1, m2)
         hit = self.mul.get(key)
         if hit is None:
-            hit = self.mul[key] = self.product(m1, m2)
+            hit = self.mul[key] = self.unscaled(self.product(m1, m2))
         return hit
 
     def left_x_mon(self, mon: Mon) -> EDict:
-        """``x * mon`` in normal form."""
-        return self.product((0, 0, 0, 1), mon)
+        """``x * mon`` in normal form with exact terms."""
+        return self.unscaled(self.product((0, 0, 0, 1), mon))
 
     def elem_mul(self, e1: EDict, e2: EDict) -> EDict:
         """Product of two exact elements: :func:`_tensor_mul` with one slot."""
@@ -556,14 +549,12 @@ def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
     Keys are tuples of monomials, one per tensor factor, of the same length
     in both operands; slot ``i`` of a product term is the normal-formed
     product of slot ``i`` of the two factors; with one slot this is the
-    element product.  The operands are exact; the products run at the scale
-    of the integer tables.
+    element product.
     """
     K, N = ctx.K, ctx.N
     out: dict[tuple, SDict] = {}
-    right = ctx.lifted(b).items()
-    for ka, sa in ctx.lifted(a).items():
-        for kb, sb in right:
+    for ka, sa in a.items():
+        for kb, sb in b.items():
             scal = _smul(sa, sb, K, N)
             if not scal:
                 continue
@@ -577,7 +568,7 @@ def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:
                     if (p := _smul(sd, s, K, N))
                 }
             _eadd_into(out, partial)
-    return ctx.unscaled(out)
+    return out
 
 
 class DTensor(_Terms):
@@ -640,24 +631,14 @@ def r_matrix(caps: Caps) -> DTensor:
 
 
 def r_inverse(caps: Caps) -> DTensor:
-    """Two-sided inverse of the quasitriangular structure.
+    """Two-sided inverse of the quasitriangular structure, ``(S (x) id)(R)``.
 
-    Computed order by order as a geometric series in (R - 1 (x) 1), which is
-    nilpotent at any finite h-degree cap.  No closed form is assumed; the
-    antipode identity (S (x) id)(R) = R^(-1) is checked separately in tests.
+    Tests check it three ways that do not assume this identity: R times it
+    is 1 (x) 1, ``(id (x) S)`` maps it back to R, and it equals the
+    geometric series in ``R - 1 (x) 1`` (nilpotent at any finite h-degree
+    cap) computed on the ``Fraction`` oracle.
     """
-    rmat = r_matrix(caps)
-    pert = rmat - DTensor.unit(caps)
-    out = DTensor.unit(caps)
-    power = DTensor.unit(caps)
-    sign = 1
-    for _ in range(caps.hbar_order):
-        power = power * pert
-        sign = -sign
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(sign))
-    return out
+    return r_matrix(caps).map_slot(antipode, 0)
 
 
 def rotation_element(sign: int, caps: Caps) -> DElement:

@@ -251,8 +251,8 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
-# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 2.1-2.5 s at 63 MiB
-# peak RSS, (1,9) 4.9-6.5 s at 111 MiB, (1,10) 12-14 s at 206 MiB.  The limit
+# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 1.2-1.3 s at 65 MiB
+# peak RSS, (1,9) 2.6-2.7 s at 118 MiB, (1,10) 5.9-6.3 s at 227 MiB.  The limit
 # is the cost of (1,10), the largest caps the acceptance checks may reach; a
 # diagram with more crossings costs more at the same caps.
 CAPS_COST_LIMIT = 2048

@@ -315,12 +315,11 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         for p in curve.points
     )
     nseg = len(pts2) - 1
+    seg_dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts2, pts2[1:])]
 
     # a 3D segment parallel to the view direction projects to a point (cusp)
-    for i in range(nseg):
-        a1, a2 = pts2[i], pts2[i + 1]
-        if math.hypot(a2[0] - a1[0], a2[1] - a1[1]) < tol:
-            raise DegenerateDirection("segment parallel to view direction")
+    if any(math.hypot(*d) < tol for d in seg_dirs):
+        raise DegenerateDirection("segment parallel to view direction")
 
     crossings = _segment_crossings(pts2, depth, tol)
     _check_triple_points([rec["point"] for rec in crossings], tol)
@@ -334,14 +333,10 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
                 raise DegenerateDirection("endpoint within tol of a strand")
 
     # continuous tangent-angle lift along the polyline
-    seg_dirs = [
-        (pts2[i + 1][0] - pts2[i][0], pts2[i + 1][1] - pts2[i][1]) for i in range(nseg)
-    ]
-    lifted = [math.atan2(seg_dirs[0][1], seg_dirs[0][0])]
-    for prev, cur in zip(seg_dirs, seg_dirs[1:]):
-        delta = _wrap_angle(
-            math.atan2(cur[1], cur[0]) - math.atan2(prev[1], prev[0])
-        )
+    angles = [math.atan2(dy, dx) for dx, dy in seg_dirs]
+    lifted = [angles[0]]
+    for prev, cur in zip(angles, angles[1:]):
+        delta = _wrap_angle(cur - prev)
         if abs(abs(delta) - math.pi) < ANGLE_GUARD:
             raise DegenerateDirection("projection folds back (cusp)")
         lifted.append(lifted[-1] + delta)
@@ -408,13 +403,8 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     # tol, or lie within tol of the endpoint on a segment other than the
     # endpoint's own, and both are rejected above.
     def winding(center: Vec2, pts) -> int:
-        total = 0.0
-        prev = None
-        for p in pts:
-            ang = math.atan2(p[1] - center[1], p[0] - center[0])
-            if prev is not None:
-                total += _wrap_angle(ang - prev)
-            prev = ang
+        angs = [math.atan2(p[1] - center[1], p[0] - center[0]) for p in pts]
+        total = sum(_wrap_angle(b - a) for a, b in zip(angs, angs[1:]))
         return int(round(total / (2.0 * math.pi)))
 
     n0 = winding(pts2[0], pts2[1:])
@@ -638,8 +628,12 @@ def estimate_measure(
     ``n`` uniformly sampled projection directions; ``project`` checks ``tol``."""
     if type(n) is not int or n < 1:
         raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
+    if type(seed) is not int:
+        raise InvalidArgument(f"need an int seed, got {seed!r}")
     if phi not in ("classes", "zmean"):
         raise InvalidArgument(f"unknown phi {phi!r}")
+    if phi == "zmean" and not isinstance(caps, Caps):
+        raise InvalidArgument(f"zmean needs caps as a Caps, got {caps!r}")
     directions = sample_directions(seed, n)
     tallies, freq, mean, rejected = _estimate_with_directions(
         curve, directions, tol, phi, caps
@@ -663,6 +657,8 @@ def knot_to_knotoid(knot_code: OrientedGaussCode, arc: int) -> OrientedGaussCode
 
     For the empty closed code every arc gives the trivial knotoid.
     """
+    if type(arc) is not int:
+        raise InvalidArgument(f"need an int arc index, got {arc!r}")
     if arc < 0:
         raise ArcOutOfRange("arc index must be non-negative")
     passes = list(knot_code.passes)

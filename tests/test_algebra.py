@@ -103,7 +103,7 @@ def test_r_times_r_inverse(caps14):
 
 
 def test_antipode_inverts_r(caps14):
-    # (S x id)(R) is the two-sided inverse; independent route to r_inverse
+    # r_inverse is (S x id)(R) by construction; (id x S) of it is R again
     assert r_matrix(caps14).map_slot(antipode, 0) == r_inverse(caps14)
     assert r_inverse(caps14).map_slot(antipode, 1) == r_matrix(caps14)
 
@@ -323,7 +323,6 @@ monomial_st = st.tuples(*[st.integers(0, 4)] * 4)
 def _all_ints(ctx) -> bool:
     """Every value of every integer table the context holds is an ``int``."""
     polys = [ctx.tail, *ctx.q_powers, *ctx.tail_sums, *(q_r for entry in ctx.left_x.values() for q_r in entry)]
-    polys += [sd for terms in ctx.mul.values() for sd in terms.values()]
     return all(type(c) is int for p in polys for c in p.values())
 
 
@@ -332,8 +331,8 @@ def _all_ints(ctx) -> bool:
 def test_integer_tables_match_fraction_oracle(m1, m2, K, N):
     caps = Caps(K, N)
     ctx, ref = get_context(caps), reference_context(caps)
-    assert ctx.unscaled(ctx.mon_mul(m1, m2)) == ref.mon_mul(m1, m2)
-    assert ctx.unscaled(ctx.left_x_mon(m1)) == ref.left_x_mon(m1)
+    assert ctx.mon_mul(m1, m2) == ref.mon_mul(m1, m2)
+    assert ctx.left_x_mon(m1) == ref.left_x_mon(m1)
     assert _all_ints(ctx)
 
 
@@ -349,7 +348,7 @@ def test_closed_normal_ordering_matches_fraction_oracle(m1, m2, K, N):
     ctx, ref = _Context(K, N), reference_context(Caps(K, N))
     expected = ref.mon_mul(m1, m2)
     assert ctx.unscaled(ctx.product(m1, m2)) == expected
-    assert ctx.unscaled(ctx.mon_mul(m1, m2)) == expected
+    assert ctx.mon_mul(m1, m2) == expected
     assert ctx.left_x and _all_ints(ctx)
 
 
@@ -400,13 +399,18 @@ def test_deposit_terms_keep_the_degree_bound():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32), N=st.integers(0, 4))
 def test_element_products_match_fraction_oracle(seed, N):
-    # the Fraction boundary: lift the operands, multiply, divide back once
+    # exact products on the memo of exact monomial products, against the oracle
     caps = Caps(1, N)
     rng = random.Random(seed)
     u, v = random_element(rng, caps), random_element(rng, caps)
     assert (u * v).raw() == reference_context(caps).elem_mul(u.raw(), v.raw())
 
 
-@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+@pytest.mark.parametrize(
+    "caps",
+    [Caps(0, 0), Caps(1, 0), Caps(1, 1), Caps(0, 3), Caps(3, 2), Caps(2, 3), Caps(1, 4), Caps(2, 5), Caps(1, 6), Caps(0, 7)],
+    ids=str,
+)
 def test_r_inverse_matches_fraction_oracle(caps):
+    # the geometric series in R - 1 (x) 1, an independent route to (S x id)(R)
     assert r_inverse(caps).raw() == reference_r_inverse(caps)

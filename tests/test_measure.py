@@ -576,6 +576,11 @@ def test_estimate_validation(trefoil):
         lambda curve: estimate_measure(curve, 10, tol=math.inf),
         lambda curve: project(curve, (0.0, 0.0, 1.0), math.nan),
         lambda curve: project(curve, (math.nan, 0.0, 0.0), TOL),
+        lambda curve: estimate_measure(curve, 5, seed=1.5),
+        lambda curve: estimate_measure(curve, 5, seed="1"),
+        lambda curve: estimate_measure(curve, 5, seed=None),
+        lambda curve: estimate_measure(curve, 5, seed=True),
+        lambda curve: estimate_measure(curve, 5, phi="zmean", caps=(1, 2)),
     ],
     ids=[
         "no-samples",
@@ -589,6 +594,11 @@ def test_estimate_validation(trefoil):
         "inf-tol",
         "project-nan-tol",
         "nan-direction",
+        "float-seed",
+        "str-seed",
+        "none-seed",
+        "bool-seed",
+        "tuple-caps",
     ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):
@@ -731,3 +741,6 @@ def test_arc_out_of_range():
         knot_to_knotoid(closed, 6)
     with pytest.raises(ArcOutOfRange):
         knot_to_knotoid(closed, -1)
+    for arc in (1.5, True):
+        with pytest.raises(InvalidArgument):
+            knot_to_knotoid(closed, arc)
