@@ -537,7 +537,12 @@ class DElement(_Terms):
                 degree = (_json_int(item["eps"]), _json_int(item["hbar"]))
                 if len(mon) != 4 or min(mon + degree) < 0:
                     raise ParseError(f"term {item!r} needs 4 exponents and 2 degrees, all >= 0")
-                terms.setdefault(mon, {})[degree] = _json_coeff(item["coeff"])
+                if not caps.admits(*degree):
+                    raise DegreeOutOfRange(f"term {item!r} is outside caps {caps}")
+                sd = terms.setdefault(mon, {})
+                if degree in sd:
+                    raise ParseError(f"term {item!r} repeats a monomial and degree")
+                sd[degree] = _json_coeff(item["coeff"])
             return cls(caps, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad element JSON: {exc!r}") from exc
@@ -624,8 +629,6 @@ def r_matrix(caps: Caps) -> DTensor:
                 for (e, h), v in scal.items()
                 if h + m + n <= N
             }
-            if not scal:
-                continue
             terms[((m, n, 0, 0), (0, 0, n, m))] = scal
     return DTensor(caps, terms)
 

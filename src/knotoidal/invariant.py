@@ -121,25 +121,23 @@ class _Deposit:
     ``(monomial, e, h)``.  ``low`` is the lowest h-degree of the scalars.
     The rows are the only memo of the walk's products.
 
-    A bare monomial D (one part, unit scalar) fills its row at M from
-    :meth:`_Context.product`, once, to ``B = N - ceil((deg D + deg M) / 2)``,
-    deg the total exponent.  Any other deposit, a crossing term or a rotation
-    element, is folded: its row at M is the sum over its parts of
-    ``scalar * row_D(M)``, read off the row of D's own bare deposit.  A
-    scalar term at ``hbar^s``, ``s >= d`` for the scalar's lowest degree d,
-    meets row terms at ``hbar^(t-s)``, ``t - s <= B``, so the folded row is
-    exact to ``hbar^(d+B)``; it is kept to ``min(N, d + B)``, the least
-    over its parts.
+    The row at M is kept to ``min(N, d + B)``, the least over the parts,
+    with d the lowest h-degree of a part's scalar and ``B = N - ceil((deg D
+    + deg M) / 2)``, deg the total exponent.  Each part adds its scalar
+    times :meth:`_Context.product` of D and M, read to ``hbar^(depth - d)``:
+    a scalar term at ``hbar^s``, ``s >= d``, meets product terms at
+    ``hbar^(t-s)``, ``t - s <= depth - d``, so the row is exact to its
+    depth.  A bare monomial (one part, unit scalar) is its product to B.
 
     No read asks for more.  Every term (mon, e, h) of a product m1*m2 has
     deg mon + e <= deg m1 + deg m2 + 2h; of R and R^-1, deg m1 + deg m2 + e
     <= 2h and deg m1, deg m2 <= h; of a rotation, deg + e <= 2h.  So a state
     term at hbar^h with main monomial M and pending P has 2h >= deg M +
     deg P, and a read asks for ``N - h``.  A close read, on P = D, needs
-    ``N - h <= B``.  A folded read needs ``N - h - d <= B``, that is
-    ``h + d >= ceil((deg D + deg M) / 2)``: for a crossing term d >= deg D
-    and h >= deg M / 2; for a rotation d >= deg D / 2 and, on the final
-    state, which has no pending, h >= deg M / 2.
+    ``N - h <= B``.  A crossing term or rotation read needs ``N - h - d <=
+    B``, that is ``h + d >= ceil((deg D + deg M) / 2)``: for a crossing term
+    d >= deg D and h >= deg M / 2; for a rotation d >= deg D / 2 and, on
+    the final state, which has no pending, h >= deg M / 2.
     """
 
     __slots__ = ("tables", "parts", "low", "rows")
@@ -150,32 +148,24 @@ class _Deposit:
         self.low = min(h for _, sd in self.parts for _, h in sd)
         self.rows: dict[int, tuple] = {}
 
-    def row(self, mid: int) -> tuple:
-        row = self.rows.get(mid)
-        return self.fill(mid) if row is None else row
-
     def fill(self, mid: int) -> tuple:
         tables = self.tables
-        ctx, mon, key = tables.ctx, tables.mons[mid], tables.key
-        K, N, S = ctx.K, ctx.N, tables.S
-        (dmon, dsd), *more = self.parts
-        if not more and dsd == _UNIT_SD:
-            product = ctx.product(dmon, mon, _row_budget(N, dmon, mon))
-            terms = [(h, e, key(pmon, e, h), c) for pmon, sd in product.items() for (e, h), c in sd.items()]
-        else:
-            depth = min(N, *(min(h for _, h in sd) + _row_budget(N, d, mon) for d, sd in self.parts))
-            acc: dict[int, int] = {}
-            for dmon, dsd in self.parts:
-                unpacked: dict[int, dict] = {}
-                it = iter(tables.monomial(dmon).row(mid))
-                for ph, pe, pkey, pc in zip(it, it, it, it):
-                    unpacked.setdefault(pkey - pkey % S, {})[pe, ph] = pc
-                for base, psd in unpacked.items():
+        ctx, mon, S = tables.ctx, tables.mons[mid], tables.S
+        K, N = ctx.K, ctx.N
+        lows = [min(h for _, h in sd) for _, sd in self.parts]
+        depth = min(N, *(d + _row_budget(N, dmon, mon) for (dmon, _), d in zip(self.parts, lows)))
+        acc: dict[int, int] = {}
+        for (dmon, dsd), d in zip(self.parts, lows):
+            unit = dsd == _UNIT_SD
+            for pmon, psd in ctx.product(dmon, mon, depth - d).items():
+                if not unit:
                     # looked up in this module, where perfbench/layers.py counts it
-                    for (e, h), c in _smul(dsd, psd, K, depth).items():
-                        k = base + e * (N + 1) + h
-                        acc[k] = acc.get(k, 0) + c
-            terms = [(k % (N + 1), k % S // (N + 1), k, c) for k, c in acc.items() if c]
+                    psd = _smul(dsd, psd, K, depth)
+                base = tables.key(pmon, 0, 0)
+                for (e, h), c in psd.items():
+                    k = base + e * (N + 1) + h
+                    acc[k] = acc.get(k, 0) + c
+        terms = [(k % (N + 1), k % S // (N + 1), k, c) for k, c in acc.items() if c]
         row = self.rows[mid] = tuple(chain.from_iterable(sorted(terms)))
         return row
 
@@ -184,9 +174,9 @@ class _WalkTables:
     """Per-caps deposits of the walk, and the monomial ids of its keys.
 
     ``mons[i]`` is the monomial of id i, given when a row first holds it;
-    a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``.  Bare
-    monomial deposits are shared by the closing deposits and by the folded
-    deposits of crossing terms and rotations.
+    a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``.
+    ``monomials`` holds the bare monomial deposits, by monomial: those the
+    close steps deposit, and the unit that R's and R^-1's unit term deposits.
     ``crossing[sign, over_first]`` lists ``(low, deposit, pending)`` for each
     term of R (sign 1) or R^-1 (sign -1), sorted by low: ``deposit`` is the
     factor the walk multiplies on now, with the scalar folded in (the unit
@@ -251,10 +241,12 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
-# tracks both.  Cold 5_7 on a shared 2-vCPU host: (1,8) 1.2-1.3 s at 65 MiB
-# peak RSS, (1,9) 2.6-2.7 s at 118 MiB, (1,10) 5.9-6.3 s at 227 MiB.  The limit
-# is the cost of (1,10), the largest caps the acceptance checks may reach; a
-# diagram with more crossings costs more at the same caps.
+# tracks both.  Cold 5_7, peak RSS: (1,8) 59 MiB, (1,9) 104 MiB, (1,10)
+# 194 MiB.  On a shared 2-vCPU host, at a load that made it about 2.5 times
+# slower than at its fastest, (1,8) took 2.9-3.3 s, (1,9) 5.9-6.6 s and
+# (1,10) 14.6-18.8 s.  The limit is the cost of (1,10), the largest caps the
+# acceptance checks may reach; a diagram with more crossings costs more at
+# the same caps.
 CAPS_COST_LIMIT = 2048
 
 
@@ -346,8 +338,6 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
             main = {key: c for key, c in acc.items() if c}
             if main:
                 states[pending] = main
-        if not states:
-            break
 
     main = states.get((), {})
     for _ in range(abs(rotation)):

@@ -616,6 +616,13 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
     return tallies, freq, mean, rejected
 
 
+def _check_seed(seed: int) -> None:
+    """Raise :class:`InvalidArgument` unless ``seed`` is an int in [0, 2**64),
+    the seeds :func:`rand64` tells apart."""
+    if type(seed) is not int or not 0 <= seed <= _MASK64:
+        raise InvalidArgument(f"need an int seed in [0, 2**64), got {seed!r}")
+
+
 def estimate_measure(
     curve: OpenCurve3D,
     n: int,
@@ -628,8 +635,7 @@ def estimate_measure(
     ``n`` uniformly sampled projection directions; ``project`` checks ``tol``."""
     if type(n) is not int or n < 1:
         raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
-    if type(seed) is not int:
-        raise InvalidArgument(f"need an int seed, got {seed!r}")
+    _check_seed(seed)
     if phi not in ("classes", "zmean"):
         raise InvalidArgument(f"unknown phi {phi!r}")
     if phi == "zmean" and not isinstance(caps, Caps):
@@ -674,7 +680,11 @@ def knot_to_knotoid(knot_code: OrientedGaussCode, arc: int) -> OrientedGaussCode
 # noise for stability experiments
 
 def perturbed(curve: OpenCurve3D, radius: float, seed: int) -> OpenCurve3D:
-    """Displace every point by an independent uniform draw from a ball."""
+    """Displace every point by an independent uniform draw from a ball of
+    the given radius, a finite int or float >= 0."""
+    if type(radius) not in (int, float) or not 0 <= radius < math.inf:
+        raise InvalidArgument(f"need a finite radius >= 0, got {radius!r}")
+    _check_seed(seed)
     out = []
     for idx, (x, y, z) in enumerate(curve.points):
         zc = 2.0 * _unit_float(rand64(seed, 3 * idx)) - 1.0

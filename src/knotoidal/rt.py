@@ -237,9 +237,7 @@ def rt_evaluate(d: RotDecomp, rep: RepData, ev: EndpointVectors) -> ScalarSeries
         states = new_states
 
     total = ScalarSeries.zero(caps)
-    for (cur, pending), amp in states.items():
-        if pending:
-            continue
+    for (cur, _), amp in states.items():
         total = total + amp * ev.eps_[cur]
     return total
 

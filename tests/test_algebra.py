@@ -20,7 +20,7 @@ from knotoidal.algebra import (
     rotation_element,
     yang_baxter_holds,
 )
-from knotoidal.errors import CapsMismatch, InvalidArgument, ParseError
+from knotoidal.errors import CapsMismatch, DegreeOutOfRange, InvalidArgument, ParseError
 from knotoidal.series import Caps, ScalarSeries
 
 
@@ -298,6 +298,24 @@ def test_element_json_errors_are_typed(caps14, change):
     data = (gens(caps14)["x"] * gens(caps14)["y"]).to_json()
     change(data)
     with pytest.raises(ParseError):
+        DElement.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        (lambda terms: terms[0].update(hbar=9), DegreeOutOfRange),
+        (lambda terms: terms[0].update(eps=2), DegreeOutOfRange),
+        (lambda terms: terms.append(dict(terms[0])), ParseError),
+        (lambda terms: terms.append(dict(terms[0], coeff="2")), ParseError),
+    ],
+    ids=["hbar-past-cap", "eps-past-cap", "repeated-term", "repeated-term-new-coeff"],
+)
+def test_element_json_takes_each_term_once_and_within_caps(change, error):
+    # a term outside the caps used to load as nothing, a repeat as the last entry
+    data = rotation_element(1, Caps(1, 2)).to_json()
+    change(data["terms"])
+    with pytest.raises(error):
         DElement.from_json(data)
 
 

@@ -251,6 +251,21 @@ def test_measure_non_finite_tol_is_a_usage_error():
         assert "usage error" in result.stderr
 
 
+def test_measure_seed_outside_64_bits_is_a_usage_error():
+    # rand64 would read -1 as 2**64 - 1 and print a seed it did not sample with
+    for seed in ("-1", str(2**64)):
+        result = run_cli("measure", "--file", builtin_curve_path("open_trefoil"), "--seed", seed)
+        assert result.returncode == 1, seed
+        assert "usage error" in result.stderr
+
+
+def test_package_main_is_the_cli():
+    args = ("invariant", "--fixture", "5_9", "--hbar-order", "2")
+    package = subprocess.run([sys.executable, "-m", "knotoidal", *args], capture_output=True, text=True)
+    assert package.returncode == 0
+    assert package.stdout == run_cli(*args).stdout
+
+
 def test_readme_names_every_option():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (subcommands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

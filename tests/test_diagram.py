@@ -150,6 +150,22 @@ def test_constructors_take_only_int_labels_ids_and_signs(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {2: 1}), SignCountMismatch),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: 2}), SignCountMismatch),
+        (lambda: parse_gauss_code("1 0 -1 +"), MalformedToken),
+        (lambda: RotDecomp(0, []), LabelOutOfRange),
+        (lambda: RotDecomp(2, [object()]), MalformedToken),
+    ],
+    ids=["code-signs-for-other-crossings", "code-sign-2", "gauss-id-0", "decomp-no-labels", "unknown-token"],
+)
+def test_constructor_errors_are_typed(make, error):
+    with pytest.raises(error):
+        make()
+
+
 def test_fixtures_complete_and_consistent():
     fx = fixtures()
     assert set(fx) == {"5_7", "5_421", "5_9", "5_561", "5_12", "5_593"}

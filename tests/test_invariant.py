@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotoidal import algebra, invariant
-from knotoidal.algebra import DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
+from knotoidal.algebra import UNIT_MON, DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
     chain_decompositions,
@@ -263,14 +263,15 @@ def _unpacked(tables, row) -> dict:
 @pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
 def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
     # the row at M of a crossing term or a rotation element is the sum of its
-    # scalars times the rows of their bare monomials D, computed here with
-    # series._smul on the unpacked terms, kept to min(N, d + budget) over its
-    # parts; there it is also the exact product
+    # scalars times the products D*M of their monomials D, kept to
+    # min(N, d + budget) over its parts; the products are checked both as
+    # _Context.product and as the Fraction oracle, which shares no table
+    # with the walk
     monkeypatch.setattr(invariant, "_TABLES", {})
     for _, decomp in fixtures().values():
         evaluate_Z(decomp, caps)
     (tables,) = invariant._TABLES.values()
-    ctx, K, N = tables.ctx, caps.eps_order, caps.hbar_order
+    ctx, ref, K, N = tables.ctx, reference_context(caps), caps.eps_order, caps.hbar_order
     bare = {id(dep) for dep in tables.monomials.values()}
     folded = set()
     for key, dep in _deposits(tables):
@@ -280,18 +281,31 @@ def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
             mon = tables.mons[mid]
             budgets = [min(h for _, h in sd) + N - (sum(d) + sum(mon) + 1) // 2 for d, sd in dep.parts]
             depth = min(N, *budgets)
-            for exact in (False, True):
+            got = _unpacked(tables, row)
+            for oracle in (False, True):
                 want: dict = {}
                 for dmon, sd in dep.parts:
-                    if exact:
-                        source = ctx.product(dmon, mon)
+                    if oracle:
+                        sd, source = ctx.unscaled({dmon: sd})[dmon], ref.mon_mul(dmon, mon)
                     else:
-                        source = _unpacked(tables, tables.monomials[dmon].rows[mid])
+                        source = ctx.product(dmon, mon)
                     for pmon, psd in source.items():
                         _sadd_into(want.setdefault(pmon, {}), _smul(sd, psd, K, depth))
-                assert _unpacked(tables, row) == {pmon: psd for pmon, psd in want.items() if psd}
+                want = {pmon: psd for pmon, psd in want.items() if psd}
+                assert (ctx.unscaled(got) if oracle else got) == want
             folded.add(key if key in (1, -1) else "crossing")
     assert folded == {1, -1, "crossing"}
+
+
+def test_bare_deposits_are_only_the_close_steps_and_the_unit_term(monkeypatch):
+    # a crossing term or a rotation element fills its rows from the products
+    # of its monomials, not from rows of bare deposits made to feed it
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    for _, decomp in fixtures().values():
+        evaluate_Z(decomp, Caps(1, 4))
+    (tables,) = invariant._TABLES.values()
+    pending = {pend for deposits in tables.crossing.values() for _, _, pend in deposits}
+    assert set(tables.monomials) <= pending | {UNIT_MON}
 
 
 def test_rows_written_once_give_what_a_fresh_walk_gives(monkeypatch):

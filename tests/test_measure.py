@@ -580,7 +580,16 @@ def test_estimate_validation(trefoil):
         lambda curve: estimate_measure(curve, 5, seed="1"),
         lambda curve: estimate_measure(curve, 5, seed=None),
         lambda curve: estimate_measure(curve, 5, seed=True),
+        lambda curve: estimate_measure(curve, 5, seed=-1),
+        lambda curve: estimate_measure(curve, 5, seed=2**64),
         lambda curve: estimate_measure(curve, 5, phi="zmean", caps=(1, 2)),
+        lambda curve: perturbed(curve, 0.1, 1.5),
+        lambda curve: perturbed(curve, 0.1, -1),
+        lambda curve: perturbed(curve, 0.1, 2**64),
+        lambda curve: perturbed(curve, -1.0, 0),
+        lambda curve: perturbed(curve, math.nan, 0),
+        lambda curve: perturbed(curve, math.inf, 0),
+        lambda curve: perturbed(curve, "0.1", 0),
     ],
     ids=[
         "no-samples",
@@ -598,12 +607,28 @@ def test_estimate_validation(trefoil):
         "str-seed",
         "none-seed",
         "bool-seed",
+        "negative-seed",
+        "seed-2**64",
         "tuple-caps",
+        "perturbed-float-seed",
+        "perturbed-negative-seed",
+        "perturbed-seed-2**64",
+        "negative-radius",
+        "nan-radius",
+        "inf-radius",
+        "str-radius",
     ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):
     with pytest.raises(InvalidArgument):
         call(trefoil)
+
+
+def test_largest_seed_is_accepted(trefoil):
+    # rand64 reads a seed mod 2**64, so -1 would alias this seed under another name
+    seed = 2**64 - 1
+    assert estimate_measure(trefoil, 5, seed=seed).seed == seed
+    assert perturbed(trefoil, 0.0, seed) == trefoil
 
 
 def test_all_samples_degenerate():

@@ -17,6 +17,7 @@ from knotoidal.diagram import (
     parse_decomposition,
 )
 from knotoidal.errors import (
+    CapsMismatch,
     DegreeOutOfRange,
     DimensionMismatch,
     KnotoidalError,
@@ -114,6 +115,27 @@ def test_dim1_monomial_formula():
     )
     value = rt_evaluate(d, rep, ev)
     assert value == one(6) * r.pow(2) * r.invert() * t.pow(2) * t.invert()
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: RepData(0, [], [], []), DimensionMismatch),
+        (lambda: RepData(1, [[ScalarSeries.one(Caps(1, 2))]], [[one()]], [[one()]]), CapsMismatch),
+        (
+            lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one()], [one(), one()])),
+            DimensionMismatch,
+        ),
+        (
+            lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one(), one()], [one()] * 3)),
+            DimensionMismatch,
+        ),
+    ],
+    ids=["dim-0", "mixed-caps", "short-eta", "long-eps"],
+)
+def test_rep_errors_are_typed(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_multilinearity_in_endpoints():
