@@ -29,19 +29,23 @@ of ``L`` (the tests check every input for eps caps 0-2 and hbar caps 0-8).
 Each deposit is scaled once, when it is built, and its rows are filled in
 integer arithmetic, each once, to the h-degree that a degree bound gives for
 its deepest read.  Scaled terms stay scaled under products because
-``L**a * L**b == L**(a+b)``, so a walk step is one degree check, one integer
-add for the key and one integer multiply, neither the walk nor the fill
-takes a gcd, and the result is divided back to ``Fraction(c, L**h)`` once,
-at the end.  Scaling a coefficient that is not integral raises
-:class:`NonIntegralScale`; nothing is ever rounded.
+``L**a * L**b == L**(a+b)``, so a walk step is one integer multiply-add per
+product term, neither the walk nor the fill takes a gcd, and the result is
+divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling a
+coefficient that is not integral raises :class:`NonIntegralScale`; nothing
+is ever rounded.
 
 A key is one int, ``id(mon) * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``
 and ``id`` the monomial's index in :class:`_WalkTables`.  While ``e <= K``
-and ``h <= N`` the fields do not carry, so a product term's key is the row
-term's key plus the state term's ``e * (N+1) + h``, and no tuple is built or
-hashed.  Keys are decoded back to monomials only when the result is built.
-Each crossing term is its own deposit, its scalar folded into its rows, so
-an open step reads each state once for all the crossing terms it reaches.
+and ``h <= N`` the fields do not carry, so a product term's key is a row
+term's key plus the state term's ``e * (N+1) + h``.  Each deposit keeps,
+under a state term's own key, its row cut to the terms that state term
+reaches, with that sum already added, so a walk step adds into the product
+keys as they stand: no decode, no degree test, no key add, and no tuple is
+built or hashed.  Keys are decoded back to monomials only when the result
+is built.  Each crossing term is its own deposit, its scalar folded into its
+rows, so an open step reads each state once for all the crossing terms it
+reaches.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -114,12 +118,18 @@ def _row_budget(N: int, dmon: Mon, mon: Mon) -> int:
 class _Deposit:
     """An element the walk multiplies onto the left of the running product.
 
-    The element is a sum of parts ``scalar * D``, D a monomial.  ``rows[i]``
-    is the element times the monomial of id ``i`` in normal form, as one flat
-    tuple of integer terms ``h, e, key, c * L**h`` sorted by h, so a walk
-    read stops at the first term past its budget; ``key`` packs the term's
-    ``(monomial, e, h)``.  ``low`` is the lowest h-degree of the scalars.
-    The rows are the only memo of the walk's products.
+    The element is a sum of parts ``scalar * D``, D a monomial.  ``rows``
+    maps a packed key to one flat tuple of integer terms ``key, c * L**h``.
+    The full row, at ``i * S`` (e = h = 0), is the element times the
+    monomial of id ``i`` in normal form, sorted by h; ``key`` packs the
+    term's ``(monomial, e, h)``.  Under the key ``i * S + e * (N+1) + h`` of
+    any other state term is its cut: the full row's terms (pe, ph) with
+    ``ph <= N - h`` and ``pe <= K - e``, in the same order, each key shifted
+    by ``e * (N+1) + h``, so that every term is a product term as it stands.
+    :meth:`cut` makes it from the full row on its first read, filling the
+    full row first if need be, and neither is ever replaced.  ``low`` is the
+    lowest h-degree of the scalars.  The rows are the only memo of the
+    walk's products.
 
     The row at M is kept to ``min(N, d + B)``, the least over the parts,
     with d the lowest h-degree of a part's scalar and ``B = N - ceil((deg D
@@ -138,6 +148,11 @@ class _Deposit:
     B``, that is ``h + d >= ceil((deg D + deg M) / 2)``: for a crossing term
     d >= deg D and h >= deg M / 2; for a rotation d >= deg D / 2 and, on
     the final state, which has no pending, h >= deg M / 2.
+
+    Reads often ask for less.  On cold 5_7 at (1,8), 91,740 of the 242,361
+    full-row terms are in no read's cut: 80,012 lie past the deepest
+    h-degree any read of their row asks for, and the other 11,728 are past
+    the e-degree of every read that reaches their h-degree.
     """
 
     __slots__ = ("tables", "parts", "low", "rows")
@@ -165,8 +180,27 @@ class _Deposit:
                 for (e, h), c in psd.items():
                     k = base + e * (N + 1) + h
                     acc[k] = acc.get(k, 0) + c
-        terms = [(k % (N + 1), k % S // (N + 1), k, c) for k, c in acc.items() if c]
-        row = self.rows[mid] = tuple(chain.from_iterable(sorted(terms)))
+        terms = sorted((k % (N + 1), k % S, k, c) for k, c in acc.items() if c)
+        row = self.rows[mid * S] = tuple(chain.from_iterable((k, c) for *_, k, c in terms))
+        return row
+
+    def cut(self, key: int) -> tuple:
+        tables = self.tables
+        S, N1 = tables.S, tables.ctx.N + 1
+        mid, r = divmod(key, S)
+        row = self.rows.get(mid * S)
+        if row is None:
+            row = self.fill(mid)
+        if r:
+            reach, emax = N1 - 1 - r % N1, tables.ctx.K - r // N1
+            kept = []
+            it = iter(row)
+            for k, c in zip(it, it):
+                if k % N1 > reach:
+                    break
+                if k % S // N1 <= emax:
+                    kept += (k + r, c)
+            row = self.rows[key] = tuple(kept)
         return row
 
 
@@ -174,7 +208,9 @@ class _WalkTables:
     """Per-caps deposits of the walk, and the monomial ids of its keys.
 
     ``mons[i]`` is the monomial of id i, given when a row first holds it;
-    a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``.
+    a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``, and a
+    deposit's rows are keyed alike: the full row at monomial i by ``i * S``,
+    each cut by the key of the state term that reads it.
     ``monomials`` holds the bare monomial deposits, by monomial: those the
     close steps deposit, and the unit that R's and R^-1's unit term deposits.
     ``crossing[sign, over_first]`` lists ``(low, deposit, pending)`` for each
@@ -241,12 +277,11 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
-# tracks both.  Cold 5_7, peak RSS: (1,8) 59 MiB, (1,9) 104 MiB, (1,10)
-# 194 MiB.  On a shared 2-vCPU host, at a load that made it about 2.5 times
-# slower than at its fastest, (1,8) took 2.9-3.3 s, (1,9) 5.9-6.6 s and
-# (1,10) 14.6-18.8 s.  The limit is the cost of (1,10), the largest caps the
-# acceptance checks may reach; a diagram with more crossings costs more at
-# the same caps.
+# tracks both.  Cold 5_7, one fresh process per run, on a loaded shared
+# 2-vCPU host: (1,8) 3.4-4.6 s and 68 MiB peak RSS, (1,9) 4.4-7.7 s and
+# 122 MiB, (1,10) 11.5-15.0 s and 230 MiB.  The limit is the cost of
+# (1,10), the largest caps the acceptance checks may reach; a diagram with
+# more crossings costs more at the same caps.
 CAPS_COST_LIMIT = 2048
 
 
@@ -269,28 +304,28 @@ def _walk_tables(caps: Caps) -> _WalkTables:
     return tables
 
 
-def _deposit(targets: list, main: dict, K: int, N: int) -> None:
+def _deposit(targets: list, main: dict, N: int) -> None:
     """Add ``dep * main`` into ``acc`` for each ``(low, dep, acc)`` of
-    ``targets``, all as packed integer terms.  Each term of ``main`` is
-    decoded once; ``targets`` are sorted by ``low``, the lowest h-degree of
-    ``dep``, so a term's scan stops at the first deposit it cannot reach."""
-    S, N1 = (K + 1) * (N + 1), N + 1
+    ``targets``, all as packed integer terms.  ``targets`` are sorted by
+    ``low``, the lowest h-degree of ``dep``, so a state term's scan stops at
+    the first deposit it cannot reach; each deposit it reaches has a row
+    under the term's own key whose terms are the product keys already."""
     for key, mc in main.items():
-        mid, r = divmod(key, S)
-        reach, emax = N - r % N1, K - r // N1
+        reach = N - key % (N + 1)
         for low, dep, acc in targets:
             if low > reach:
                 break
-            row = dep.rows.get(mid)
+            row = dep.rows.get(key)
             if row is None:
-                row = dep.fill(mid)
+                row = dep.cut(key)
             it = iter(row)
-            for ph, pe, pkey, pc in zip(it, it, it, it):
-                if ph > reach:
-                    break
-                if pe <= emax:
-                    pkey += r
-                    acc[pkey] = acc.get(pkey, 0) + mc * pc
+            for k, c in zip(it, it):
+                acc[k] = acc.get(k, 0) + mc * c
+
+
+def _nonzero(acc: dict) -> dict:
+    """``acc`` without its zero terms; copied only if it has one."""
+    return {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
@@ -301,7 +336,7 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     :data:`CAPS_COST_LIMIT`.
     """
     tables = _walk_tables(caps)
-    K, N = caps.eps_order, caps.hbar_order
+    N = caps.hbar_order
     # state: pending monomials, in the order their crossings opened -> main
     # element, the latter as {key of (monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
@@ -326,23 +361,23 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
                     for low, dep, pend in crossing
                     if low <= reach
                 ]
-                _deposit(targets, main, K, N)
+                _deposit(targets, main, N)
         else:  # close
             slot = step[1]
             for pending, main in states.items():
                 rest = pending[:slot] + pending[slot + 1:]
                 dep = tables.monomial(pending[slot])
-                _deposit([(0, dep, new_states.setdefault(rest, {}))], main, K, N)
+                _deposit([(0, dep, new_states.setdefault(rest, {}))], main, N)
         states = {}
         for pending, acc in new_states.items():
-            main = {key: c for key, c in acc.items() if c}
+            main = _nonzero(acc)
             if main:
                 states[pending] = main
 
     main = states.get((), {})
     for _ in range(abs(rotation)):
-        _deposit([(0, tables.rotation[1 if rotation > 0 else -1], acc := {})], main, K, N)
-        main = {key: c for key, c in acc.items() if c}
+        _deposit([(0, tables.rotation[1 if rotation > 0 else -1], acc := {})], main, N)
+        main = _nonzero(acc)
     return InvariantValue(tables.element(main), caps, _decomposition_fingerprint(d, caps))
 
 

@@ -5,8 +5,8 @@ A function, class or constant defined at the top of a module in
 ``perfbench/`` or ``README.md`` outside its own definition; otherwise it is
 dead code.  Likewise each method or property of a class there must appear as
 ``.name`` outside its own definition, and so must each field of a
-``@dataclass``.  Dunder names (``__all__``,
-``__version__``, ``__init__``) are exempt.
+``@dataclass`` and each name in a class's ``__slots__``.  Dunder names
+(``__all__``, ``__version__``, ``__init__``) are exempt.
 
 The top level ``knotoidal`` re-exports exactly the names README imports
 from it, so the package surface cannot grow back with unused aliases.
@@ -61,6 +61,19 @@ def _fields(tree: ast.Module):
                     yield f"{node.name}.{item.target.id}", item.target.id, item.lineno, item.end_lineno
 
 
+def _slots(tree: ast.Module):
+    """``(Class.name, name, first line, last line)`` of each name in a
+    class's ``__slots__``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__slots__" for target in item.targets
+                ):
+                    for slot in item.value.elts:
+                        yield f"{node.name}.{slot.value}", slot.value, item.lineno, item.end_lineno
+
+
 def _unreferenced(definitions, prefix: str) -> list[str]:
     """The definitions whose name, after ``prefix``, appears nowhere else."""
     sources = _sources()
@@ -89,6 +102,10 @@ def test_every_method_is_used():
 
 def test_every_dataclass_field_is_used():
     assert _unreferenced(_fields, r"\.") == []
+
+
+def test_every_slot_is_used():
+    assert _unreferenced(_slots, r"\.") == []
 
 
 def test_top_level_exports_only_readme_api():

@@ -239,24 +239,28 @@ def _deposits(tables) -> list:
 
 
 def _rows() -> dict:
-    """Every filled walk row, by caps, deposit and monomial."""
+    """Every filled walk row, full or cut, by caps, deposit and key."""
     return {
-        (caps, id(dep), mid): row
+        (caps, id(dep), key): row
         for caps, tables in invariant._TABLES.items()
         for _, dep in _deposits(tables)
-        for mid, row in dep.rows.items()
+        for key, row in dep.rows.items()
     }
 
 
 def _unpacked(tables, row) -> dict:
-    """A walk row as ``{monomial: {(e, h): c * L**h}}``, its keys checked
-    against the terms' own degrees."""
+    """A full walk row as ``{monomial: {(e, h): c * L**h}}``, checked to be
+    sorted by h, which a cut relies on to stop at the first term past its
+    reach."""
     out: dict = {}
+    hs = []
     it = iter(row)
-    for h, e, key, c in zip(it, it, it, it):
+    for key, c in zip(it, it):
         mid, rest = divmod(key, tables.S)
-        assert divmod(rest, tables.ctx.N + 1) == (e, h)
+        e, h = divmod(rest, tables.ctx.N + 1)
         out.setdefault(tables.mons[mid], {})[e, h] = c
+        hs.append(h)
+    assert hs == sorted(hs)
     return out
 
 
@@ -277,7 +281,10 @@ def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
     for key, dep in _deposits(tables):
         if id(dep) in bare:
             continue
-        for mid, row in dep.rows.items():
+        for row_key, row in dep.rows.items():
+            mid, cut = divmod(row_key, tables.S)
+            if cut:
+                continue
             mon = tables.mons[mid]
             budgets = [min(h for _, h in sd) + N - (sum(d) + sum(mon) + 1) // 2 for d, sd in dep.parts]
             depth = min(N, *budgets)
@@ -295,6 +302,50 @@ def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
                 assert (ctx.unscaled(got) if oracle else got) == want
             folded.add(key if key in (1, -1) else "crossing")
     assert folded == {1, -1, "crossing"}
+
+
+def _checked_cuts(tables) -> int:
+    """Check every cut row of ``tables`` against its full row filtered to
+    the terms its state term reaches, and count the cuts."""
+    S, K, N = tables.S, tables.ctx.K, tables.ctx.N
+    cuts = 0
+    for _, dep in _deposits(tables):
+        for key, row in dep.rows.items():
+            mid, r = divmod(key, S)
+            if not r:
+                continue
+            e, h = divmod(r, N + 1)
+            want = []
+            it = iter(dep.rows[mid * S])
+            for k, c in zip(it, it):
+                pe, ph = divmod(k % S, N + 1)
+                if ph <= N - h and pe <= K - e:
+                    want += (k + r, c)
+            assert row == tuple(want), (key, dep.parts)
+            cuts += 1
+    return cuts
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+def test_cut_rows_are_their_full_rows_cut_on_fixtures(caps, monkeypatch):
+    # a state term at (e, h) reads its deposit's full row cut to ph <= N - h
+    # and pe <= K - e, each key shifted by e * (N+1) + h, in the same order
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    for _, decomp in fixtures().values():
+        evaluate_Z(decomp, caps)
+    (tables,) = invariant._TABLES.values()
+    assert _checked_cuts(tables) > 0
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st())
+def test_cut_rows_are_their_full_rows_cut_on_random_decompositions(caps, d):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "_TABLES", {})
+        evaluate_Z(d, caps)
+        for tables in invariant._TABLES.values():
+            _checked_cuts(tables)
 
 
 def test_bare_deposits_are_only_the_close_steps_and_the_unit_term(monkeypatch):
