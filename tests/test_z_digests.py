@@ -1,0 +1,55 @@
+"""The exact values of ``evaluate_Z``, pinned by digest.
+
+``golden/z_digests.json`` maps a case name to the sha256 of
+``json.dumps(evaluate_Z(d, caps).to_json(), sort_keys=True)``: the six
+fixtures and their reversals at caps (0,0), (1,0), (2,0), (3,2), (2,4), (0,6)
+and (1,5), and the 40-crossing chain of ``5_7`` at (1,4).  Any change to the
+walk must leave every digest as it is.  To write the file afresh from the
+current program, run ``PYTHONPATH=src python tests/test_z_digests.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from knotoidal.diagram import chain_decompositions, fixtures, reverse_decomposition
+from knotoidal.invariant import evaluate_Z
+from knotoidal.series import Caps
+
+DIGESTS = Path(__file__).parent / "golden" / "z_digests.json"
+
+FIXTURE_CAPS = [(0, 0), (1, 0), (2, 0), (3, 2), (2, 4), (0, 6), (1, 5)]
+CHAIN_CAPS = (1, 4)
+CHAIN_CROSSINGS = 40
+
+
+def _cases():
+    """``(name, decomposition, caps)`` for every pinned value."""
+    fx = {name: d for name, (_, d) in fixtures().items()}
+    for eps, hbar in FIXTURE_CAPS:
+        for name, d in fx.items():
+            yield f"{name} ({eps},{hbar})", d, Caps(eps, hbar)
+            yield f"{name} reversed ({eps},{hbar})", reverse_decomposition(d), Caps(eps, hbar)
+    chain = fx["5_7"]
+    while len(chain.crossings()) < CHAIN_CROSSINGS:
+        chain = chain_decompositions(chain, fx["5_7"])
+    eps, hbar = CHAIN_CAPS
+    yield f"5_7 chain {CHAIN_CROSSINGS} ({eps},{hbar})", chain, Caps(eps, hbar)
+
+
+def _digests() -> dict[str, str]:
+    return {
+        name: hashlib.sha256(json.dumps(evaluate_Z(d, caps).to_json(), sort_keys=True).encode()).hexdigest()
+        for name, d, caps in _cases()
+    }
+
+
+def test_values_match_the_pinned_digests():
+    want = json.loads(DIGESTS.read_text())
+    got = _digests()
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(_digests(), indent=1, sort_keys=True) + "\n")
