@@ -27,13 +27,12 @@ inputs of the walk are integers once scaled too: a crossing's scalar, and a
 rotation element, which carries ``1/(2**h * h!)`` and so needs the factor 2
 of ``L`` (the tests check every input for eps caps 0-2 and hbar caps 0-8).
 Each deposit is scaled once, when it is built, and its rows are filled in
-integer arithmetic, each once, to the h-degree that a degree bound gives for
-its deepest read.  Scaled terms stay scaled under products because
-``L**a * L**b == L**(a+b)``, so a walk step is one integer multiply-add per
-product term, neither the walk nor the fill takes a gcd, and the result is
-divided back to ``Fraction(c, L**h)`` once, at the end.  Scaling a
-coefficient that is not integral raises :class:`NonIntegralScale`; nothing
-is ever rounded.
+integer arithmetic, each once, to the degrees its read reaches.  Scaled
+terms stay scaled under products because ``L**a * L**b == L**(a+b)``, so a
+walk step is one integer multiply-add per product term, neither the walk
+nor the fill takes a gcd, and the result is divided back to
+``Fraction(c, L**h)`` once, at the end.  Scaling a coefficient that is not
+integral raises :class:`NonIntegralScale`; nothing is ever rounded.
 
 A key is one int, ``id(mon) * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``
 and ``id`` the monomial's index in :class:`_WalkTables`.  While ``e <= K``
@@ -43,9 +42,11 @@ under a state term's own key, its row cut to the terms that state term
 reaches, with that sum already added, so a walk step adds into the product
 keys as they stand: no decode, no degree test, no key add, and no tuple is
 built or hashed.  Keys are decoded back to monomials only when the result
-is built.  Each crossing term is its own deposit, its scalar folded into its
-rows, so an open step reads each state once for all the crossing terms it
-reaches.
+is built.  The terms of R (or R^-1) at one kind of crossing are one
+deposit, their scalars folded into its rows and each row key tagged with
+the index g of the term's pending monomial among the kind's distinct ones,
+``key * G + g``: an open step reads one row per state term for all the
+crossing terms, and splits the sum by g into the new states.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -110,98 +111,114 @@ def _crossing_terms(caps: Caps):
 _UNIT_SD = {(0, 0): 1}
 
 
-def _row_budget(N: int, dmon: Mon, mon: Mon) -> int:
-    """The h-degree a monomial deposit ``dmon`` fills its row at ``mon`` to."""
-    return N - (sum(dmon) + sum(mon) + 1) // 2
-
-
 class _Deposit:
     """An element the walk multiplies onto the left of the running product.
 
-    The element is a sum of parts ``scalar * D``, D a monomial.  ``rows``
-    maps a packed key to one flat tuple of integer terms ``key, c * L**h``.
-    The full row, at ``i * S`` (e = h = 0), is the element times the
-    monomial of id ``i`` in normal form, sorted by h; ``key`` packs the
-    term's ``(monomial, e, h)``.  Under the key ``i * S + e * (N+1) + h`` of
-    any other state term is its cut: the full row's terms (pe, ph) with
-    ``ph <= N - h`` and ``pe <= K - e``, in the same order, each key shifted
-    by ``e * (N+1) + h``, so that every term is a product term as it stands.
-    :meth:`cut` makes it from the full row on its first read, filling the
-    full row first if need be, and neither is ever replaced.  ``low`` is the
-    lowest h-degree of the scalars.  The rows are the only memo of the
-    walk's products.
+    The element is a sum of parts ``scalar * D``, D a monomial, each part
+    tagged with a g in ``range(tags)``.  ``rows`` maps the packed key ``i *
+    S + e * (N+1) + h`` of a state term to its row: the element times the
+    monomial of id ``i``, in normal form, cut to the terms (pe, ph) the
+    state term reaches, ``ph <= N - h`` and ``pe <= K - e``, as one flat
+    tuple of integer terms ``k, c * L**ph``.  ``k = key * tags + g``, with
+    ``key`` the packed ``(monomial, e + pe, h + ph)`` of a product term and
+    g the tag of the parts it comes from, parts of one tag summed, so that
+    every term is a tagged product term as it stands.  A crossing kind is
+    one deposit holding every term of R or R^-1, tagged by its pending
+    monomial; a close step's monomial and a rotation element have one tag.
 
-    The row at M is kept to ``min(N, d + B)``, the least over the parts,
-    with d the lowest h-degree of a part's scalar and ``B = N - ceil((deg D
-    + deg M) / 2)``, deg the total exponent.  Each part adds its scalar
-    times :meth:`_Context.product` of D and M, read to ``hbar^(depth - d)``:
-    a scalar term at ``hbar^s``, ``s >= d``, meets product terms at
-    ``hbar^(t-s)``, ``t - s <= depth - d``, so the row is exact to its
-    depth.  A bare monomial (one part, unit scalar) is its product to B.
-
-    No read asks for more.  Every term (mon, e, h) of a product m1*m2 has
-    deg mon + e <= deg m1 + deg m2 + 2h; of R and R^-1, deg m1 + deg m2 + e
-    <= 2h and deg m1, deg m2 <= h; of a rotation, deg + e <= 2h.  So a state
-    term at hbar^h with main monomial M and pending P has 2h >= deg M +
-    deg P, and a read asks for ``N - h``.  A close read, on P = D, needs
-    ``N - h <= B``.  A crossing term or rotation read needs ``N - h - d <=
-    B``, that is ``h + d >= ceil((deg D + deg M) / 2)``: for a crossing term
-    d >= deg D and h >= deg M / 2; for a rotation d >= deg D / 2 and, on
-    the final state, which has no pending, h >= deg M / 2.
-
-    Reads often ask for less.  On cold 5_7 at (1,8), 91,740 of the 242,361
-    full-row terms are in no read's cut: 80,012 lie past the deepest
-    h-degree any read of their row asks for, and the other 11,728 are past
-    the e-degree of every read that reaches their h-degree.
+    :meth:`fill` makes a row at e = 0: a part of lowest scalar h-degree
+    d <= N - h adds its scalar times :meth:`_Context.product` of D and the
+    monomial, read to ``hbar^(N - h - d)``; a part with d > N - h adds
+    nothing.  The product is read once per row for all parts of D, to the
+    least d among them, and a larger d is truncated by the scalar product.
+    The row is sorted by h.  :meth:`cut` makes every other row on its first
+    read, from the row at e = 0 of the same monomial at the least ``h0 <=
+    h`` made so far, filled at h if there is none: its terms with ``ph <=
+    N - h`` and ``pe <= K - e``, in the same order, each key shifted by
+    ``(e * (N+1) + h - h0) * tags``.  No row is ever replaced, and the rows
+    are the only memo of the walk's products.
     """
 
-    __slots__ = ("tables", "parts", "low", "rows")
+    __slots__ = ("tables", "parts", "lows", "tags", "rows")
 
-    def __init__(self, tables: _WalkTables, terms: EDict):
+    def __init__(self, tables: _WalkTables, parts, tags: int = 1):
+        """``parts`` are ``(D, scalar, g)``, the scalar an exact series."""
         self.tables = tables
-        self.parts = [(mon, tables.ctx.scaled(sd)) for mon, sd in terms.items()]
-        self.low = min(h for _, sd in self.parts for _, h in sd)
+        self.parts, self.lows = [], {}
+        for mon, sd, g in parts:
+            d = min(h for _, h in sd)
+            self.parts.append((mon, tables.ctx.scaled(sd), d, g))
+            self.lows[mon] = min(d, self.lows.get(mon, d))
+        self.tags = tags
         self.rows: dict[int, tuple] = {}
 
-    def fill(self, mid: int) -> tuple:
+    def fill(self, key: int) -> tuple:
+        """Fill the row under ``key``, the key of a state term at e = 0."""
         tables = self.tables
-        ctx, mon, S = tables.ctx, tables.mons[mid], tables.S
+        ctx, S, G = tables.ctx, tables.S, self.tags
         K, N = ctx.K, ctx.N
-        lows = [min(h for _, h in sd) for _, sd in self.parts]
-        depth = min(N, *(d + _row_budget(N, dmon, mon) for (dmon, _), d in zip(self.parts, lows)))
+        mid, h = divmod(key, S)
+        mon, reach = tables.mons[mid], N - h
+        products: dict[Mon, EDict] = {}
         acc: dict[int, int] = {}
-        for (dmon, dsd), d in zip(self.parts, lows):
+        for dmon, dsd, d, g in self.parts:
+            if d > reach:
+                continue
+            product = products.get(dmon)
+            if product is None:
+                product = products[dmon] = ctx.product(dmon, mon, reach - self.lows[dmon])
             unit = dsd == _UNIT_SD
-            for pmon, psd in ctx.product(dmon, mon, depth - d).items():
+            for pmon, psd in product.items():
                 if not unit:
                     # looked up in this module, where perfbench/layers.py counts it
-                    psd = _smul(dsd, psd, K, depth)
-                base = tables.key(pmon, 0, 0)
-                for (e, h), c in psd.items():
-                    k = base + e * (N + 1) + h
+                    psd = _smul(dsd, psd, K, reach)
+                base = tables.key(pmon, 0, h) * G + g
+                for (e, ph), c in psd.items():
+                    k = base + (e * (N + 1) + ph) * G
                     acc[k] = acc.get(k, 0) + c
-        terms = sorted((k % (N + 1), k % S, k, c) for k, c in acc.items() if c)
-        row = self.rows[mid * S] = tuple(chain.from_iterable((k, c) for *_, k, c in terms))
+        terms = sorted((k // G % (N + 1), k, c) for k, c in acc.items() if c)
+        row = self.rows[key] = tuple(chain.from_iterable((k, c) for _, k, c in terms))
         return row
 
     def cut(self, key: int) -> tuple:
+        """Make the row under ``key``, read for the first time."""
         tables = self.tables
-        S, N1 = tables.S, tables.ctx.N + 1
+        rows, S, N1, G = self.rows, tables.S, tables.ctx.N + 1, self.tags
         mid, r = divmod(key, S)
-        row = self.rows.get(mid * S)
-        if row is None:
-            row = self.fill(mid)
-        if r:
-            reach, emax = N1 - 1 - r % N1, tables.ctx.K - r // N1
-            kept = []
+        e, h = divmod(r, N1)
+        base = mid * S
+        for h0 in range(h + 1):
+            row = rows.get(base + h0)
+            if row is not None:
+                break
+        else:
+            h0, row = h, self.fill(base + h)
+        if h0 == h and not e:
+            return row
+        top, emax, shift = N1 - 1 - h + h0, tables.ctx.K - e, (r - h0) * G
+        kept = []
+        it = iter(row)
+        for k, c in zip(it, it):
+            pk = k // G
+            if pk % N1 > top:
+                break
+            if pk % S // N1 <= emax:
+                kept += (k + shift, c)
+        row = rows[key] = tuple(kept)
+        return row
+
+    def times(self, main: dict, acc: dict) -> None:
+        """Add this element times ``main`` into ``acc``, as tagged packed
+        integer terms: each state term reads the row under its own key,
+        whose terms are the product keys already."""
+        rows = self.rows
+        for key, mc in main.items():
+            row = rows.get(key)
+            if row is None:
+                row = self.cut(key)
             it = iter(row)
             for k, c in zip(it, it):
-                if k % N1 > reach:
-                    break
-                if k % S // N1 <= emax:
-                    kept += (k + r, c)
-            row = self.rows[key] = tuple(kept)
-        return row
+                acc[k] = acc.get(k, 0) + mc * c
 
 
 class _WalkTables:
@@ -209,16 +226,14 @@ class _WalkTables:
 
     ``mons[i]`` is the monomial of id i, given when a row first holds it;
     a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``, and a
-    deposit's rows are keyed alike: the full row at monomial i by ``i * S``,
-    each cut by the key of the state term that reads it.
-    ``monomials`` holds the bare monomial deposits, by monomial: those the
-    close steps deposit, and the unit that R's and R^-1's unit term deposits.
-    ``crossing[sign, over_first]`` lists ``(low, deposit, pending)`` for each
-    term of R (sign 1) or R^-1 (sign -1), sorted by low: ``deposit`` is the
-    factor the walk multiplies on now, with the scalar folded in (the unit
-    term's is the bare unit monomial), ``pending`` the factor that waits.  A
-    rotation step only twists; a whole rotation element is deposited on the
-    final state alone.
+    deposit keeps each row under the key of the state term that reads it.
+    ``monomials`` holds the bare monomial deposits the close steps deposit,
+    by monomial.  ``crossing[sign, over_first]`` is ``(deposit, pending)``
+    for R (sign 1) or R^-1 (sign -1): ``pending`` lists the distinct
+    factors that wait, and ``deposit`` holds every term's factor the walk
+    multiplies on now, with its scalar folded in, tagged by the index of its
+    waiting factor in ``pending``.  A rotation step only twists; a whole
+    rotation element is deposited on the final state alone.
     """
 
     def __init__(self, caps: Caps):
@@ -228,16 +243,18 @@ class _WalkTables:
         self.ids: dict[Mon, int] = {}
         self.mons: list[Mon] = []
         self.monomials: dict[Mon, _Deposit] = {}
-        self.rotation = {s: _Deposit(self, rotation_element(s, caps).raw()) for s in (1, -1)}
+        self.rotation = {
+            s: _Deposit(self, [(mon, sd, 0) for mon, sd in rotation_element(s, caps).raw().items()])
+            for s in (1, -1)
+        }
         self.crossing = {}
         for sign, terms in _crossing_terms(caps).items():
             for over_first in (True, False):
-                deposits = []
-                for over, under, sd in terms:
-                    now, pend = (over, under) if over_first else (under, over)
-                    dep = self.monomial(now) if sd == _UNIT_SD else _Deposit(self, {now: sd})
-                    deposits.append((dep.low, dep, pend))
-                self.crossing[sign, over_first] = sorted(deposits, key=lambda t: t[0])
+                split = [(over, under, sd) if over_first else (under, over, sd) for over, under, sd in terms]
+                pending = tuple(dict.fromkeys(pend for _, pend, _ in split))
+                tag = {pend: g for g, pend in enumerate(pending)}
+                parts = [(now, sd, tag[pend]) for now, pend, sd in split]
+                self.crossing[sign, over_first] = (_Deposit(self, parts, len(pending)), pending)
 
     def key(self, mon: Mon, e: int, h: int) -> int:
         mid = self.ids.get(mon)
@@ -249,7 +266,7 @@ class _WalkTables:
     def monomial(self, mon: Mon) -> _Deposit:
         dep = self.monomials.get(mon)
         if dep is None:
-            dep = self.monomials[mon] = _Deposit(self, {mon: _UNIT_SD})
+            dep = self.monomials[mon] = _Deposit(self, [(mon, _UNIT_SD, 0)])
         return dep
 
     def twist(self, main: dict, t: int) -> dict:
@@ -304,25 +321,6 @@ def _walk_tables(caps: Caps) -> _WalkTables:
     return tables
 
 
-def _deposit(targets: list, main: dict, N: int) -> None:
-    """Add ``dep * main`` into ``acc`` for each ``(low, dep, acc)`` of
-    ``targets``, all as packed integer terms.  ``targets`` are sorted by
-    ``low``, the lowest h-degree of ``dep``, so a state term's scan stops at
-    the first deposit it cannot reach; each deposit it reaches has a row
-    under the term's own key whose terms are the product keys already."""
-    for key, mc in main.items():
-        reach = N - key % (N + 1)
-        for low, dep, acc in targets:
-            if low > reach:
-                break
-            row = dep.rows.get(key)
-            if row is None:
-                row = dep.cut(key)
-            it = iter(row)
-            for k, c in zip(it, it):
-                acc[k] = acc.get(k, 0) + mc * c
-
-
 def _nonzero(acc: dict) -> dict:
     """``acc`` without its zero terms; copied only if it has one."""
     return {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
@@ -336,38 +334,40 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     :data:`CAPS_COST_LIMIT`.
     """
     tables = _walk_tables(caps)
-    N = caps.hbar_order
     # state: pending monomials, in the order their crossings opened -> main
     # element, the latter as {key of (monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
     rotation = 0  # net rotation, deposited once the walk ends
 
     for step in d.walk():
+        if step[0] == "open":
+            # one read of each state term for all the crossing's terms, the sum
+            # split by the tag of each term's pending monomial, zeros dropped
+            dep, pends = tables.crossing[step[1], step[2]]
+            G, new_states = dep.tags, {}
+            for pending, main in states.items():
+                dep.times(main, acc := {})
+                parts: list[dict] = [{} for _ in pends]
+                for k, c in acc.items():
+                    if c:
+                        key, g = divmod(k, G)
+                        parts[g][key] = c
+                for pend, part in zip(pends, parts):
+                    if part:
+                        new_states[pending + (pend,)] = part
+            states = new_states
+            continue
         new_states: dict[tuple, dict] = {}
         if step[0] == "rot":
             rotation += step[1]
             for pending, main in states.items():
                 t = step[1] * sum(p[0] - p[3] for p in pending)
                 new_states[pending] = tables.twist(main, t) if t else main
-        elif step[0] == "open":
-            _, sign, over_first = step
-            crossing = tables.crossing[sign, over_first]
-            for pending, main in states.items():
-                # a crossing term of h-degree low reaches only the state terms
-                # of h-degree at most N - low
-                reach = N - min(key % (N + 1) for key in main)
-                targets = [
-                    (low, dep, new_states.setdefault(pending + (pend,), {}))
-                    for low, dep, pend in crossing
-                    if low <= reach
-                ]
-                _deposit(targets, main, N)
         else:  # close
             slot = step[1]
             for pending, main in states.items():
                 rest = pending[:slot] + pending[slot + 1:]
-                dep = tables.monomial(pending[slot])
-                _deposit([(0, dep, new_states.setdefault(rest, {}))], main, N)
+                tables.monomial(pending[slot]).times(main, new_states.setdefault(rest, {}))
         states = {}
         for pending, acc in new_states.items():
             main = _nonzero(acc)
@@ -376,7 +376,7 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
 
     main = states.get((), {})
     for _ in range(abs(rotation)):
-        _deposit([(0, tables.rotation[1 if rotation > 0 else -1], acc := {})], main, N)
+        tables.rotation[1 if rotation > 0 else -1].times(main, acc := {})
         main = _nonzero(acc)
     return InvariantValue(tables.element(main), caps, _decomposition_fingerprint(d, caps))
 

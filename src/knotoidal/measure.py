@@ -575,9 +575,12 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
 
     tallies: dict[str, int] = {}
     rejected = 0
-    # zmean: accepted decompositions with their counts, in first-seen order;
-    # many directions project to the same one, and each is evaluated once
-    decomps: dict = {}
+    # zmean: the first accepted decomposition of each distinct strand walk,
+    # with the count of its walk, in first-seen order.  The value depends on
+    # the walk and the caps alone, and many directions give the same walk,
+    # often as decompositions that differ only in token order; each walk is
+    # evaluated once
+    walks: dict[tuple, list] = {}
     for direction in directions:
         try:
             proj = project(curve, direction, tol)
@@ -587,9 +590,9 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
         label = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
-            decomps[proj.decomp] = decomps.get(proj.decomp, 0) + 1
+            walks.setdefault(proj.decomp.walk(), [proj.decomp, 0])[1] += 1
     zsums: dict[tuple, Fraction] = {}
-    for decomp, count in decomps.items():
+    for decomp, count in walks.values():
         part = evaluate_Z(decomp, caps).element.epsilon_part(1)
         for mon, sd in part.raw().items():
             for (e, h), coeff in sd.items():

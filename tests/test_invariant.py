@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotoidal import algebra, invariant
-from knotoidal.algebra import UNIT_MON, DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
+from knotoidal.algebra import DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
     chain_decompositions,
@@ -234,12 +234,31 @@ def test_truncation_consistent_across_caps(d, n):
 
 
 def _deposits(tables) -> list:
-    crossing = [(key, dep) for key, deposits in tables.crossing.items() for _, dep, _ in deposits]
-    return [*tables.monomials.items(), *tables.rotation.items(), *crossing]
+    """``(kind, deposit)`` for every deposit of ``tables``."""
+    return [
+        *(("close", dep) for dep in tables.monomials.values()),
+        *(("rotation", dep) for dep in tables.rotation.values()),
+        *(("crossing", dep) for dep, _ in tables.crossing.values()),
+    ]
+
+
+def _exact_parts(tables) -> list:
+    """``(kind, deposit, parts)`` for every deposit of ``tables``, ``parts``
+    its element as ``(D, exact scalar, tag)`` taken from the algebra, not
+    from the deposit: a crossing kind's tag is the index of the term's
+    pending monomial in the kind's ``pending``."""
+    caps, terms = tables.caps, _crossing_terms(tables.caps)
+    out = [("close", dep, [(mon, {(0, 0): Fraction(1)}, 0)]) for mon, dep in tables.monomials.items()]
+    for s, dep in tables.rotation.items():
+        out.append(("rotation", dep, [(mon, sd, 0) for mon, sd in rotation_element(s, caps).raw().items()]))
+    for (sign, over_first), (dep, pending) in tables.crossing.items():
+        split = [(over, under, sd) if over_first else (under, over, sd) for over, under, sd in terms[sign]]
+        out.append(("crossing", dep, [(now, sd, pending.index(pend)) for now, pend, sd in split]))
+    return out
 
 
 def _rows() -> dict:
-    """Every filled walk row, full or cut, by caps, deposit and key."""
+    """Every filled walk row, by caps, deposit and key."""
     return {
         (caps, id(dep), key): row
         for caps, tables in invariant._TABLES.items()
@@ -248,79 +267,119 @@ def _rows() -> dict:
     }
 
 
-def _unpacked(tables, row) -> dict:
-    """A full walk row as ``{monomial: {(e, h): c * L**h}}``, checked to be
-    sorted by h, which a cut relies on to stop at the first term past its
-    reach."""
+def _unpacked(tables, dep, key, row) -> dict:
+    """The row of ``dep`` under ``key`` as ``{(tag, monomial): {(pe, ph): c * L**ph}}``,
+    each product key shifted back by the state term's ``e * (N+1) + h``;
+    checked to be sorted by ph, which a cut relies on to stop at the first
+    term past its reach."""
+    r = key % tables.S
     out: dict = {}
-    hs = []
+    phs = []
     it = iter(row)
-    for key, c in zip(it, it):
-        mid, rest = divmod(key, tables.S)
-        e, h = divmod(rest, tables.ctx.N + 1)
-        out.setdefault(tables.mons[mid], {})[e, h] = c
-        hs.append(h)
-    assert hs == sorted(hs)
+    for k, c in zip(it, it):
+        k, g = divmod(k, dep.tags)
+        mid, rest = divmod(k - r, tables.S)
+        pe, ph = divmod(rest, tables.ctx.N + 1)
+        out.setdefault((g, tables.mons[mid]), {})[pe, ph] = c
+        phs.append(ph)
+    assert phs == sorted(phs)
     return out
+
+
+def _tagged_products(tables, parts, mon, depth, product) -> dict:
+    """The element of ``parts`` times ``mon`` to ``hbar^depth``, tag by tag:
+    for each tag, the sum over the parts of that tag of scalar * D * mon,
+    each ``product(D, mon, scalar)`` giving the scalar and the product to
+    multiply."""
+    out: dict = {}
+    for dmon, sd, g in parts:
+        if min(h for _, h in sd) > depth:
+            continue  # no term of the product survives the cut
+        sd, source = product(dmon, mon, sd)
+        for pmon, psd in source.items():
+            _sadd_into(out.setdefault((g, pmon), {}), _smul(sd, psd, tables.ctx.K, depth))
+    return out
+
+
+def _checked_rows(tables) -> set:
+    """Check every row of ``tables`` against the sum of its deposit's
+    scalars times the products, tag by tag, cut to ``pe <= K - e`` and ``ph
+    <= N - h`` for its key's (e, h): as ``_Context.product`` times the scaled
+    scalar, and as the ``Fraction`` oracle, which shares no table with the
+    walk, times the exact scalar.  Return the kinds of the deposits read."""
+    ref, ctx, S, N1 = reference_context(tables.caps), tables.ctx, tables.S, tables.ctx.N + 1
+
+    def scaled(dmon, mon, sd):
+        return ctx.scaled(sd), ctx.product(dmon, mon)
+
+    def exact(dmon, mon, sd):
+        return sd, ref.mon_mul(dmon, mon)
+
+    kinds = set()
+    for kind, dep, parts in _exact_parts(tables):
+        keys: dict = {}
+        for key in dep.rows:
+            keys.setdefault(key // S, []).append(key % S)
+        for mid, rs in keys.items():
+            mon, depth = tables.mons[mid], ctx.N - min(r % N1 for r in rs)
+            full = [_tagged_products(tables, parts, mon, depth, way) for way in (scaled, exact)]
+            for r in rs:
+                e, h = divmod(r, N1)
+                got = _unpacked(tables, dep, mid * S + r, dep.rows[mid * S + r])
+                for want, terms in zip(full, (got, ctx.unscaled(got))):
+                    cut = {
+                        tagged: {(pe, ph): c for (pe, ph), c in psd.items() if pe <= ctx.K - e and ph <= ctx.N - h}
+                        for tagged, psd in want.items()
+                    }
+                    assert terms == {tagged: psd for tagged, psd in cut.items() if psd}, (kind, mid * S + r)
+            kinds.add(kind)
+    return kinds
 
 
 @pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
 def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
-    # the row at M of a crossing term or a rotation element is the sum of its
-    # scalars times the products D*M of their monomials D, kept to
-    # min(N, d + budget) over its parts; the products are checked both as
-    # _Context.product and as the Fraction oracle, which shares no table
-    # with the walk
+    # the row a state term reads, of a crossing kind, a close step or a
+    # rotation element, is the sum of the scalars times the products D*M,
+    # tag by tag, cut to what that state term reaches
     monkeypatch.setattr(invariant, "_TABLES", {})
     for _, decomp in fixtures().values():
         evaluate_Z(decomp, caps)
     (tables,) = invariant._TABLES.values()
-    ctx, ref, K, N = tables.ctx, reference_context(caps), caps.eps_order, caps.hbar_order
-    bare = {id(dep) for dep in tables.monomials.values()}
-    folded = set()
-    for key, dep in _deposits(tables):
-        if id(dep) in bare:
-            continue
-        for row_key, row in dep.rows.items():
-            mid, cut = divmod(row_key, tables.S)
-            if cut:
-                continue
-            mon = tables.mons[mid]
-            budgets = [min(h for _, h in sd) + N - (sum(d) + sum(mon) + 1) // 2 for d, sd in dep.parts]
-            depth = min(N, *budgets)
-            got = _unpacked(tables, row)
-            for oracle in (False, True):
-                want: dict = {}
-                for dmon, sd in dep.parts:
-                    if oracle:
-                        sd, source = ctx.unscaled({dmon: sd})[dmon], ref.mon_mul(dmon, mon)
-                    else:
-                        source = ctx.product(dmon, mon)
-                    for pmon, psd in source.items():
-                        _sadd_into(want.setdefault(pmon, {}), _smul(sd, psd, K, depth))
-                want = {pmon: psd for pmon, psd in want.items() if psd}
-                assert (ctx.unscaled(got) if oracle else got) == want
-            folded.add(key if key in (1, -1) else "crossing")
-    assert folded == {1, -1, "crossing"}
+    assert _checked_rows(tables) == {"close", "rotation", "crossing"}
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st())
+def test_rows_are_the_scalars_times_the_products_on_random_decompositions(caps, d):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariant, "_TABLES", {})
+        evaluate_Z(d, caps)
+        for tables in invariant._TABLES.values():
+            _checked_rows(tables)
 
 
 def _checked_cuts(tables) -> int:
-    """Check every cut row of ``tables`` against its full row filtered to
-    the terms its state term reaches, and count the cuts."""
-    S, K, N = tables.S, tables.ctx.K, tables.ctx.N
+    """Check every row of ``tables`` but the deepest at e = 0 of its
+    monomial against that deepest row, at (0, h0), cut to the terms its
+    state term at (e, h) reaches, ``ph <= N - h`` and ``pe <= K - e``, in
+    order and shifted by ``e * (N+1) + h - h0``; count those rows."""
+    S, K, N1 = tables.S, tables.ctx.K, tables.ctx.N + 1
     cuts = 0
     for _, dep in _deposits(tables):
+        G = dep.tags
         for key, row in dep.rows.items():
             mid, r = divmod(key, S)
-            if not r:
+            e, h = divmod(r, N1)
+            h0 = min(h0 for h0 in range(N1) if mid * S + h0 in dep.rows)
+            if r == h0:
                 continue
-            e, h = divmod(r, N + 1)
             want = []
-            it = iter(dep.rows[mid * S])
+            it = iter(dep.rows[mid * S + h0])
             for k, c in zip(it, it):
-                pe, ph = divmod(k % S, N + 1)
-                if ph <= N - h and pe <= K - e:
-                    want += (k + r, c)
+                pe, ph = divmod(k // G % S, N1)
+                if ph - h0 <= N1 - 1 - h and pe <= K - e:
+                    want += (k + (r - h0) * G, c)
             assert row == tuple(want), (key, dep.parts)
             cuts += 1
     return cuts
@@ -328,8 +387,9 @@ def _checked_cuts(tables) -> int:
 
 @pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
 def test_cut_rows_are_their_full_rows_cut_on_fixtures(caps, monkeypatch):
-    # a state term at (e, h) reads its deposit's full row cut to ph <= N - h
-    # and pe <= K - e, each key shifted by e * (N+1) + h, in the same order
+    # a state term at (e, h) reads the deepest row at e = 0 of its monomial,
+    # at (0, h0), cut to ph <= N - h and pe <= K - e, each key shifted by
+    # e * (N+1) + h - h0, in the same order
     monkeypatch.setattr(invariant, "_TABLES", {})
     for _, decomp in fixtures().values():
         evaluate_Z(decomp, caps)
@@ -349,14 +409,22 @@ def test_cut_rows_are_their_full_rows_cut_on_random_decompositions(caps, d):
 
 
 def test_bare_deposits_are_only_the_close_steps_and_the_unit_term(monkeypatch):
-    # a crossing term or a rotation element fills its rows from the products
-    # of its monomials, not from rows of bare deposits made to feed it
+    # each crossing kind is one deposit of all its terms, tagged by their
+    # distinct pending monomials; the bare monomial deposits are only those
+    # the close steps multiply on
+    caps = Caps(1, 4)
     monkeypatch.setattr(invariant, "_TABLES", {})
     for _, decomp in fixtures().values():
-        evaluate_Z(decomp, Caps(1, 4))
+        evaluate_Z(decomp, caps)
     (tables,) = invariant._TABLES.values()
-    pending = {pend for deposits in tables.crossing.values() for _, _, pend in deposits}
-    assert set(tables.monomials) <= pending | {UNIT_MON}
+    terms = _crossing_terms(caps)
+    for (sign, over_first), (dep, pending) in tables.crossing.items():
+        assert dep.tags == len(pending) == len(set(pending))
+        split = [(over, under) if over_first else (under, over) for over, under, _ in terms[sign]]
+        assert sorted((now, pending[g]) for now, _, _, g in dep.parts) == sorted(split)
+    pending = {pend for _, pends in tables.crossing.values() for pend in pends}
+    assert set(tables.monomials) <= pending
+    assert all(len(dep.parts) == 1 and dep.tags == 1 for dep in tables.monomials.values())
 
 
 def test_rows_written_once_give_what_a_fresh_walk_gives(monkeypatch):

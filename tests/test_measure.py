@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoidal.diagram import OrientedGaussCode, parse_gauss_code, writhe
+from knotoidal.diagram import Crossing, OrientedGaussCode, Rotation, parse_gauss_code, writhe
 from knotoidal.errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
@@ -541,9 +541,13 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
             decomps.append(project(trefoil, direction, TOL).decomp)
         except DegenerateDirection:
             pass
-    distinct = list(dict.fromkeys(decomps))
-    assert calls == distinct
-    assert len(distinct) < len(decomps) == 200 - rejected
+    # the first decomposition of each distinct walk; 91 decompositions here
+    # have 88 walks
+    distinct: dict = {}
+    for d in decomps:
+        distinct.setdefault(d.walk(), d)
+    assert calls == list(distinct.values())
+    assert len(distinct) < len(set(decomps)) < len(decomps) == 200 - rejected
     # the same mean as one evaluation per accepted direction
     sums: dict = {}
     for d in decomps:
@@ -553,6 +557,33 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     assert [(tuple(c["monomial"]), c["hbar"], c["mean"]) for c in mean["components"]] == [
         (mon, h, str(total / len(decomps))) for (mon, h), total in sorted(sums.items())
     ]
+
+
+def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
+    # two decompositions that differ only in token order have one walk, so
+    # they count as one evaluation and give the mean of either alone
+    from knotoidal import invariant, measure
+    from knotoidal.diagram import Biframing, RotDecomp
+    from knotoidal.series import Caps
+
+    caps, code = Caps(1, 2), parse_gauss_code("1 -2 -1 2 + -")
+    first = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3)])
+    second = RotDecomp(8, [Rotation(1, 3), Crossing(-1, 1, 8), Crossing(1, 2, 4)])
+    assert first != second and first.walk() == second.walk()
+    original, calls = invariant.evaluate_Z, []
+
+    def counted(d, caps):
+        calls.append(d)
+        return original(d, caps)
+
+    def means(decomps):
+        projections = iter([measure.ProjectionResult(code, d, Biframing(0, 0)) for d in decomps])
+        monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
+        return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
+
+    monkeypatch.setattr(invariant, "evaluate_Z", counted)
+    assert means([first, second, first]) == means([first] * 3)
+    assert calls == [first, first]
 
 
 def test_estimate_validation(trefoil):
