@@ -97,7 +97,7 @@ def _decomposition_fingerprint(d: RotDecomp, caps: Caps) -> str:
 
 
 def _crossing_terms(caps: Caps):
-    """Per-sign crossing deposits: lists of (over_mon, under_mon, scalar).
+    """Per-sign crossing terms: lists of (over_mon, under_mon, scalar).
 
     The over-strand receives the first tensor factor of the (inverse)
     quasitriangular structure.
@@ -294,9 +294,9 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
-# tracks both.  Cold 5_7, one fresh process per run, on a loaded shared
-# 2-vCPU host: (1,8) 3.4-4.6 s and 68 MiB peak RSS, (1,9) 4.4-7.7 s and
-# 122 MiB, (1,10) 11.5-15.0 s and 230 MiB.  The limit is the cost of
+# tracks both.  Cold 5_7, one fresh process per run, on a shared 2-vCPU
+# host: (1,8) 2.6-2.9 s and 54 MiB peak RSS, (1,9) 5.3-5.5 s and 92 MiB,
+# (1,10) 10.8-11.2 s and 166 MiB.  The limit is the cost of
 # (1,10), the largest caps the acceptance checks may reach; a diagram with
 # more crossings costs more at the same caps.
 CAPS_COST_LIMIT = 2048
