@@ -70,7 +70,7 @@ from .algebra import (
     rotation_element,
 )
 from .diagram import RotDecomp
-from .errors import CapsMismatch, CapsTooCostly
+from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange
 from .series import Caps, _smul
 
 
@@ -136,7 +136,9 @@ class _Deposit:
     h`` made so far, filled at h if there is none: its terms with ``ph <=
     N - h`` and ``pe <= K - e``, in the same order, each key shifted by
     ``(e * (N+1) + h - h0) * tags``.  No row is ever replaced, and the rows
-    are the only memo of the walk's products.
+    are the only memo of the walk's products.  A term past the caps would
+    carry out of a field of its key into the next, so both raise
+    :class:`DegreeOutOfRange` for one rather than go on with a wrong key.
     """
 
     __slots__ = ("tables", "parts", "lows", "tags", "rows")
@@ -174,6 +176,8 @@ class _Deposit:
                     psd = _smul(dsd, psd, K, reach)
                 base = tables.key(pmon, 0, h) * G + g
                 for (e, ph), c in psd.items():
+                    if h + ph > N or e > K:
+                        raise DegreeOutOfRange(f"row term (e, h) = ({e}, {h + ph}) is past the caps")
                     k = base + (e * (N + 1) + ph) * G
                     acc[k] = acc.get(k, 0) + c
         terms = sorted((k // G % (N + 1), k, c) for k, c in acc.items() if c)
@@ -203,6 +207,11 @@ class _Deposit:
             if pk % N1 > top:
                 break
             if pk % S // N1 <= emax:
+                # a term past the caps would carry out of a field of its
+                # key and leave that field below the state term's own
+                pk += r - h0
+                if pk % N1 < h or pk % S // N1 < e:
+                    raise DegreeOutOfRange(f"cut row term of key {key} is past the caps")
                 kept += (k + shift, c)
         row = rows[key] = tuple(kept)
         return row

@@ -19,8 +19,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .diagram import (
     Biframing,
@@ -54,6 +56,8 @@ ZMEAN_CAPS = Caps(1, 2)
 # tolerance; it is the double 1e3 * 1e-9, one ulp above 1e-6, with which the
 # pinned projection outputs of the tests and the benchmark were recorded
 ANGLE_GUARD = 1.0000000000000002e-06
+
+_TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +174,6 @@ def _plane_basis(v: Vec3) -> tuple[Vec3, Vec3]:
     return e1, e2
 
 
-def _wrap_angle(delta: float) -> float:
-    while delta <= -math.pi:
-        delta += 2.0 * math.pi
-    while delta > math.pi:
-        delta -= 2.0 * math.pi
-    return delta
-
-
 def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     ax, ay = a
     bx, by = b
@@ -209,36 +205,35 @@ def _segment_crossings(pts2, depth, tol) -> list[dict]:
     pad = 2.0 * tol
     seg_d = []
     seg_len = []
-    xlo, xhi, ylo, yhi = [], [], [], []
+    boxes = []  # (left, i, right, bottom, top), inflated
+    ax, ay = pts2[0]
     for i in range(nseg):
-        (ax, ay), (bx, by) = pts2[i], pts2[i + 1]
-        d = (bx - ax, by - ay)
-        seg_d.append(d)
-        seg_len.append(math.hypot(*d))
-        xlo.append(min(ax, bx) - pad)
-        xhi.append(max(ax, bx) + pad)
-        ylo.append(min(ay, by) - pad)
-        yhi.append(max(ay, by) + pad)
-    order = sorted(range(nseg), key=xlo.__getitem__)
+        bx, by = pts2[i + 1]
+        dx, dy = bx - ax, by - ay
+        seg_d.append((dx, dy))
+        seg_len.append(math.hypot(dx, dy))
+        xl, xh = (ax, bx) if ax < bx else (bx, ax)
+        yl, yh = (ay, by) if ay < by else (by, ay)
+        boxes.append((xl - pad, i, xh + pad, yl - pad, yh + pad))
+        ax, ay = bx, by
+    boxes.sort()
+    lefts = [box[0] for box in boxes]
     candidates = []
-    for rank, i in enumerate(order):
-        right, low, high = xhi[i], ylo[i], yhi[i]
-        for k in range(rank + 1, nseg):
-            j = order[k]
-            if xlo[j] > right:
-                break
-            if ylo[j] <= high and low <= yhi[j] and abs(i - j) > 1:
+    for rank, (_, i, right, low, high) in enumerate(boxes):
+        end = bisect_right(lefts, right, rank + 1)
+        for _, j, _, bottom, top in boxes[rank + 1 : end]:
+            if bottom <= high and low <= top and (j > i + 1 or i > j + 1):
                 candidates.append((i, j) if i < j else (j, i))
     candidates.sort()
 
     crossings = []
     for i, j in candidates:
-        a1 = pts2[i]
-        da, la = seg_d[i], seg_len[i]
-        b1 = pts2[j]
-        db, lb = seg_d[j], seg_len[j]
-        denom = da[0] * db[1] - da[1] * db[0]
-        rhs = (b1[0] - a1[0], b1[1] - a1[1])
+        a1x, a1y = a1 = pts2[i]
+        b1x, b1y = b1 = pts2[j]
+        dax, day = seg_d[i]
+        dbx, dby = seg_d[j]
+        la, lb = seg_len[i], seg_len[j]
+        denom = dax * dby - day * dbx
         if abs(denom) <= tol * la * lb:
             # near-parallel: reject only if the lines nearly overlap
             a2, b2 = pts2[i + 1], pts2[j + 1]
@@ -251,10 +246,11 @@ def _segment_crossings(pts2, depth, tol) -> list[dict]:
             if gap < tol:
                 raise DegenerateDirection("near-parallel segment overlap")
             continue
-        t = (rhs[0] * db[1] - rhs[1] * db[0]) / denom
-        s = (rhs[0] * da[1] - rhs[1] * da[0]) / denom
-        margin_t = tol / max(la, tol)
-        margin_s = tol / max(lb, tol)
+        rx, ry = b1x - a1x, b1y - a1y
+        t = (rx * dby - ry * dbx) / denom
+        s = (rx * day - ry * dax) / denom
+        margin_t = tol / (la if la > tol else tol)
+        margin_s = tol / (lb if lb > tol else tol)
         if t < -margin_t or t > 1 + margin_t or s < -margin_s or s > 1 + margin_s:
             continue
         if (
@@ -268,7 +264,7 @@ def _segment_crossings(pts2, depth, tol) -> list[dict]:
         zb = depth[j] + s * (depth[j + 1] - depth[j])
         if abs(za - zb) < tol:
             raise DegenerateDirection("depth tie at crossing")
-        point = (a1[0] + t * da[0], a1[1] + t * da[1])
+        point = (a1x + t * dax, a1y + t * day)
         crossings.append(
             {"point": point, "i": i, "t": t, "j": j, "s": s, "za": za, "zb": zb}
         )
@@ -291,6 +287,32 @@ def _check_triple_points(points, tol) -> None:
                 raise DegenerateDirection("two crossings within tol (triple point)")
 
 
+def _check_endpoint_grazing(pts2, tol) -> None:
+    """Reject if an endpoint lies within ``tol`` of a segment other than its
+    own.
+
+    A segment's box, inflated by ``2 * tol``, is tested first: a point
+    outside it is more than ``2 * tol`` from the segment, which lies in the
+    box, so the distance could not reject it.  The margin beyond ``tol``
+    absorbs rounding.
+    """
+    pad = 2.0 * tol
+    for endpoint, others in ((pts2[0], pts2[1:]), (pts2[-1], pts2[:-1])):
+        px, py = endpoint
+        left, right, low, high = px - pad, px + pad, py - pad, py + pad
+        ax, ay = a = others[0]
+        for b in others[1:]:
+            bx, by = b
+            if not (
+                (ax < left and bx < left)
+                or (ax > right and bx > right)
+                or (ay < low and by < low)
+                or (ay > high and by > high)
+            ) and _point_segment_distance(endpoint, a, b) < tol:
+                raise DegenerateDirection("endpoint within tol of a strand")
+            ax, ay, a = bx, by, b
+
+
 def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult:
     """Project along ``direction`` and extract the knotoid diagram.
 
@@ -302,19 +324,12 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     norm = math.sqrt(sum(c * c for c in direction))
     if not abs(norm - 1.0) <= 1e-12:  # also false for a nan component
         raise InvalidArgument("direction must be a unit vector within 1e-12")
-    e1, e2 = _plane_basis(direction)
-    pts2 = tuple(
-        (
-            p[0] * e1[0] + p[1] * e1[1] + p[2] * e1[2],
-            p[0] * e2[0] + p[1] * e2[1] + p[2] * e2[2],
-        )
-        for p in curve.points
-    )
-    depth = tuple(
-        p[0] * direction[0] + p[1] * direction[1] + p[2] * direction[2]
-        for p in curve.points
-    )
-    nseg = len(pts2) - 1
+    (e1x, e1y, e1z), (e2x, e2y, e2z) = _plane_basis(direction)
+    vx, vy, vz = direction
+    pts2, depth = [], []
+    for x, y, z in curve.points:
+        pts2.append((x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z))
+        depth.append(x * vx + y * vy + z * vz)
     seg_dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts2, pts2[1:])]
 
     # a 3D segment parallel to the view direction projects to a point (cusp)
@@ -323,20 +338,18 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
 
     crossings = _segment_crossings(pts2, depth, tol)
     _check_triple_points([rec["point"] for rec in crossings], tol)
+    _check_endpoint_grazing(pts2, tol)
 
-    # endpoint grazing another strand
-    for endpoint, skip in ((pts2[0], {0}), (pts2[-1], {nseg - 1})):
-        for i in range(nseg):
-            if i in skip:
-                continue
-            if _point_segment_distance(endpoint, pts2[i], pts2[i + 1]) < tol:
-                raise DegenerateDirection("endpoint within tol of a strand")
-
-    # continuous tangent-angle lift along the polyline
+    # continuous tangent-angle lift along the polyline; an atan2 difference
+    # lies in [-2pi, 2pi], so one step of 2pi wraps it into (-pi, pi]
     angles = [math.atan2(dy, dx) for dx, dy in seg_dirs]
     lifted = [angles[0]]
     for prev, cur in zip(angles, angles[1:]):
-        delta = _wrap_angle(cur - prev)
+        delta = cur - prev
+        if delta <= -math.pi:
+            delta += _TWO_PI
+        elif delta > math.pi:
+            delta -= _TWO_PI
         if abs(abs(delta) - math.pi) < ANGLE_GUARD:
             raise DegenerateDirection("projection folds back (cusp)")
         lifted.append(lifted[-1] + delta)
@@ -403,8 +416,14 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     # tol, or lie within tol of the endpoint on a segment other than the
     # endpoint's own, and both are rejected above.
     def winding(center: Vec2, pts) -> int:
-        angs = [math.atan2(p[1] - center[1], p[0] - center[0]) for p in pts]
-        total = sum(_wrap_angle(b - a) for a, b in zip(angs, angs[1:]))
+        cx, cy = center
+        angs = [math.atan2(y - cy, x - cx) for x, y in pts]
+        # sum() rounds a float total with compensation on Python >= 3.12, so
+        # a hand-written loop could round the winding differently there
+        total = sum(
+            d + _TWO_PI if d <= -math.pi else d - _TWO_PI if d > math.pi else d
+            for d in map(sub, angs[1:], angs)
+        )
         return int(round(total / (2.0 * math.pi)))
 
     n0 = winding(pts2[0], pts2[1:])
@@ -581,13 +600,18 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
     # often as decompositions that differ only in token order; each walk is
     # evaluated once
     walks: dict[tuple, list] = {}
+    # the label is a function of the code, and 500 directions of the bundled
+    # trefoil give fewer than 80 distinct codes; each code is labelled once
+    labels: dict[OrientedGaussCode, str] = {}
     for direction in directions:
         try:
             proj = project(curve, direction, tol)
         except DegenerateDirection:
             rejected += 1
             continue
-        label = class_label(proj.code)
+        label = labels.get(proj.code)
+        if label is None:
+            label = labels[proj.code] = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
             walks.setdefault(proj.decomp.walk(), [proj.decomp, 0])[1] += 1

@@ -1,9 +1,10 @@
 """Slow, independent references for the measure path (test-only).
 
 These are the original quadratic implementations that the sweep-based
-crossing search, the sorted triple-point check and the incremental Gauss-code
-simplifier in ``knotoidal.measure`` replaced.  The property tests require the
-fast versions to produce exactly what these produce.
+crossing search, the sorted triple-point check, the box-filtered endpoint
+check and the incremental Gauss-code simplifier in ``knotoidal.measure``
+replaced.  The property tests require the fast versions to produce exactly
+what these produce.
 """
 
 from __future__ import annotations
@@ -78,10 +79,21 @@ def all_pairs_triple_points(points, tol):
                 raise DegenerateDirection("two crossings within tol (triple point)")
 
 
+def all_segments_grazing(pts2, tol):
+    """Test each endpoint against every segment but its own."""
+    nseg = len(pts2) - 1
+    for endpoint, own in ((pts2[0], 0), (pts2[-1], nseg - 1)):
+        for i in range(nseg):
+            if i != own and _point_segment_distance(endpoint, pts2[i], pts2[i + 1]) < tol:
+                raise DegenerateDirection("endpoint within tol of a strand")
+
+
 def reference_project(curve, direction, tol):
-    """``measure.project`` with both pair searches replaced by all-pairs loops."""
+    """``measure.project`` with both pair searches replaced by all-pairs loops
+    and the endpoint check by an all-segments loop."""
     with mock.patch.object(measure, "_segment_crossings", all_pairs_crossings), \
-            mock.patch.object(measure, "_check_triple_points", all_pairs_triple_points):
+            mock.patch.object(measure, "_check_triple_points", all_pairs_triple_points), \
+            mock.patch.object(measure, "_check_endpoint_grazing", all_segments_grazing):
         return measure.project(curve, direction, tol)
 
 

@@ -348,6 +348,22 @@ def test_folded_rows_are_the_scalars_times_the_monomial_rows(caps, monkeypatch):
     assert _checked_rows(tables) == {"close", "rotation", "crossing"}
 
 
+def test_a_row_term_past_the_caps_raises(monkeypatch):
+    # products read one h-degree too deep put row terms past the hbar cap,
+    # which would carry out of the h field of their packed keys; the fill
+    # raises rather than walk on with wrong keys
+    monkeypatch.setattr(algebra, "_CONTEXTS", {})
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    product = algebra._Context.product
+
+    def too_deep(ctx, m1, m2, hbar_cap=None):
+        return product(ctx, m1, m2, None if hbar_cap is None else hbar_cap + 1)
+
+    monkeypatch.setattr(algebra._Context, "product", too_deep)
+    with pytest.raises(DegreeOutOfRange, match="past the caps"):
+        evaluate_Z(fixtures()["5_7"][1], Caps(0, 3))
+
+
 @pytest.mark.parametrize("caps", [Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
 @settings(max_examples=20, deadline=None)
 @given(d=small_decomposition_st())

@@ -260,9 +260,9 @@ def _lattice_walk(points: int, seed: int) -> OpenCurve3D:
     return OpenCurve3D(tuple(out))
 
 
-def _project_or_reason(fn, curve, direction):
+def _project_or_reason(fn, curve, direction, tol=TOL):
     try:
-        return fn(curve, direction, TOL)
+        return fn(curve, direction, tol)
     except DegenerateDirection as exc:
         return exc.reason
 
@@ -294,6 +294,57 @@ def test_project_matches_all_pairs_on_lattice_walks(points, seed, direction):
     direction = tuple(c / norm for c in direction)
     assert _project_or_reason(project, curve, direction) == _project_or_reason(
         reference_project, curve, direction
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(4, 40),
+    st.integers(0, 2**32),
+    st.sampled_from([1e-9, 1e-3]),
+    st.booleans(),
+    st.floats(0.5, 3.0),
+    st.one_of(
+        st.tuples(st.floats(0.0, 1.0), st.just(0.0)),
+        st.tuples(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.5)),
+    ),
+    st.sampled_from([1.0, -1.0]),
+    st.data(),
+)
+def test_project_matches_all_segments_on_grazing_endpoints(
+    points, seed, tol, head, gap, place, side, data
+):
+    # The leg or the head moved to gap * tol from another segment's
+    # projection, so that the endpoint check decides on both sides of tol:
+    # beside the segment along its normal, or beyond one of its ends, tilted
+    # outward from the normal by up to 1.5 radians, so that the endpoint
+    # also lies outside the segment's box.
+    from knotoidal.measure import _plane_basis
+
+    curve = _walk(points, seed, False)
+    direction = sample_direction(seed, 0)
+    e1, e2 = _plane_basis(direction)
+    pts = list(curve.points)
+    seg = data.draw(st.integers(0, points - 3) if head else st.integers(1, points - 2))
+    a, b = pts[seg], pts[seg + 1]
+    u0, u1 = (sum((q - p) * e for q, p, e in zip(b, a, axis)) for axis in (e1, e2))
+    length = math.hypot(u0, u1)
+    if length == 0.0:
+        return
+    along, tilt = place
+    normal = [side * (u0 * e2[k] - u1 * e1[k]) / length for k in range(3)]
+    outward = [(1.0 if along else -1.0) * (u0 * e1[k] + u1 * e2[k]) / length for k in range(3)]
+    offset = [math.cos(tilt) * n + math.sin(tilt) * o for n, o in zip(normal, outward)]
+    pts[-1 if head else 0] = tuple(
+        p + along * (q - p) + gap * tol * w + 0.5 * v
+        for p, q, w, v in zip(a, b, offset, direction)
+    )
+    try:
+        curve = OpenCurve3D(tuple(pts))
+    except DuplicateConsecutivePoint:
+        return
+    assert _project_or_reason(project, curve, direction, tol) == _project_or_reason(
+        reference_project, curve, direction, tol
     )
 
 
@@ -584,6 +635,38 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     monkeypatch.setattr(invariant, "evaluate_Z", counted)
     assert means([first, second, first]) == means([first] * 3)
     assert calls == [first, first]
+
+
+@pytest.mark.parametrize("phi", ["classes", "zmean"])
+def test_classes_label_each_code_once(trefoil, monkeypatch, phi):
+    from knotoidal import measure
+
+    n, seed = 200, 1
+    original, calls = measure.simplify_gauss, []
+
+    def counted(code):
+        calls.append(code)
+        return original(code)
+
+    monkeypatch.setattr(measure, "simplify_gauss", counted)
+    estimate = estimate_measure(trefoil, n, seed=seed, phi=phi)
+    codes = []
+    for direction in sample_directions(seed, n):
+        try:
+            codes.append(project(trefoil, direction, TOL).code)
+        except DegenerateDirection:
+            pass
+    # one simplification per distinct code, in first-seen order
+    assert calls == list(dict.fromkeys(codes))
+    assert len(calls) < len(codes) == estimate.accepted
+    # the same estimate as labelling every accepted direction
+    tallies: dict = {}
+    for code in codes:
+        label = class_label(code)
+        tallies[label] = tallies.get(label, 0) + 1
+    freq = {label: Fraction(count, len(codes)) for label, count in tallies.items()}
+    expected = MeasureEstimate(n, seed, freq, estimate.invariant_mean, n - len(codes))
+    assert estimate.to_json_str() == expected.to_json_str()
 
 
 def test_estimate_validation(trefoil):
