@@ -24,6 +24,7 @@ from knotoidal.measure import (
     TRIVIAL_CLASS,
     _check_triple_points,
     _estimate_with_directions,
+    _plane_basis,
     builtin_curve_path,
     class_label,
     dominant_knotoid,
@@ -319,8 +320,6 @@ def test_project_matches_all_segments_on_grazing_endpoints(
     # beside the segment along its normal, or beyond one of its ends, tilted
     # outward from the normal by up to 1.5 radians, so that the endpoint
     # also lies outside the segment's box.
-    from knotoidal.measure import _plane_basis
-
     curve = _walk(points, seed, False)
     direction = sample_direction(seed, 0)
     e1, e2 = _plane_basis(direction)
