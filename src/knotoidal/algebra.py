@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .errors import DegreeOutOfRange, InvalidArgument, NonIntegralScale, ParseError
+from .errors import CapsMismatch, DegreeOutOfRange, InvalidArgument, NonIntegralScale, ParseError
 from .series import (
     Caps,
     ScalarSeries,
@@ -186,7 +186,7 @@ def _relation_tail(K: int, N: int) -> EDict:
 class _Context:
     """Per-caps workspace holding memoized rewriting tables.
 
-    ``q_powers``, ``tail``, ``tail_sums`` (the ``F_m``) and ``left_x`` hold
+    ``q``, ``tail``, ``tail_sums`` (the ``F_m``) and ``left_x`` hold
     integer terms ``c * L**h`` at the scale ``L = self.scale``; ``mul``,
     ``antipode_mon`` and ``antipode_gen_powers`` hold exact ``Fraction``
     elements.  ``left_x[(l, i)]`` is the list of the ``Q_r`` of
@@ -201,7 +201,7 @@ class _Context:
         self.scale = _walk_scale(N)
         self.powers = [self.scale**h for h in range(N + 1)]
         q = self.scaled(ScalarSeries.term(Caps(K, N), 1, 1, 1).exp().coeffs)
-        self.q_powers: list[Poly] = [{(0, 0, 0, 0): 1}, {(0, 0, e, h): c for (e, h), c in q.items()}]
+        self.q: Poly = {(0, 0, e, h): c for (e, h), c in q.items()}
         self.tail: Poly = {
             (j, k, e, h): c
             for (_, j, k, _), sd in _relation_tail(K, N).items()
@@ -230,18 +230,15 @@ class _Context:
     # -- normal ordering
 
     def q_power(self, m: int) -> Poly:
-        """``q^m`` as a constant polynomial."""
-        powers = self.q_powers
-        while len(powers) <= m:
-            powers.append(_poly_mul(powers[-1], powers[1], self.K, self.N))
-        return powers[m]
+        """``q^m = sum_k m^k (eps*hbar)^k / k!`` as a constant polynomial."""
+        return {key: m ** key[2] * c for key, c in self.q.items() if m or not key[2]}
 
     def tail_sum(self, m: int) -> Poly:
         """``F_m``, the polynomial with ``x * y^m = q^m y^m x + y^(m-1) F_m``."""
         sums = self.tail_sums
         while len(sums) <= m:
             n = len(sums)
-            f = _poly_mul(self.q_power(1), sums[-1], self.K, self.N)
+            f = _poly_mul(self.q, sums[-1], self.K, self.N)
             _sadd_into(f, _poly_shift(self.tail, n - 1, self.K))
             sums.append(f)
         return sums[m]
@@ -462,6 +459,8 @@ class DElement(_Terms):
 
     @classmethod
     def monomial(cls, caps: Caps, mon: Mon, coeff: ScalarSeries | None = None) -> "DElement":
+        if coeff is not None and coeff.caps != caps:
+            raise CapsMismatch(f"{coeff.caps} vs {caps}")
         sd = dict(_ONE_SD) if coeff is None else dict(coeff.coeffs)
         return cls(caps, {tuple(mon): sd})
 

@@ -458,7 +458,11 @@ def table_rows():
 
 
 def fixtures() -> dict[str, tuple[OrientedGaussCode, RotDecomp]]:
-    """Built-in diagrams with rotational decompositions, keyed by table label."""
+    """Built-in diagrams with rotational decompositions, keyed by table label.
+
+    Each name is paired with its pair's tabulated code.  Only the
+    decomposition of ``5_7`` reads that code along its strand; the other five
+    read its reverse (:func:`reverse_code`, relabeled)."""
     code_by_name = {}
     for (k1, k2), text in _TABLE_CODES.items():
         code_by_name[k1] = text

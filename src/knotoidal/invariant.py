@@ -281,7 +281,7 @@ class _WalkTables:
     def twist(self, main: dict, t: int) -> dict:
         """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k,
         which adds ``k * (N+2)`` to a key."""
-        q, K, N = self.ctx.q_powers[1], self.ctx.K, self.ctx.N
+        q, K, N = self.ctx.q, self.ctx.K, self.ctx.N
         for key, c in list(main.items()):
             e, h = divmod(key % self.S, N + 1)
             for k in range(1, min(K - e, N - h) + 1):

@@ -86,7 +86,11 @@ def builtin_curve_path(name: str = "open_trefoil") -> str:
     """Filesystem path of a bundled example curve."""
     from importlib.resources import files
 
-    resource = files("knotoidal").joinpath(f"data/{name}.xyz")
+    data = files("knotoidal").joinpath("data")
+    resource = data.joinpath(f"{name}.xyz")
+    if not resource.is_file():
+        bundled = sorted(p.name[:-4] for p in data.iterdir() if p.name.endswith(".xyz"))
+        raise InvalidArgument(f"no bundled curve {name!r}; the bundled curves: {', '.join(bundled)}")
     return str(resource)
 
 
@@ -186,9 +190,13 @@ def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _segment_crossings(pts2, depth, tol) -> list[dict]:
-    """Crossing records of the projected polyline, in ascending ``(i, j)``
-    segment-pair order; raises for the first degenerate pair in that order.
+def _segment_crossings(pts2, depth, tol) -> list[tuple]:
+    """Crossings ``(i, t, j, s, over_first, sign, point)`` of the projected
+    polyline, in ascending ``(i, j)`` segment-pair order; raises for the
+    first degenerate pair in that order.  Segment ``i`` passes at parameter
+    ``t`` and segment ``j`` at ``s``; ``over_first`` is true when segment
+    ``i`` is the over-strand, and ``sign`` is +1 when the cross product of
+    the over-strand's direction with the under-strand's is positive.
 
     Broad phase: sort the segments' boxes, inflated by ``2 * tol``, by their
     left edge and sweep.  A pair whose inflated boxes are disjoint is more
@@ -264,10 +272,10 @@ def _segment_crossings(pts2, depth, tol) -> list[dict]:
         zb = depth[j] + s * (depth[j + 1] - depth[j])
         if abs(za - zb) < tol:
             raise DegenerateDirection("depth tie at crossing")
-        point = (a1x + t * dax, a1y + t * day)
-        crossings.append(
-            {"point": point, "i": i, "t": t, "j": j, "s": s, "za": za, "zb": zb}
-        )
+        # denom is the cross product of segment i's direction with j's
+        over_first = za > zb
+        sign = 1 if (denom > 0) == over_first else -1
+        crossings.append((i, t, j, s, over_first, sign, (a1x + t * dax, a1y + t * day)))
     return crossings
 
 
@@ -337,7 +345,7 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         raise DegenerateDirection("segment parallel to view direction")
 
     crossings = _segment_crossings(pts2, depth, tol)
-    _check_triple_points([rec["point"] for rec in crossings], tol)
+    _check_triple_points([rec[6] for rec in crossings], tol)
     _check_endpoint_grazing(pts2, tol)
 
     # continuous tangent-angle lift along the polyline; an atan2 difference
@@ -366,10 +374,9 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         return [Rotation(step, first_label + n) for n in range(abs(spin))]
 
     # The passes in strand order: (segment, parameter, crossing index).
-    # Crossing k is over on its segment i exactly when za > zb.
     events = []
-    for k, rec in enumerate(crossings):
-        events += ((rec["i"], rec["t"], k), (rec["j"], rec["s"], k))
+    for k, (i, t, j, s, *_) in enumerate(crossings):
+        events += ((i, t, k), (j, s, k))
     events.sort(key=lambda ev: ev[:2])
 
     # Integer turn marks per pass.  The first pass of each crossing and the
@@ -387,21 +394,17 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     labels = [[0, 0] for _ in crossings]  # over and under label
     passes, signs, tokens = [], {}, []
     for seg, _par, k in events:
-        rec = crossings[k]
-        over_first = rec["za"] > rec["zb"]
+        i, _, _, _, over_first, sign, _ = crossings[k]
         if not ids[k]:
             ids[k] = len(signs) + 1
-            di, dj = seg_dirs[rec["i"]], seg_dirs[rec["j"]]
-            over_dir, under_dir = (di, dj) if over_first else (dj, di)
-            cross = over_dir[0] * under_dir[1] - over_dir[1] * under_dir[0]
-            signs[ids[k]] = 1 if cross > 0 else -1
+            signs[ids[k]] = sign
             new_mark = snap(lifted[seg], 0.5 * math.pi)
             residual[k] = lifted[seg] - 2.0 * math.pi * new_mark
         else:
             new_mark = snap(lifted[seg], residual[k])
         tokens += rotations(new_mark - mark, len(tokens) + len(passes) + 1)
         mark = new_mark
-        over = (seg == rec["i"]) == over_first
+        over = (seg == i) == over_first
         passes.append((ids[k], "over" if over else "under"))
         labels[k][0 if over else 1] = len(tokens) + len(passes)
     head_mark = snap(lifted[-1], leg_residual)
@@ -446,9 +449,10 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
     its lexicographically least pair of adjacency positions.
 
     Passes stay in a linked list over their original positions, which keeps
-    their order, and pending moves in two heaps that are checked when popped.
-    A move changes adjacencies only at the junctions it leaves, so only the
-    junctions are examined again.
+    their order.  ``move_at`` decides the move at a junction; pending moves
+    wait in one heap, where kinks sort first, and a popped move is done only
+    if ``move_at`` still returns it.  A move changes adjacencies only at the
+    junctions it leaves, so only those are examined again.
     """
     passes = code.passes
     signs = dict(code.signs)  # the crossings still present
@@ -460,9 +464,6 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
     where: dict[int, list[int]] = {}
     for k, c in enumerate(cid):
         where.setdefault(c, []).append(k)
-
-    def is_kink(k: int) -> bool:
-        return cid[k] in signs and nxt[k] != -1 and cid[nxt[k]] == cid[k]
 
     def bigon(c1: int, c2: int):
         """Least ``(pos_a, pos_b)`` removing the pair as a bigon, or None.
@@ -490,17 +491,29 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
                 return pos_a, pos_b
         return None
 
-    kinks = [k for k in range(size - 1) if cid[k] == cid[k + 1]]
-    bigons = []
-    pairs = {frozenset((cid[k], cid[k + 1])) for k in range(size - 1)}
-    for pair in pairs:
-        if len(pair) == 2:
-            found = bigon(*pair)
-            if found is not None:
-                bigons.append((*found, *pair))
-    heapq.heapify(bigons)
+    def move_at(p: int):
+        """The move at the junction after node ``p``: ``(0, p)`` for a kink,
+        ``(1, pos_a, pos_b, c1, c2)`` with ``c1 < c2`` for a removable
+        bigon of the pair that meets there, or None."""
+        c1, n = cid[p], nxt[p]
+        if c1 not in signs or n == -1:
+            return None
+        c2 = cid[n]
+        if c1 == c2:
+            return (0, p)
+        if c2 < c1:
+            c1, c2 = c2, c1
+        found = bigon(c1, c2)
+        return None if found is None else (1, *found, c1, c2)
 
-    def remove(nodes) -> None:
+    heap = [move for move in map(move_at, range(size - 1)) if move]
+    heapq.heapify(heap)
+    while heap:
+        move = heapq.heappop(heap)
+        if move_at(move[1]) != move:
+            continue
+        # the nodes left to right, so each left neighbour survives the move
+        nodes = [k for p in move[1 : 2 + move[0]] for k in (p, nxt[p])]
         lefts = []
         for k in nodes:
             p, n = prv[k], nxt[k]
@@ -511,32 +524,10 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
                 prv[n] = p
         for k in nodes:
             signs.pop(cid[k], None)
-        # nodes run left to right, so each left neighbour survives the move
         for p in dict.fromkeys(lefts):
-            n = nxt[p]
-            if n == -1:
-                continue
-            if cid[p] == cid[n]:
-                heapq.heappush(kinks, p)
-            else:
-                found = bigon(cid[p], cid[n])
-                if found is not None:
-                    heapq.heappush(bigons, (*found, cid[p], cid[n]))
-
-    while True:
-        while kinks and not is_kink(kinks[0]):
-            heapq.heappop(kinks)
-        if kinks:
-            k = heapq.heappop(kinks)
-            remove((k, nxt[k]))
-            continue
-        while bigons:
-            pos_a, pos_b, c1, c2 = heapq.heappop(bigons)
-            if c1 in signs and c2 in signs and bigon(c1, c2) == (pos_a, pos_b):
-                remove((pos_a, nxt[pos_a], pos_b, nxt[pos_b]))
-                break
-        else:
-            break
+            found = move_at(p)
+            if found:
+                heapq.heappush(heap, found)
     remaining = [p for p in passes if p[0] in signs]
     return OrientedGaussCode(remaining, signs).relabeled()
 

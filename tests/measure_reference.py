@@ -19,7 +19,8 @@ from knotoidal.measure import _point_segment_distance
 
 
 def all_pairs_crossings(pts2, depth, tol):
-    """Test every segment pair in ascending ``(i, j)`` order."""
+    """Test every segment pair in ascending ``(i, j)`` order; each crossing's
+    sign is the cross product of its over- and under-strand directions."""
     nseg = len(pts2) - 1
     crossings = []
     for i in range(nseg):
@@ -64,9 +65,11 @@ def all_pairs_crossings(pts2, depth, tol):
             if abs(za - zb) < tol:
                 raise DegenerateDirection("depth tie at crossing")
             point = (a1[0] + t * da[0], a1[1] + t * da[1])
-            crossings.append(
-                {"point": point, "i": i, "t": t, "j": j, "s": s, "za": za, "zb": zb}
-            )
+            over_first = za > zb
+            over_dir, under_dir = (da, db) if over_first else (db, da)
+            cross = over_dir[0] * under_dir[1] - over_dir[1] * under_dir[0]
+            sign = 1 if cross > 0 else -1
+            crossings.append((i, t, j, s, over_first, sign, point))
     return crossings
 
 

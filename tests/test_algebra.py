@@ -12,6 +12,7 @@ from knotoidal.algebra import (
     DElement,
     DTensor,
     _Context,
+    _poly_mul,
     _relation_tail,
     antipode,
     get_context,
@@ -76,6 +77,8 @@ def test_associativity_random(caps14):
 def test_caps_mismatch(caps14):
     with pytest.raises(CapsMismatch):
         DElement.unit(caps14) * DElement.unit(Caps(0, 4))
+    with pytest.raises(CapsMismatch):
+        DElement.monomial(Caps(1, 2), (1, 0, 0, 0), ScalarSeries.term(caps14, 1, 0, 3))
 
 
 def test_r_matrix_low_caps():
@@ -340,8 +343,17 @@ monomial_st = st.tuples(*[st.integers(0, 4)] * 4)
 
 def _all_ints(ctx) -> bool:
     """Every value of every integer table the context holds is an ``int``."""
-    polys = [ctx.tail, *ctx.q_powers, *ctx.tail_sums, *(q_r for entry in ctx.left_x.values() for q_r in entry)]
+    polys = [ctx.tail, ctx.q, *ctx.tail_sums, *(q_r for entry in ctx.left_x.values() for q_r in entry)]
     return all(type(c) is int for p in polys for c in p.values())
+
+
+def test_q_power_closed_form_matches_repeated_products():
+    for K, N in product(range(3), range(7)):
+        ctx = get_context(Caps(K, N))
+        power = {(0, 0, 0, 0): 1}
+        for m in range(7):
+            assert ctx.q_power(m) == power, (K, N, m)
+            power = _poly_mul(power, ctx.q, K, N)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,9 +13,9 @@ from knotoidal.measure import builtin_curve_path, estimate_measure, load_curve
 SEGMENT = "0 0 0\n1 2 3\n"
 
 
-def run_cli(*args):
+def run_cli(*args, module="knotoidal.cli"):
     return subprocess.run(
-        [sys.executable, "-m", "knotoidal.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
     )
@@ -23,6 +23,12 @@ def run_cli(*args):
 
 def test_trivial_invariant_text():
     result = run_cli("invariant", "--fixture", "trivial", "--format", "text")
+    assert result.returncode == 0
+    assert result.stdout.strip() == "1"
+
+
+def test_package_entry_point_runs_the_cli():
+    result = run_cli("invariant", "--fixture", "trivial", "--format", "text", module="knotoidal")
     assert result.returncode == 0
     assert result.stdout.strip() == "1"
 

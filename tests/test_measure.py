@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoidal.diagram import Crossing, OrientedGaussCode, Rotation, parse_gauss_code, writhe
+from knotoidal.diagram import (
+    Crossing,
+    OrientedGaussCode,
+    Rotation,
+    fixtures,
+    parse_gauss_code,
+    reverse_code,
+    writhe,
+)
 from knotoidal.errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
@@ -55,6 +63,11 @@ def trefoil():
 
 def test_load_builtin_curve(trefoil):
     assert len(trefoil.points) == 32
+
+
+def test_unknown_builtin_curve_names_the_bundled_ones():
+    with pytest.raises(InvalidArgument, match="open_trefoil"):
+        builtin_curve_path("open_trefoil_")
 
 
 def test_load_two_point_file(tmp_path):
@@ -418,6 +431,14 @@ def _decomp_gauss_code(decomp) -> OrientedGaussCode:
         tok, role = at_label[label]
         passes.append((ids.setdefault(tok, len(ids) + 1), role))
     return OrientedGaussCode(passes, {ids[tok]: tok.sign for tok in decomp.crossings()})
+
+
+def test_fixture_decompositions_read_their_codes_orientation():
+    """Only 5_7's decomposition reads its pair's tabulated code; the other
+    five read the code reversed."""
+    for name, (code, decomp) in fixtures().items():
+        expected = code if name == "5_7" else reverse_code(code).relabeled()
+        assert _decomp_gauss_code(decomp) == expected, name
 
 
 def _accepted_projections(curve, seed, n):
