@@ -6,9 +6,15 @@ as crossings with both strands upward plus whole-turn rotation tokens, with
 strand segments labeled 1..L in walk order; it is the input format of the
 invariant evaluator.
 
-Both structures are immutable after construction.  Whether a decomposition
-actually assembles into a planar diagram is not validated; the tokens are
-taken on trust.
+Both structures are immutable after construction.  Their public
+constructors check every input: pass roles, crossing and sign sets, label
+ranges and duplicates, and every loader (``parse_*``, ``from_json``, the CLI)
+goes through them.  Only producers that build valid codes and decompositions
+by construction skip the check, through the private keyword ``_trusted``:
+``measure.project`` for its code and decomposition, ``measure.simplify_gauss``
+for its result, and :meth:`OrientedGaussCode.relabeled`.  Whether a
+decomposition actually assembles into a planar diagram is not validated; the
+tokens are taken on trust.
 """
 
 from __future__ import annotations
@@ -43,9 +49,19 @@ class OrientedGaussCode:
 
     __slots__ = ("passes", "signs")
 
-    def __init__(self, passes, signs):
-        passes = tuple((cid, role) for cid, role in passes)
-        signs = dict(signs)
+    def __init__(self, passes, signs, *, _trusted: bool = False):
+        if _trusted:
+            # the producer built valid (int, str) passes and a fresh dict
+            self.passes = tuple(passes)
+            self.signs = signs
+            return
+        try:
+            passes = tuple((cid, role) for cid, role in passes)
+            signs = dict(signs)
+        except (TypeError, ValueError) as exc:
+            raise MalformedToken(
+                f"passes must be (id, role) pairs and signs a mapping: {exc}"
+            ) from None
         seen: dict[int, set] = {}
         for cid, role in passes:
             if type(cid) is not int or cid <= 0:
@@ -110,6 +126,7 @@ class OrientedGaussCode:
         return OrientedGaussCode(
             [(order[cid], role) for cid, role in self.passes],
             {order[cid]: s for cid, s in self.signs.items()},
+            _trusted=True,
         )
 
     def to_json(self) -> dict:
@@ -201,7 +218,11 @@ class RotDecomp:
 
     __slots__ = ("labels", "tokens")
 
-    def __init__(self, labels: int, tokens):
+    def __init__(self, labels: int, tokens, *, _trusted: bool = False):
+        if _trusted:
+            self.labels = labels
+            self.tokens = tuple(tokens)
+            return
         if type(labels) is not int:
             raise MalformedToken(f"label count must be an int, got {labels!r}")
         if labels < 1:
@@ -247,6 +268,20 @@ class RotDecomp:
 
     def writhe(self) -> int:
         return sum(t.sign for t in self.crossings())
+
+    def gauss_code(self) -> OrientedGaussCode:
+        """The crossings read in ascending label order, numbered by first
+        appearance."""
+        at_label = {}
+        for tok in self.crossings():
+            at_label[tok.over] = (tok, "over")
+            at_label[tok.under] = (tok, "under")
+        ids = {}
+        passes = []
+        for label in sorted(at_label):
+            tok, role = at_label[label]
+            passes.append((ids.setdefault(tok, len(ids) + 1), role))
+        return OrientedGaussCode(passes, {ids[tok]: tok.sign for tok in self.crossings()})
 
     def walk(self) -> tuple[tuple, ...]:
         """The strand walk: one step per label that carries a token, ascending.
@@ -392,7 +427,12 @@ def chain_decompositions(first: RotDecomp, second: RotDecomp) -> RotDecomp:
 
 
 def _split_map(labels: int, cuts: dict[int, int]):
-    """Label remapping after splitting each label s into 1 + cuts[s] pieces."""
+    """Label remapping after splitting each label s into 1 + cuts[s] pieces.
+
+    Raises :class:`LabelOutOfRange` for a label to split outside 1..labels."""
+    for lab in cuts:
+        if type(lab) is not int or not 1 <= lab <= labels:
+            raise LabelOutOfRange(f"label {lab!r} outside 1..{labels}")
     offset = 0
     remap = {}
     for lab in range(1, labels + 1):

@@ -402,8 +402,9 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
             residual[k] = lifted[seg] - 2.0 * math.pi * new_mark
         else:
             new_mark = snap(lifted[seg], residual[k])
-        tokens += rotations(new_mark - mark, len(tokens) + len(passes) + 1)
-        mark = new_mark
+        if new_mark != mark:
+            tokens += rotations(new_mark - mark, len(tokens) + len(passes) + 1)
+            mark = new_mark
         over = (seg == i) == over_first
         passes.append((ids[k], "over" if over else "under"))
         labels[k][0 if over else 1] = len(tokens) + len(passes)
@@ -411,8 +412,10 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     tokens += rotations(head_mark - mark, len(tokens) + len(passes) + 1)
     label_count = max(len(tokens) + len(passes), 1)
     tokens += [Crossing(signs[ids[k]], *labels[k]) for k in range(len(crossings))]
-    code = OrientedGaussCode(passes, signs)
-    decomp = RotDecomp(label_count, tokens)
+    # valid by construction: each crossing passes once over and once under
+    # with a sign of +-1, and each label from 1 to label_count holds one slot
+    code = OrientedGaussCode(passes, signs, _trusted=True)
+    decomp = RotDecomp(label_count, tokens, _trusted=True)
 
     # Coframing from winding numbers around the projected endpoints.  No
     # vertex projects onto an endpoint: it would end a segment shorter than
@@ -473,11 +476,12 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
         heap order is first-occurrence order."""
         if signs[c1] == signs[c2]:
             return None
-        positions = sorted(
-            k
-            for k in where[c1] + where[c2]
-            if nxt[k] != -1 and cid[nxt[k]] != cid[k] and cid[nxt[k]] in (c1, c2)
-        )
+        positions = []
+        for k in where[c1] + where[c2]:
+            n = nxt[k]
+            if n != -1 and cid[n] != cid[k] and cid[n] in (c1, c2):
+                positions.append(k)
+        positions.sort()
         # pos_b is never the node after pos_a: there the pair reads c1 c2 c1,
         # and c1's two passes have opposite roles
         for pos_a in positions:
@@ -528,8 +532,9 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
             found = move_at(p)
             if found:
                 heapq.heappush(heap, found)
+    # a subset of a valid code's crossings, each with both its passes
     remaining = [p for p in passes if p[0] in signs]
-    return OrientedGaussCode(remaining, signs).relabeled()
+    return OrientedGaussCode(remaining, signs, _trusted=True).relabeled()
 
 
 def class_label(code: OrientedGaussCode) -> str:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,13 +12,19 @@ from knotoidal.cli import build_parser
 from knotoidal.measure import builtin_curve_path, estimate_measure, load_curve
 
 SEGMENT = "0 0 0\n1 2 3\n"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, module="knotoidal.cli"):
+    """Run the CLI in a fresh interpreter that imports this checkout's
+    package, whatever ``PYTHONPATH`` the tests were started with."""
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + inherited if inherited else "")}
     return subprocess.run(
         [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -267,7 +274,7 @@ def test_measure_seed_outside_64_bits_is_a_usage_error():
 
 def test_package_main_is_the_cli():
     args = ("invariant", "--fixture", "5_9", "--hbar-order", "2")
-    package = subprocess.run([sys.executable, "-m", "knotoidal", *args], capture_output=True, text=True)
+    package = run_cli(*args, module="knotoidal")
     assert package.returncode == 0
     assert package.stdout == run_cli(*args).stdout
 

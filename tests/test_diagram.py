@@ -158,8 +158,26 @@ def test_constructors_take_only_int_labels_ids_and_signs(make):
         (lambda: parse_gauss_code("1 0 -1 +"), MalformedToken),
         (lambda: RotDecomp(0, []), LabelOutOfRange),
         (lambda: RotDecomp(2, [object()]), MalformedToken),
+        (lambda: OrientedGaussCode([1, 2], {}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], [1]), MalformedToken),
+        (lambda: insert_rotation_pair(fixtures()["5_561"][1], 999), LabelOutOfRange),
+        (lambda: insert_rotation_pair(fixtures()["5_561"][1], 0), LabelOutOfRange),
+        (lambda: insert_r2_pair(fixtures()["5_561"][1], 2, 13), LabelOutOfRange),
+        (lambda: insert_r2_pair(fixtures()["5_561"][1], 0, 5), LabelOutOfRange),
     ],
-    ids=["code-signs-for-other-crossings", "code-sign-2", "gauss-id-0", "decomp-no-labels", "unknown-token"],
+    ids=[
+        "code-signs-for-other-crossings",
+        "code-sign-2",
+        "gauss-id-0",
+        "decomp-no-labels",
+        "unknown-token",
+        "code-passes-not-pairs",
+        "code-signs-not-a-mapping",
+        "rotation-pair-label-999",
+        "rotation-pair-label-0",
+        "r2-pair-label-past-L",
+        "r2-pair-label-0",
+    ],
 )
 def test_constructor_errors_are_typed(make, error):
     with pytest.raises(error):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from knotoidal.diagram import (
     Crossing,
     OrientedGaussCode,
+    RotDecomp,
     Rotation,
     fixtures,
     parse_gauss_code,
@@ -419,26 +421,12 @@ def test_simplify_matches_rescanning_reference(code):
 
 # -- label assembly ---------------------------------------------------------------
 
-def _decomp_gauss_code(decomp) -> OrientedGaussCode:
-    """Read a decomposition's crossings in ascending label order."""
-    at_label = {}
-    for tok in decomp.crossings():
-        at_label[tok.over] = (tok, "over")
-        at_label[tok.under] = (tok, "under")
-    ids = {}
-    passes = []
-    for label in sorted(at_label):
-        tok, role = at_label[label]
-        passes.append((ids.setdefault(tok, len(ids) + 1), role))
-    return OrientedGaussCode(passes, {ids[tok]: tok.sign for tok in decomp.crossings()})
-
-
 def test_fixture_decompositions_read_their_codes_orientation():
     """Only 5_7's decomposition reads its pair's tabulated code; the other
     five read the code reversed."""
     for name, (code, decomp) in fixtures().items():
         expected = code if name == "5_7" else reverse_code(code).relabeled()
-        assert _decomp_gauss_code(decomp) == expected, name
+        assert decomp.gauss_code() == expected, name
 
 
 def _accepted_projections(curve, seed, n):
@@ -454,9 +442,81 @@ def test_decomposition_reads_back_the_code(trefoil):
     checked = 0
     for curve in (trefoil, walk):
         for proj in _accepted_projections(curve, 2, 12):
-            assert _decomp_gauss_code(proj.decomp) == proj.code
+            assert proj.decomp.gauss_code() == proj.code
             checked += 1
     assert checked >= 20
+
+
+# -- the trusted constructors -----------------------------------------------------
+
+@contextmanager
+def _trusted_builds():
+    """Record every code and decomposition built through ``_trusted=True``."""
+    built = []
+    originals = [(cls, cls.__init__) for cls in (OrientedGaussCode, RotDecomp)]
+
+    def recording(init):
+        def __init__(self, *args, _trusted=False):
+            init(self, *args, _trusted=_trusted)
+            if _trusted:
+                built.append(self)
+
+        return __init__
+
+    for cls, init in originals:
+        cls.__init__ = recording(init)
+    try:
+        yield built
+    finally:
+        for cls, init in originals:
+            cls.__init__ = init
+
+
+def _field_types(obj) -> tuple:
+    if isinstance(obj, OrientedGaussCode):
+        return (
+            type(obj.passes),
+            [(type(p), *map(type, p)) for p in obj.passes],
+            type(obj.signs),
+            [(type(c), type(sign)) for c, sign in obj.signs.items()],
+        )
+    return (type(obj.labels), type(obj.tokens), [type(tok) for tok in obj.tokens])
+
+
+def _assert_rebuild_through_public_constructors(built) -> None:
+    """Each trusted object equals its rebuild by the checking constructor,
+    with the same hash and the same field types."""
+    for obj in built:
+        if isinstance(obj, OrientedGaussCode):
+            again = OrientedGaussCode(obj.passes, obj.signs)
+        else:
+            again = RotDecomp(obj.labels, obj.tokens)
+        assert again == obj and hash(again) == hash(obj), obj
+        assert _field_types(again) == _field_types(obj), obj
+
+
+@pytest.mark.parametrize("points, directions", [(None, 300), (128, 24), (512, 6)])
+def test_trusted_projections_pass_the_public_checks(trefoil, points, directions):
+    """On the trefoil (``points`` None) and on random walks."""
+    curve = trefoil if points is None else _walk(points, 7, False)
+    accepted = 0
+    with _trusted_builds() as built:
+        for proj in _accepted_projections(curve, 5, directions):
+            assert proj.decomp.gauss_code() == proj.code
+            class_label(proj.code)
+            accepted += 1
+    assert accepted >= directions // 2
+    assert {type(obj) for obj in built} == {OrientedGaussCode, RotDecomp}
+    _assert_rebuild_through_public_constructors(built)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauss_code_st())
+def test_trusted_simplification_passes_the_public_checks(code):
+    with _trusted_builds() as built:
+        simplify_gauss(code)
+    assert len(built) == 2  # the remaining passes, then their relabeling
+    _assert_rebuild_through_public_constructors(built)
 
 
 def _projection_digest(curve, directions) -> str:
@@ -634,7 +694,7 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     # two decompositions that differ only in token order have one walk, so
     # they count as one evaluation and give the mean of either alone
     from knotoidal import invariant, measure
-    from knotoidal.diagram import Biframing, RotDecomp
+    from knotoidal.diagram import Biframing
     from knotoidal.series import Caps
 
     caps, code = Caps(1, 2), parse_gauss_code("1 -2 -1 2 + -")
