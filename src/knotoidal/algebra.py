@@ -40,9 +40,11 @@ tables never takes a gcd.  The tables are built from ``q`` and the relation
 tail, each scaled once when a :class:`_Context` is made, and
 :meth:`_Context.product` reads them into a scaled monomial product.  The
 strand walk of :mod:`knotoidal.invariant` works at the same scale, scaling
-its own inputs with :meth:`_Context.scaled`; :meth:`_Context.mon_mul` and
-:meth:`_Context.left_x_mon` divide each term back by ``L**h`` once and
-return the exact product, which ``mon_mul`` memoizes.  Everything
+its inputs with :meth:`_Context.scaled` and dividing its result back with
+:meth:`_Context.unscaled`, so :class:`_Context` alone converts to and from
+the scale; :meth:`_Context.mon_mul` and :meth:`_Context.left_x_mon` divide
+each term back by ``L**h`` once and return the exact product, which
+``mon_mul`` memoizes.  Everything
 else here, the element and tensor products of :func:`_tensor_mul` and the
 antipode, multiplies exact ``Fraction`` terms, so only the tables and the
 walk know the scale.  A coefficient that is not an integer after scaling
@@ -65,6 +67,7 @@ from .series import (
     SDict,
     _json_coeff,
     _json_int,
+    _power_factors,
     _sadd_into,
     _smul,
     _sscale,
@@ -200,8 +203,11 @@ class _Context:
         self.N = N
         self.scale = _walk_scale(N)
         self.powers = [self.scale**h for h in range(N + 1)]
-        q = self.scaled(ScalarSeries.term(Caps(K, N), 1, 1, 1).exp().coeffs)
-        self.q: Poly = {(0, 0, e, h): c for (e, h), c in q.items()}
+        # q = exp(eps*hbar) = sum_k (eps*hbar)^k / k!
+        self.q: Poly = {
+            (0, 0, k, k): _scaled(Fraction(1, factorial(k)), k, self.scale)
+            for k in range(min(K, N) + 1)
+        }
         self.tail: Poly = {
             (j, k, e, h): c
             for (_, j, k, _), sd in _relation_tail(K, N).items()
@@ -350,15 +356,7 @@ def _mon_degree_key(mon: Mon):
 
 
 def render_monomial(mon: Mon) -> str:
-    if mon == UNIT_MON:
-        return "1"
-    parts = []
-    for name, exp in zip("ybax", mon):
-        if exp == 1:
-            parts.append(name)
-        elif exp > 1:
-            parts.append(f"{name}^{exp}")
-    return "*".join(parts)
+    return "*".join(_power_factors("ybax", mon)) or "1"
 
 
 class _Terms:
@@ -367,8 +365,10 @@ class _Terms:
     outside the caps."""
 
     __slots__ = ("caps", "_terms")
+    # the order of :attr:`terms`: a sort key of the keys, or None for their own order
+    _key_order = None
 
-    def __init__(self, caps: Caps, terms: dict | None = None, _trusted: bool = False):
+    def __init__(self, caps: Caps, terms: dict | None = None, *, _trusted: bool = False):
         self.caps = caps
         if _trusted:
             self._terms = terms or {}
@@ -386,6 +386,14 @@ class _Terms:
 
     def raw(self) -> dict:
         return self._terms
+
+    @property
+    def terms(self) -> dict:
+        """The terms as scalar series, their keys in ``_key_order``."""
+        return {
+            key: ScalarSeries(self.caps, dict(self._terms[key]))
+            for key in sorted(self._terms, key=self._key_order)
+        }
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -440,6 +448,7 @@ class DElement(_Terms):
     """An algebra element in normal form: map monomial -> scalar series."""
 
     __slots__ = ()
+    _key_order = staticmethod(_mon_degree_key)
 
     # -- constructors
 
@@ -465,13 +474,6 @@ class DElement(_Terms):
         return cls(caps, {tuple(mon): sd})
 
     # -- structure
-
-    @property
-    def terms(self) -> dict[Mon, ScalarSeries]:
-        return {
-            mon: ScalarSeries(self.caps, dict(sd))
-            for mon, sd in sorted(self._terms.items(), key=lambda kv: _mon_degree_key(kv[0]))
-        }
 
     def _product(self, ctx: _Context, other: EDict) -> EDict:
         return ctx.elem_mul(self._terms, other)
@@ -502,11 +504,7 @@ class DElement(_Terms):
             return "0"
         lines = []
         for mon, e, h, coeff in self.canonical_terms():
-            factors = [str(coeff)]
-            if e:
-                factors.append("eps" if e == 1 else f"eps^{e}")
-            if h:
-                factors.append("hbar" if h == 1 else f"hbar^{h}")
+            factors = [str(coeff), *_power_factors(("eps", "hbar"), (e, h))]
             mtxt = render_monomial(mon)
             if mtxt != "1":
                 factors.append(mtxt)
@@ -583,13 +581,6 @@ class DTensor(_Terms):
     @classmethod
     def unit(cls, caps: Caps) -> "DTensor":
         return cls(caps, {(UNIT_MON, UNIT_MON): dict(_ONE_SD)}, _trusted=True)
-
-    @property
-    def terms(self):
-        return {
-            pair: ScalarSeries(self.caps, dict(sd))
-            for pair, sd in sorted(self._terms.items())
-        }
 
     def _product(self, ctx: _Context, other: dict) -> dict:
         return _tensor_mul(self._terms, other, ctx)

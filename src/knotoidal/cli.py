@@ -21,7 +21,7 @@ from .diagram import (
     writhe,
 )
 from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange, InvalidArgument, KnotoidalError
-from .invariant import compare, epsilon_coefficient, evaluate_Z
+from .invariant import compare, evaluate_Z
 from .measure import ZMEAN_CAPS, dominant_knotoid, estimate_measure, load_curve
 from .series import Caps
 
@@ -50,7 +50,7 @@ def cmd_invariant(args, caps: Caps) -> int:
     name, decomp = _load_decomposition(args.fixture, args.file)
     value = evaluate_Z(decomp, caps)
     if args.eps_coefficient is not None:
-        element = epsilon_coefficient(value, args.eps_coefficient)
+        element = value.element.epsilon_part(args.eps_coefficient)
         data = element.to_json()
         data["input"] = name
         data["eps_coefficient"] = args.eps_coefficient
@@ -118,7 +118,7 @@ def cmd_table(args, caps: Caps) -> int:
     return EXIT_OK
 
 
-def cmd_measure(args, caps: Caps) -> int:
+def cmd_measure(args, caps: Caps | None) -> int:
     curve = load_curve(args.file)
     estimate = estimate_measure(
         curve, args.samples, seed=args.seed, tol=args.tol, phi=args.phi, caps=caps
@@ -190,13 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _caps(args) -> Caps:
+def _caps(args) -> Caps | None:
     """The caps of the order flags; ``measure`` takes them only with
-    ``--phi zmean`` and defaults each to ``ZMEAN_CAPS``."""
+    ``--phi zmean``, defaults each to ``ZMEAN_CAPS``, and has none with
+    ``--phi classes``."""
     eps, hbar = args.eps_order, args.hbar_order
     if args.command == "measure":
-        if args.phi != "zmean" and (eps, hbar) != (None, None):
-            raise InvalidArgument("--eps-order and --hbar-order apply only to --phi zmean")
+        if args.phi != "zmean":
+            if (eps, hbar) != (None, None):
+                raise InvalidArgument("--eps-order and --hbar-order apply only to --phi zmean")
+            return None
         eps = ZMEAN_CAPS.eps_order if eps is None else eps
         hbar = ZMEAN_CAPS.hbar_order if hbar is None else hbar
     return Caps(eps, hbar)

@@ -31,8 +31,9 @@ integer arithmetic, each once, to the degrees its read reaches.  Scaled
 terms stay scaled under products because ``L**a * L**b == L**(a+b)``, so a
 walk step is one integer multiply-add per product term, neither the walk
 nor the fill takes a gcd, and the result is divided back to
-``Fraction(c, L**h)`` once, at the end.  Scaling a coefficient that is not
-integral raises :class:`NonIntegralScale`; nothing is ever rounded.
+``Fraction(c, L**h)`` once, at the end, by :meth:`_Context.unscaled`.
+Scaling a coefficient that is not integral raises
+:class:`NonIntegralScale`; nothing is ever rounded.
 
 A key is one int, ``id(mon) * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``
 and ``id`` the monomial's index in :class:`_WalkTables`.  While ``e <= K``
@@ -70,8 +71,8 @@ from .algebra import (
     rotation_element,
 )
 from .diagram import RotDecomp
-from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange
-from .series import Caps, _smul
+from .errors import CapsTooCostly, DegreeOutOfRange
+from .series import Caps, _smul, require_same_caps
 
 
 @dataclass(frozen=True)
@@ -290,13 +291,13 @@ class _WalkTables:
         return main
 
     def element(self, state: dict) -> DElement:
-        powers, mons, S, N1 = self.ctx.powers, self.mons, self.S, self.ctx.N + 1
+        mons, S, N1 = self.mons, self.S, self.ctx.N + 1
         terms: EDict = {}
         for key, c in state.items():
             mid, r = divmod(key, S)
             e, h = divmod(r, N1)
-            terms.setdefault(mons[mid], {})[(e, h)] = Fraction(c, powers[h])
-        return DElement(self.caps, terms, _trusted=True)
+            terms.setdefault(mons[mid], {})[(e, h)] = c
+        return DElement(self.caps, self.ctx.unscaled(terms), _trusted=True)
 
 
 _TABLES: dict[tuple[int, int], _WalkTables] = {}
@@ -312,13 +313,24 @@ CAPS_COST_LIMIT = 2048
 
 
 def _check_cost(caps: Caps) -> None:
-    """Raise :class:`CapsTooCostly` for caps past :data:`CAPS_COST_LIMIT`."""
-    cost = (caps.eps_order + 1) * 2**caps.hbar_order
-    if cost > CAPS_COST_LIMIT:
-        raise CapsTooCostly(
-            f"caps (eps {caps.eps_order}, hbar {caps.hbar_order}) cost (eps+1)*2^hbar = {cost},"
-            f" past the limit {CAPS_COST_LIMIT} of caps (1,10)"
-        )
+    """Raise :class:`CapsTooCostly` for caps past :data:`CAPS_COST_LIMIT`.
+
+    An eps order of ``2**64`` or more, or an hbar order of 64 or more, is
+    past the limit whatever the other order is.  The cost of such caps is
+    not built, and an order of ``2**64`` or more is written as its bit
+    length: ``2**hbar`` takes seconds to build from hbar ~ 1e8, and ``str``
+    refuses an int of more than 4300 digits.
+    """
+    eps, hbar = caps.eps_order, caps.hbar_order
+    small = eps < 2**64 and hbar < 64
+    if small and (eps + 1) << hbar <= CAPS_COST_LIMIT:
+        return
+    orders = [n if n < 2**64 else f"{n.bit_length()} bits" for n in (eps, hbar)]
+    cost = f"= {(eps + 1) << hbar}" if small else ">= 2^64"
+    raise CapsTooCostly(
+        f"caps (eps {orders[0]}, hbar {orders[1]}) cost (eps+1)*2^hbar {cost},"
+        f" past the limit {CAPS_COST_LIMIT} of caps (1,10)"
+    )
 
 
 def _walk_tables(caps: Caps) -> _WalkTables:
@@ -415,8 +427,7 @@ def compare(a: InvariantValue, b: InvariantValue) -> Comparison:
 
     Witness order: e-degree first, then h-degree, then monomial degree.
     """
-    if a.caps != b.caps:
-        raise CapsMismatch(f"{a.caps} vs {b.caps}")
+    require_same_caps(a, b)
     left, right = a.element.raw(), b.element.raw()
     keys = set()
     for terms in (left, right):
@@ -429,8 +440,3 @@ def compare(a: InvariantValue, b: InvariantValue) -> Comparison:
         if lc != rc:
             return Comparison(False, (mon, e, h), lc, rc)
     return Comparison(True)
-
-
-def epsilon_coefficient(value: InvariantValue, k: int) -> DElement:
-    """The part of the invariant of exact e-degree ``k``."""
-    return value.element.epsilon_part(k)

@@ -190,18 +190,20 @@ def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _segment_crossings(pts2, depth, tol) -> list[tuple]:
+def _segment_crossings(pts2, depth, tol, dirs, lengths, boxes) -> list[tuple]:
     """Crossings ``(i, t, j, s, over_first, sign, point)`` of the projected
     polyline, in ascending ``(i, j)`` segment-pair order; raises for the
     first degenerate pair in that order.  Segment ``i`` passes at parameter
     ``t`` and segment ``j`` at ``s``; ``over_first`` is true when segment
     ``i`` is the over-strand, and ``sign`` is +1 when the cross product of
     the over-strand's direction with the under-strand's is positive.
+    ``dirs``, ``lengths`` and ``boxes`` are the segment table of
+    :func:`project`.
 
-    Broad phase: sort the segments' boxes, inflated by ``2 * tol``, by their
-    left edge and sweep.  A pair whose inflated boxes are disjoint is more
-    than ``4 * tol`` apart, so the narrow phase could neither record nor
-    reject it: an overlap needs a gap below ``tol``, and a crossing's point
+    Broad phase: sort the segments' boxes, inflated by ``2 * tol``, in place
+    by their left edge and sweep.  A pair whose inflated boxes are disjoint
+    is more than ``4 * tol`` apart, so the narrow phase could neither record
+    nor reject it: an overlap needs a gap below ``tol``, and a crossing's point
     lies within ``tol`` of both segments (its parameters may overshoot each
     segment by ``tol`` of length).  The margin beyond that absorbs rounding.
     Adjacent pairs are never candidates: they meet at their shared vertex,
@@ -209,21 +211,6 @@ def _segment_crossings(pts2, depth, tol) -> list[tuple]:
     then run through the narrow phase in ascending ``(i, j)`` order, so the
     records and the first rejection are those of testing every pair.
     """
-    nseg = len(pts2) - 1
-    pad = 2.0 * tol
-    seg_d = []
-    seg_len = []
-    boxes = []  # (left, i, right, bottom, top), inflated
-    ax, ay = pts2[0]
-    for i in range(nseg):
-        bx, by = pts2[i + 1]
-        dx, dy = bx - ax, by - ay
-        seg_d.append((dx, dy))
-        seg_len.append(math.hypot(dx, dy))
-        xl, xh = (ax, bx) if ax < bx else (bx, ax)
-        yl, yh = (ay, by) if ay < by else (by, ay)
-        boxes.append((xl - pad, i, xh + pad, yl - pad, yh + pad))
-        ax, ay = bx, by
     boxes.sort()
     lefts = [box[0] for box in boxes]
     candidates = []
@@ -238,9 +225,9 @@ def _segment_crossings(pts2, depth, tol) -> list[tuple]:
     for i, j in candidates:
         a1x, a1y = a1 = pts2[i]
         b1x, b1y = b1 = pts2[j]
-        dax, day = seg_d[i]
-        dbx, dby = seg_d[j]
-        la, lb = seg_len[i], seg_len[j]
+        dax, day = dirs[i]
+        dbx, dby = dirs[j]
+        la, lb = lengths[i], lengths[j]
         denom = dax * dby - day * dbx
         if abs(denom) <= tol * la * lb:
             # near-parallel: reject only if the lines nearly overlap
@@ -295,30 +282,25 @@ def _check_triple_points(points, tol) -> None:
                 raise DegenerateDirection("two crossings within tol (triple point)")
 
 
-def _check_endpoint_grazing(pts2, tol) -> None:
+def _check_endpoint_grazing(pts2, tol, boxes) -> None:
     """Reject if an endpoint lies within ``tol`` of a segment other than its
     own.
 
-    A segment's box, inflated by ``2 * tol``, is tested first: a point
-    outside it is more than ``2 * tol`` from the segment, which lies in the
-    box, so the distance could not reject it.  The margin beyond ``tol``
-    absorbs rounding.
+    The segment's box of :func:`project`, inflated by ``2 * tol``, is tested
+    first: a point outside it is more than ``2 * tol`` from the segment,
+    which lies in the box, so the distance could not reject it.  The margin
+    beyond ``tol`` absorbs rounding.
     """
-    pad = 2.0 * tol
-    for endpoint, others in ((pts2[0], pts2[1:]), (pts2[-1], pts2[:-1])):
+    for endpoint, own in ((pts2[0], 0), (pts2[-1], len(pts2) - 2)):
         px, py = endpoint
-        left, right, low, high = px - pad, px + pad, py - pad, py + pad
-        ax, ay = a = others[0]
-        for b in others[1:]:
-            bx, by = b
-            if not (
-                (ax < left and bx < left)
-                or (ax > right and bx > right)
-                or (ay < low and by < low)
-                or (ay > high and by > high)
-            ) and _point_segment_distance(endpoint, a, b) < tol:
+        for left, i, right, bottom, top in boxes:
+            if (
+                left <= px <= right
+                and bottom <= py <= top
+                and i != own
+                and _point_segment_distance(endpoint, pts2[i], pts2[i + 1]) < tol
+            ):
                 raise DegenerateDirection("endpoint within tol of a strand")
-            ax, ay, a = bx, by, b
 
 
 def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult:
@@ -338,19 +320,29 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     for x, y, z in curve.points:
         pts2.append((x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z))
         depth.append(x * vx + y * vy + z * vz)
-    seg_dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts2, pts2[1:])]
+    # the segment table: each segment's direction, length, and box
+    # (left, i, right, bottom, top) inflated by 2 * tol
+    dirs, lengths, boxes = [], [], []
+    pad = 2.0 * tol
+    for i, ((ax, ay), (bx, by)) in enumerate(zip(pts2, pts2[1:])):
+        dx, dy = bx - ax, by - ay
+        dirs.append((dx, dy))
+        lengths.append(math.hypot(dx, dy))
+        xl, xh = (ax, bx) if ax < bx else (bx, ax)
+        yl, yh = (ay, by) if ay < by else (by, ay)
+        boxes.append((xl - pad, i, xh + pad, yl - pad, yh + pad))
 
     # a 3D segment parallel to the view direction projects to a point (cusp)
-    if any(math.hypot(*d) < tol for d in seg_dirs):
+    if any(length < tol for length in lengths):
         raise DegenerateDirection("segment parallel to view direction")
 
-    crossings = _segment_crossings(pts2, depth, tol)
+    crossings = _segment_crossings(pts2, depth, tol, dirs, lengths, boxes)
     _check_triple_points([rec[6] for rec in crossings], tol)
-    _check_endpoint_grazing(pts2, tol)
+    _check_endpoint_grazing(pts2, tol, boxes)
 
     # continuous tangent-angle lift along the polyline; an atan2 difference
     # lies in [-2pi, 2pi], so one step of 2pi wraps it into (-pi, pi]
-    angles = [math.atan2(dy, dx) for dx, dy in seg_dirs]
+    angles = [math.atan2(dy, dx) for dx, dy in dirs]
     lifted = [angles[0]]
     for prev, cur in zip(angles, angles[1:]):
         delta = cur - prev
@@ -652,17 +644,24 @@ def estimate_measure(
     seed: int = 0,
     tol: float = 1e-9,
     phi: str = "classes",
-    caps: Caps = ZMEAN_CAPS,
+    caps: Caps | None = None,
 ) -> MeasureEstimate:
     """Empirical class frequencies (and optionally invariant means) over
-    ``n`` uniformly sampled projection directions; ``project`` checks ``tol``."""
+    ``n`` uniformly sampled projection directions; ``project`` checks ``tol``.
+
+    ``caps`` are those of the ``zmean`` average, :data:`ZMEAN_CAPS` if
+    None; ``classes`` evaluates no invariant and takes none."""
     if type(n) is not int or n < 1:
         raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
     _check_seed(seed)
     if phi not in ("classes", "zmean"):
         raise InvalidArgument(f"unknown phi {phi!r}")
-    if phi == "zmean" and not isinstance(caps, Caps):
-        raise InvalidArgument(f"zmean needs caps as a Caps, got {caps!r}")
+    if phi == "classes" and caps is not None:
+        raise InvalidArgument(f"caps apply only to phi='zmean', got {caps!r} with phi='classes'")
+    if phi == "zmean":
+        caps = ZMEAN_CAPS if caps is None else caps
+        if not isinstance(caps, Caps):
+            raise InvalidArgument(f"zmean needs caps as a Caps, got {caps!r}")
     directions = sample_directions(seed, n)
     tallies, freq, mean, rejected = _estimate_with_directions(
         curve, directions, tol, phi, caps

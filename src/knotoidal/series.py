@@ -98,6 +98,12 @@ def _ascii_number(text: str, kind: type = int):
     return kind(text)
 
 
+def _power_factors(names, exponents) -> list[str]:
+    """The factors ``name^exp`` of a product of powers: ``name`` alone at
+    exponent 1, and nothing at exponent 0."""
+    return [name if exp == 1 else f"{name}^{exp}" for name, exp in zip(names, exponents) if exp]
+
+
 def require_same_caps(a, b):
     if a.caps != b.caps:
         raise CapsMismatch(f"{a.caps} vs {b.caps}")
@@ -189,10 +195,7 @@ class ScalarSeries:
         return ScalarSeries(self.caps, out)
 
     def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
-        require_same_caps(self, other)
-        out = dict(self.coeffs)
-        _sadd_into(out, other.coeffs, Fraction(-1))
-        return ScalarSeries(self.caps, out)
+        return self + -other
 
     def __neg__(self) -> "ScalarSeries":
         return ScalarSeries(self.caps, _sscale(self.coeffs, Fraction(-1)))
@@ -298,16 +301,10 @@ class ScalarSeries:
     def render(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for (e, h) in sorted(self.coeffs):
-            val = self.coeffs[(e, h)]
-            factors = [str(val)]
-            if e:
-                factors.append("eps" if e == 1 else f"eps^{e}")
-            if h:
-                factors.append("hbar" if h == 1 else f"hbar^{h}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join([str(val), *_power_factors(("eps", "hbar"), key)])
+            for key, val in sorted(self.coeffs.items())
+        )
 
     def __repr__(self):
         return f"ScalarSeries({self.render()})"
@@ -331,11 +328,12 @@ class ScalarSeries:
 # q-combinatorics used by the quasitriangular structure
 
 def q_integer(k: int, caps: Caps) -> ScalarSeries:
-    """[k]_q = 1 + q + ... + q^(k-1) with q = exp(eps*hbar), truncated."""
-    out = ScalarSeries.zero(caps)
-    for j in range(k):
-        out = out + ScalarSeries.term(caps, j, 1, 1).exp()
-    return out
+    """[k]_q = 1 + q + ... + q^(k-1) with q = exp(eps*hbar), truncated: the
+    coefficient of (eps*hbar)^m is ``sum_{j<k} j^m / m!``."""
+    top = min(caps.eps_order, caps.hbar_order)
+    return ScalarSeries(
+        caps, {(m, m): Fraction(sum(j**m for j in range(k)), factorial(m)) for m in range(top + 1)}
+    )
 
 
 def q_factorial(m: int, caps: Caps) -> ScalarSeries:

@@ -18,9 +18,10 @@ from knotoidal.errors import DegenerateDirection
 from knotoidal.measure import _point_segment_distance
 
 
-def all_pairs_crossings(pts2, depth, tol):
+def all_pairs_crossings(pts2, depth, tol, dirs, lengths, boxes):
     """Test every segment pair in ascending ``(i, j)`` order; each crossing's
-    sign is the cross product of its over- and under-strand directions."""
+    sign is the cross product of its over- and under-strand directions.
+    Ignores the segment table of ``measure.project`` and computes its own."""
     nseg = len(pts2) - 1
     crossings = []
     for i in range(nseg):
@@ -82,8 +83,9 @@ def all_pairs_triple_points(points, tol):
                 raise DegenerateDirection("two crossings within tol (triple point)")
 
 
-def all_segments_grazing(pts2, tol):
-    """Test each endpoint against every segment but its own."""
+def all_segments_grazing(pts2, tol, boxes):
+    """Test each endpoint against every segment but its own; ignores the
+    segment boxes of ``measure.project``."""
     nseg = len(pts2) - 1
     for endpoint, own in ((pts2[0], 0), (pts2[-1], nseg - 1)):
         for i in range(nseg):

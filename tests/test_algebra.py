@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from algebra_reference import reference_context, reference_r_inverse
 from conftest import random_element
 from knotoidal.algebra import (
+    UNIT_MON,
     DElement,
     DTensor,
     _Context,
@@ -226,6 +227,15 @@ def test_tensor_constructor_cleans_like_an_element(caps14):
     assert padded == clean
     assert hash(padded) == hash(clean)
     assert all(isinstance(v, Fraction) for sd in padded.raw().values() for v in sd.values())
+
+
+def test_trusted_is_keyword_only(caps14):
+    # a stray third positional argument must not skip the checks
+    too_high = {UNIT_MON: {(0, caps14.hbar_order + 1): 1}}
+    for cls, terms in ((DElement, too_high), (DTensor, {(UNIT_MON, UNIT_MON): too_high[UNIT_MON]})):
+        with pytest.raises(TypeError):
+            cls(caps14, terms, True)
+        assert cls(caps14, terms).is_zero()
 
 
 def test_antipode_unit(caps14):

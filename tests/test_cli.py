@@ -112,9 +112,11 @@ def test_invariant_eps_coefficient_out_of_caps_exits_3():
 
 
 def test_costly_caps_exit_3():
-    result = run_cli("invariant", "--fixture", "5_7", "--hbar-order", "40")
-    assert result.returncode == 3
-    assert result.stderr.startswith("caps error:") and "limit" in result.stderr
+    # from hbar ~ 14300 the cost (eps+1)*2^hbar has more than 4300 digits
+    for hbar in ("40", "15000"):
+        result = run_cli("invariant", "--fixture", "5_7", "--hbar-order", hbar)
+        assert result.returncode == 3
+        assert result.stderr.startswith("caps error:") and "limit" in result.stderr
     result = run_cli("compare", "--fixtures", "5_7", "5_421", "--eps-order", "2", "--hbar-order", "10")
     assert result.returncode == 3
 

@@ -32,6 +32,7 @@ from knotoidal.measure import (
     MeasureEstimate,
     OpenCurve3D,
     TRIVIAL_CLASS,
+    ZMEAN_CAPS,
     _check_triple_points,
     _estimate_with_directions,
     _plane_basis,
@@ -777,6 +778,7 @@ def test_estimate_validation(trefoil):
         lambda curve: estimate_measure(curve, 5, seed=-1),
         lambda curve: estimate_measure(curve, 5, seed=2**64),
         lambda curve: estimate_measure(curve, 5, phi="zmean", caps=(1, 2)),
+        lambda curve: estimate_measure(curve, 5, caps=ZMEAN_CAPS),
         lambda curve: perturbed(curve, 0.1, 1.5),
         lambda curve: perturbed(curve, 0.1, -1),
         lambda curve: perturbed(curve, 0.1, 2**64),
@@ -804,6 +806,7 @@ def test_estimate_validation(trefoil):
         "negative-seed",
         "seed-2**64",
         "tuple-caps",
+        "caps-without-zmean",
         "perturbed-float-seed",
         "perturbed-negative-seed",
         "perturbed-seed-2**64",

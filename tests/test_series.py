@@ -141,6 +141,13 @@ def test_q_integer_constant_term():
         assert q_integer(k, CAPS).coefficient(0, 0) == k
 
 
+def test_q_integer_closed_form_is_a_sum_of_powers_of_q():
+    for caps in (Caps(0, 3), Caps(1, 0), Caps(2, 5), Caps(4, 3)):
+        for k in range(-1, 6):
+            powers = [ScalarSeries.term(caps, j, 1, 1).exp() for j in range(k)]
+            assert q_integer(k, caps) == sum(powers, ScalarSeries.zero(caps)), (caps, k)
+
+
 coeff_st = st.fractions(
     min_value=-3, max_value=3, max_denominator=6
 )

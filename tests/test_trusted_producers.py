@@ -1,0 +1,79 @@
+"""Only the pinned producers may skip validation.
+
+``algebra._Terms`` (so ``DElement`` and ``DTensor``),
+``diagram.OrientedGaussCode`` and ``diagram.RotDecomp`` take a private
+keyword-only ``_trusted=True`` that stores their fields without checks.
+Each producer below builds values that are valid by construction; a
+``_trusted=`` anywhere else in ``src/knotoidal``, or one that is not the
+literal ``True``, fails here, and so does a constructor that takes
+``_trusted`` positionally, where a stray third argument would skip every
+check.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "knotoidal"
+
+PRODUCERS = {
+    "algebra._Terms.__add__",
+    "algebra._Terms.scale",
+    "algebra._Terms.__mul__",
+    "algebra.DElement.zero",
+    "algebra.DElement.unit",
+    "algebra.DElement.generator",
+    "algebra.DElement.epsilon_part",
+    "algebra.DTensor.unit",
+    "algebra.DTensor.map_slot",
+    "algebra.rotation_element",
+    "algebra.antipode",
+    "diagram.OrientedGaussCode.relabeled",
+    "invariant._WalkTables.element",
+    "measure.project",
+    "measure.simplify_gauss",
+}
+
+CONSTRUCTORS = {
+    "algebra._Terms.__init__",
+    "diagram.OrientedGaussCode.__init__",
+    "diagram.RotDecomp.__init__",
+}
+
+
+def _package_nodes():
+    """``(qualified name of the innermost enclosing def or class, node)``
+    for every node of the package; a def or class is its own scope."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text()))]
+        while stack:
+            scope, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                else:
+                    inner = scope
+                yield inner, child
+                stack.append((inner, child))
+
+
+def test_only_the_pinned_producers_skip_validation():
+    users, values = set(), set()
+    for scope, node in _package_nodes():
+        if isinstance(node, ast.keyword) and node.arg == "_trusted":
+            users.add(scope)
+            values.add(ast.unparse(node.value))
+    assert users == PRODUCERS
+    assert values == {"True"}
+
+
+def test_trusted_is_keyword_only_in_the_constructors():
+    keyword_only, positional = set(), set()
+    for scope, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if any(arg.arg == "_trusted" for arg in args.kwonlyargs):
+                keyword_only.add(scope)
+            if any(arg.arg == "_trusted" for arg in args.posonlyargs + args.args):
+                positional.add(scope)
+    assert keyword_only == CONSTRUCTORS
+    assert positional == set()
