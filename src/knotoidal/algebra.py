@@ -50,6 +50,9 @@ antipode, multiplies exact ``Fraction`` terms, so only the tables and the
 walk know the scale.  A coefficient that is not an integer after scaling
 raises :class:`NonIntegralScale`; nothing is ever rounded.
 
+Every element and tensor, whoever builds it, goes through one construction
+path, the normalising constructor of ``_Terms``.
+
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """
@@ -355,6 +358,18 @@ def _mon_degree_key(mon: Mon):
     return (sum(mon), mon)
 
 
+def _monomial(mon) -> Mon:
+    """``mon`` as a monomial: a tuple or list of four non-negative int
+    exponents of ``y, b, a, x``; anything else raises :class:`InvalidArgument`."""
+    if (
+        not isinstance(mon, (tuple, list))
+        or len(mon) != 4
+        or any(type(n) is not int or n < 0 for n in mon)
+    ):
+        raise InvalidArgument(f"need four non-negative int exponents of y, b, a, x, got {mon!r}")
+    return tuple(mon)
+
+
 def render_monomial(mon: Mon) -> str:
     return "*".join(_power_factors("ybax", mon)) or "1"
 
@@ -362,26 +377,30 @@ def render_monomial(mon: Mon) -> str:
 class _Terms:
     """Exact terms at one caps: a map from a key (a monomial, or a tuple of
     them) to a scalar series, with no zero coefficient and no degree
-    outside the caps."""
+    outside the caps.
+
+    The constructor is the one construction path of every :class:`DElement`
+    and :class:`DTensor`: it converts each coefficient that is not yet a
+    ``Fraction`` and drops it if it is zero or at a degree the caps do not
+    admit, so the producers here pass raw terms and filter nothing."""
 
     __slots__ = ("caps", "_terms")
     # the order of :attr:`terms`: a sort key of the keys, or None for their own order
     _key_order = None
 
-    def __init__(self, caps: Caps, terms: dict | None = None, *, _trusted: bool = False):
+    def __init__(self, caps: Caps, terms: dict | None = None):
         self.caps = caps
-        if _trusted:
-            self._terms = terms or {}
-            return
+        K, N = caps.eps_order, caps.hbar_order
         clean = {}
         for key, sd in (terms or {}).items():
-            filtered = {
-                k: Fraction(v)
-                for k, v in sd.items()
-                if caps.admits(*k) and Fraction(v)
-            }
-            if filtered:
-                clean[key] = filtered
+            kept = {}
+            for (e, h), v in sd.items():
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v and 0 <= e <= K and 0 <= h <= N:
+                    kept[(e, h)] = v
+            if kept:
+                clean[key] = kept
         self._terms = clean
 
     def raw(self) -> dict:
@@ -423,25 +442,23 @@ class _Terms:
         require_same_caps(self, other)
         out = {key: dict(sd) for key, sd in self._terms.items()}
         _eadd_into(out, other._terms)
-        return type(self)(self.caps, out, _trusted=True)
+        return type(self)(self.caps, out)
 
     def __sub__(self, other):
         return self + other.scale(Fraction(-1))
 
     def scale(self, c):
-        if isinstance(c, ScalarSeries):
-            K, N = self.caps.eps_order, self.caps.hbar_order
-            out = {key: _smul(sd, c.coeffs, K, N) for key, sd in self._terms.items()}
-        else:
-            out = {key: _sscale(sd, Fraction(c)) for key, sd in self._terms.items()}
-        return type(self)(self.caps, {key: sd for key, sd in out.items() if sd}, _trusted=True)
+        if not isinstance(c, ScalarSeries):
+            c = ScalarSeries.term(self.caps, c)
+        K, N = self.caps.eps_order, self.caps.hbar_order
+        out = {key: _smul(sd, c.coeffs, K, N) for key, sd in self._terms.items()}
+        return type(self)(self.caps, out)
 
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         require_same_caps(self, other)
-        terms = self._product(get_context(self.caps), other._terms)
-        return type(self)(self.caps, terms, _trusted=True)
+        return type(self)(self.caps, self._product(get_context(self.caps), other._terms))
 
 
 class DElement(_Terms):
@@ -454,24 +471,27 @@ class DElement(_Terms):
 
     @classmethod
     def zero(cls, caps: Caps) -> "DElement":
-        return cls(caps, {}, _trusted=True)
+        return cls(caps)
 
     @classmethod
     def unit(cls, caps: Caps) -> "DElement":
-        return cls(caps, {UNIT_MON: dict(_ONE_SD)}, _trusted=True)
+        return cls(caps, {UNIT_MON: _ONE_SD})
 
     @classmethod
     def generator(cls, caps: Caps, name: str, power: int = 1) -> "DElement":
+        """``name^power`` for ``name`` one of ``y, b, a, x`` and ``power >= 0``."""
+        if type(name) is not str or name not in GENERATOR_INDEX:
+            raise InvalidArgument(f"unknown generator {name!r}, need one of y, b, a, x")
         mon = [0, 0, 0, 0]
         mon[GENERATOR_INDEX[name]] = power
-        return cls(caps, {tuple(mon): dict(_ONE_SD)}, _trusted=True)
+        return cls.monomial(caps, mon)
 
     @classmethod
     def monomial(cls, caps: Caps, mon: Mon, coeff: ScalarSeries | None = None) -> "DElement":
+        """``coeff * y^i b^j a^k x^l`` for ``mon = (i, j, k, l)``; see :func:`_monomial`."""
         if coeff is not None and coeff.caps != caps:
             raise CapsMismatch(f"{coeff.caps} vs {caps}")
-        sd = dict(_ONE_SD) if coeff is None else dict(coeff.coeffs)
-        return cls(caps, {tuple(mon): sd})
+        return cls(caps, {_monomial(mon): _ONE_SD if coeff is None else coeff.coeffs})
 
     # -- structure
 
@@ -482,12 +502,8 @@ class DElement(_Terms):
         """The sub-element collecting exactly e-degree ``k`` terms."""
         if k < 0 or k > self.caps.eps_order:
             raise DegreeOutOfRange(f"eps degree {k} outside caps {self.caps}")
-        out: EDict = {}
-        for mon, sd in self._terms.items():
-            filtered = {key: v for key, v in sd.items() if key[0] == k}
-            if filtered:
-                out[mon] = filtered
-        return DElement(self.caps, out, _trusted=True)
+        out = {mon: {key: v for key, v in sd.items() if key[0] == k} for mon, sd in self._terms.items()}
+        return DElement(self.caps, out)
 
     # -- canonical rendering: the equality witness in golden tests
 
@@ -530,10 +546,10 @@ class DElement(_Terms):
             caps = Caps.from_json(data["caps"])
             terms: EDict = {}
             for item in data["terms"]:
-                mon = tuple(map(_json_int, item["monomial"]))
+                mon = _monomial(item["monomial"])
                 degree = (_json_int(item["eps"]), _json_int(item["hbar"]))
-                if len(mon) != 4 or min(mon + degree) < 0:
-                    raise ParseError(f"term {item!r} needs 4 exponents and 2 degrees, all >= 0")
+                if min(degree) < 0:
+                    raise ParseError(f"term {item!r} needs degrees >= 0")
                 if not caps.admits(*degree):
                     raise DegreeOutOfRange(f"term {item!r} is outside caps {caps}")
                 sd = terms.setdefault(mon, {})
@@ -580,7 +596,7 @@ class DTensor(_Terms):
 
     @classmethod
     def unit(cls, caps: Caps) -> "DTensor":
-        return cls(caps, {(UNIT_MON, UNIT_MON): dict(_ONE_SD)}, _trusted=True)
+        return cls(caps, {(UNIT_MON, UNIT_MON): _ONE_SD})
 
     def _product(self, ctx: _Context, other: dict) -> dict:
         return _tensor_mul(self._terms, other, ctx)
@@ -590,12 +606,12 @@ class DTensor(_Terms):
         out: dict[tuple[Mon, Mon], SDict] = {}
         for (m1, m2), sd in self._terms.items():
             target = m1 if slot == 0 else m2
-            image = func(DElement(self.caps, {target: dict(_ONE_SD)}, _trusted=True))
+            image = func(DElement(self.caps, {target: _ONE_SD}))
             placed = {
                 ((mon, m2) if slot == 0 else (m1, mon)): isd for mon, isd in image.raw().items()
             }
             _eadd_into(out, placed, sd, self.caps.eps_order, self.caps.hbar_order)
-        return DTensor(self.caps, out, _trusted=True)
+        return DTensor(self.caps, out)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +628,8 @@ def r_matrix(caps: Caps) -> DTensor:
     inv_qfact = [q_factorial(m, caps).invert() for m in range(N + 1)]
     for m in range(N + 1):
         for n in range(N + 1 - m):
-            scal = inv_qfact[m].coeffs
-            scal = _sscale(scal, Fraction(1, factorial(n)))
-            scal = {
-                (e, h + m + n): v
-                for (e, h), v in scal.items()
-                if h + m + n <= N
-            }
-            terms[((m, n, 0, 0), (0, 0, n, m))] = scal
+            scal = _sscale(inv_qfact[m].coeffs, Fraction(1, factorial(n)))
+            terms[((m, n, 0, 0), (0, 0, n, m))] = {(e, h + m + n): v for (e, h), v in scal.items()}
     return DTensor(caps, terms)
 
 
@@ -646,7 +656,7 @@ def rotation_element(sign: int, caps: Caps) -> DElement:
     if sign not in (1, -1):
         raise InvalidArgument("rotation sign must be +1 or -1")
     c = Fraction(sign, 2)
-    return DElement(caps, _exp_ab_raw(c, c, caps.eps_order, caps.hbar_order), _trusted=True)
+    return DElement(caps, _exp_ab_raw(c, c, caps.eps_order, caps.hbar_order))
 
 
 def antipode(u: DElement) -> DElement:
@@ -655,7 +665,7 @@ def antipode(u: DElement) -> DElement:
     out: EDict = {}
     for mon, sd in u.raw().items():
         _eadd_into(out, ctx.antipode(mon), sd, ctx.K, ctx.N)
-    return DElement(u.caps, out, _trusted=True)
+    return DElement(u.caps, out)
 
 
 # ---------------------------------------------------------------------------

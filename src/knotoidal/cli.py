@@ -23,7 +23,7 @@ from .diagram import (
 from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange, InvalidArgument, KnotoidalError
 from .invariant import compare, evaluate_Z
 from .measure import ZMEAN_CAPS, dominant_knotoid, estimate_measure, load_curve
-from .series import Caps
+from .series import Caps, _read_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,8 +34,7 @@ EXIT_CAPS = 3
 def _load_decomposition(fixture: str | None, file: str | None) -> tuple[str, RotDecomp]:
     if fixture is not None:
         return fixture, fixture_decomposition(fixture)
-    with open(file, encoding="utf-8") as handle:
-        return file, parse_decomposition(handle.read())
+    return file, parse_decomposition(_read_text(file))
 
 
 def _emit(data: dict, fmt: str, text_lines) -> None:

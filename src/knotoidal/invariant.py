@@ -297,7 +297,7 @@ class _WalkTables:
             mid, r = divmod(key, S)
             e, h = divmod(r, N1)
             terms.setdefault(mons[mid], {})[(e, h)] = c
-        return DElement(self.caps, self.ctx.unscaled(terms), _trusted=True)
+        return DElement(self.caps, self.ctx.unscaled(terms))
 
 
 _TABLES: dict[tuple[int, int], _WalkTables] = {}

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     TooFewPoints,
 )
-from .series import Caps, _ascii_number
+from .series import Caps, _ascii_number, _read_text
 
 Vec3 = tuple[float, float, float]
 Vec2 = tuple[float, float]
@@ -97,21 +97,17 @@ def builtin_curve_path(name: str = "open_trefoil") -> str:
 def load_curve(path) -> OpenCurve3D:
     """Load an ``x y z`` per-line text file; blank lines and # comments allowed."""
     points = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split()
-                if len(parts) != 3:
-                    raise ParseError(f"{path}:{lineno}: expected three coordinates")
-                try:
-                    points.append(tuple(_ascii_number(p, float) for p in parts))
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad float") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected three coordinates")
+        try:
+            points.append(tuple(_ascii_number(p, float) for p in parts))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad float") from None
     if len(points) < 2:
         raise TooFewPoints(f"{path}: a curve needs at least two points")
     return OpenCurve3D(tuple(points))
@@ -650,7 +646,9 @@ def estimate_measure(
     ``n`` uniformly sampled projection directions; ``project`` checks ``tol``.
 
     ``caps`` are those of the ``zmean`` average, :data:`ZMEAN_CAPS` if
-    None; ``classes`` evaluates no invariant and takes none."""
+    None; ``classes`` evaluates no invariant and takes none.  ``zmean``
+    raises :class:`CapsTooCostly` for caps past ``invariant.CAPS_COST_LIMIT``
+    before it samples or projects any direction."""
     if type(n) is not int or n < 1:
         raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
     _check_seed(seed)
@@ -659,9 +657,12 @@ def estimate_measure(
     if phi == "classes" and caps is not None:
         raise InvalidArgument(f"caps apply only to phi='zmean', got {caps!r} with phi='classes'")
     if phi == "zmean":
+        from .invariant import _check_cost
+
         caps = ZMEAN_CAPS if caps is None else caps
         if not isinstance(caps, Caps):
             raise InvalidArgument(f"zmean needs caps as a Caps, got {caps!r}")
+        _check_cost(caps)
     directions = sample_directions(seed, n)
     tallies, freq, mean, rejected = _estimate_with_directions(
         curve, directions, tol, phi, caps

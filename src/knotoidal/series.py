@@ -98,6 +98,16 @@ def _ascii_number(text: str, kind: type = int):
     return kind(text)
 
 
+def _read_text(path) -> str:
+    """The text of a file for the text loaders, which must be UTF-8; other
+    bytes raise :class:`ParseError` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _power_factors(names, exponents) -> list[str]:
     """The factors ``name^exp`` of a product of powers: ``name`` alone at
     exponent 1, and nothing at exponent 0."""

@@ -116,4 +116,4 @@ def reference_evaluate(d: RotDecomp, caps: Caps) -> DElement:
     leftover = [p for p in states if p]
     if leftover:
         raise InvalidDecomposition("crossing opened but never closed")
-    return DElement(caps, states.get((), {}), _trusted=True)
+    return DElement(caps, states.get((), {}))

@@ -230,7 +230,8 @@ def test_tensor_constructor_cleans_like_an_element(caps14):
 
 
 def test_trusted_is_keyword_only(caps14):
-    # a stray third positional argument must not skip the checks
+    # one construction path: a stray third argument is refused, not taken as a
+    # switch past the checks
     too_high = {UNIT_MON: {(0, caps14.hbar_order + 1): 1}}
     for cls, terms in ((DElement, too_high), (DTensor, {(UNIT_MON, UNIT_MON): too_high[UNIT_MON]})):
         with pytest.raises(TypeError):
@@ -336,6 +337,24 @@ def test_element_json_takes_each_term_once_and_within_caps(change, error):
 def test_bad_rotation_sign_is_an_invalid_argument(caps14, sign):
     with pytest.raises(InvalidArgument):
         rotation_element(sign, caps14)
+
+
+@pytest.mark.parametrize(
+    "mon",
+    [(-1, 0, 0, 2), (1, 0, 0), (1, 0, 0, 0, 0), (1, 0, 0, 0.5), (1, 0, 0, True), (1, 0, 0, "1"), "1000", 7],
+    ids=["negative", "three", "five", "float", "bool", "string-exponent", "string", "int"],
+)
+def test_bad_monomial_is_an_invalid_argument(mon):
+    # a negative exponent used to build, render as y^-1, and fail its square
+    # with a bare IndexError
+    with pytest.raises(InvalidArgument):
+        DElement.monomial(Caps(1, 2), mon)
+
+
+@pytest.mark.parametrize("name, power", [("z", 1), ("", 1), (None, 1), ("y", -1), ("x", 1.0)])
+def test_bad_generator_is_an_invalid_argument(caps14, name, power):
+    with pytest.raises(InvalidArgument):
+        DElement.generator(caps14, name, power)
 
 
 def test_scale_and_epsilon_part(caps14):

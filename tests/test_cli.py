@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from knotoidal.cli import build_parser
+import pytest
+
+from knotoidal.cli import _load_decomposition, build_parser
+from knotoidal.errors import ParseError
 from knotoidal.measure import builtin_curve_path, estimate_measure, load_curve
 
 SEGMENT = "0 0 0\n1 2 3\n"
@@ -97,6 +100,19 @@ def test_malformed_files_exit_2_with_one_line(tmp_path):
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, args
 
 
+def test_decomposition_file_not_utf8_is_a_parse_error(tmp_path):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"labels 1\n# caf\xe9\n")
+    with pytest.raises(ParseError, match="latin1.txt: not UTF-8 text"):
+        _load_decomposition(None, str(not_utf8))
+    good = tmp_path / "good.txt"
+    good.write_text("labels 1\n")
+    for args in (("invariant", "--file", not_utf8), ("compare", "--files", good, not_utf8)):
+        result = run_cli(*map(str, args))
+        assert (result.returncode, result.stdout) == (2, ""), args
+        assert result.stderr == f"error: {not_utf8}: not UTF-8 text: invalid continuation byte at byte 14\n"
+
+
 def test_unknown_fixture_exits_2_with_one_line():
     for args in (("invariant", "--fixture", "nope"), ("compare", "--fixtures", "nope", "5_7")):
         result = run_cli(*args)
@@ -119,6 +135,11 @@ def test_costly_caps_exit_3():
         assert result.stderr.startswith("caps error:") and "limit" in result.stderr
     result = run_cli("compare", "--fixtures", "5_7", "5_421", "--eps-order", "2", "--hbar-order", "10")
     assert result.returncode == 3
+    # zmean checks the caps before it projects any of the 4000 directions
+    path = builtin_curve_path("open_trefoil")
+    result = run_cli("measure", "--file", path, "--phi", "zmean", "--hbar-order", "40", "--samples", "4000")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("caps error:") and "limit" in result.stderr
 
 
 def test_compare_distinct_pair():

@@ -654,6 +654,19 @@ def test_estimate_zmean(trefoil):
     assert values[((1, 0, 0, 1), 2)] == "-13/5"
 
 
+def test_zmean_checks_the_caps_cost_before_projecting(trefoil, monkeypatch):
+    from knotoidal import measure
+    from knotoidal.errors import CapsTooCostly
+    from knotoidal.series import Caps
+
+    def fail(*args):
+        raise AssertionError("projected a direction before checking the caps")
+
+    monkeypatch.setattr(measure, "project", fail)
+    with pytest.raises(CapsTooCostly):
+        estimate_measure(trefoil, 4000, phi="zmean", caps=Caps(1, 40))
+
+
 def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     from knotoidal import invariant
     from knotoidal.series import Caps

@@ -1,13 +1,14 @@
 """Only the pinned producers may skip validation.
 
-``algebra._Terms`` (so ``DElement`` and ``DTensor``),
 ``diagram.OrientedGaussCode`` and ``diagram.RotDecomp`` take a private
 keyword-only ``_trusted=True`` that stores their fields without checks.
 Each producer below builds values that are valid by construction; a
 ``_trusted=`` anywhere else in ``src/knotoidal``, or one that is not the
 literal ``True``, fails here, and so does a constructor that takes
 ``_trusted`` positionally, where a stray third argument would skip every
-check.
+check.  The exact layer has no such keyword: every ``DElement`` and
+``DTensor`` is built by the one normalising loop of ``algebra._Terms``, so
+a ``_trusted`` put back there fails here too.
 """
 
 import ast
@@ -16,25 +17,12 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "knotoidal"
 
 PRODUCERS = {
-    "algebra._Terms.__add__",
-    "algebra._Terms.scale",
-    "algebra._Terms.__mul__",
-    "algebra.DElement.zero",
-    "algebra.DElement.unit",
-    "algebra.DElement.generator",
-    "algebra.DElement.epsilon_part",
-    "algebra.DTensor.unit",
-    "algebra.DTensor.map_slot",
-    "algebra.rotation_element",
-    "algebra.antipode",
     "diagram.OrientedGaussCode.relabeled",
-    "invariant._WalkTables.element",
     "measure.project",
     "measure.simplify_gauss",
 }
 
 CONSTRUCTORS = {
-    "algebra._Terms.__init__",
     "diagram.OrientedGaussCode.__init__",
     "diagram.RotDecomp.__init__",
 }
