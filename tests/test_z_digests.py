@@ -3,7 +3,10 @@
 ``golden/z_digests.json`` maps a case name to the sha256 of
 ``json.dumps(evaluate_Z(d, caps).to_json(), sort_keys=True)``: the six
 fixtures and their reversals at caps (0,0), (1,0), (2,0), (3,2), (2,4), (0,6)
-and (1,5), and the 40-crossing chain of ``5_7`` at (1,4).  Any change to the
+and (1,5), the 40-crossing chain of ``5_7`` at (1,4), and the 126 distinct
+strand walks of the bundled trefoil at direction seed 0 (500 directions, the
+first decomposition of each walk, in first-seen order) at (1,2) and (2,3),
+where rotations are a third of the steps.  Any change to the
 walk must leave every digest as it is.  To write the file afresh from the
 current program, run ``PYTHONPATH=src python tests/test_z_digests.py``.
 """
@@ -13,7 +16,9 @@ import json
 from pathlib import Path
 
 from knotoidal.diagram import chain_decompositions, fixtures, reverse_decomposition
+from knotoidal.errors import DegenerateDirection
 from knotoidal.invariant import evaluate_Z
+from knotoidal.measure import builtin_curve_path, load_curve, project, sample_directions
 from knotoidal.series import Caps
 
 DIGESTS = Path(__file__).parent / "golden" / "z_digests.json"
@@ -21,6 +26,24 @@ DIGESTS = Path(__file__).parent / "golden" / "z_digests.json"
 FIXTURE_CAPS = [(0, 0), (1, 0), (2, 0), (3, 2), (2, 4), (0, 6), (1, 5)]
 CHAIN_CAPS = (1, 4)
 CHAIN_CROSSINGS = 40
+TREFOIL_SEED = 0
+TREFOIL_DIRECTIONS = 500
+TREFOIL_TOL = 1e-9
+TREFOIL_CAPS = [(1, 2), (2, 3)]
+
+
+def _trefoil_walks():
+    """The first decomposition of each distinct strand walk of the bundled
+    trefoil, in first-seen order."""
+    curve = load_curve(builtin_curve_path("open_trefoil"))
+    walks = {}
+    for direction in sample_directions(TREFOIL_SEED, TREFOIL_DIRECTIONS):
+        try:
+            decomp = project(curve, direction, TREFOIL_TOL).decomp
+        except DegenerateDirection:
+            continue
+        walks.setdefault(decomp.walk(), decomp)
+    return list(walks.values())
 
 
 def _cases():
@@ -35,6 +58,10 @@ def _cases():
         chain = chain_decompositions(chain, fx["5_7"])
     eps, hbar = CHAIN_CAPS
     yield f"5_7 chain {CHAIN_CROSSINGS} ({eps},{hbar})", chain, Caps(eps, hbar)
+    walks = _trefoil_walks()
+    for eps, hbar in TREFOIL_CAPS:
+        for i, d in enumerate(walks):
+            yield f"open_trefoil seed {TREFOIL_SEED} walk {i} ({eps},{hbar})", d, Caps(eps, hbar)
 
 
 def _digests() -> dict[str, str]:
