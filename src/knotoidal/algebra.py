@@ -448,7 +448,9 @@ class _Terms:
         return self + other.scale(Fraction(-1))
 
     def scale(self, c):
-        if not isinstance(c, ScalarSeries):
+        if isinstance(c, ScalarSeries):
+            require_same_caps(self, c)
+        else:
             c = ScalarSeries.term(self.caps, c)
         K, N = self.caps.eps_order, self.caps.hbar_order
         out = {key: _smul(sd, c.coeffs, K, N) for key, sd in self._terms.items()}
@@ -488,7 +490,11 @@ class DElement(_Terms):
 
     @classmethod
     def monomial(cls, caps: Caps, mon: Mon, coeff: ScalarSeries | None = None) -> "DElement":
-        """``coeff * y^i b^j a^k x^l`` for ``mon = (i, j, k, l)``; see :func:`_monomial`."""
+        """``coeff * y^i b^j a^k x^l`` for ``mon = (i, j, k, l)``; see :func:`_monomial`.
+
+        A ``coeff`` that is not a :class:`ScalarSeries` raises :class:`InvalidArgument`."""
+        if coeff is not None and not isinstance(coeff, ScalarSeries):
+            raise InvalidArgument(f"need a ScalarSeries coefficient, got {coeff!r}")
         if coeff is not None and coeff.caps != caps:
             raise CapsMismatch(f"{coeff.caps} vs {caps}")
         return cls(caps, {_monomial(mon): _ONE_SD if coeff is None else coeff.coeffs})

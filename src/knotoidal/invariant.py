@@ -11,7 +11,14 @@ label to its second.  A rotation deposits nothing where it stands: with w
 the y minus the x exponent, ``rot_s * M = q**(-s*w(M)) * M * rot_s``, and R
 and R^-1 have w(over) + w(under) = 0, so rot_s passes the deposits to come,
 of weight ``sum w(p)`` over the pending p, as the twist ``q**(s * sum w(p))``
-on the state.  The net rotation r is deposited, |r| times, after the walk.
+on the state.  q is a central scalar, so that twist is one factor
+``q**(s * w(P))`` per pending P, and a crossing's factors over its span make
+one, ``q**(w(P) * rho)`` with rho the net rotation between the crossing's
+two labels.  So a rotation step only adds its sign to the net rotation, and
+each crossing twists the states once, where :func:`_twist_plan` puts it: at
+its first rotation step or at its close, whichever has fewer crossings
+pending.  Rotations that cancel inside a span cost nothing.  The net
+rotation r of the walk is deposited, |r| times, after the walk.
 
 The evaluator enumerates crossing contributions under a global h-degree
 budget: a crossing term of internal degree d carries an explicit factor
@@ -242,14 +249,19 @@ class _WalkTables:
     for R (sign 1) or R^-1 (sign -1): ``pending`` lists the distinct
     factors that wait, and ``deposit`` holds every term's factor the walk
     multiplies on now, with its scalar folded in, tagged by the index of its
-    waiting factor in ``pending``.  A rotation step only twists; a whole
-    rotation element is deposited on the final state alone.
+    waiting factor in ``pending``.  A rotation step deposits nothing: each
+    crossing's twist ``q**(w(P) * rho)``, rho the net rotation between its
+    two labels, is applied once, and a whole rotation element is deposited
+    on the final state alone.
     """
 
     def __init__(self, caps: Caps):
         self.caps = caps
         self.ctx = get_context(caps)
-        self.S = (caps.eps_order + 1) * (caps.hbar_order + 1)
+        K, N = caps.eps_order, caps.hbar_order
+        self.S = (K + 1) * (N + 1)
+        # the highest power of q's eps*hbar a term at ``e * (N+1) + h`` takes
+        self.reach = [min(K - e, N - h) for e in range(K + 1) for h in range(N + 1)]
         self.ids: dict[Mon, int] = {}
         self.mons: list[Mon] = []
         self.monomials: dict[Mon, _Deposit] = {}
@@ -279,16 +291,14 @@ class _WalkTables:
             dep = self.monomials[mon] = _Deposit(self, [(mon, _UNIT_SD, 0)])
         return dep
 
-    def twist(self, main: dict, t: int) -> dict:
+    def twist(self, main: dict, t: int) -> None:
         """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k,
         which adds ``k * (N+2)`` to a key."""
-        q, K, N = self.ctx.q, self.ctx.K, self.ctx.N
+        q, S, N2, reach = self.ctx.q, self.S, self.ctx.N + 2, self.reach
         for key, c in list(main.items()):
-            e, h = divmod(key % self.S, N + 1)
-            for k in range(1, min(K - e, N - h) + 1):
-                tk = key + k * (N + 2)
+            for k in range(1, reach[key % S] + 1):
+                tk = key + k * N2
                 main[tk] = main.get(tk, 0) + c * t**k * q[0, 0, k, k]
-        return main
 
     def element(self, state: dict) -> DElement:
         mons, S, N1 = self.mons, self.S, self.ctx.N + 1
@@ -305,8 +315,8 @@ _TABLES: dict[tuple[int, int], _WalkTables] = {}
 # The cold time and peak memory of a walk about double with each hbar order
 # and grow at most linearly with the eps order, so the cost ``(K+1) * 2**N``
 # tracks both.  Cold 5_7, one fresh process per run, on a shared 2-vCPU
-# host: (1,8) 2.6-2.9 s and 54 MiB peak RSS, (1,9) 5.3-5.5 s and 92 MiB,
-# (1,10) 10.8-11.2 s and 166 MiB.  The limit is the cost of
+# host: (1,8) 1.6-2.4 s and 54 MiB peak RSS, (1,9) 4.2-4.5 s and 91-92 MiB,
+# (1,10) 8.6-9.2 s and 166 MiB.  The limit is the cost of
 # (1,10), the largest caps the acceptance checks may reach; a diagram with
 # more crossings costs more at the same caps.
 CAPS_COST_LIMIT = 2048
@@ -347,6 +357,33 @@ def _nonzero(acc: dict) -> dict:
     return {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
 
 
+def _twist_plan(walk: tuple) -> dict[int, list]:
+    """Where the walk twists: step index -> ``[(slot, rho)]``.
+
+    Each crossing whose net rotation rho between its two labels is not 0 is
+    twisted once, by ``q**(w(P) * rho)``: before its first rotation step if
+    fewer crossings are pending there than at its close, else before its
+    close.  Fewer crossings pending means fewer states to twist.
+    """
+    plan: dict[int, list] = {}
+    spans: list[list] = []  # per pending crossing: rho, (step, slot) of its first rotation, pending there
+    for i, step in enumerate(walk):
+        if step[0] == "open":
+            spans.append([0, None, 0])
+        elif step[0] == "rot":
+            for slot, span in enumerate(spans):
+                span[0] += step[1]
+                if span[1] is None:
+                    span[1:] = (i, slot), len(spans)
+        else:
+            rho, first, count = spans[step[1]]
+            if rho:
+                at, slot = first if count < len(spans) else (i, step[1])
+                plan.setdefault(at, []).append((slot, rho))
+            del spans[step[1]]
+    return plan
+
+
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     """Universal invariant of the decomposition at the given caps.
 
@@ -359,8 +396,21 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     # element, the latter as {key of (monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
     rotation = 0  # net rotation, deposited once the walk ends
+    walk = d.walk()
+    plan = _twist_plan(walk)
 
-    for step in d.walk():
+    for i, step in enumerate(walk):
+        twists = plan.get(i)
+        if twists:
+            for pending, main in states.items():
+                t = 0
+                for slot, rho in twists:
+                    t += rho * (pending[slot][0] - pending[slot][3])
+                if t:
+                    tables.twist(main, t)
+        if step[0] == "rot":
+            rotation += step[1]
+            continue
         if step[0] == "open":
             # one read of each state term for all the crossing's terms, the sum
             # split by the tag of each term's pending monomial, zeros dropped
@@ -378,17 +428,11 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
                         new_states[pending + (pend,)] = part
             states = new_states
             continue
+        slot = step[1]
         new_states: dict[tuple, dict] = {}
-        if step[0] == "rot":
-            rotation += step[1]
-            for pending, main in states.items():
-                t = step[1] * sum(p[0] - p[3] for p in pending)
-                new_states[pending] = tables.twist(main, t) if t else main
-        else:  # close
-            slot = step[1]
-            for pending, main in states.items():
-                rest = pending[:slot] + pending[slot + 1:]
-                tables.monomial(pending[slot]).times(main, new_states.setdefault(rest, {}))
+        for pending, main in states.items():
+            rest = pending[:slot] + pending[slot + 1:]
+            tables.monomial(pending[slot]).times(main, new_states.setdefault(rest, {}))
         states = {}
         for pending, acc in new_states.items():
             main = _nonzero(acc)

@@ -80,6 +80,9 @@ def test_caps_mismatch(caps14):
         DElement.unit(caps14) * DElement.unit(Caps(0, 4))
     with pytest.raises(CapsMismatch):
         DElement.monomial(Caps(1, 2), (1, 0, 0, 0), ScalarSeries.term(caps14, 1, 0, 3))
+    # a series at other caps used to scale to the zero element unchecked
+    with pytest.raises(CapsMismatch):
+        DElement.generator(Caps(1, 2), "x").scale(ScalarSeries.term(Caps(0, 5), 3, 0, 4))
 
 
 def test_r_matrix_low_caps():
@@ -349,6 +352,13 @@ def test_bad_monomial_is_an_invalid_argument(mon):
     # with a bare IndexError
     with pytest.raises(InvalidArgument):
         DElement.monomial(Caps(1, 2), mon)
+
+
+@pytest.mark.parametrize("coeff", [3, Fraction(1, 2), "1"])
+def test_monomial_coefficient_not_a_series_is_an_invalid_argument(coeff):
+    # a plain number used to fail with a bare AttributeError
+    with pytest.raises(InvalidArgument):
+        DElement.monomial(Caps(1, 2), (0, 0, 0, 1), coeff)
 
 
 @pytest.mark.parametrize("name, power", [("z", 1), ("", 1), (None, 1), ("y", -1), ("x", 1.0)])

@@ -200,10 +200,43 @@ def test_walk_matches_fraction_walker_on_fixtures():
 @example(d=parse_decomposition("labels 5; R+ 1 5; C+ 2; R- 3 4"))
 @example(d=parse_decomposition("labels 6; R- 6 1; C+ 2; R+ 3 5; C- 4"))
 @example(d=parse_decomposition("labels 7; R- 1 7; C- 2; R+ 3 6; C- 4; C- 5"))
+@example(d=parse_decomposition("labels 5; R+ 1 4; C+ 2; R- 3 5"))
+@example(d=parse_decomposition("labels 9; R+ 1 6; R- 2 7; C+ 3; R+ 4 8; R- 5 9"))
+@example(d=parse_decomposition("labels 5; R+ 1 5; C+ 2; C+ 3; C+ 4"))
 def test_walk_matches_fraction_walker_with_rotations_inside_crossings(caps, d):
-    # the walk twists each state where a rotation sits and deposits the net
-    # rotation once at the end; the Fraction walker deposits each in place
+    # the walk twists each crossing's states once, by the net rotation
+    # between its two labels, at its first rotation step or at its close,
+    # and deposits the net rotation of the walk once at the end; the
+    # Fraction walker deposits each rotation in place.  The twist of the
+    # fourth example goes at the rotation, and the fifth twists two
+    # crossings there; the last one's q**(3 * w(P)) reaches its k = 2 term
+    # at (2,3)
     assert evaluate_Z(d, caps).element.to_json() == reference_evaluate(d, caps).to_json()
+
+
+def test_rotations_that_cancel_inside_a_crossing_cost_no_twist(monkeypatch):
+    def no_twist(self, main, t):
+        raise AssertionError(f"twisted by q**{t}")
+
+    monkeypatch.setattr(invariant._WalkTables, "twist", no_twist)
+    d, caps = parse_decomposition("labels 4; R+ 1 4; C+ 2; C- 3"), Caps(1, 4)
+    assert evaluate_Z(d, caps).element.to_json() == reference_evaluate(d, caps).to_json()
+
+
+@pytest.mark.parametrize(
+    "text, plan",
+    [
+        # one pending at the rotation, two at the close: twisted at the rotation
+        ("labels 5; R+ 1 4; C+ 2; R- 3 5", {1: [(0, 1)]}),
+        # two pending at the rotation, four and three at the closes
+        ("labels 9; R+ 1 6; R- 2 7; C+ 3; R+ 4 8; R- 5 9", {2: [(0, 1), (1, 1)]}),
+        # one pending at both: twisted at the close, once, by the net rotation
+        ("labels 5; R+ 1 5; C+ 2; C+ 3; C+ 4", {4: [(0, 3)]}),
+        ("labels 4; R+ 1 4; C+ 2; C- 3", {}),
+    ],
+)
+def test_each_crossing_twists_once_where_fewer_crossings_are_pending(text, plan):
+    assert invariant._twist_plan(parse_decomposition(text).walk()) == plan
 
 
 def test_chain_value_is_the_product_of_the_values():
