@@ -63,13 +63,11 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
-from .errors import CapsMismatch, DegreeOutOfRange, InvalidArgument, NonIntegralScale, ParseError
+from .errors import CapsMismatch, DegreeOutOfRange, InvalidArgument, NonIntegralScale
 from .series import (
     Caps,
     ScalarSeries,
     SDict,
-    _json_coeff,
-    _json_int,
     _power_factors,
     _sadd_into,
     _smul,
@@ -545,26 +543,6 @@ class DElement(_Terms):
                 for mon, e, h, coeff in self.canonical_terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DElement":
-        try:
-            caps = Caps.from_json(data["caps"])
-            terms: EDict = {}
-            for item in data["terms"]:
-                mon = _monomial(item["monomial"])
-                degree = (_json_int(item["eps"]), _json_int(item["hbar"]))
-                if min(degree) < 0:
-                    raise ParseError(f"term {item!r} needs degrees >= 0")
-                if not caps.admits(*degree):
-                    raise DegreeOutOfRange(f"term {item!r} is outside caps {caps}")
-                sd = terms.setdefault(mon, {})
-                if degree in sd:
-                    raise ParseError(f"term {item!r} repeats a monomial and degree")
-                sd[degree] = _json_coeff(item["coeff"])
-            return cls(caps, terms)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad element JSON: {exc!r}") from exc
 
 
 def _tensor_mul(a: dict, b: dict, ctx: _Context) -> dict:

@@ -8,9 +8,9 @@ invariant evaluator.
 
 Both structures are immutable after construction.  Their public
 constructors check every input: pass roles, crossing and sign sets, label
-ranges and duplicates, and every loader (``parse_*``, ``from_json``, the CLI)
-goes through them.  Only producers that build valid codes and decompositions
-by construction skip the check, through the private keyword ``_trusted``:
+ranges and duplicates, and every loader (``parse_*``, the CLI) goes through
+them.  Only producers that build valid codes and decompositions by
+construction skip the check, through the private keyword ``_trusted``:
 ``measure.project`` for its code and decomposition, ``measure.simplify_gauss``
 for its result, and :meth:`OrientedGaussCode.relabeled`.  Whether a
 decomposition actually assembles into a planar diagram is not validated; the
@@ -26,11 +26,10 @@ from .errors import (
     DuplicateLabel,
     LabelOutOfRange,
     MalformedToken,
-    ParseError,
     SignCountMismatch,
     UnknownFixture,
 )
-from .series import _ascii_number, _json_int
+from .series import _ascii_number
 
 
 @dataclass(frozen=True)
@@ -128,22 +127,6 @@ class OrientedGaussCode:
             {order[cid]: s for cid, s in self.signs.items()},
             _trusted=True,
         )
-
-    def to_json(self) -> dict:
-        return {
-            "passes": [[cid, role] for cid, role in self.passes],
-            "signs": {str(cid): sign for cid, sign in sorted(self.signs.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OrientedGaussCode":
-        try:
-            return cls(
-                [(_json_int(c), r) for c, r in data["passes"]],
-                {_json_int(c, key=True): _json_int(s) for c, s in data["signs"].items()},
-            )
-        except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
-            raise ParseError(f"bad Gauss code JSON: {exc!r}") from exc
 
 
 def parse_gauss_code(text: str) -> OrientedGaussCode:
@@ -325,32 +308,6 @@ class RotDecomp:
 
     def __repr__(self):
         return f"RotDecomp({self.render().replace(chr(10), '; ')!r})"
-
-    def to_json(self) -> dict:
-        tokens = []
-        for tok in self.tokens:
-            if isinstance(tok, Crossing):
-                tokens.append(
-                    {"kind": "crossing", "sign": tok.sign, "over": tok.over, "under": tok.under}
-                )
-            else:
-                tokens.append({"kind": "rotation", "sign": tok.sign, "label": tok.label})
-        return {"labels": self.labels, "tokens": tokens}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RotDecomp":
-        try:
-            tokens = []
-            for tok in data["tokens"]:
-                if tok["kind"] == "crossing":
-                    tokens.append(Crossing(*(_json_int(tok[k]) for k in ("sign", "over", "under"))))
-                elif tok["kind"] == "rotation":
-                    tokens.append(Rotation(_json_int(tok["sign"]), _json_int(tok["label"])))
-                else:
-                    raise MalformedToken(f"unknown token kind {tok['kind']!r}")
-            return cls(_json_int(data["labels"]), tokens)
-        except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
-            raise ParseError(f"bad decomposition JSON: {exc!r}") from exc
 
 
 TRIVIAL_DECOMP = RotDecomp(1, [])

@@ -10,8 +10,10 @@ counted.
 
 Geometry runs in double precision with explicit tolerances; class tallies and
 invariant averages use exact rational arithmetic, so estimates are bit-stable
-across runs and platforms.  Direction sampling uses a counter-based 64-bit
-mixer, so sample ``i`` depends only on ``(seed, i)``.
+from run to run on one platform.  Direction sampling uses a counter-based
+64-bit mixer, so sample ``i`` depends only on ``(seed, i)``.  Sampling and
+projection call libm's ``cos``, ``sin`` and ``atan2``, whose last-bit rounding
+may differ between platforms, and so may an estimate.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class OpenCurve3D:
         if len(self.points) < 2:
             raise TooFewPoints("a curve needs at least two points")
         for index, p in enumerate(self.points):
+            if not _is_vec3(p):
+                raise ParseError(f"point {index} is not three real coordinates: {p!r}")
             if not all(map(math.isfinite, p)):
                 raise ParseError(f"point {index} has a non-finite coordinate: {p}")
         for p, q in zip(self.points, self.points[1:]):
@@ -80,6 +84,11 @@ class OpenCurve3D:
     def translated(self, offset: Vec3) -> "OpenCurve3D":
         ox, oy, oz = offset
         return OpenCurve3D(tuple((x + ox, y + oy, z + oz) for x, y, z in self.points))
+
+
+def _is_vec3(v) -> bool:
+    """Whether ``v`` is a tuple or list of three ints or floats."""
+    return isinstance(v, (tuple, list)) and len(v) == 3 and all(isinstance(c, (int, float)) for c in v)
 
 
 def builtin_curve_path(name: str = "open_trefoil") -> str:
@@ -305,8 +314,10 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     Raises :class:`DegenerateDirection` for the measure-zero bad directions;
     callers sampling the sphere catch it and count a rejection.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidArgument("tol must be positive and finite")
+    if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
+    if not _is_vec3(direction):
+        raise InvalidArgument(f"direction must be three real coordinates, got {direction!r}")
     norm = math.sqrt(sum(c * c for c in direction))
     if not abs(norm - 1.0) <= 1e-12:  # also false for a nan component
         raise InvalidArgument("direction must be a unit vector within 1e-12")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .algebra import DElement, r_matrix, rotation_element
 from .diagram import RotDecomp
-from .errors import CapsMismatch, DimensionMismatch, NotInvertible, ParseError
-from .series import Caps, ScalarSeries, _json_int
+from .errors import CapsMismatch, DimensionMismatch, NotInvertible
+from .series import Caps, ScalarSeries
 
 Matrix = list[list[ScalarSeries]]
 
@@ -118,37 +118,6 @@ class RepData:
             self._r_inv = matrix_inverse(self.R)
         return self._r_inv
 
-    def to_json(self) -> dict:
-        def enc(M):
-            return [[entry.to_json() for entry in row] for row in M]
-
-        return {
-            "dim": self.dim,
-            "caps": self.caps.to_json(),
-            "R": enc(self.R),
-            "h": enc(self.h),
-            "h_inv": enc(self.h_inv),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RepData":
-        caps = _json_field(data, "caps", Caps.from_json)
-
-        def dec(M):
-            return [[ScalarSeries.from_json(caps, entry) for entry in row] for row in M]
-
-        h = _json_field(data, "h", dec)
-        h_inv = _json_field(data, "h_inv", dec) if "h_inv" in data else matrix_inverse(h)
-        return cls(_json_field(data, "dim", _json_int), _json_field(data, "R", dec), h, h_inv)
-
-
-def _json_field(data: dict, key: str, decode):
-    """``decode(data[key])``; a missing or malformed field raises :class:`ParseError`."""
-    try:
-        return decode(data[key])
-    except (KeyError, TypeError, ValueError, AttributeError, ParseError) as exc:
-        raise ParseError(f"bad rep JSON field {key!r}: {exc!r}") from exc
-
 
 @dataclass
 class EndpointVectors:
@@ -156,27 +125,6 @@ class EndpointVectors:
 
     eta: list[ScalarSeries]
     eps_: list[ScalarSeries]
-
-    def to_json(self) -> dict:
-        return {
-            "eta": [v.to_json() for v in self.eta],
-            "eps": [v.to_json() for v in self.eps_],
-        }
-
-    @classmethod
-    def from_json(cls, caps: Caps, data: dict) -> "EndpointVectors":
-        def dec(vector):
-            return [ScalarSeries.from_json(caps, v) for v in vector]
-
-        return cls(_json_field(data, "eta", dec), _json_field(data, "eps", dec))
-
-
-def load_rep_json(data: dict) -> tuple[RepData, EndpointVectors]:
-    rep = RepData.from_json(data)
-    ev = EndpointVectors.from_json(rep.caps, data)
-    if len(ev.eta) != rep.dim or len(ev.eps_) != rep.dim:
-        raise DimensionMismatch("endpoint vectors must have length dim")
-    return rep, ev
 
 
 # ---------------------------------------------------------------------------

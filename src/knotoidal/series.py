@@ -12,7 +12,6 @@ with the noncommutative layer in :mod:`knotoidal.algebra`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
@@ -48,45 +47,8 @@ class Caps:
     def to_json(self) -> dict:
         return {"eps_order": self.eps_order, "hbar_order": self.hbar_order}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Caps":
-        """Caps from ``to_json``; anything but two non-negative ints raises :class:`ParseError`."""
-        try:
-            return cls(data["eps_order"], data["hbar_order"])
-        except (KeyError, TypeError, InvalidArgument) as exc:
-            raise ParseError(f"bad caps JSON: {exc!r}") from exc
-
     def admits(self, e: int, h: int) -> bool:
         return 0 <= e <= self.eps_order and 0 <= h <= self.hbar_order
-
-
-def _json_int(value, key: bool = False) -> int:
-    """A JSON int, or with ``key`` an ASCII decimal string; all else raises :class:`ParseError`."""
-    if key and isinstance(value, str) and value.isascii() and value.isdecimal():
-        return int(value)
-    if key or type(value) is not int:
-        raise ParseError(f"expected an integer{' key' if key else ''}, got {value!r}")
-    return value
-
-
-_COEFF = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _json_coeff(value) -> Fraction:
-    """A coefficient as ``to_json`` writes it, ASCII ``-?digits`` or
-    ``-?digits/digits``, or a JSON int; all else raises :class:`ParseError`.
-
-    ``Fraction`` alone would also read decimals and exponents, and expands an
-    exponent exactly: ``"1e10000000"`` would take seconds.
-    """
-    if type(value) is int:
-        return Fraction(value)
-    if type(value) is str and _COEFF.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:  # past the int digit limit, or n/0
-            raise ParseError(f"bad coefficient {value!r}: {exc}") from None
-    raise ParseError(f"expected a coefficient string or integer, got {value!r}")
 
 
 def _ascii_number(text: str, kind: type = int):
@@ -318,20 +280,6 @@ class ScalarSeries:
 
     def __repr__(self):
         return f"ScalarSeries({self.render()})"
-
-    def to_json(self) -> dict:
-        return {f"{e},{h}": str(v) for (e, h), v in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, caps: Caps, data: dict) -> "ScalarSeries":
-        coeffs: SDict = {}
-        try:
-            for key, sval in data.items():
-                e, h = (_json_int(p, key=True) for p in key.split(","))
-                coeffs[(e, h)] = _json_coeff(sval)
-        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad series JSON: {exc!r}") from exc
-        return cls(caps, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 
@@ -27,7 +25,6 @@ from knotoidal.errors import (
     KnotoidalError,
     LabelOutOfRange,
     MalformedToken,
-    ParseError,
     SignCountMismatch,
     UnknownFixture,
 )
@@ -164,6 +161,15 @@ def test_constructors_take_only_int_labels_ids_and_signs(make):
         (lambda: insert_rotation_pair(fixtures()["5_561"][1], 0), LabelOutOfRange),
         (lambda: insert_r2_pair(fixtures()["5_561"][1], 2, 13), LabelOutOfRange),
         (lambda: insert_r2_pair(fixtures()["5_561"][1], 0, 5), LabelOutOfRange),
+        (lambda: RotDecomp(1, [Rotation(1.9, 1)]), MalformedToken),
+        (lambda: RotDecomp(1, [Rotation(1, "1")]), MalformedToken),
+        (lambda: RotDecomp(2, [Crossing(True, 1, 2)]), MalformedToken),
+        (lambda: RotDecomp(2, [Crossing(1, 1.0, 2)]), MalformedToken),
+        (lambda: OrientedGaussCode(5, {}), MalformedToken),
+        (lambda: OrientedGaussCode([("1", "over"), (1, "under")], {1: 1}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (True, "under")], {1: 1}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: "-1"}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {"1": 1}), SignCountMismatch),
     ],
     ids=[
         "code-signs-for-other-crossings",
@@ -177,6 +183,15 @@ def test_constructors_take_only_int_labels_ids_and_signs(make):
         "rotation-pair-label-0",
         "r2-pair-label-past-L",
         "r2-pair-label-0",
+        "decomp-sign-float",
+        "decomp-label-string",
+        "decomp-crossing-sign-bool",
+        "decomp-over-float",
+        "code-passes-not-iterable",
+        "code-id-string",
+        "code-id-bool",
+        "code-sign-string",
+        "code-sign-key-string",
     ],
 )
 def test_constructor_errors_are_typed(make, error):
@@ -321,73 +336,6 @@ def test_walk_replays_the_tokens(d):
 @given(small_decomposition_st(max_slots=10))
 def test_decomposition_render_round_trip(d):
     assert parse_decomposition(d.render()) == d
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_decomposition_st(max_slots=10))
-def test_decomposition_json_round_trip(d):
-    assert RotDecomp.from_json(json.loads(json.dumps(d.to_json()))) == d
-
-
-def test_code_json_round_trip():
-    code = parse_gauss_code(ROW_5_7)
-    assert OrientedGaussCode.from_json(json.loads(json.dumps(code.to_json()))) == code
-
-
-@pytest.mark.parametrize(
-    "load, data",
-    [
-        (RotDecomp.from_json, {}),
-        (RotDecomp.from_json, {"labels": "x", "tokens": []}),
-        (RotDecomp.from_json, {"labels": 2, "tokens": [{"kind": "crossing", "sign": 1, "under": 2}]}),
-        (RotDecomp.from_json, {"labels": 1, "tokens": 5}),
-        (RotDecomp.from_json, {"labels": 1, "tokens": ["C+ 1"]}),
-        (OrientedGaussCode.from_json, {"passes": 5, "signs": {}}),
-        (OrientedGaussCode.from_json, {"passes": [[1, "over"]]}),
-        (OrientedGaussCode.from_json, {"passes": [], "signs": []}),
-        (OrientedGaussCode.from_json, {"passes": [["a", "over"]], "signs": {}}),
-        (RotDecomp.from_json, {"labels": 1, "tokens": [{"kind": "rotation", "sign": 1.9, "label": 1}]}),
-        (RotDecomp.from_json, {"labels": 1, "tokens": [{"kind": "rotation", "sign": -1.2, "label": 1}]}),
-        (RotDecomp.from_json, {"labels": 1, "tokens": [{"kind": "rotation", "sign": 1, "label": "1"}]}),
-        (RotDecomp.from_json, {"labels": 2, "tokens": [{"kind": "crossing", "sign": True, "over": 1, "under": 2}]}),
-        (RotDecomp.from_json, {"labels": 2, "tokens": [{"kind": "crossing", "sign": 1, "over": 1.0, "under": 2}]}),
-        (RotDecomp.from_json, {"labels": 1.5, "tokens": []}),
-        (OrientedGaussCode.from_json, {"passes": [[1.5, "over"], [1, "under"]], "signs": {"1": 1}}),
-        (OrientedGaussCode.from_json, {"passes": [["1", "over"], [1, "under"]], "signs": {"1": 1}}),
-        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [True, "under"]], "signs": {"1": 1}}),
-        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {"1": -1.2}}),
-        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {"1": "-1"}}),
-        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {"1.0": 1}}),
-        (OrientedGaussCode.from_json, {"passes": [[1, "over"], [1, "under"]], "signs": {" 1": 1}}),
-    ],
-    ids=[
-        "decomp-empty",
-        "decomp-labels-not-int",
-        "decomp-crossing-no-over",
-        "decomp-tokens-not-list",
-        "decomp-token-not-object",
-        "code-passes-not-list",
-        "code-no-signs",
-        "code-signs-not-object",
-        "code-id-not-int",
-        "decomp-sign-float",
-        "decomp-sign-negative-float",
-        "decomp-label-string",
-        "decomp-sign-bool",
-        "decomp-over-float",
-        "decomp-labels-float",
-        "code-id-float",
-        "code-id-string",
-        "code-id-bool",
-        "code-sign-float",
-        "code-sign-string",
-        "code-sign-key-float",
-        "code-sign-key-space",
-    ],
-)
-def test_diagram_json_errors_are_typed(load, data):
-    with pytest.raises(ParseError):
-        load(data)
 
 
 def test_code_render_round_trip():

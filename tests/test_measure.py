@@ -111,8 +111,11 @@ def test_load_rejects_non_finite(tmp_path, text):
 
 
 def test_curve_rejects_non_finite():
-    with pytest.raises(ParseError):
-        OpenCurve3D(((0.0, 0.0, 0.0), (1.0, 1.0, float("inf"))))
+    # a point that is not three reals used to build and then fail in
+    # estimate_measure with a bare ValueError, or in the check with a TypeError
+    for bad in ((1.0, 1.0, float("inf")), (1.0, 1.0), (1.0, 1.0, 2.0, 3.0), (1.0, "1", 2.0), 7):
+        with pytest.raises(ParseError):
+            OpenCurve3D(((0.0, 0.0, 0.0), bad, (2.0, 0.0, 0.0)))
 
 
 # -- projection ----------------------------------------------------------------
@@ -799,6 +802,10 @@ def test_estimate_validation(trefoil):
         lambda curve: perturbed(curve, math.nan, 0),
         lambda curve: perturbed(curve, math.inf, 0),
         lambda curve: perturbed(curve, "0.1", 0),
+        lambda curve: project(curve, (1.0, 0.0), TOL),
+        lambda curve: project(curve, "abc", TOL),
+        lambda curve: project(curve, (0.0, 0.0, 1.0), "1e-9"),
+        lambda curve: estimate_measure(curve, 3, tol="1e-9"),
     ],
     ids=[
         "no-samples",
@@ -827,6 +834,10 @@ def test_estimate_validation(trefoil):
         "nan-radius",
         "inf-radius",
         "str-radius",
+        "two-coordinate-direction",
+        "str-direction",
+        "project-str-tol",
+        "str-tol",
     ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):

@@ -1,4 +1,3 @@
-import json
 import random
 from functools import cache
 from fractions import Fraction
@@ -16,19 +15,11 @@ from knotoidal.diagram import (
     insert_r2_pair,
     parse_decomposition,
 )
-from knotoidal.errors import (
-    CapsMismatch,
-    DegreeOutOfRange,
-    DimensionMismatch,
-    KnotoidalError,
-    NotInvertible,
-    ParseError,
-)
+from knotoidal.errors import CapsMismatch, DimensionMismatch, NotInvertible
 from knotoidal.rt import (
     EndpointVectors,
     RepData,
     derive_rep,
-    load_rep_json,
     matrix_eq,
     matrix_identity,
     matrix_inverse,
@@ -130,8 +121,9 @@ def test_dim1_monomial_formula():
             lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one(), one()], [one()] * 3)),
             DimensionMismatch,
         ),
+        (lambda: matrix_inverse([]), DimensionMismatch),
     ],
-    ids=["dim-0", "mixed-caps", "short-eta", "long-eps"],
+    ids=["dim-0", "mixed-caps", "short-eta", "long-eps", "inverse-of-empty"],
 )
 def test_rep_errors_are_typed(make, error):
     with pytest.raises(error):
@@ -348,102 +340,5 @@ def test_rep_data_rejects_ragged_rotation_matrices():
     for h, h_inv in ((ragged, ragged), (ragged, square), (square, first_column)):
         with pytest.raises(DimensionMismatch):
             RepData(2, R, h, h_inv)
-    # without h_inv, the JSON loader inverts h before RepData sees it
-    payload = {
-        "dim": 2,
-        "caps": {"eps_order": CAPS.eps_order, "hbar_order": CAPS.hbar_order},
-        "R": [[entry.to_json() for entry in row] for row in R],
-        "h": [[entry.to_json() for entry in row] for row in ragged],
-    }
     with pytest.raises(DimensionMismatch):
-        RepData.from_json(payload)
-
-
-def test_rep_json_round_trip():
-    rep = derive_rep(CAPS, rho_dim2())
-    ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])
-    payload = rep.to_json()
-    payload.update(ev.to_json())
-    blob = json.loads(json.dumps(payload))
-    rep2, ev2 = load_rep_json(blob)
-    assert matrix_eq(rep2.R, rep.R)
-    assert matrix_eq(rep2.h, rep.h)
-    assert ev2.eta == ev.eta and ev2.eps_ == ev.eps_
-    assert rt_evaluate(EXAMPLE, rep2, ev2) == rt_evaluate(EXAMPLE, rep, ev)
-
-
-def _rep_payload() -> dict:
-    payload = derive_rep(CAPS, rho_dim2()).to_json()
-    payload.update(EndpointVectors([one(1), one(2)], [one(3), one(4)]).to_json())
-    return json.loads(json.dumps(payload))
-
-
-@pytest.mark.parametrize(
-    "key, change",
-    [
-        ("caps", lambda data: data.pop("caps")),
-        ("dim", lambda data: data.update(dim="x")),
-        ("dim", lambda data: data.update(dim=2.7)),
-        ("dim", lambda data: data.update(dim=True)),
-        ("dim", lambda data: data.update(dim="2")),
-        ("R", lambda data: data["R"].__setitem__(0, {"0,0": "1"})),
-        ("h", lambda data: data["h"].__setitem__(1, 7)),
-        ("eta", lambda data: data.pop("eta")),
-    ],
-    ids=[
-        "no-caps",
-        "dim-not-int",
-        "dim-float",
-        "dim-bool",
-        "dim-string",
-        "R-row-not-list",
-        "h-row-not-list",
-        "no-eta",
-    ],
-)
-def test_rep_json_errors_are_typed_and_name_the_key(key, change):
-    data = _rep_payload()
-    load_rep_json(data)
-    change(data)
-    with pytest.raises(ParseError, match=repr(key)):
-        load_rep_json(data)
-
-
-@pytest.mark.parametrize("caps", [{"eps_order": -1, "hbar_order": 2}, {"eps_order": 1.5, "hbar_order": 2}, 3])
-def test_rep_json_bad_caps_name_the_key(caps):
-    data = _rep_payload()
-    data["caps"] = caps
-    with pytest.raises(ParseError, match="'caps'"):
-        load_rep_json(data)
-
-
-def test_rep_json_empty_h_without_inverse_is_a_dimension_mismatch():
-    data = _rep_payload()
-    data["h"] = []
-    del data["h_inv"]
-    with pytest.raises(DimensionMismatch):
-        load_rep_json(data)
-
-
-def test_rep_json_h_inverse_is_optional():
-    rep = derive_rep(CAPS, rho_dim2())
-    ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])
-    payload = rep.to_json()
-    payload.update(ev.to_json())
-    del payload["h_inv"]
-    rep2, _ = load_rep_json(json.loads(json.dumps(payload)))
-    assert matrix_eq(rep2.h_inv, rep.h_inv)
-
-
-def test_rep_json_bad_series_entry_is_typed():
-    payload = derive_rep(CAPS, rho_dim1()).to_json()
-    for entry, error in (
-        ({"0,9": "1"}, DegreeOutOfRange),
-        ({"a,b": "1"}, ParseError),
-        ({"0,0": "x"}, ParseError),
-    ):
-        bad = json.loads(json.dumps(payload))
-        bad["h"][0][0] = entry
-        with pytest.raises(error) as info:
-            RepData.from_json(bad)
-        assert isinstance(info.value, KnotoidalError)
+        matrix_inverse(ragged)

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from knotoidal.errors import (
     CapsMismatch,
+    DegreeOutOfRange,
     ExpDomain,
     InvalidArgument,
     KnotoidalError,
     NotInvertible,
-    ParseError,
     SqrtDomain,
 )
 from knotoidal.series import Caps, ScalarSeries, q_factorial, q_integer
@@ -77,6 +77,12 @@ def test_caps_mismatch_raises():
         ScalarSeries.one(CAPS) + ScalarSeries.one(Caps(1, 5))
 
 
+@pytest.mark.parametrize("degree", [(0, 9), (3, 0), (-1, 0)])
+def test_degree_outside_the_caps_is_out_of_range(degree):
+    with pytest.raises(DegreeOutOfRange):
+        ScalarSeries(CAPS, {degree: 1})
+
+
 def test_caps_validation():
     with pytest.raises(ValueError):
         Caps(-1, 2)
@@ -100,21 +106,6 @@ def test_bad_arguments_are_typed_and_still_value_errors(make):
     with pytest.raises(InvalidArgument) as info:
         make()
     assert isinstance(info.value, ValueError) and isinstance(info.value, KnotoidalError)
-
-
-def test_caps_json_round_trip():
-    assert Caps.from_json(CAPS.to_json()) == CAPS
-    assert CAPS.to_json() == {"eps_order": 2, "hbar_order": 5}
-
-
-@pytest.mark.parametrize(
-    "data",
-    [{}, {"eps_order": 1}, {"eps_order": 1, "hbar_order": -1}, {"eps_order": 1.0, "hbar_order": 2}, [1, 2], None],
-    ids=["empty", "no-hbar", "negative", "float", "list", "null"],
-)
-def test_caps_json_errors_are_typed(data):
-    with pytest.raises(ParseError):
-        Caps.from_json(data)
 
 
 def test_q_factorial_base_cases():
@@ -192,37 +183,3 @@ def test_invert_sqrt_exp_identities(a, b):
 def test_render_and_json_round_trip():
     s = series({(0, 0): 1, (1, 2): Fraction(-3, 4)})
     assert s.render() == "1 + -3/4*eps*hbar^2"
-    assert ScalarSeries.from_json(CAPS, s.to_json()) == s
-    assert ScalarSeries.from_json(CAPS, {"0,1": -2}) == series({(0, 1): -2})
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"\u0661,0": "1"},
-        {" 0 , 1": "1"},
-        {"0,1_0": "1"},
-        {"0": "1"},
-        {"0,0": True},
-        {"0,0": 1.5},
-        {"0,0": None},
-        {"0,0": "x"},
-        ["0,0"],
-        "0,0",
-    ],
-    ids=[
-        "key-arabic-indic-digit",
-        "key-spaces",
-        "key-underscore",
-        "key-one-degree",
-        "coeff-bool",
-        "coeff-float",
-        "coeff-null",
-        "coeff-not-a-number",
-        "list",
-        "string",
-    ],
-)
-def test_series_json_errors_are_typed(data):
-    with pytest.raises(ParseError):
-        ScalarSeries.from_json(CAPS, data)
