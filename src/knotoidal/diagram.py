@@ -210,8 +210,11 @@ class RotDecomp:
             raise MalformedToken(f"label count must be an int, got {labels!r}")
         if labels < 1:
             raise LabelOutOfRange("a decomposition needs at least one label")
+        try:
+            tokens = tuple(tokens)
+        except TypeError:
+            raise MalformedToken(f"tokens must be iterable, got {tokens!r}") from None
         used = set()
-        toks = []
         for tok in tokens:
             if isinstance(tok, Crossing):
                 slots = (tok.over, tok.under)
@@ -229,9 +232,8 @@ class RotDecomp:
                 if lab in used:
                     raise DuplicateLabel(f"label {lab} used twice")
                 used.add(lab)
-            toks.append(tok)
         self.labels = labels
-        self.tokens = tuple(toks)
+        self.tokens = tokens
 
     def __eq__(self, other):
         return (

@@ -29,6 +29,7 @@ from .errors import (
 
 SKey = tuple[int, int]
 SDict = dict[SKey, Fraction]
+_EXACT = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -124,14 +125,24 @@ class ScalarSeries:
     __slots__ = ("caps", "coeffs")
 
     def __init__(self, caps: Caps, coeffs: SDict | None = None):
+        """``coeffs`` maps int degrees ``(e, h)`` within ``caps`` to int or
+        ``Fraction`` coefficients; anything else raises :class:`InvalidArgument`
+        (``Fraction`` would take a float's binary value, and would expand a
+        string such as ``"1e10000000"`` exactly, for seconds)."""
         self.caps = caps
         clean: SDict = {}
-        for (e, h), v in (coeffs or {}).items():
-            if not caps.admits(e, h):
-                raise DegreeOutOfRange(f"degree ({e},{h}) outside caps {caps}")
-            v = Fraction(v)
-            if v:
-                clean[(e, h)] = v
+        try:
+            for (e, h), v in (coeffs or {}).items():
+                if type(e) is not int or type(h) is not int or type(v) not in _EXACT:
+                    raise TypeError
+                if not caps.admits(e, h):
+                    raise DegreeOutOfRange(f"degree ({e},{h}) outside caps {caps}")
+                if v:
+                    clean[(e, h)] = v if type(v) is Fraction else Fraction(v)
+        except (AttributeError, TypeError, ValueError):
+            raise InvalidArgument(
+                "series coefficients must map (int, int) degrees to ints or Fractions"
+            ) from None
         self.coeffs = clean
 
     # -- constructors

@@ -22,7 +22,7 @@ from knotoidal.algebra import (
     rotation_element,
     yang_baxter_holds,
 )
-from knotoidal.errors import CapsMismatch, InvalidArgument
+from knotoidal.errors import CapsMismatch, DegreeOutOfRange, InvalidArgument
 from knotoidal.series import Caps, ScalarSeries
 
 
@@ -280,6 +280,50 @@ def test_element_rendering_canonical(caps14):
     lines = text.splitlines()
     assert lines[0].endswith("b") or lines[0].endswith("a")
 
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c: DElement.monomial(c, (0, 0, 1, 1), ScalarSeries(c, {(0, 0): "x"})),
+        lambda c: DElement.monomial(c, None),
+        lambda c: DElement.monomial(c, (1, 0, 0)),
+        lambda c: DElement.monomial(c, (1, 0, 0, "x")),
+        lambda c: DElement.monomial(c, (1, 0, 0, 0.5)),
+        lambda c: DElement.monomial(c, (0, 0, 1, 1), ScalarSeries(c, {("0", 0): 1})),
+        lambda c: DElement.monomial(c, (0, 0, 1, 1), ScalarSeries(c, {(0, 0.0): 1})),
+        lambda c: DElement.monomial(c, (-1, 0, 0, 0)),
+        lambda c: DElement.monomial(Caps(1.5, c.hbar_order), (0, 0, 1, 1)),
+        lambda c: DElement.monomial(c, (0, 0, 1, 1), ScalarSeries(c, {(0, 0): True})),
+        lambda c: DElement.monomial(c, (0, 0, 1, 1), ScalarSeries(c, {(0, 0): 1.5})),
+    ],
+    ids=[
+        "coeff",
+        "no-terms",
+        "three-exponents",
+        "string-exponent",
+        "float-exponent",
+        "string-degree",
+        "float-degree",
+        "negative-exponent",
+        "float-cap",
+        "bool-coeff",
+        "float-coeff",
+    ],
+)
+def test_element_json_errors_are_typed(caps14, make):
+    # each bad value of a decoded JSON term, None for a missing key, given to
+    # the constructors that build a term
+    with pytest.raises(InvalidArgument):
+        make(caps14)
+
+
+@pytest.mark.parametrize("degree", [(0, 9), (2, 0)], ids=["hbar-past-cap", "eps-past-cap"])
+def test_element_json_takes_each_term_once_and_within_caps(degree):
+    # a term outside the caps raises rather than load as nothing
+    caps = Caps(1, 2)
+    with pytest.raises(DegreeOutOfRange):
+        DElement.monomial(caps, (0, 0, 0, 0), ScalarSeries(caps, {degree: 1}))
 
 @pytest.mark.parametrize("sign", [0, 2, "+"])
 def test_bad_rotation_sign_is_an_invalid_argument(caps14, sign):

@@ -161,15 +161,6 @@ def test_constructors_take_only_int_labels_ids_and_signs(make):
         (lambda: insert_rotation_pair(fixtures()["5_561"][1], 0), LabelOutOfRange),
         (lambda: insert_r2_pair(fixtures()["5_561"][1], 2, 13), LabelOutOfRange),
         (lambda: insert_r2_pair(fixtures()["5_561"][1], 0, 5), LabelOutOfRange),
-        (lambda: RotDecomp(1, [Rotation(1.9, 1)]), MalformedToken),
-        (lambda: RotDecomp(1, [Rotation(1, "1")]), MalformedToken),
-        (lambda: RotDecomp(2, [Crossing(True, 1, 2)]), MalformedToken),
-        (lambda: RotDecomp(2, [Crossing(1, 1.0, 2)]), MalformedToken),
-        (lambda: OrientedGaussCode(5, {}), MalformedToken),
-        (lambda: OrientedGaussCode([("1", "over"), (1, "under")], {1: 1}), MalformedToken),
-        (lambda: OrientedGaussCode([(1, "over"), (True, "under")], {1: 1}), MalformedToken),
-        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: "-1"}), MalformedToken),
-        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {"1": 1}), SignCountMismatch),
     ],
     ids=[
         "code-signs-for-other-crossings",
@@ -183,18 +174,69 @@ def test_constructors_take_only_int_labels_ids_and_signs(make):
         "rotation-pair-label-0",
         "r2-pair-label-past-L",
         "r2-pair-label-0",
-        "decomp-sign-float",
-        "decomp-label-string",
-        "decomp-crossing-sign-bool",
-        "decomp-over-float",
-        "code-passes-not-iterable",
-        "code-id-string",
-        "code-id-bool",
-        "code-sign-string",
-        "code-sign-key-string",
     ],
 )
 def test_constructor_errors_are_typed(make, error):
+    with pytest.raises(error):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: RotDecomp(None, None), MalformedToken),
+        (lambda: RotDecomp("x", []), MalformedToken),
+        (lambda: RotDecomp(2, [Crossing(1, None, 2)]), MalformedToken),
+        (lambda: RotDecomp(1, 5), MalformedToken),
+        (lambda: RotDecomp(1, ["C+ 1"]), MalformedToken),
+        (lambda: OrientedGaussCode(5, {}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over")], None), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], 1), MalformedToken),
+        (lambda: OrientedGaussCode([("a", "over")], {}), MalformedToken),
+        (lambda: RotDecomp(1, [Rotation(1.9, 1)]), MalformedToken),
+        (lambda: RotDecomp(1, [Rotation(-1.2, 1)]), MalformedToken),
+        (lambda: RotDecomp(1, [Rotation(1, "1")]), MalformedToken),
+        (lambda: RotDecomp(2, [Crossing(True, 1, 2)]), MalformedToken),
+        (lambda: RotDecomp(2, [Crossing(1, 1.0, 2)]), MalformedToken),
+        (lambda: RotDecomp(1.5, []), MalformedToken),
+        (lambda: OrientedGaussCode([(1.5, "over"), (1, "under")], {1: 1}), MalformedToken),
+        (lambda: OrientedGaussCode([("1", "over"), (1, "under")], {1: 1}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (True, "under")], {1: 1}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: -1.2}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {1: "-1"}), MalformedToken),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {"1.0": 1}), SignCountMismatch),
+        (lambda: OrientedGaussCode([(1, "over"), (1, "under")], {" 1": 1}), SignCountMismatch),
+    ],
+    ids=[
+        "decomp-empty",
+        "decomp-labels-not-int",
+        "decomp-crossing-no-over",
+        "decomp-tokens-not-list",
+        "decomp-token-not-object",
+        "code-passes-not-list",
+        "code-no-signs",
+        "code-signs-not-object",
+        "code-id-not-int",
+        "decomp-sign-float",
+        "decomp-sign-negative-float",
+        "decomp-label-string",
+        "decomp-sign-bool",
+        "decomp-over-float",
+        "decomp-labels-float",
+        "code-id-float",
+        "code-id-string",
+        "code-id-bool",
+        "code-sign-float",
+        "code-sign-string",
+        "code-sign-key-float",
+        "code-sign-key-space",
+    ],
+)
+def test_diagram_json_errors_are_typed(make, error):
+    # The package reads no JSON: a caller who decodes a diagram from JSON
+    # hands the decoded values (None for a missing key, floats, bools,
+    # strings, lists) to these constructors, which reject each bad one with
+    # a typed error.
     with pytest.raises(error):
         make()
 

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoidal.diagram import fixtures, parse_decomposition, parse_gauss_code
-from knotoidal.errors import KnotoidalError, MalformedToken, ParseError
+from knotoidal.errors import InvalidArgument, KnotoidalError, MalformedToken, ParseError
 from knotoidal.measure import load_curve
+from knotoidal.series import Caps, ScalarSeries
 
+CAPS = Caps(1, 2)
 CODE, DECOMP = fixtures()["5_9"]
 
 LOADERS = {
@@ -62,6 +64,14 @@ def test_valid_curve_text_loads(tmp_path):
     path = tmp_path / "curve.xyz"
     path.write_text(CURVE_TEXT)
     assert load_curve(path).points == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (2.0, 0.0, 1.5))
+
+
+@pytest.mark.parametrize("coeff", ["1e10000000", "1.5", " 1", "1_0", "١", "1/0", "1" * 5000])
+def test_only_to_json_coefficients_load(coeff):
+    # to_json writes coefficients as text for output only; Fraction alone
+    # reads all of these, and expands 1e10000000 exactly, for seconds
+    with pytest.raises(InvalidArgument):
+        ScalarSeries(CAPS, {(0, 0): coeff})
 
 
 @pytest.mark.parametrize("load, text", [

@@ -15,7 +15,14 @@ from knotoidal.diagram import (
     insert_r2_pair,
     parse_decomposition,
 )
-from knotoidal.errors import CapsMismatch, DimensionMismatch, NotInvertible
+from knotoidal.errors import (
+    CapsMismatch,
+    DegreeOutOfRange,
+    DimensionMismatch,
+    InvalidArgument,
+    KnotoidalError,
+    NotInvertible,
+)
 from knotoidal.rt import (
     EndpointVectors,
     RepData,
@@ -121,9 +128,8 @@ def test_dim1_monomial_formula():
             lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one(), one()], [one()] * 3)),
             DimensionMismatch,
         ),
-        (lambda: matrix_inverse([]), DimensionMismatch),
     ],
-    ids=["dim-0", "mixed-caps", "short-eta", "long-eps", "inverse-of-empty"],
+    ids=["dim-0", "mixed-caps", "short-eta", "long-eps"],
 )
 def test_rep_errors_are_typed(make, error):
     with pytest.raises(error):
@@ -342,3 +348,21 @@ def test_rep_data_rejects_ragged_rotation_matrices():
             RepData(2, R, h, h_inv)
     with pytest.raises(DimensionMismatch):
         matrix_inverse(ragged)
+
+
+def test_rep_json_empty_h_without_inverse_is_a_dimension_mismatch():
+    # a caller with h but no h_inv inverts h before building RepData
+    with pytest.raises(DimensionMismatch):
+        matrix_inverse([])
+
+
+def test_rep_json_bad_series_entry_is_typed():
+    # a bad matrix entry of decoded rep data fails where the entry is built
+    for entry, error in (
+        ({(0, 9): 1}, DegreeOutOfRange),
+        ({("a", "b"): 1}, InvalidArgument),
+        ({(0, 0): "x"}, InvalidArgument),
+    ):
+        with pytest.raises(error) as info:
+            ScalarSeries(CAPS, entry)
+        assert isinstance(info.value, KnotoidalError)

@@ -108,6 +108,22 @@ def test_bad_arguments_are_typed_and_still_value_errors(make):
     assert isinstance(info.value, ValueError) and isinstance(info.value, KnotoidalError)
 
 
+def test_caps_json_round_trip():
+    assert Caps(**CAPS.to_json()) == CAPS
+    assert CAPS.to_json() == {"eps_order": 2, "hbar_order": 5}
+
+
+@pytest.mark.parametrize(
+    "eps_order, hbar_order",
+    [(None, None), (1, None), (1, -1), (1.0, 2), ([1, 2], 2), (None, 2)],
+    ids=["empty", "no-hbar", "negative", "float", "list", "null"],
+)
+def test_caps_json_errors_are_typed(eps_order, hbar_order):
+    # the values decoded JSON hands the constructor, None for a missing key
+    with pytest.raises(InvalidArgument):
+        Caps(eps_order, hbar_order)
+
+
 def test_q_factorial_base_cases():
     assert q_factorial(0, CAPS) == ScalarSeries.one(CAPS)
     assert q_factorial(1, CAPS) == ScalarSeries.one(CAPS)
@@ -183,3 +199,37 @@ def test_invert_sqrt_exp_identities(a, b):
 def test_render_and_json_round_trip():
     s = series({(0, 0): 1, (1, 2): Fraction(-3, 4)})
     assert s.render() == "1 + -3/4*eps*hbar^2"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"\u0661,0": 1},
+        {" 0 , 1": 1},
+        {"0,1_0": 1},
+        {"0": 1},
+        {(0, 0): True},
+        {(0, 0): 1.5},
+        {(0, 0): None},
+        {(0, 0): "x"},
+        ["0,0"],
+        "0,0",
+    ],
+    ids=[
+        "key-arabic-indic-digit",
+        "key-spaces",
+        "key-underscore",
+        "key-one-degree",
+        "coeff-bool",
+        "coeff-float",
+        "coeff-null",
+        "coeff-not-a-number",
+        "list",
+        "string",
+    ],
+)
+def test_series_json_errors_are_typed(data):
+    # decoded JSON has string keys, and floats and bools among its numbers;
+    # a series takes only (int, int) degrees and int or Fraction coefficients
+    with pytest.raises(InvalidArgument):
+        ScalarSeries(CAPS, data)
