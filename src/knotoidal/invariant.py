@@ -384,6 +384,36 @@ def _twist_plan(walk: tuple) -> dict[int, list]:
     return plan
 
 
+def _walk_key(walk: tuple) -> tuple:
+    """``(skeleton, rhos, r)``, all of a walk that :func:`evaluate_Z` reads.
+
+    The skeleton is the walk's open and close steps, which is the relabeled
+    Gauss code; ``rhos`` holds each crossing's net rotation rho between its
+    two labels, in the order the crossings close; ``r`` is the walk's net
+    rotation.  A rotation step deposits nothing: each crossing twists the
+    states once, by the central scalar ``q**(w(P) * rho)`` while its P is
+    pending, and scalars commute with every truncated product, so where
+    :func:`_twist_plan` puts the twist does not change the result; the whole
+    rotation is deposited once, after the walk.  So two walks with one key
+    have one element at every caps: walks that differ only in where their
+    rotation steps sit, such as a ``C+ C-`` pair inserted anywhere, two
+    rotations swapped within one gap between passes, or a rotation moved
+    from before the first pass to after the last.  Only the fingerprint,
+    which hashes the decomposition, tells them apart.
+    """
+    skeleton, rhos, opened, r = [], [], [], 0
+    for step in walk:
+        if step[0] == "rot":
+            r += step[1]
+            continue
+        skeleton.append(step)
+        if step[0] == "open":
+            opened.append(r)
+        else:
+            rhos.append(r - opened.pop(step[1]))
+    return tuple(skeleton), tuple(rhos), r
+
+
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     """Universal invariant of the decomposition at the given caps.
 

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 
 from .diagram import (
@@ -160,9 +161,35 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """A projection's knotoid diagram and its projected points, from which
+    :attr:`biframing` is computed on first access."""
+
     code: OrientedGaussCode
     decomp: RotDecomp
-    biframing: Biframing
+    points: tuple[Vec2, ...]
+
+    @cached_property
+    def biframing(self) -> Biframing:
+        """The writhe, and the coframing from winding numbers around the
+        projected endpoints.  No vertex projects onto an endpoint: it would
+        end a segment shorter than tol, or lie within tol of the endpoint on
+        a segment other than the endpoint's own, and :func:`project` rejects
+        both."""
+        pts = self.points
+        return Biframing(writhe(self.code), _winding(pts[0], pts[1:]) - _winding(pts[-1], pts[:-1]))
+
+
+def _winding(center: Vec2, pts) -> int:
+    """Winding number of the polyline ``pts`` around ``center``."""
+    cx, cy = center
+    angs = [math.atan2(y - cy, x - cx) for x, y in pts]
+    # sum() rounds a float total with compensation on Python >= 3.12, so
+    # a hand-written loop could round the winding differently there
+    total = sum(
+        d + _TWO_PI if d <= -math.pi else d - _TWO_PI if d > math.pi else d
+        for d in map(sub, angs[1:], angs)
+    )
+    return int(round(total / (2.0 * math.pi)))
 
 
 def _cross3(u: Vec3, v: Vec3) -> Vec3:
@@ -415,26 +442,7 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     # with a sign of +-1, and each label from 1 to label_count holds one slot
     code = OrientedGaussCode(passes, signs, _trusted=True)
     decomp = RotDecomp(label_count, tokens, _trusted=True)
-
-    # Coframing from winding numbers around the projected endpoints.  No
-    # vertex projects onto an endpoint: it would end a segment shorter than
-    # tol, or lie within tol of the endpoint on a segment other than the
-    # endpoint's own, and both are rejected above.
-    def winding(center: Vec2, pts) -> int:
-        cx, cy = center
-        angs = [math.atan2(y - cy, x - cx) for x, y in pts]
-        # sum() rounds a float total with compensation on Python >= 3.12, so
-        # a hand-written loop could round the winding differently there
-        total = sum(
-            d + _TWO_PI if d <= -math.pi else d - _TWO_PI if d > math.pi else d
-            for d in map(sub, angs[1:], angs)
-        )
-        return int(round(total / (2.0 * math.pi)))
-
-    n0 = winding(pts2[0], pts2[1:])
-    n1 = winding(pts2[-1], pts2[:-1])
-    biframing = Biframing(writhe(code), n0 - n1)
-    return ProjectionResult(code, decomp, biframing)
+    return ProjectionResult(code, decomp, tuple(pts2))
 
 
 # ---------------------------------------------------------------------------
@@ -585,16 +593,18 @@ class MeasureEstimate:
 
 
 def _estimate_with_directions(curve, directions, tol, phi, caps):
-    from .invariant import evaluate_Z
+    from .invariant import _walk_key, evaluate_Z
 
     tallies: dict[str, int] = {}
     rejected = 0
-    # zmean: the first accepted decomposition of each distinct strand walk,
-    # with the count of its walk, in first-seen order.  The value depends on
-    # the walk and the caps alone, and many directions give the same walk,
-    # often as decompositions that differ only in token order; each walk is
-    # evaluated once
-    walks: dict[tuple, list] = {}
+    # zmean: the first accepted decomposition of each (code, rho, r) key,
+    # with the count of its key, in first-seen order.  evaluate_Z reads a
+    # decomposition only through that key (see invariant._walk_key): the
+    # relabeled Gauss code, each crossing's net rotation rho and the walk's
+    # net rotation r.  Many directions give one key, as decompositions that
+    # differ in token order or in where their rotation steps sit; each key
+    # is evaluated once
+    keys: dict[tuple, list] = {}
     # the label is a function of the code, and 500 directions of the bundled
     # trefoil give fewer than 80 distinct codes; each code is labelled once
     labels: dict[OrientedGaussCode, str] = {}
@@ -609,9 +619,9 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
             label = labels[proj.code] = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
-            walks.setdefault(proj.decomp.walk(), [proj.decomp, 0])[1] += 1
+            keys.setdefault(_walk_key(proj.decomp.walk()), [proj.decomp, 0])[1] += 1
     zsums: dict[tuple, Fraction] = {}
-    for decomp, count in walks.values():
+    for decomp, count in keys.values():
         part = evaluate_Z(decomp, caps).element.epsilon_part(1)
         for mon, sd in part.raw().items():
             for (e, h), coeff in sd.items():

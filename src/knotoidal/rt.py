@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import DElement, r_matrix, rotation_element
 from .diagram import RotDecomp
-from .errors import CapsMismatch, DimensionMismatch, NotInvertible
+from .errors import CapsMismatch, DimensionMismatch, InvalidArgument, NotInvertible
 from .series import Caps, ScalarSeries
 
 Matrix = list[list[ScalarSeries]]
@@ -95,6 +95,8 @@ class RepData:
     """Matrix data of a finite-dimensional representation at fixed caps."""
 
     def __init__(self, dim: int, R: Matrix, h: Matrix, h_inv: Matrix):
+        if type(dim) is not int:
+            raise InvalidArgument(f"dimension must be an int, got {dim!r}")
         if dim < 1:
             raise DimensionMismatch("dimension must be positive")
         if len(R) != dim * dim or any(len(row) != dim * dim for row in R):

@@ -1,16 +1,21 @@
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotoidal import algebra, invariant
 from knotoidal.algebra import DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
+    Crossing,
+    RotDecomp,
+    Rotation,
     chain_decompositions,
     fixtures,
     insert_r2_pair,
@@ -237,6 +242,90 @@ def test_rotations_that_cancel_inside_a_crossing_cost_no_twist(monkeypatch):
 )
 def test_each_crossing_twists_once_where_fewer_crossings_are_pending(text, plan):
     assert invariant._twist_plan(parse_decomposition(text).walk()) == plan
+
+
+def _key(d):
+    return invariant._walk_key(d.walk())
+
+
+def _replaced_rotations(d, label: int) -> list:
+    """Decompositions that place d's rotation tokens differently but keep
+    its key: a C+ C- pair inserted on segment ``label``, each pair of
+    opposite rotations in one gap between passes swapped, and each rotation
+    before the first pass moved after the last."""
+    passes = sorted(label for c in d.crossings() for label in (c.over, c.under))
+    gap = {rot: bisect_right(passes, rot.label) for rot in d.rotations()}
+    out = [insert_rotation_pair(d, label)]
+    for a, b in combinations(gap, 2):
+        if gap[a] == gap[b] and a.sign != b.sign:
+            swap = {a: Rotation(b.sign, a.label), b: Rotation(a.sign, b.label)}
+            out.append(RotDecomp(d.labels, [swap.get(tok, tok) for tok in d.tokens]))
+    for rot in gap:
+        if gap[rot] == 0:
+            tokens = [tok for tok in d.tokens if tok != rot] + [Rotation(rot.sign, d.labels + 1)]
+            out.append(RotDecomp(d.labels + 1, tokens))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st(), data=st.data())
+@example(d=parse_decomposition("labels 6; C+ 1; C- 2; R+ 3 5; C+ 4; C- 6"), data=None)
+@example(d=parse_decomposition("labels 7; C- 1; R- 2 6; C+ 3; C- 4; R+ 5 7"), data=None)
+def test_replacing_rotations_keeps_the_key_and_the_value(d, data):
+    # evaluate_Z reads rotations only through each crossing's net rotation
+    # between its two labels and the walk's net rotation, which these moves
+    # keep; measure's zmean memo relies on it
+    label = 1 if data is None else data.draw(st.integers(1, d.labels))
+    for caps in (Caps(1, 2), Caps(2, 3)):
+        value = evaluate_Z(d, caps).element
+        for moved in _replaced_rotations(d, label):
+            assert _key(moved) == _key(d), moved
+            assert evaluate_Z(moved, caps).element == value, (moved, caps)
+
+
+def test_replacing_rotations_covers_every_move():
+    # the examples above exercise the swap and the move to the head
+    d = parse_decomposition("labels 6; C+ 1; C- 2; R+ 3 5; C+ 4; C- 6")
+    assert len(_replaced_rotations(d, 1)) == 1 + 1 + 2
+    assert _key(d) == ((("open", 1, True), ("close", 0)), (1,), 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=small_decomposition_st())
+@example(d=parse_decomposition("labels 3; C+ 1; R+ 2 3"))
+def test_moving_a_rotation_across_a_pass_changes_the_key(d):
+    # swap the labels of a rotation and a pass next to it in label order:
+    # the rotation enters or leaves that crossing's span, and nothing else
+    # moves
+    kind = {rot.label: rot for rot in d.rotations()}
+    kind.update((label, c) for c in d.crossings() for label in (c.over, c.under))
+    order = sorted(kind)
+    pairs = [
+        (a, b)
+        for a, b in zip(order, order[1:])
+        if isinstance(kind[a], Rotation) != isinstance(kind[b], Rotation)
+    ]
+    assume(pairs)
+    for a, b in pairs:
+        swap = {a: b, b: a}
+        tokens = [
+            Rotation(tok.sign, swap.get(tok.label, tok.label))
+            if isinstance(tok, Rotation)
+            else Crossing(tok.sign, swap.get(tok.over, tok.over), swap.get(tok.under, tok.under))
+            for tok in d.tokens
+        ]
+        moved = RotDecomp(d.labels, tokens)
+        assert _key(moved) != _key(d), moved
+        assert _key(moved)[0] == _key(d)[0] and _key(moved)[2] == _key(d)[2]
+
+
+def test_the_key_needs_each_crossings_net_rotation():
+    # the two differ only in rho, and so in value: a key without rho would
+    # merge them
+    inside = parse_decomposition("labels 3; C+ 2; R+ 1 3")
+    outside = parse_decomposition("labels 3; C+ 1; R+ 2 3")
+    assert _key(inside)[::2] == _key(outside)[::2] and _key(inside) != _key(outside)
+    assert evaluate_Z(inside, Caps(1, 2)).element != evaluate_Z(outside, Caps(1, 2)).element
 
 
 def test_chain_value_is_the_product_of_the_values():

@@ -657,6 +657,31 @@ def test_estimate_zmean(trefoil):
     assert values[((1, 0, 0, 1), 2)] == "-13/5"
 
 
+@pytest.mark.parametrize("phi", ["classes", "zmean"])
+def test_estimator_never_reads_the_biframing(trefoil, monkeypatch, phi):
+    from knotoidal import measure
+    from knotoidal.series import Caps
+
+    def unread(self):
+        raise AssertionError("the estimator read a biframing")
+
+    monkeypatch.setattr(measure.ProjectionResult, "biframing", property(unread))
+    with pytest.raises(AssertionError):
+        project(trefoil, sample_direction(0, 0), TOL).biframing
+    if phi == "classes":
+        # the pinned counts of test_estimate_golden_counts
+        estimate = estimate_measure(trefoil, 2000, seed=0, tol=TOL)
+        assert estimate.class_freq[TRIVIAL_CLASS] == Fraction(1101, 2000)
+        assert estimate.class_freq["1 -2 3 -1 2 -3 - - -"] == Fraction(27, 200)
+        assert estimate.class_freq["-1 2 -3 1 -2 3 - - -"] == Fraction(259, 2000)
+    else:
+        # the pinned means of test_estimate_zmean
+        estimate = estimate_measure(trefoil, 20, seed=1, tol=TOL, phi="zmean", caps=Caps(1, 2))
+        values = {(tuple(c["monomial"]), c["hbar"]): c["mean"] for c in estimate.invariant_mean["components"]}
+        assert values[((0, 0, 1, 0), 1)] == "-41/40"
+        assert values[((1, 0, 0, 1), 2)] == "-13/5"
+
+
 def test_zmean_checks_the_caps_cost_before_projecting(trefoil, monkeypatch):
     from knotoidal import measure
     from knotoidal.errors import CapsTooCostly
@@ -689,13 +714,14 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
             decomps.append(project(trefoil, direction, TOL).decomp)
         except DegenerateDirection:
             pass
-    # the first decomposition of each distinct walk; 91 decompositions here
-    # have 88 walks
+    # the first decomposition of each (code, rho, r) key; 91 decompositions
+    # here have 88 walks and 66 keys
     distinct: dict = {}
     for d in decomps:
-        distinct.setdefault(d.walk(), d)
+        distinct.setdefault(invariant._walk_key(d.walk()), d)
     assert calls == list(distinct.values())
-    assert len(distinct) < len(set(decomps)) < len(decomps) == 200 - rejected
+    walks = {d.walk() for d in decomps}
+    assert len(distinct) < len(walks) < len(set(decomps)) < len(decomps) == 200 - rejected
     # the same mean as one evaluation per accepted direction
     sums: dict = {}
     for d in decomps:
@@ -708,16 +734,20 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
 
 
 def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
-    # two decompositions that differ only in token order have one walk, so
-    # they count as one evaluation and give the mean of either alone
+    # two decompositions that differ only in token order have one walk, and
+    # a third, with a C+ C- pair between two passes, has another walk with
+    # the same (code, rho, r) key; all three count as one evaluation and
+    # give the mean of any one alone
     from knotoidal import invariant, measure
-    from knotoidal.diagram import Biframing
     from knotoidal.series import Caps
 
     caps, code = Caps(1, 2), parse_gauss_code("1 -2 -1 2 + -")
     first = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3)])
     second = RotDecomp(8, [Rotation(1, 3), Crossing(-1, 1, 8), Crossing(1, 2, 4)])
+    third = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3), Rotation(1, 5), Rotation(-1, 6)])
     assert first != second and first.walk() == second.walk()
+    assert first.walk() != third.walk()
+    assert invariant._walk_key(first.walk()) == invariant._walk_key(third.walk())
     original, calls = invariant.evaluate_Z, []
 
     def counted(d, caps):
@@ -725,13 +755,15 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
         return original(d, caps)
 
     def means(decomps):
-        projections = iter([measure.ProjectionResult(code, d, Biframing(0, 0)) for d in decomps])
+        # the biframing is never read, so the projected points can be empty
+        projections = iter([measure.ProjectionResult(code, d, ()) for d in decomps])
         monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
         return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
 
     monkeypatch.setattr(invariant, "evaluate_Z", counted)
-    assert means([first, second, first]) == means([first] * 3)
-    assert calls == [first, first]
+    assert means([first, second, third, first]) == means([first] * 4)
+    assert means([third, first]) == means([third] * 2)
+    assert calls == [first, first, third, third]
 
 
 @pytest.mark.parametrize("phi", ["classes", "zmean"])

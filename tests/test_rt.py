@@ -119,6 +119,8 @@ def test_dim1_monomial_formula():
     "make, error",
     [
         (lambda: RepData(0, [], [], []), DimensionMismatch),
+        (lambda: RepData("1", [], [], []), InvalidArgument),
+        (lambda: RepData(True, [[one()]], [[one()]], [[one()]]), InvalidArgument),
         (lambda: RepData(1, [[ScalarSeries.one(Caps(1, 2))]], [[one()]], [[one()]]), CapsMismatch),
         (
             lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one()], [one(), one()])),
@@ -129,7 +131,7 @@ def test_dim1_monomial_formula():
             DimensionMismatch,
         ),
     ],
-    ids=["dim-0", "mixed-caps", "short-eta", "long-eps"],
+    ids=["dim-0", "dim-str", "dim-bool", "mixed-caps", "short-eta", "long-eps"],
 )
 def test_rep_errors_are_typed(make, error):
     with pytest.raises(error):

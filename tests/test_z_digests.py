@@ -17,7 +17,7 @@ from pathlib import Path
 
 from knotoidal.diagram import chain_decompositions, fixtures, reverse_decomposition
 from knotoidal.errors import DegenerateDirection
-from knotoidal.invariant import evaluate_Z
+from knotoidal.invariant import _walk_key, evaluate_Z
 from knotoidal.measure import builtin_curve_path, load_curve, project, sample_directions
 from knotoidal.series import Caps
 
@@ -76,6 +76,19 @@ def test_values_match_the_pinned_digests():
     got = _digests()
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
+
+
+def test_trefoil_walks_with_one_key_have_one_value():
+    # zmean evaluates one walk per (code, rho, r) key of invariant._walk_key;
+    # here 126 walks fall to 90 keys
+    by_key: dict = {}
+    for d in _trefoil_walks():
+        by_key.setdefault(_walk_key(d.walk()), []).append(d)
+    assert (len(by_key), sum(map(len, by_key.values()))) == (90, 126)
+    for eps, hbar in TREFOIL_CAPS:
+        for first, *rest in by_key.values():
+            value = evaluate_Z(first, Caps(eps, hbar)).element
+            assert [d for d in rest if evaluate_Z(d, Caps(eps, hbar)).element != value] == []
 
 
 if __name__ == "__main__":
