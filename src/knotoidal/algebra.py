@@ -650,26 +650,3 @@ def antipode(u: DElement) -> DElement:
     for mon, sd in u.raw().items():
         _eadd_into(out, ctx.antipode(mon), sd, ctx.K, ctx.N)
     return DElement(u.caps, out)
-
-
-# ---------------------------------------------------------------------------
-# consistency checks used by the test suite
-
-def yang_baxter_holds(caps: Caps) -> bool:
-    """Check R12 R13 R23 = R23 R13 R12 in the truncated triple tensor algebra."""
-    ctx = get_context(caps)
-    rmat = r_matrix(caps).raw()
-
-    def place(positions):
-        out = {}
-        for (m1, m2), sd in rmat.items():
-            key = [UNIT_MON, UNIT_MON, UNIT_MON]
-            key[positions[0]] = m1
-            key[positions[1]] = m2
-            out[tuple(key)] = dict(sd)
-        return out
-
-    r12, r13, r23 = place((0, 1)), place((0, 2)), place((1, 2))
-    lhs = _tensor_mul(_tensor_mul(r12, r13, ctx), r23, ctx)
-    rhs = _tensor_mul(_tensor_mul(r23, r13, ctx), r12, ctx)
-    return lhs == rhs

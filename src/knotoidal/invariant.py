@@ -20,6 +20,15 @@ its first rotation step or at its close, whichever has fewer crossings
 pending.  Rotations that cancel inside a span cost nothing.  The net
 rotation r of the walk is deposited, |r| times, after the walk.
 
+So a walk's element depends only on its :func:`_walk_key`, and
+:func:`_reduce_walk` makes a shorter walk with the same element by two local
+identities of the algebra: a curl whose net rotation is that of a planar
+curl has a central segment element, one per sign, the two inverse to each
+other; and a bigon of opposite crossings with matching rotations deposits
+only rotations, as an element of the tensor square.  ``zmean`` evaluates
+reduced walks; :func:`evaluate_Z` itself reduces nothing and is the oracle
+the reducer is checked against.
+
 The evaluator enumerates crossing contributions under a global h-degree
 budget: a crossing term of internal degree d carries an explicit factor
 hbar^d, so any combination whose total budget exceeds the cap dies by scalar
@@ -412,6 +421,88 @@ def _walk_key(walk: tuple) -> tuple:
         else:
             rhos.append(r - opened.pop(step[1]))
     return tuple(skeleton), tuple(rhos), r
+
+
+def _reduce_walk(walk: tuple) -> tuple:
+    """A walk with fewer crossings and the same :func:`evaluate_Z` element.
+
+    Write ``rho*(s, f) = -s if f else s`` for a crossing of sign s whose
+    first pass is its over-pass iff f: the net rotation of a planar curl.
+    Two moves are repeated, the first one along the walk each time, until
+    neither applies; both are identities of the algebra, so they hold for
+    any decomposition, realizable or not:
+
+    - *Curl.* An open whose next pass is its own close, with net rotation
+      rho* between them.  Its segment element is then central, and equal to
+      one ``C_s`` per sign whichever f, with ``C_+ C_- = 1``; the open, the
+      close and the rotations between them are deleted.
+    - *Bigon.* Two opens of opposite signs and equal f with net rotation tA
+      between them, whose closes are next to each other too, with net
+      rotation tB between them.  If the closes come in opening order and
+      ``tA == tB``, or in reverse order and ``tA + tB == rho*`` of the first
+      open, the four deposits with their rotations are ``rot^tA (x) rot^tB``
+      in the tensor square, and the four passes are deleted, the rotations
+      kept.
+
+    The deleted curls, n with sign + less those with sign -, are central
+    and put back as |n| canonical curls ``open(sgn n, True), rot(-sgn n),
+    close(0)`` at the front.  Each gap between passes keeps only its net
+    rotation, which is all :func:`_walk_key` reads of it.
+    """
+    # passes as (crossing, opens); gaps[k] the net rotation before pass k,
+    # gaps[-1] after the last
+    passes, gaps, kinds, pending = [], [0], [], []
+    for step in walk:
+        if step[0] == "rot":
+            gaps[-1] += step[1]
+            continue
+        if step[0] == "open":
+            pending.append(len(kinds))
+            kinds.append(step[1:])
+            passes.append((pending[-1], True))
+        else:
+            passes.append((pending.pop(step[1]), False))
+        gaps.append(0)
+    curls = 0
+    while True:
+        at = {p: k for k, p in enumerate(passes)}
+        for k, (c, opens) in enumerate(passes[:-1]):
+            if not opens:
+                continue
+            s, f = kinds[c]
+            star = -s if f else s
+            d, next_opens = passes[k + 1]
+            if d == c:
+                if gaps[k + 1] == star:
+                    curls += s
+                    gaps[k + 1] = 0
+                    drop = (k, k)
+                    break
+            elif next_opens and kinds[d] == (-s, f):
+                i, j = at[c, False], at[d, False]
+                tA, tB = gaps[k + 1], gaps[min(i, j) + 1]
+                if abs(i - j) == 1 and (tA == tB if i < j else tA + tB == star):
+                    drop = (min(i, j), min(i, j), k, k)
+                    break
+        else:
+            break
+        for k in drop:
+            del passes[k]
+            gaps[k] += gaps.pop(k + 1)
+    sign = 1 if curls > 0 else -1
+    out = [("open", sign, True), ("rot", -sign), ("close", 0)] * abs(curls)
+    pending = []
+    for (c, opens), t in zip(passes, gaps):
+        out += [("rot", 1 if t > 0 else -1)] * abs(t)
+        if opens:
+            pending.append(c)
+            out.append(("open", *kinds[c]))
+        else:
+            slot = pending.index(c)
+            del pending[slot]
+            out.append(("close", slot))
+    t = gaps[-1]
+    return tuple(out + [("rot", 1 if t > 0 else -1)] * abs(t))
 
 
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:

@@ -593,17 +593,16 @@ class MeasureEstimate:
 
 
 def _estimate_with_directions(curve, directions, tol, phi, caps):
-    from .invariant import _walk_key, evaluate_Z
+    from .invariant import _reduce_walk, _walk_key, evaluate_Z
 
     tallies: dict[str, int] = {}
     rejected = 0
-    # zmean: the first accepted decomposition of each (code, rho, r) key,
-    # with the count of its key, in first-seen order.  evaluate_Z reads a
+    # zmean: the first accepted walk of each (code, rho, r) key, with the
+    # count of its key, in first-seen order.  evaluate_Z reads a
     # decomposition only through that key (see invariant._walk_key): the
     # relabeled Gauss code, each crossing's net rotation rho and the walk's
     # net rotation r.  Many directions give one key, as decompositions that
-    # differ in token order or in where their rotation steps sit; each key
-    # is evaluated once
+    # differ in token order or in where their rotation steps sit
     keys: dict[tuple, list] = {}
     # the label is a function of the code, and 500 directions of the bundled
     # trefoil give fewer than 80 distinct codes; each code is labelled once
@@ -619,10 +618,18 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
             label = labels[proj.code] = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
-            keys.setdefault(_walk_key(proj.decomp.walk()), [proj.decomp, 0])[1] += 1
+            walk = proj.decomp.walk()
+            keys.setdefault(_walk_key(walk), [walk, 0])[1] += 1
+    # each key's walk less its removable curls and bigons, which keeps its
+    # element (see invariant._reduce_walk); keys whose reduced walks share a
+    # key sum their counts, and each reduced key is evaluated once
+    reduced: dict[tuple, list] = {}
+    for walk, count in keys.values():
+        walk = _reduce_walk(walk)
+        reduced.setdefault(_walk_key(walk), [walk, 0])[1] += count
     zsums: dict[tuple, Fraction] = {}
-    for decomp, count in keys.values():
-        part = evaluate_Z(decomp, caps).element.epsilon_part(1)
+    for walk, count in reduced.values():
+        part = evaluate_Z(RotDecomp.from_walk(walk), caps).element.epsilon_part(1)
         for mon, sd in part.raw().items():
             for (e, h), coeff in sd.items():
                 key = (mon, h)

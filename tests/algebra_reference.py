@@ -6,6 +6,8 @@ the same recursion for ``x * mon`` and for monomial products, on
 on top of it.  The property tests require the integer tables, divided by
 ``L**h``, to equal it term for term, and ``tests/invariant_reference.py``
 walks on it, so that the reference walk shares no table with the package.
+It also holds :func:`yang_baxter_holds`, a check on the package's own
+tensor product that only the tests run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from knotoidal.algebra import UNIT_MON, EDict, Mon, r_matrix
+from knotoidal.algebra import UNIT_MON, EDict, Mon, _tensor_mul, get_context, r_matrix
 from knotoidal.series import Caps, ScalarSeries, _sadd_into, _smul
 
 
@@ -151,3 +153,23 @@ def reference_r_inverse(caps: Caps) -> dict:
         power = ctx.tensor_mul(power, pert)
         _eadd_into(out, power, {(0, 0): Fraction((-1) ** n)}, ctx.K, ctx.N)
     return out
+
+
+def yang_baxter_holds(caps: Caps) -> bool:
+    """Check R12 R13 R23 = R23 R13 R12 in the truncated triple tensor algebra."""
+    ctx = get_context(caps)
+    rmat = r_matrix(caps).raw()
+
+    def place(positions):
+        out = {}
+        for (m1, m2), sd in rmat.items():
+            key = [UNIT_MON, UNIT_MON, UNIT_MON]
+            key[positions[0]] = m1
+            key[positions[1]] = m2
+            out[tuple(key)] = dict(sd)
+        return out
+
+    r12, r13, r23 = place((0, 1)), place((0, 2)), place((1, 2))
+    lhs = _tensor_mul(_tensor_mul(r12, r13, ctx), r23, ctx)
+    rhs = _tensor_mul(_tensor_mul(r23, r13, ctx), r12, ctx)
+    return lhs == rhs

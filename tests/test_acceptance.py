@@ -24,7 +24,6 @@ from knotoidal.algebra import (
     r_inverse,
     r_matrix,
     rotation_element,
-    yang_baxter_holds,
 )
 from knotoidal.diagram import (
     chain_decompositions,
@@ -45,6 +44,8 @@ from knotoidal.measure import (
 )
 from knotoidal.rt import EndpointVectors, derive_rep, recovery_check
 from knotoidal.series import Caps, ScalarSeries
+
+from algebra_reference import yang_baxter_holds
 
 FIXTURE_NAMES = ("5_7", "5_421", "5_9", "5_561", "5_12", "5_593")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebra_reference import reference_context, reference_r_inverse
+from algebra_reference import reference_context, reference_r_inverse, yang_baxter_holds
 from conftest import random_element
 from knotoidal.algebra import (
     UNIT_MON,
@@ -20,7 +20,6 @@ from knotoidal.algebra import (
     r_inverse,
     r_matrix,
     rotation_element,
-    yang_baxter_holds,
 )
 from knotoidal.errors import CapsMismatch, DegreeOutOfRange, InvalidArgument
 from knotoidal.series import Caps, ScalarSeries

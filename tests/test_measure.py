@@ -714,14 +714,20 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
             decomps.append(project(trefoil, direction, TOL).decomp)
         except DegenerateDirection:
             pass
-    # the first decomposition of each (code, rho, r) key; 91 decompositions
-    # here have 88 walks and 66 keys
+    # the first walk of each (code, rho, r) key, reduced; the first reduced
+    # walk of each key of the reduced walks is evaluated, in first-seen
+    # order.  91 decompositions here have 88 walks, 66 keys and 40 reduced
+    # keys
     distinct: dict = {}
     for d in decomps:
-        distinct.setdefault(invariant._walk_key(d.walk()), d)
-    assert calls == list(distinct.values())
+        distinct.setdefault(invariant._walk_key(d.walk()), d.walk())
+    reduced: dict = {}
+    for walk in distinct.values():
+        walk = invariant._reduce_walk(walk)
+        reduced.setdefault(invariant._walk_key(walk), walk)
+    assert calls == [RotDecomp.from_walk(walk) for walk in reduced.values()]
     walks = {d.walk() for d in decomps}
-    assert len(distinct) < len(walks) < len(set(decomps)) < len(decomps) == 200 - rejected
+    assert len(reduced) < len(distinct) < len(walks) < len(set(decomps)) < len(decomps) == 200 - rejected
     # the same mean as one evaluation per accepted direction
     sums: dict = {}
     for d in decomps:
@@ -736,8 +742,11 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
 def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     # two decompositions that differ only in token order have one walk, and
     # a third, with a C+ C- pair between two passes, has another walk with
-    # the same (code, rho, r) key; all three count as one evaluation and
-    # give the mean of any one alone
+    # the same (code, rho, r) key; all three count as one evaluation, of
+    # the reduced walk, and give the mean of any one alone.  Two more add a
+    # curl with rho = rho* to the first: one inside a span, over first, and
+    # one at the end, under first; both reduce to one walk.  A curl with
+    # rho = -rho* is not central and stays
     from knotoidal import invariant, measure
     from knotoidal.series import Caps
 
@@ -745,9 +754,13 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     first = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3)])
     second = RotDecomp(8, [Rotation(1, 3), Crossing(-1, 1, 8), Crossing(1, 2, 4)])
     third = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3), Rotation(1, 5), Rotation(-1, 6)])
+    curl_inside = RotDecomp(8, [*first.tokens, Crossing(1, 5, 7), Rotation(-1, 6)])
+    curl_at_end = RotDecomp(11, [*first.tokens, Crossing(1, 11, 9), Rotation(1, 10)])
+    unreduced = RotDecomp(8, [*first.tokens, Crossing(1, 5, 7), Rotation(1, 6)])
     assert first != second and first.walk() == second.walk()
     assert first.walk() != third.walk()
     assert invariant._walk_key(first.walk()) == invariant._walk_key(third.walk())
+    assert invariant._walk_key(curl_inside.walk()) != invariant._walk_key(curl_at_end.walk())
     original, calls = invariant.evaluate_Z, []
 
     def counted(d, caps):
@@ -760,10 +773,20 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
         monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
         return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
 
+    def reduced(d):
+        return RotDecomp.from_walk(invariant._reduce_walk(d.walk()))
+
     monkeypatch.setattr(invariant, "evaluate_Z", counted)
     assert means([first, second, third, first]) == means([first] * 4)
     assert means([third, first]) == means([third] * 2)
-    assert calls == [first, first, third, third]
+    assert calls == [reduced(first)] * 4
+    del calls[:]
+    assert means([curl_inside, curl_at_end]) == means([curl_at_end] * 2)
+    assert calls == [reduced(curl_inside)] * 2 and reduced(curl_inside) == reduced(curl_at_end)
+    del calls[:]
+    assert means([curl_inside, unreduced]) != means([curl_inside] * 2)
+    assert calls == [reduced(curl_inside), reduced(unreduced), reduced(curl_inside)]
+    assert reduced(unreduced).walk() == unreduced.walk()
 
 
 @pytest.mark.parametrize("phi", ["classes", "zmean"])
