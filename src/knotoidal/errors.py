@@ -30,6 +30,9 @@ class LabelOutOfRange(KnotoidalError):
 class UnknownFixture(KnotoidalError, KeyError):
     """No built-in diagram has that name; still a ``KeyError`` for old callers."""
 
+    # a KeyError's str is the repr of its argument; print the message as is
+    __str__ = Exception.__str__
+
 
 # -- API arguments ---------------------------------------------------------------
 

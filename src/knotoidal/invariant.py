@@ -4,23 +4,18 @@ The input is a rotational tangle decomposition: the strand is walked through
 its labeled segments in ascending order, every crossing deposits the two
 tensor factors of the (inverse) quasitriangular structure on its over- and
 under-segment, and the deposits are multiplied together in walk order, each
-new one on the left of the running product.  The walk order and the layout of
-the pending crossings come from :meth:`RotDecomp.walk`: a crossing's second
-factor waits, as a monomial in a tuple kept in opening order, from its first
-label to its second.  A rotation deposits nothing where it stands: with w
-the y minus the x exponent, ``rot_s * M = q**(-s*w(M)) * M * rot_s``, and R
-and R^-1 have w(over) + w(under) = 0, so rot_s passes the deposits to come,
-of weight ``sum w(p)`` over the pending p, as the twist ``q**(s * sum w(p))``
-on the state.  q is a central scalar, so that twist is one factor
-``q**(s * w(P))`` per pending P, and a crossing's factors over its span make
-one, ``q**(w(P) * rho)`` with rho the net rotation between the crossing's
-two labels.  So a rotation step only adds its sign to the net rotation, and
-each crossing twists the states once, where :func:`_twist_plan` puts it: at
-its first rotation step or at its close, whichever has fewer crossings
-pending.  Rotations that cancel inside a span cost nothing.  The net
-rotation r of the walk is deposited, |r| times, after the walk.
+new one on the left of the running product.  :func:`evaluate_Z` reads a
+decomposition only through :func:`_walk_key` of :meth:`RotDecomp.walk`: its
+skeleton of open and close steps, each crossing's net rotation rho between
+its two labels, and the net rotation r of the walk.  A crossing's second
+factor waits, as a monomial in a tuple kept in opening order, from its open
+to its close.  A rotation deposits nothing where it stands: with w the y
+minus the x exponent, ``rot_s * M = q**(-s*w(M)) * M * rot_s``, and R and
+R^-1 have w(over) + w(under) = 0, so the rotations inside a crossing's span
+make the central twist ``q**(w(P) * rho)`` while its P is pending.  Each
+crossing twists the states once, where :func:`_twist_plan` puts it, and r
+is deposited, |r| times, after the walk.
 
-So a walk's element depends only on its :func:`_walk_key`, and
 :func:`_reduce_walk` makes a shorter walk with the same element by two local
 identities of the algebra: a curl whose net rotation is that of a planar
 curl has a central segment element, one per sign, the two inverse to each
@@ -87,7 +82,7 @@ from .algebra import (
     rotation_element,
 )
 from .diagram import RotDecomp
-from .errors import CapsTooCostly, DegreeOutOfRange
+from .errors import CapsTooCostly, DegreeOutOfRange, InvalidArgument
 from .series import Caps, _smul, require_same_caps
 
 
@@ -258,10 +253,10 @@ class _WalkTables:
     for R (sign 1) or R^-1 (sign -1): ``pending`` lists the distinct
     factors that wait, and ``deposit`` holds every term's factor the walk
     multiplies on now, with its scalar folded in, tagged by the index of its
-    waiting factor in ``pending``.  A rotation step deposits nothing: each
-    crossing's twist ``q**(w(P) * rho)``, rho the net rotation between its
-    two labels, is applied once, and a whole rotation element is deposited
-    on the final state alone.
+    waiting factor in ``pending``.  There is no rotation deposit in the
+    walk: :func:`evaluate_Z` reads a decomposition only through
+    :func:`_walk_key`, twists each crossing once by ``q**(w(P) * rho)``, and
+    deposits a whole rotation element on the final state alone.
     """
 
     def __init__(self, caps: Caps):
@@ -366,49 +361,41 @@ def _nonzero(acc: dict) -> dict:
     return {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-def _twist_plan(walk: tuple) -> dict[int, list]:
+def _twist_plan(skeleton: tuple, rhos: tuple) -> dict[int, list]:
     """Where the walk twists: step index -> ``[(slot, rho)]``.
 
-    Each crossing whose net rotation rho between its two labels is not 0 is
-    twisted once, by ``q**(w(P) * rho)``: before its first rotation step if
-    fewer crossings are pending there than at its close, else before its
-    close.  Fewer crossings pending means fewer states to twist.
+    Each crossing whose net rotation rho (from ``rhos``, in close order) is
+    not 0 is twisted once, by ``q**(w(P) * rho)``, before the first step of
+    its span, after its open up to its close, at which the fewest crossings
+    are pending.  Fewer crossings pending means fewer states to twist.
     """
     plan: dict[int, list] = {}
-    spans: list[list] = []  # per pending crossing: rho, (step, slot) of its first rotation, pending there
-    for i, step in enumerate(walk):
+    spans: list[list] = []  # per pending crossing: fewest pending so far, at (step, slot)
+    closes = iter(rhos)
+    for i, step in enumerate(skeleton):
+        for slot, span in enumerate(spans):
+            if len(spans) < span[0]:
+                span[:] = len(spans), i, slot
         if step[0] == "open":
-            spans.append([0, None, 0])
-        elif step[0] == "rot":
-            for slot, span in enumerate(spans):
-                span[0] += step[1]
-                if span[1] is None:
-                    span[1:] = (i, slot), len(spans)
+            # its span starts at the next step, with it pending in the last slot
+            spans.append([len(spans) + 1, i + 1, len(spans)])
         else:
-            rho, first, count = spans[step[1]]
+            _, at, slot = spans.pop(step[1])
+            rho = next(closes)
             if rho:
-                at, slot = first if count < len(spans) else (i, step[1])
                 plan.setdefault(at, []).append((slot, rho))
-            del spans[step[1]]
     return plan
 
 
 def _walk_key(walk: tuple) -> tuple:
-    """``(skeleton, rhos, r)``, all of a walk that :func:`evaluate_Z` reads.
+    """``(skeleton, rhos, r)``: :func:`evaluate_Z` reads a decomposition
+    only through this key.
 
     The skeleton is the walk's open and close steps, which is the relabeled
     Gauss code; ``rhos`` holds each crossing's net rotation rho between its
     two labels, in the order the crossings close; ``r`` is the walk's net
-    rotation.  A rotation step deposits nothing: each crossing twists the
-    states once, by the central scalar ``q**(w(P) * rho)`` while its P is
-    pending, and scalars commute with every truncated product, so where
-    :func:`_twist_plan` puts the twist does not change the result; the whole
-    rotation is deposited once, after the walk.  So two walks with one key
-    have one element at every caps: walks that differ only in where their
-    rotation steps sit, such as a ``C+ C-`` pair inserted anywhere, two
-    rotations swapped within one gap between passes, or a rotation moved
-    from before the first pass to after the last.  Only the fingerprint,
-    which hashes the decomposition, tells them apart.
+    rotation.  So walks with one key have one element at every caps; only
+    the fingerprint, which hashes the decomposition, tells them apart.
     """
     skeleton, rhos, opened, r = [], [], [], 0
     for step in walk:
@@ -508,19 +495,23 @@ def _reduce_walk(walk: tuple) -> tuple:
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     """Universal invariant of the decomposition at the given caps.
 
-    Raises :class:`CapsTooCostly`, before any table is filled, for caps
-    whose ``(eps_order + 1) * 2**hbar_order`` is past
-    :data:`CAPS_COST_LIMIT`.
+    Raises :class:`InvalidArgument` for caps that are not a :class:`Caps`
+    or a decomposition that is not a :class:`RotDecomp`, and
+    :class:`CapsTooCostly` for caps whose ``(eps_order + 1) *
+    2**hbar_order`` is past :data:`CAPS_COST_LIMIT`, before any table is
+    filled.
     """
+    for arg, kind in ((caps, Caps), (d, RotDecomp)):
+        if not isinstance(arg, kind):
+            raise InvalidArgument(f"evaluate_Z needs a {kind.__name__}, got {arg!r}")
     tables = _walk_tables(caps)
     # state: pending monomials, in the order their crossings opened -> main
     # element, the latter as {key of (monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
-    rotation = 0  # net rotation, deposited once the walk ends
-    walk = d.walk()
-    plan = _twist_plan(walk)
+    skeleton, rhos, rotation = _walk_key(d.walk())
+    plan = _twist_plan(skeleton, rhos)
 
-    for i, step in enumerate(walk):
+    for i, step in enumerate(skeleton):
         twists = plan.get(i)
         if twists:
             for pending, main in states.items():
@@ -529,9 +520,6 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
                     t += rho * (pending[slot][0] - pending[slot][3])
                 if t:
                     tables.twist(main, t)
-        if step[0] == "rot":
-            rotation += step[1]
-            continue
         if step[0] == "open":
             # one read of each state term for all the crossing's terms, the sum
             # split by the tag of each term's pending monomial, zeros dropped

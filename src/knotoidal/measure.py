@@ -341,8 +341,8 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     Raises :class:`DegenerateDirection` for the measure-zero bad directions;
     callers sampling the sphere catch it and count a rejection.
     """
-    if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
-        raise InvalidArgument(f"tol must be positive and finite, got {tol!r}")
+    if not (type(tol) in (int, float) and 0 < tol < math.inf):
+        raise InvalidArgument(f"tol must be a positive finite int or float, got {tol!r}")
     if not _is_vec3(direction):
         raise InvalidArgument(f"direction must be three real coordinates, got {direction!r}")
     norm = math.sqrt(sum(c * c for c in direction))
@@ -599,10 +599,8 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
     rejected = 0
     # zmean: the first accepted walk of each (code, rho, r) key, with the
     # count of its key, in first-seen order.  evaluate_Z reads a
-    # decomposition only through that key (see invariant._walk_key): the
-    # relabeled Gauss code, each crossing's net rotation rho and the walk's
-    # net rotation r.  Many directions give one key, as decompositions that
-    # differ in token order or in where their rotation steps sit
+    # decomposition only through invariant._walk_key, so every walk of a key
+    # has one element
     keys: dict[tuple, list] = {}
     # the label is a function of the code, and 500 directions of the bundled
     # trefoil give fewer than 80 distinct codes; each code is labelled once

@@ -114,10 +114,14 @@ def test_decomposition_file_not_utf8_is_a_parse_error(tmp_path):
 
 
 def test_unknown_fixture_exits_2_with_one_line():
-    for args in (("invariant", "--fixture", "nope"), ("compare", "--fixtures", "nope", "5_7")):
+    for args in (
+        ("invariant", "--fixture", "nope"),
+        ("compare", "--fixtures", "nope", "5_7"),
+        ("compare", "--fixtures", "5_7", "nope"),
+    ):
         result = run_cli(*args)
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == "error: \"no fixture named 'nope'\"\n"
+        assert result.stderr == "error: no fixture named 'nope'\n"
 
 
 def test_invariant_eps_coefficient_out_of_caps_exits_3():

@@ -28,6 +28,7 @@ from knotoidal.errors import (
     CapsMismatch,
     CapsTooCostly,
     DegreeOutOfRange,
+    InvalidArgument,
     KnotoidalError,
     NonIntegralScale,
 )
@@ -210,11 +211,11 @@ def test_walk_matches_fraction_walker_on_fixtures():
 @example(d=parse_decomposition("labels 5; R+ 1 5; C+ 2; C+ 3; C+ 4"))
 def test_walk_matches_fraction_walker_with_rotations_inside_crossings(caps, d):
     # the walk twists each crossing's states once, by the net rotation
-    # between its two labels, at its first rotation step or at its close,
-    # and deposits the net rotation of the walk once at the end; the
-    # Fraction walker deposits each rotation in place.  The twist of the
-    # fourth example goes at the rotation, and the fifth twists two
-    # crossings there; the last one's q**(3 * w(P)) reaches its k = 2 term
+    # between its two labels, where the fewest crossings are pending in its
+    # span, and deposits the net rotation of the walk once at the end; the
+    # Fraction walker deposits each rotation in place.  The fourth example
+    # twists before its second open, and the fifth twists two crossings
+    # before two opens; the last one's q**(3 * w(P)) reaches its k = 2 term
     # at (2,3)
     assert evaluate_Z(d, caps).element.to_json() == reference_evaluate(d, caps).to_json()
 
@@ -231,17 +232,50 @@ def test_rotations_that_cancel_inside_a_crossing_cost_no_twist(monkeypatch):
 @pytest.mark.parametrize(
     "text, plan",
     [
-        # one pending at the rotation, two at the close: twisted at the rotation
+        # one pending before the second open, two at the close
         ("labels 5; R+ 1 4; C+ 2; R- 3 5", {1: [(0, 1)]}),
-        # two pending at the rotation, four and three at the closes
-        ("labels 9; R+ 1 6; R- 2 7; C+ 3; R+ 4 8; R- 5 9", {2: [(0, 1), (1, 1)]}),
-        # one pending at both: twisted at the close, once, by the net rotation
-        ("labels 5; R+ 1 5; C+ 2; C+ 3; C+ 4", {4: [(0, 3)]}),
+        # each of the first two twists before the next open: one and two pending
+        ("labels 9; R+ 1 6; R- 2 7; C+ 3; R+ 4 8; R- 5 9", {1: [(0, 1)], 2: [(1, 1)]}),
+        # twisted once, by the net rotation, at the close
+        ("labels 5; R+ 1 5; C+ 2; C+ 3; C+ 4", {1: [(0, 3)]}),
         ("labels 4; R+ 1 4; C+ 2; C- 3", {}),
     ],
 )
 def test_each_crossing_twists_once_where_fewer_crossings_are_pending(text, plan):
-    assert invariant._twist_plan(parse_decomposition(text).walk()) == plan
+    assert invariant._twist_plan(*_key(parse_decomposition(text))[:2]) == plan
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=small_decomposition_st())
+@example(d=parse_decomposition("labels 9; R+ 1 6; R- 2 7; C+ 3; R+ 4 8; R- 5 9"))
+def test_twists_lie_in_their_spans_with_no_more_crossings_pending(d):
+    # each crossing of rho != 0 twists once, after its open and up to its
+    # close, with no more crossings pending than at its first rotation step
+    # or at its close
+    skeleton, rhos, _ = _key(d)
+    before, spans, closed, first_rot, opened = [], {}, [], {}, []
+    for step in d.walk():
+        if step[0] == "rot":
+            for c in opened:
+                first_rot.setdefault(c, len(opened))
+            continue
+        before.append(tuple(opened))
+        if step[0] == "open":
+            spans[len(spans)] = [len(before) - 1]
+            opened.append(len(spans) - 1)
+        else:
+            closed.append(opened.pop(step[1]))
+            spans[closed[-1]].append(len(before) - 1)
+    twisted = {}
+    for i, twists in invariant._twist_plan(skeleton, rhos).items():
+        for slot, rho in twists:
+            c = before[i][slot]
+            assert c not in twisted
+            twisted[c] = rho
+            start, close = spans[c]
+            assert start < i <= close
+            assert len(before[i]) <= min(len(before[close]), first_rot[c])
+    assert twisted == {c: rho for c, rho in zip(closed, rhos) if rho}
 
 
 def _key(d):
@@ -622,6 +656,17 @@ def test_walk_raises_rather_than_rounds(monkeypatch):
     monkeypatch.setattr(algebra, "_walk_scale", lambda n: lcm(*range(1, n + 2)))
     with pytest.raises(NonIntegralScale):
         evaluate_Z(parse_decomposition("labels 1; C+ 1"), Caps(1, 2))
+
+
+def test_bad_arguments_raise_before_any_table_is_built(monkeypatch):
+    def no_tables(caps):
+        raise AssertionError("tables built")
+
+    monkeypatch.setattr(invariant, "_walk_tables", no_tables)
+    d = parse_decomposition("labels 3; R+ 1 3; C+ 2")
+    for args in ((d, (1, 2)), (d, None), ("x", Caps(1, 2)), (d.walk(), Caps(1, 2))):
+        with pytest.raises(InvalidArgument):
+            evaluate_Z(*args)
 
 
 def test_costly_caps_raise_before_any_table_is_filled(monkeypatch):

@@ -861,6 +861,9 @@ def test_estimate_validation(trefoil):
         lambda curve: project(curve, "abc", TOL),
         lambda curve: project(curve, (0.0, 0.0, 1.0), "1e-9"),
         lambda curve: estimate_measure(curve, 3, tol="1e-9"),
+        # a bool is an int, and True would read as tol 1.0
+        lambda curve: estimate_measure(curve, 5, tol=True),
+        lambda curve: project(curve, (0.0, 0.0, 1.0), True),
     ],
     ids=[
         "no-samples",
@@ -893,6 +896,8 @@ def test_estimate_validation(trefoil):
         "str-direction",
         "project-str-tol",
         "str-tol",
+        "bool-tol",
+        "project-bool-tol",
     ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):
