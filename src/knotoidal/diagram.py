@@ -299,22 +299,6 @@ class RotDecomp:
             steps.append(step)
         return tuple(steps)
 
-    @classmethod
-    def from_walk(cls, walk) -> "RotDecomp":
-        """The decomposition with one label per step whose :meth:`walk` is
-        ``walk``, built through the checking constructor."""
-        tokens, pending = [], []
-        for label, step in enumerate(walk, 1):
-            if step[0] == "rot":
-                tokens.append(Rotation(step[1], label))
-            elif step[0] == "open":
-                pending.append((label, step[1], step[2]))
-            else:
-                first, sign, over_first = pending.pop(step[1])
-                over, under = (first, label) if over_first else (label, first)
-                tokens.append(Crossing(sign, over, under))
-        return cls(max(len(walk), 1), tokens)
-
     def render(self) -> str:
         lines = [f"labels {self.labels}"]
         for tok in self.tokens:

@@ -7,22 +7,22 @@ under-segment, and the deposits are multiplied together in walk order, each
 new one on the left of the running product.  :func:`evaluate_Z` reads a
 decomposition only through :func:`_walk_key` of :meth:`RotDecomp.walk`: its
 skeleton of open and close steps, each crossing's net rotation rho between
-its two labels, and the net rotation r of the walk.  A crossing's second
-factor waits, as a monomial in a tuple kept in opening order, from its open
-to its close.  A rotation deposits nothing where it stands: with w the y
-minus the x exponent, ``rot_s * M = q**(-s*w(M)) * M * rot_s``, and R and
-R^-1 have w(over) + w(under) = 0, so the rotations inside a crossing's span
-make the central twist ``q**(w(P) * rho)`` while its P is pending.  Each
-crossing twists the states once, where :func:`_twist_plan` puts it, and r
-is deposited, |r| times, after the walk.
+its two labels, and the net rotation r of the walk; :func:`_evaluate_key`
+walks that key.  A crossing's second factor waits, as a monomial in a tuple
+kept in opening order, from its open to its close.  A rotation deposits
+nothing where it stands: with w the y minus the x exponent, ``rot_s * M =
+q**(-s*w(M)) * M * rot_s``, and R and R^-1 have w(over) + w(under) = 0, so
+the rotations inside a crossing's span make the central twist ``q**(w(P) *
+rho)`` while its P is pending.  Each crossing twists the states once, where
+:func:`_twist_plan` puts it, and r is deposited, |r| times, after the walk.
 
-:func:`_reduce_walk` makes a shorter walk with the same element by two local
-identities of the algebra: a curl whose net rotation is that of a planar
-curl has a central segment element, one per sign, the two inverse to each
-other; and a bigon of opposite crossings with matching rotations deposits
-only rotations, as an element of the tensor square.  ``zmean`` evaluates
-reduced walks; :func:`evaluate_Z` itself reduces nothing and is the oracle
-the reducer is checked against.
+:func:`_reduce_key` makes a shorter key with the same element by two local
+identities of the algebra: a curl whose rho is that of a planar curl has a
+central segment element, one per sign, the two inverse to each other; and a
+bigon of opposite crossings whose rhos match deposits only rotations, as an
+element of the tensor square.  ``zmean`` reduces and evaluates keys;
+:func:`evaluate_Z` itself reduces nothing and is the oracle the reducer is
+checked against.
 
 The evaluator enumerates crossing contributions under a global h-degree
 budget: a crossing term of internal degree d carries an explicit factor
@@ -410,46 +410,44 @@ def _walk_key(walk: tuple) -> tuple:
     return tuple(skeleton), tuple(rhos), r
 
 
-def _reduce_walk(walk: tuple) -> tuple:
-    """A walk with fewer crossings and the same :func:`evaluate_Z` element.
+def _reduce_key(key: tuple) -> tuple:
+    """A :func:`_walk_key` key with fewer crossings and the same element.
 
     Write ``rho*(s, f) = -s if f else s`` for a crossing of sign s whose
     first pass is its over-pass iff f: the net rotation of a planar curl.
-    Two moves are repeated, the first one along the walk each time, until
-    neither applies; both are identities of the algebra, so they hold for
-    any decomposition, realizable or not:
+    Two moves are repeated, the first one along the skeleton each time,
+    until neither applies; both are identities of the algebra, so they hold
+    for any key, realizable or not:
 
-    - *Curl.* An open whose next pass is its own close, with net rotation
-      rho* between them.  Its segment element is then central, and equal to
-      one ``C_s`` per sign whichever f, with ``C_+ C_- = 1``; the open, the
-      close and the rotations between them are deleted.
-    - *Bigon.* Two opens of opposite signs and equal f with net rotation tA
-      between them, whose closes are next to each other too, with net
-      rotation tB between them.  If the closes come in opening order and
-      ``tA == tB``, or in reverse order and ``tA + tB == rho*`` of the first
-      open, the four deposits with their rotations are ``rot^tA (x) rot^tB``
-      in the tensor square, and the four passes are deleted, the rotations
-      kept.
+    - *Curl.* An open followed at once by its own close, with ``rho ==
+      rho*``.  Its segment element is then central, and equal to one
+      ``C_s`` per sign whichever f, with ``C_+ C_- = 1``.  Deleting it
+      subtracts rho* from r and from the rho of every crossing whose span
+      contains it.
+    - *Bigon.* Two adjacent opens of kinds (s, f) and (-s, f) whose closes
+      are adjacent too.  If the closes come in opening order and ``rho_1 ==
+      rho_2``, or in reverse order and ``rho_1 - rho_2 == rho*`` of the
+      first open, the four deposits are rotations only, ``rot^tA (x)
+      rot^tB`` in the tensor square, and the two crossings are deleted;
+      nothing else changes.
 
     The deleted curls, n with sign + less those with sign -, are central
-    and put back as |n| canonical curls ``open(sgn n, True), rot(-sgn n),
-    close(0)`` at the front.  Each gap between passes keeps only its net
-    rotation, which is all :func:`_walk_key` reads of it.
+    and put back as |n| canonical curls ``open(sgn n, True), close(0)`` at
+    the front, each with rho = -sgn n, and r gains -n.
     """
-    # passes as (crossing, opens); gaps[k] the net rotation before pass k,
-    # gaps[-1] after the last
-    passes, gaps, kinds, pending = [], [0], [], []
-    for step in walk:
-        if step[0] == "rot":
-            gaps[-1] += step[1]
-            continue
+    skeleton, rhos, r = key
+    # passes as (crossing, opens), crossings numbered in opening order
+    passes, kinds, rho, pending = [], [], {}, []
+    closes = iter(rhos)
+    for step in skeleton:
         if step[0] == "open":
             pending.append(len(kinds))
             kinds.append(step[1:])
             passes.append((pending[-1], True))
         else:
-            passes.append((pending.pop(step[1]), False))
-        gaps.append(0)
+            c = pending.pop(step[1])
+            rho[c] = next(closes)
+            passes.append((c, False))
     curls = 0
     while True:
         at = {p: k for k, p in enumerate(passes)}
@@ -460,36 +458,36 @@ def _reduce_walk(walk: tuple) -> tuple:
             star = -s if f else s
             d, next_opens = passes[k + 1]
             if d == c:
-                if gaps[k + 1] == star:
+                if rho[c] == star:
                     curls += s
-                    gaps[k + 1] = 0
+                    r -= star
+                    for e, e_opens in passes[:k]:
+                        if e_opens and at[e, False] > k:
+                            rho[e] -= star
                     drop = (k, k)
                     break
             elif next_opens and kinds[d] == (-s, f):
                 i, j = at[c, False], at[d, False]
-                tA, tB = gaps[k + 1], gaps[min(i, j) + 1]
-                if abs(i - j) == 1 and (tA == tB if i < j else tA + tB == star):
+                if abs(i - j) == 1 and (rho[c] == rho[d] if i < j else rho[c] - rho[d] == star):
                     drop = (min(i, j), min(i, j), k, k)
                     break
         else:
             break
         for k in drop:
             del passes[k]
-            gaps[k] += gaps.pop(k + 1)
     sign = 1 if curls > 0 else -1
-    out = [("open", sign, True), ("rot", -sign), ("close", 0)] * abs(curls)
-    pending = []
-    for (c, opens), t in zip(passes, gaps):
-        out += [("rot", 1 if t > 0 else -1)] * abs(t)
+    skeleton = [("open", sign, True), ("close", 0)] * abs(curls)
+    rhos, pending = [-sign] * abs(curls), []
+    for c, opens in passes:
         if opens:
             pending.append(c)
-            out.append(("open", *kinds[c]))
+            skeleton.append(("open", *kinds[c]))
         else:
             slot = pending.index(c)
             del pending[slot]
-            out.append(("close", slot))
-    t = gaps[-1]
-    return tuple(out + [("rot", 1 if t > 0 else -1)] * abs(t))
+            skeleton.append(("close", slot))
+            rhos.append(rho[c])
+    return tuple(skeleton), tuple(rhos), r - curls
 
 
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
@@ -504,11 +502,17 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     for arg, kind in ((caps, Caps), (d, RotDecomp)):
         if not isinstance(arg, kind):
             raise InvalidArgument(f"evaluate_Z needs a {kind.__name__}, got {arg!r}")
+    element = _evaluate_key(_walk_key(d.walk()), caps)
+    return InvariantValue(element, caps, _decomposition_fingerprint(d, caps))
+
+
+def _evaluate_key(key: tuple, caps: Caps) -> DElement:
+    """The element of every walk whose :func:`_walk_key` is ``key``."""
+    skeleton, rhos, rotation = key
     tables = _walk_tables(caps)
     # state: pending monomials, in the order their crossings opened -> main
     # element, the latter as {key of (monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
-    skeleton, rhos, rotation = _walk_key(d.walk())
     plan = _twist_plan(skeleton, rhos)
 
     for i, step in enumerate(skeleton):
@@ -552,7 +556,7 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     for _ in range(abs(rotation)):
         tables.rotation[1 if rotation > 0 else -1].times(main, acc := {})
         main = _nonzero(acc)
-    return InvariantValue(tables.element(main), caps, _decomposition_fingerprint(d, caps))
+    return tables.element(main)
 
 
 # ---------------------------------------------------------------------------

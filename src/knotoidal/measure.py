@@ -39,6 +39,7 @@ from .errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
     DegenerateDirection,
+    DegreeOutOfRange,
     DuplicateConsecutivePoint,
     EmptyEstimate,
     InvalidArgument,
@@ -593,15 +594,14 @@ class MeasureEstimate:
 
 
 def _estimate_with_directions(curve, directions, tol, phi, caps):
-    from .invariant import _reduce_walk, _walk_key, evaluate_Z
+    from .invariant import _evaluate_key, _reduce_key, _walk_key
 
     tallies: dict[str, int] = {}
     rejected = 0
-    # zmean: the first accepted walk of each (code, rho, r) key, with the
-    # count of its key, in first-seen order.  evaluate_Z reads a
-    # decomposition only through invariant._walk_key, so every walk of a key
-    # has one element
-    keys: dict[tuple, list] = {}
+    # zmean: the count of each (code, rho, r) key of the accepted walks, in
+    # first-seen order.  evaluate_Z reads a decomposition only through
+    # invariant._walk_key, so every walk of a key has one element
+    keys: dict[tuple, int] = {}
     # the label is a function of the code, and 500 directions of the bundled
     # trefoil give fewer than 80 distinct codes; each code is labelled once
     labels: dict[OrientedGaussCode, str] = {}
@@ -616,22 +616,21 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
             label = labels[proj.code] = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
-            walk = proj.decomp.walk()
-            keys.setdefault(_walk_key(walk), [walk, 0])[1] += 1
-    # each key's walk less its removable curls and bigons, which keeps its
-    # element (see invariant._reduce_walk); keys whose reduced walks share a
-    # key sum their counts, and each reduced key is evaluated once
-    reduced: dict[tuple, list] = {}
-    for walk, count in keys.values():
-        walk = _reduce_walk(walk)
-        reduced.setdefault(_walk_key(walk), [walk, 0])[1] += count
+            key = _walk_key(proj.decomp.walk())
+            keys[key] = keys.get(key, 0) + 1
+    # each key less its removable curls and bigons, which keeps its element
+    # (see invariant._reduce_key); keys that reduce to one key sum their
+    # counts, and each reduced key is evaluated once
+    reduced: dict[tuple, int] = {}
+    for key, count in keys.items():
+        key = _reduce_key(key)
+        reduced[key] = reduced.get(key, 0) + count
     zsums: dict[tuple, Fraction] = {}
-    for walk, count in reduced.values():
-        part = evaluate_Z(RotDecomp.from_walk(walk), caps).element.epsilon_part(1)
+    for key, count in reduced.items():
+        part = _evaluate_key(key, caps).epsilon_part(1)
         for mon, sd in part.raw().items():
             for (e, h), coeff in sd.items():
-                key = (mon, h)
-                zsums[key] = zsums.get(key, Fraction(0)) + count * coeff
+                zsums[mon, h] = zsums.get((mon, h), Fraction(0)) + count * coeff
     accepted = sum(tallies.values())
     if accepted == 0:
         raise AllSamplesDegenerate("every sampled direction was degenerate")
@@ -673,8 +672,9 @@ def estimate_measure(
 
     ``caps`` are those of the ``zmean`` average, :data:`ZMEAN_CAPS` if
     None; ``classes`` evaluates no invariant and takes none.  ``zmean``
-    raises :class:`CapsTooCostly` for caps past ``invariant.CAPS_COST_LIMIT``
-    before it samples or projects any direction."""
+    raises :class:`CapsTooCostly` for caps past ``invariant.CAPS_COST_LIMIT``,
+    and :class:`DegreeOutOfRange` for eps order 0, which holds no eps^1 part
+    to average, before it samples or projects any direction."""
     if type(n) is not int or n < 1:
         raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
     _check_seed(seed)
@@ -689,6 +689,8 @@ def estimate_measure(
         if not isinstance(caps, Caps):
             raise InvalidArgument(f"zmean needs caps as a Caps, got {caps!r}")
         _check_cost(caps)
+        if caps.eps_order < 1:
+            raise DegreeOutOfRange(f"eps degree 1 outside caps {caps}")
     directions = sample_directions(seed, n)
     tallies, freq, mean, rejected = _estimate_with_directions(
         curve, directions, tol, phi, caps

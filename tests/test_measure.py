@@ -695,18 +695,33 @@ def test_zmean_checks_the_caps_cost_before_projecting(trefoil, monkeypatch):
         estimate_measure(trefoil, 4000, phi="zmean", caps=Caps(1, 40))
 
 
+def test_zmean_checks_the_eps_order_before_projecting(trefoil, monkeypatch):
+    # eps order 0 holds no eps^1 part to average
+    from knotoidal import measure
+    from knotoidal.errors import DegreeOutOfRange
+    from knotoidal.series import Caps
+
+    def fail(*args):
+        raise AssertionError("projected a direction before checking the eps order")
+
+    monkeypatch.setattr(measure, "project", fail)
+    with pytest.raises(DegreeOutOfRange) as info:
+        estimate_measure(trefoil, 4000, phi="zmean", caps=Caps(0, 6))
+    assert str(info.value) == "eps degree 1 outside caps Caps(eps_order=0, hbar_order=6)"
+
+
 def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     from knotoidal import invariant
     from knotoidal.series import Caps
 
     caps, directions = Caps(1, 2), sample_directions(1, 200)
-    original, calls = invariant.evaluate_Z, []
+    original, evaluate, calls = invariant.evaluate_Z, invariant._evaluate_key, []
 
-    def counted(d, caps):
-        calls.append(d)
-        return original(d, caps)
+    def counted(key, caps):
+        calls.append(key)
+        return evaluate(key, caps)
 
-    monkeypatch.setattr(invariant, "evaluate_Z", counted)
+    monkeypatch.setattr(invariant, "_evaluate_key", counted)
     _, _, mean, rejected = _estimate_with_directions(trefoil, directions, TOL, "zmean", caps)
     decomps = []
     for direction in directions:
@@ -714,18 +729,12 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
             decomps.append(project(trefoil, direction, TOL).decomp)
         except DegenerateDirection:
             pass
-    # the first walk of each (code, rho, r) key, reduced; the first reduced
-    # walk of each key of the reduced walks is evaluated, in first-seen
-    # order.  91 decompositions here have 88 walks, 66 keys and 40 reduced
-    # keys
-    distinct: dict = {}
-    for d in decomps:
-        distinct.setdefault(invariant._walk_key(d.walk()), d.walk())
-    reduced: dict = {}
-    for walk in distinct.values():
-        walk = invariant._reduce_walk(walk)
-        reduced.setdefault(invariant._walk_key(walk), walk)
-    assert calls == [RotDecomp.from_walk(walk) for walk in reduced.values()]
+    # each (code, rho, r) key, reduced; each reduced key is evaluated once,
+    # in first-seen order.  91 decompositions here have 88 walks, 66 keys
+    # and 40 reduced keys
+    distinct = dict.fromkeys(invariant._walk_key(d.walk()) for d in decomps)
+    reduced = dict.fromkeys(invariant._reduce_key(key) for key in distinct)
+    assert calls == list(reduced)
     walks = {d.walk() for d in decomps}
     assert len(reduced) < len(distinct) < len(walks) < len(set(decomps)) < len(decomps) == 200 - rejected
     # the same mean as one evaluation per accepted direction
@@ -743,9 +752,9 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     # two decompositions that differ only in token order have one walk, and
     # a third, with a C+ C- pair between two passes, has another walk with
     # the same (code, rho, r) key; all three count as one evaluation, of
-    # the reduced walk, and give the mean of any one alone.  Two more add a
+    # the reduced key, and give the mean of any one alone.  Two more add a
     # curl with rho = rho* to the first: one inside a span, over first, and
-    # one at the end, under first; both reduce to one walk.  A curl with
+    # one at the end, under first; both reduce to one key.  A curl with
     # rho = -rho* is not central and stays
     from knotoidal import invariant, measure
     from knotoidal.series import Caps
@@ -761,11 +770,11 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     assert first.walk() != third.walk()
     assert invariant._walk_key(first.walk()) == invariant._walk_key(third.walk())
     assert invariant._walk_key(curl_inside.walk()) != invariant._walk_key(curl_at_end.walk())
-    original, calls = invariant.evaluate_Z, []
+    evaluate, calls = invariant._evaluate_key, []
 
-    def counted(d, caps):
-        calls.append(d)
-        return original(d, caps)
+    def counted(key, caps):
+        calls.append(key)
+        return evaluate(key, caps)
 
     def means(decomps):
         # the biframing is never read, so the projected points can be empty
@@ -774,9 +783,9 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
         return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
 
     def reduced(d):
-        return RotDecomp.from_walk(invariant._reduce_walk(d.walk()))
+        return invariant._reduce_key(invariant._walk_key(d.walk()))
 
-    monkeypatch.setattr(invariant, "evaluate_Z", counted)
+    monkeypatch.setattr(invariant, "_evaluate_key", counted)
     assert means([first, second, third, first]) == means([first] * 4)
     assert means([third, first]) == means([third] * 2)
     assert calls == [reduced(first)] * 4
@@ -786,7 +795,33 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     del calls[:]
     assert means([curl_inside, unreduced]) != means([curl_inside] * 2)
     assert calls == [reduced(curl_inside), reduced(unreduced), reduced(curl_inside)]
-    assert reduced(unreduced).walk() == unreduced.walk()
+    assert reduced(unreduced) == invariant._walk_key(unreduced.walk())
+
+
+def test_zmean_builds_no_decomposition_after_projecting(trefoil, monkeypatch):
+    # the projections are made first; zmean then reduces and evaluates
+    # (code, rho, r) keys, and constructs no RotDecomp of its own
+    from knotoidal import measure
+    from knotoidal.series import Caps
+
+    directions = sample_directions(0, 60)
+    projections = []
+    for direction in directions:
+        try:
+            projections.append(project(trefoil, direction, TOL))
+        except DegenerateDirection:
+            pass
+    built, init = [], RotDecomp.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    stubbed = iter(projections)
+    monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(stubbed))
+    monkeypatch.setattr(RotDecomp, "__init__", counted)
+    mean = _estimate_with_directions(trefoil, projections, TOL, "zmean", Caps(1, 2))[2]
+    assert built == [] and mean["components"]
 
 
 @pytest.mark.parametrize("phi", ["classes", "zmean"])

@@ -1,4 +1,4 @@
-"""The walk reducer of ``zmean``: the two identities of the algebra it
+"""The key reducer of ``zmean``: the two identities of the algebra it
 rests on, and the value it keeps.
 
 Write ``rho*(s, f) = -s if f else s`` for a crossing of sign s whose first
@@ -8,12 +8,14 @@ segment element is the sum over the terms of R^s of the second pass's
 factor times ``rot^rho`` times the first pass's factor.  A bigon is two
 crossings of opposite signs and equal f whose opens are next to each other,
 tA the rotation between them, and whose closes are next to each other, tB
-the rotation between them.  ``invariant._reduce_walk`` deletes a curl when
-rho = rho*, and a bigon when its closes come in opening order with tA = tB
-or in reverse order with tA + tB = rho* of the first open.  The oracles
-below build the elements from R, R^-1 and the rotation elements alone, with
-no walk, and pin that these are exactly the rotations on a grid where the
-identities hold.
+the rotation between them.  ``invariant._reduce_key`` reads a walk's
+``(code, rho, r)`` key, where these are rho_1 = tA + M and rho_2 = M + tB
+in opening order, rho_1 = tA + M + tB and rho_2 = M in reverse order.  It
+deletes a curl when rho = rho*, and a bigon when its closes come in opening
+order with rho_1 = rho_2 (tA = tB) or in reverse order with rho_1 - rho_2 =
+rho* of the first open (tA + tB = rho*).  The oracles below build the
+elements from R, R^-1 and the rotation elements alone, with no walk, and pin
+that these are exactly the rotations on a grid where the identities hold.
 """
 
 from functools import cache
@@ -25,7 +27,7 @@ from hypothesis import example, given, settings
 from knotoidal.algebra import DElement, DTensor, r_inverse, r_matrix, rotation_element
 from knotoidal.diagram import RotDecomp, insert_r2_pair, parse_decomposition
 from knotoidal.errors import DegenerateDirection
-from knotoidal.invariant import _reduce_walk, _walk_key, evaluate_Z
+from knotoidal.invariant import _evaluate_key, _reduce_key, _walk_key, evaluate_Z
 from knotoidal.measure import project, sample_direction
 from knotoidal.series import Caps, _smul
 
@@ -106,8 +108,12 @@ def _bigon_walk(s: int, f: bool, in_order: bool, tA: int, tB: int, second: int |
     return tuple([("open", s, f)] + rot(tA) + [("open", second, f)] + closes)
 
 
-def _opens(walk: tuple) -> int:
-    return sum(step[0] == "open" for step in walk)
+def _reduced(walk: tuple) -> tuple:
+    return _reduce_key(_walk_key(walk))
+
+
+def _opens(skeleton: tuple) -> int:
+    return sum(step[0] == "open" for step in skeleton)
 
 
 # -- the curl rule --------------------------------------------------------------
@@ -131,7 +137,18 @@ def test_the_reducer_deletes_exactly_the_central_curls():
         walk = (("open", s, f),) + (("rot", 1 if rho > 0 else -1),) * abs(rho) + (("close", 0),)
         removed = rho == _star(s, f)
         canonical = (("open", s, True), ("rot", -s), ("close", 0))
-        assert _reduce_walk(walk) == (canonical if removed else walk), (s, f, rho)
+        assert _reduced(walk) == _walk_key(canonical if removed else walk), (s, f, rho)
+
+
+def test_a_curl_inside_a_span_takes_rho_star_off_the_span_and_r():
+    # R+ 4 2 is a curl (s, f) = (+1, False), rho* = +1, inside the span of
+    # R+ 1 5; both crossings and r have rho = 1 before.  Deleting the curl
+    # takes rho* off the enclosing crossing and off r, and the canonical
+    # curl at the front has rho = -1 and adds -1 to r
+    d = parse_decomposition("labels 5; R+ 1 5; R+ 4 2; C+ 3")
+    key = _walk_key(d.walk())
+    assert key == ((("open", 1, True), ("open", 1, False), ("close", 1), ("close", 0)), (1, 1), 1)
+    assert _reduce_key(key) == ((("open", 1, True), ("close", 0), ("open", 1, True), ("close", 0)), (-1, 0), -1)
 
 
 # -- the bigon rule -------------------------------------------------------------
@@ -151,36 +168,29 @@ def test_the_reducer_deletes_exactly_the_bigons_that_are_rotations(s, f, in_orde
         walk = _bigon_walk(s, f, in_order, tA, tB)
         rotations = (("rot", 1 if tA + tB > 0 else -1),) * abs(tA + tB)
         want = rotations if _bigon_is_rotations(s, f, in_order, tA, tB) else walk
-        assert _reduce_walk(walk) == want, (tA, tB)
+        assert _reduced(walk) == _walk_key(want), (tA, tB)
 
 
 @pytest.mark.parametrize("s, f", KINDS)
 def test_the_reducer_keeps_bigons_of_one_sign_or_of_mixed_passes(s, f):
     for in_order, tA, tB in product((True, False), GRID, GRID):
         same_sign = _bigon_walk(s, f, in_order, tA, tB, second=s)
-        assert _reduce_walk(same_sign) == same_sign
+        assert _reduced(same_sign) == _walk_key(same_sign)
         mixed = list(_bigon_walk(s, f, in_order, tA, tB))
         at = mixed.index(("open", -s, f))
         mixed[at] = ("open", -s, not f)
-        assert _opens(_reduce_walk(tuple(mixed))) == 2
+        assert _opens(_reduced(tuple(mixed))[0]) == 2
 
 
-# -- the reduced walk keeps the value -------------------------------------------
-
-def test_from_walk_reads_back_its_walk():
-    d = parse_decomposition("labels 9; R+ 6 1; C- 2; R- 3 8; C+ 4; R- 9 5")
-    assert RotDecomp.from_walk(d.walk()).walk() == d.walk()
-    assert RotDecomp.from_walk(()) == RotDecomp(1, [])
-
+# -- the reduced key keeps the value --------------------------------------------
 
 def _assert_reduced_value(d: RotDecomp) -> tuple:
-    walk = d.walk()
-    reduced = _reduce_walk(walk)
-    assert RotDecomp.from_walk(walk).walk() == walk
-    assert _reduce_walk(reduced) == reduced
-    assert _opens(reduced) <= _opens(walk)
+    key = _walk_key(d.walk())
+    reduced = _reduce_key(key)
+    assert _reduce_key(reduced) == reduced
+    assert _opens(reduced[0]) <= _opens(key[0])
     for caps in WALK_CAPS:
-        assert evaluate_Z(RotDecomp.from_walk(reduced), caps).element == evaluate_Z(d, caps).element, caps
+        assert evaluate_Z(d, caps).element == _evaluate_key(reduced, caps), caps
     return reduced
 
 
@@ -197,7 +207,7 @@ def test_reducing_keeps_the_value(d):
 
 def test_reducing_keeps_the_value_of_each_trefoil_walk():
     walks = _trefoil_walks()
-    keys = {_walk_key(_assert_reduced_value(d)) for d in walks}
+    keys = {_assert_reduced_value(d) for d in walks}
     assert (len(walks), len(keys)) == (126, 49)
 
 
@@ -209,14 +219,14 @@ def test_reducing_keeps_the_value_of_random_walk_projections(points):
             d = project(curve, sample_direction(0, i), 1e-9).decomp
         except DegenerateDirection:
             continue
-        removed += _opens(d.walk()) - _opens(_assert_reduced_value(d))
+        removed += _opens(d.walk()) - _opens(_assert_reduced_value(d)[0])
         kept += 1
     assert kept >= 3 and removed > 0
 
 
 def test_inserted_bigons_are_deleted():
     d = parse_decomposition("labels 5; R- 1 4; R+ 3 5; C+ 2")
-    key = _walk_key(_reduce_walk(d.walk()))
+    key = _reduced(d.walk())
     for sign in (1, -1):
         for first, second in [(1, 3), (2, 5), (1, 5)]:
-            assert _walk_key(_reduce_walk(insert_r2_pair(d, first, second, sign).walk())) == key
+            assert _reduced(insert_r2_pair(d, first, second, sign).walk()) == key
