@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .algebra import render_monomial
 from .diagram import (
     RotDecomp,
     fixture_decomposition,
@@ -23,7 +24,7 @@ from .diagram import (
 from .errors import CapsMismatch, CapsTooCostly, DegreeOutOfRange, InvalidArgument, KnotoidalError
 from .invariant import compare, evaluate_Z
 from .measure import ZMEAN_CAPS, dominant_knotoid, estimate_measure, load_curve
-from .series import Caps, _read_text
+from .series import Caps, _power_factors, _read_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,6 +136,14 @@ def cmd_measure(args, caps: Caps | None) -> int:
         f"  {float(freq):.4f}  {label}"
         for label, freq in sorted(estimate.class_freq.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
+    if estimate.invariant_mean is not None:
+        text.append(f"invariant mean, eps^1 part, at caps (eps {caps.eps_order}, hbar {caps.hbar_order}):")
+        # one line per term, in the order of InvariantValue.to_json
+        terms = estimate.invariant_mean["components"]
+        for term in sorted(terms, key=lambda t: (sum(t["monomial"]), t["monomial"], t["hbar"])):
+            factors = [term["mean"], "eps", *_power_factors(["hbar"], [term["hbar"]])]
+            mon = render_monomial(term["monomial"])
+            text.append("  " + " * ".join(factors if mon == "1" else [*factors, mon]))
     _emit(data, args.fmt, text)
     return EXIT_OK
 

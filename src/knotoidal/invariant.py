@@ -54,11 +54,17 @@ under a state term's own key, its row cut to the terms that state term
 reaches, with that sum already added, so a walk step adds into the product
 keys as they stand: no decode, no degree test, no key add, and no tuple is
 built or hashed.  Keys are decoded back to monomials only when the result
-is built.  The terms of R (or R^-1) at one kind of crossing are one
-deposit, their scalars folded into its rows and each row key tagged with
-the index g of the term's pending monomial among the kind's distinct ones,
-``key * G + g``: an open step reads one row per state term for all the
-crossing terms, and splits the sum by g into the new states.
+is built.  The terms of R (or R^-1) at one kind of crossing but ``1 (x) 1``
+are one deposit, their scalars folded into its rows and each row key tagged
+with the index g of the term's pending monomial among the kind's distinct
+ones, ``key * G + g``: an open step reads one row per state term for all
+those terms, and splits the sum by g into the new states.  Every other term
+of R and R^-1 has two factors that are not the unit, so the unit branch
+moves by reference: an open's child of tag 0, whose pending monomial is
+the unit, is the parent's own main element, and a close of a unit pending
+monomial moves the main element to its new state as it is, unless that
+state already has one to add into.  Each main element has one owner, so a
+twist may change it in place.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -135,8 +141,9 @@ class _Deposit:
     ``key`` the packed ``(monomial, e + pe, h + ph)`` of a product term and
     g the tag of the parts it comes from, parts of one tag summed, so that
     every term is a tagged product term as it stands.  A crossing kind is
-    one deposit holding every term of R or R^-1, tagged by its pending
-    monomial; a close step's monomial and a rotation element have one tag.
+    one deposit holding every term of R or R^-1 but ``1 (x) 1``, tagged by
+    its pending monomial; a close step's monomial and a rotation element
+    have one tag.
 
     :meth:`fill` makes a row at e = 0: a part of lowest scalar h-degree
     d <= N - h adds its scalar times :meth:`_Context.product` of D and the
@@ -250,13 +257,15 @@ class _WalkTables:
     deposit keeps each row under the key of the state term that reads it.
     ``monomials`` holds the bare monomial deposits the close steps deposit,
     by monomial.  ``crossing[sign, over_first]`` is ``(deposit, pending)``
-    for R (sign 1) or R^-1 (sign -1): ``pending`` lists the distinct
-    factors that wait, and ``deposit`` holds every term's factor the walk
-    multiplies on now, with its scalar folded in, tagged by the index of its
-    waiting factor in ``pending``.  There is no rotation deposit in the
-    walk: :func:`evaluate_Z` reads a decomposition only through
-    :func:`_walk_key`, twists each crossing once by ``q**(w(P) * rho)``, and
-    deposits a whole rotation element on the final state alone.
+    for R (sign 1) or R^-1 (sign -1): ``pending`` lists the unit and then
+    the distinct factors that wait, and ``deposit`` holds the factor the
+    walk multiplies on now of every term but ``1 (x) 1``, with its scalar
+    folded in, tagged by the index of its waiting factor in ``pending``; no
+    part has tag 0, the unit's, whose child the walk takes by reference.
+    There is no rotation deposit in the walk: :func:`evaluate_Z` reads a
+    decomposition only through :func:`_walk_key`, twists each crossing once
+    by ``q**(w(P) * rho)``, and deposits a whole rotation element on the
+    final state alone.
     """
 
     def __init__(self, caps: Caps):
@@ -275,9 +284,10 @@ class _WalkTables:
         }
         self.crossing = {}
         for sign, terms in _crossing_terms(caps).items():
+            terms.remove((UNIT_MON, UNIT_MON, _UNIT_SD))
             for over_first in (True, False):
                 split = [(over, under, sd) if over_first else (under, over, sd) for over, under, sd in terms]
-                pending = tuple(dict.fromkeys(pend for _, pend, _ in split))
+                pending = (UNIT_MON, *dict.fromkeys(pend for _, pend, _ in split))
                 tag = {pend: g for g, pend in enumerate(pending)}
                 parts = [(now, sd, tag[pend]) for now, pend, sd in split]
                 self.crossing[sign, over_first] = (_Deposit(self, parts, len(pending)), pending)
@@ -525,13 +535,14 @@ def _evaluate_key(key: tuple, caps: Caps) -> DElement:
                 if t:
                     tables.twist(main, t)
         if step[0] == "open":
-            # one read of each state term for all the crossing's terms, the sum
-            # split by the tag of each term's pending monomial, zeros dropped
+            # one read of each state term for all the crossing's terms but
+            # 1 (x) 1, the sum split by the tag of each term's pending
+            # monomial, zeros dropped; the unit's child is the parent's main
             dep, pends = tables.crossing[step[1], step[2]]
             G, new_states = dep.tags, {}
             for pending, main in states.items():
                 dep.times(main, acc := {})
-                parts: list[dict] = [{} for _ in pends]
+                parts: list[dict] = [main] + [{} for _ in pends[1:]]
                 for k, c in acc.items():
                     if c:
                         key, g = divmod(k, G)
@@ -545,7 +556,11 @@ def _evaluate_key(key: tuple, caps: Caps) -> DElement:
         new_states: dict[tuple, dict] = {}
         for pending, main in states.items():
             rest = pending[:slot] + pending[slot + 1:]
-            tables.monomial(pending[slot]).times(main, new_states.setdefault(rest, {}))
+            # closing the unit pending monomial is the identity
+            if pending[slot] is UNIT_MON and rest not in new_states:
+                new_states[rest] = main
+            else:
+                tables.monomial(pending[slot]).times(main, new_states.setdefault(rest, {}))
         states = {}
         for pending, acc in new_states.items():
             main = _nonzero(acc)

@@ -726,27 +726,3 @@ def knot_to_knotoid(knot_code: OrientedGaussCode, arc: int) -> OrientedGaussCode
     rotated = passes[arc + 1 :] + passes[: arc + 1]
     return OrientedGaussCode(rotated, dict(knot_code.signs)).relabeled()
 
-
-# ---------------------------------------------------------------------------
-# noise for stability experiments
-
-def perturbed(curve: OpenCurve3D, radius: float, seed: int) -> OpenCurve3D:
-    """Displace every point by an independent uniform draw from a ball of
-    the given radius, a finite int or float >= 0."""
-    if type(radius) not in (int, float) or not 0 <= radius < math.inf:
-        raise InvalidArgument(f"need a finite radius >= 0, got {radius!r}")
-    _check_seed(seed)
-    out = []
-    for idx, (x, y, z) in enumerate(curve.points):
-        zc = 2.0 * _unit_float(rand64(seed, 3 * idx)) - 1.0
-        theta = 2.0 * math.pi * _unit_float(rand64(seed, 3 * idx + 1))
-        rad = radius * _unit_float(rand64(seed, 3 * idx + 2)) ** (1.0 / 3.0)
-        r = math.sqrt(max(0.0, 1.0 - zc * zc))
-        out.append(
-            (
-                x + rad * r * math.cos(theta),
-                y + rad * r * math.sin(theta),
-                z + rad * zc,
-            )
-        )
-    return OpenCurve3D(tuple(out))

@@ -4,7 +4,8 @@ These are the original quadratic implementations that the sweep-based
 crossing search, the sorted triple-point check, the box-filtered endpoint
 check and the incremental Gauss-code simplifier in ``knotoidal.measure``
 replaced.  The property tests require the fast versions to produce exactly
-what these produce.
+what these produce.  :func:`perturbed` adds seeded noise to a curve for the
+stability tests.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from unittest import mock
 
 from knotoidal import measure
 from knotoidal.diagram import OrientedGaussCode
-from knotoidal.errors import DegenerateDirection
-from knotoidal.measure import _point_segment_distance
+from knotoidal.errors import DegenerateDirection, InvalidArgument
+from knotoidal.measure import OpenCurve3D, _check_seed, _point_segment_distance, _unit_float, rand64
 
 
 def all_pairs_crossings(pts2, depth, tol, dirs, lengths, boxes):
@@ -155,3 +156,25 @@ def reference_simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
             break
         passes, signs = hit
     return OrientedGaussCode(passes, signs).relabeled()
+
+
+def perturbed(curve: OpenCurve3D, radius: float, seed: int) -> OpenCurve3D:
+    """Displace every point by an independent uniform draw from a ball of
+    the given radius, a finite int or float >= 0."""
+    if type(radius) not in (int, float) or not 0 <= radius < math.inf:
+        raise InvalidArgument(f"need a finite radius >= 0, got {radius!r}")
+    _check_seed(seed)
+    out = []
+    for idx, (x, y, z) in enumerate(curve.points):
+        zc = 2.0 * _unit_float(rand64(seed, 3 * idx)) - 1.0
+        theta = 2.0 * math.pi * _unit_float(rand64(seed, 3 * idx + 1))
+        rad = radius * _unit_float(rand64(seed, 3 * idx + 2)) ** (1.0 / 3.0)
+        r = math.sqrt(max(0.0, 1.0 - zc * zc))
+        out.append(
+            (
+                x + rad * r * math.cos(theta),
+                y + rad * r * math.sin(theta),
+                z + rad * zc,
+            )
+        )
+    return OpenCurve3D(tuple(out))

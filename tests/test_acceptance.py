@@ -40,12 +40,12 @@ from knotoidal.measure import (
     builtin_curve_path,
     estimate_measure,
     load_curve,
-    perturbed,
 )
 from knotoidal.rt import EndpointVectors, derive_rep, recovery_check
 from knotoidal.series import Caps, ScalarSeries
 
 from algebra_reference import yang_baxter_holds
+from measure_reference import perturbed
 
 FIXTURE_NAMES = ("5_7", "5_421", "5_9", "5_561", "5_12", "5_593")
 

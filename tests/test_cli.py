@@ -276,6 +276,27 @@ def test_measure_zmean_default_caps_match_api():
     assert json.dumps(cli_mean, sort_keys=True) == json.dumps(api_mean, sort_keys=True)
 
 
+def test_measure_zmean_text_prints_the_mean():
+    # the eps^1 part of the mean, one line per term in the term order of
+    # InvariantValue.to_json; classes mode prints no mean
+    path = builtin_curve_path("open_trefoil")
+    zmean = run_cli("measure", "--file", path, "--phi", "zmean", "--format", "text")
+    classes = run_cli("measure", "--file", path, "--format", "text")
+    assert zmean.returncode == classes.returncode == 0
+    lines, head = zmean.stdout.splitlines(), classes.stdout.splitlines()
+    assert lines[: len(head)] == head
+    assert lines[len(head):] == [
+        "invariant mean, eps^1 part, at caps (eps 1, hbar 2):",
+        "  -1021/1000 * eps * hbar * a",
+        "  -583/500 * eps * hbar^2 * b",
+        "  5803/4000 * eps * hbar^2 * b*a",
+        "  -469/200 * eps * hbar^2 * y*x",
+        "  441/160 * eps * hbar^2 * b*a^2",
+        "  -3873/4000 * eps * hbar^2 * y*a*x",
+    ]
+    assert "invariant mean" not in classes.stdout
+
+
 def test_measure_zero_samples_usage_error(tmp_path):
     curve = tmp_path / "segment.xyz"
     curve.write_text(SEGMENT)

@@ -10,7 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotoidal import algebra, invariant
-from knotoidal.algebra import DElement, _exp_ab_raw, _scaled, _walk_scale, antipode, rotation_element
+from knotoidal.algebra import (
+    DElement,
+    UNIT_MON,
+    _exp_ab_raw,
+    _scaled,
+    _walk_scale,
+    antipode,
+    rotation_element,
+)
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
     Crossing,
@@ -409,7 +417,15 @@ def _exact_parts(tables) -> list:
     for s, dep in tables.rotation.items():
         out.append(("rotation", dep, [(mon, sd, 0) for mon, sd in rotation_element(s, caps).raw().items()]))
     for (sign, over_first), (dep, pending) in tables.crossing.items():
-        split = [(over, under, sd) if over_first else (under, over, sd) for over, under, sd in terms[sign]]
+        # every term but 1 (x) 1: the walk carries that term's child, the
+        # parent's own main element, by reference
+        unit = [term for term in terms[sign] if term[:2] == (UNIT_MON, UNIT_MON)]
+        assert unit == [(UNIT_MON, UNIT_MON, {(0, 0): 1})]
+        split = [
+            (over, under, sd) if over_first else (under, over, sd)
+            for over, under, sd in terms[sign]
+            if (over, under) != (UNIT_MON, UNIT_MON)
+        ]
         out.append(("crossing", dep, [(now, sd, pending.index(pend)) for now, pend, sd in split]))
     return out
 
@@ -582,9 +598,9 @@ def test_cut_rows_are_their_full_rows_cut_on_random_decompositions(caps, d):
 
 
 def test_bare_deposits_are_only_the_close_steps_and_the_unit_term(monkeypatch):
-    # each crossing kind is one deposit of all its terms, tagged by their
-    # distinct pending monomials; the bare monomial deposits are only those
-    # the close steps multiply on
+    # each crossing kind is one deposit of all its terms but 1 (x) 1, tagged
+    # by their distinct pending monomials after the unit, tag 0; the bare
+    # monomial deposits are only those the close steps multiply on
     caps = Caps(1, 4)
     monkeypatch.setattr(invariant, "_TABLES", {})
     for _, decomp in fixtures().values():
@@ -594,6 +610,8 @@ def test_bare_deposits_are_only_the_close_steps_and_the_unit_term(monkeypatch):
     for (sign, over_first), (dep, pending) in tables.crossing.items():
         assert dep.tags == len(pending) == len(set(pending))
         split = [(over, under) if over_first else (under, over) for over, under, _ in terms[sign]]
+        assert split.count((UNIT_MON, UNIT_MON)) == 1
+        split.remove((UNIT_MON, UNIT_MON))
         assert sorted((now, pending[g]) for now, _, _, g in dep.parts) == sorted(split)
     pending = {pend for _, pends in tables.crossing.values() for pend in pends}
     assert set(tables.monomials) <= pending
@@ -639,6 +657,28 @@ def test_walk_scale_makes_every_input_integral(eps_order):
     for n in range(9):
         caps = Caps(eps_order, n)
         assert _integral(_walk_inputs(caps), _walk_scale(n)), caps
+
+
+@pytest.mark.parametrize("eps_order", [0, 1, 2])
+def test_crossing_terms_have_one_unit_factor_in_the_unit_term(eps_order):
+    # R and R^-1 are 1 (x) 1 plus terms whose two factors are both not the
+    # unit: so an open's unit branch is its parent state as it is, and a
+    # close whose pending monomial is the unit is the identity
+    for n in range(9):
+        caps = Caps(eps_order, n)
+        for sign, terms in _crossing_terms(caps).items():
+            unit = [term for term in terms if UNIT_MON in term[:2]]
+            assert unit == [(UNIT_MON, UNIT_MON, {(0, 0): 1})], (caps, sign)
+
+
+@pytest.mark.parametrize("caps", [Caps(0, 0), Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
+def test_crossing_deposits_leave_the_unit_tag_empty(caps):
+    # tag 0 is the unit pending monomial, the close tests it by identity,
+    # and no part of a crossing deposit carries it
+    for kind, (dep, pending) in invariant._WalkTables(caps).crossing.items():
+        assert pending[0] is UNIT_MON, kind
+        assert UNIT_MON not in pending[1:], kind
+        assert all(g for *_, g in dep.parts), kind
 
 
 def test_walk_scale_needs_the_factor_two():

@@ -42,7 +42,6 @@ from knotoidal.measure import (
     estimate_measure,
     knot_to_knotoid,
     load_curve,
-    perturbed,
     project,
     sample_direction,
     sample_directions,
@@ -50,6 +49,7 @@ from knotoidal.measure import (
 )
 from measure_reference import (
     all_pairs_triple_points,
+    perturbed,
     reference_project,
     reference_simplify_gauss,
 )
