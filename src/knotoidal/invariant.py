@@ -306,13 +306,18 @@ class _WalkTables:
         return dep
 
     def twist(self, main: dict, t: int) -> None:
-        """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k,
-        which adds ``k * (N+2)`` to a key."""
+        """``q**t * main`` in place, dropping the terms that cancel to zero;
+        ``q`` holds ``L**k / k!`` at (eps*hbar)^k, which adds ``k * (N+2)``
+        to a key."""
         q, S, N2, reach = self.ctx.q, self.S, self.ctx.N + 2, self.reach
         for key, c in list(main.items()):
             for k in range(1, reach[key % S] + 1):
                 tk = key + k * N2
-                main[tk] = main.get(tk, 0) + c * t**k * q[0, 0, k, k]
+                new = main.get(tk, 0) + c * t**k * q[0, 0, k, k]
+                if new:
+                    main[tk] = new
+                else:
+                    del main[tk]
 
     def element(self, state: dict) -> DElement:
         mons, S, N1 = self.mons, self.S, self.ctx.N + 1

@@ -10,6 +10,19 @@ one of :meth:`RotDecomp.walk`, which :func:`knotoidal.invariant.evaluate_Z`
 also follows: an open crossing waits as an ``(enter, exit)`` index pair in a
 tuple kept in opening order.
 
+The state sum carries integer amplitudes over one common denominator per
+call.  Each of ``R``, ``R^-1``, ``h``, ``h_inv`` and the two endpoint vectors
+is turned once into int coefficient dicts times the least common denominator
+``d`` of its entries.  At each step every state takes an entry of the same
+matrix, so all states share one denominator ``D = d_eta * prod(d_step) *
+d_eps``, and the sum is divided by it once, at the end.  The weights of a
+step kind list only the nonzero entries of its matrix, per current index.
+The state sum shares no table with :mod:`knotoidal.algebra` or
+:mod:`knotoidal.invariant`, so it checks the universal invariant
+independently; its own oracles are the sum over every edge labeling
+(``brute_force_state_sum`` in ``tests/test_rt.py``) and the original
+:class:`ScalarSeries` state sum, kept in ``tests/rt_reference.py``.
+
 Index convention for ``R``: entry ``R[i*d+j][k*d+l]`` is the weight of an
 upward crossing with top-left edge ``i``, top-right ``j``, bottom-left ``k``
 and bottom-right ``l``.  For a positive crossing the over-strand runs from
@@ -20,11 +33,14 @@ is used and the over-strand runs from bottom-right to top-left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from math import lcm
 
 from .algebra import DElement, r_matrix, rotation_element
 from .diagram import RotDecomp
 from .errors import CapsMismatch, DimensionMismatch, InvalidArgument, NotInvertible
-from .series import Caps, ScalarSeries
+from .series import Caps, ScalarSeries, _sadd_into, _smul
 
 Matrix = list[list[ScalarSeries]]
 
@@ -132,64 +148,116 @@ class EndpointVectors:
 # ---------------------------------------------------------------------------
 # state-sum evaluation by sequential contraction
 
-def rt_evaluate(d: RotDecomp, rep: RepData, ev: EndpointVectors) -> ScalarSeries:
-    """State sum over edge labelings, contracted along the strand."""
-    if len(ev.eta) != rep.dim or len(ev.eps_) != rep.dim:
+def _scaled(entries: list[ScalarSeries]) -> tuple[list[dict], int]:
+    """The coefficient dicts of ``entries`` times their least common
+    denominator ``d``, so with int values, and ``d``."""
+    d = lcm(*(c.denominator for s in entries for c in s.coeffs.values()))
+    return [{key: c.numerator * (d // c.denominator) for key, c in s.coeffs.items()} for s in entries], d
+
+
+def _endpoint(vector: list, rep: RepData) -> tuple[list[dict], int]:
+    """An endpoint vector scaled by :func:`_scaled`, once it is checked to
+    have ``rep.dim`` entries, each a :class:`ScalarSeries` at ``rep.caps``."""
+    if len(vector) != rep.dim:
         raise DimensionMismatch("endpoint vectors must have length dim")
-    caps = rep.caps
+    for entry in vector:
+        if not isinstance(entry, ScalarSeries):
+            raise InvalidArgument(f"endpoint vector entries must be ScalarSeries, got {entry!r}")
+        if entry.caps != rep.caps:
+            raise CapsMismatch(f"endpoint vector at {entry.caps}, rep at {rep.caps}")
+    return _scaled(vector)
+
+
+def _step_weights(rep: RepData, step: tuple) -> tuple[list[list], int]:
+    """The weights of a ``("rot", sign)`` or ``("open", sign, over_first)``
+    step: per current index, the nonzero entries ``(out, extra, w)`` of its
+    matrix, with ``w`` an int dict, ``d`` times the entry, and ``extra`` the
+    ``(enter, exit)`` pair the step leaves pending, ``()`` for a rotation;
+    and ``d``, the least common denominator of the whole matrix."""
     dim = rep.dim
+    if step[0] == "rot":
+        M = rep.h_inv if step[1] > 0 else rep.h
+        picks = [(cur, out, (), M[out][cur]) for cur in range(dim) for out in range(dim)]
+    else:
+        _, sign, over_first = step
+        M = rep.R if sign > 0 else rep.r_inverse()
+        # the walk enters bottom-left and exits top-right on the over-pass
+        # of a positive or the under-pass of a negative crossing, and enters
+        # bottom-right and exits top-left otherwise
+        left_to_right = (sign > 0) == over_first
+        picks = [
+            (
+                cur,
+                out,
+                ((enter, exit_),),
+                M[exit_ * dim + out][cur * dim + enter]
+                if left_to_right
+                else M[out * dim + exit_][enter * dim + cur],
+            )
+            for cur, out, enter, exit_ in product(range(dim), repeat=4)
+        ]
+    ws, d = _scaled([entry for *_, entry in picks])
+    table: list[list] = [[] for _ in range(dim)]
+    for (cur, out, extra, _), w in zip(picks, ws):
+        if w:
+            table[cur].append((out, extra, w))
+    return table, d
+
+
+def rt_evaluate(d: RotDecomp, rep: RepData, ev: EndpointVectors) -> ScalarSeries:
+    """State sum over edge labelings, contracted along the strand.
+
+    Raises :class:`DimensionMismatch` for an endpoint vector whose length is
+    not ``rep.dim``, :class:`InvalidArgument` for an entry of one that is not
+    a :class:`ScalarSeries`, and :class:`CapsMismatch` for one at other caps.
+    """
+    eta, d_eta = _endpoint(ev.eta, rep)
+    eps_, d_eps = _endpoint(ev.eps_, rep)
+    K, N = rep.caps.eps_order, rep.caps.hbar_order
 
     # state: (current edge index, pending (enter, exit) index pairs in the
-    # order their crossings opened)
-    states: dict[tuple, ScalarSeries] = {}
-    for idx, amp in enumerate(ev.eta):
-        if not amp.is_zero():
-            states[(idx, ())] = amp
-
+    # order their crossings opened) -> int amplitude, D times the true one;
+    # each amplitude has one owner, so a close may add into it in place
+    states: dict[tuple, dict] = {(idx, ()): amp for idx, amp in enumerate(eta) if amp}
+    D = d_eta
+    weights: dict[tuple, tuple] = {}
     for step in d.walk():
-        new_states: dict[tuple, ScalarSeries] = {}
-
-        def bump(key, amp):
-            if amp.is_zero():
-                return
-            cur = new_states.get(key)
-            new_states[key] = amp if cur is None else cur + amp
-
-        if step[0] == "rot":
-            M = rep.h_inv if step[1] > 0 else rep.h
-            for (cur, pending), amp in states.items():
-                for out in range(dim):
-                    bump((out, pending), amp * M[out][cur])
-        elif step[0] == "open":
-            _, sign, over_first = step
-            M = rep.R if sign > 0 else rep.r_inverse()
-            # the walk enters bottom-left and exits top-right on the
-            # over-pass of a positive or the under-pass of a negative
-            # crossing, and enters bottom-right and exits top-left otherwise
-            left_to_right = (sign > 0) == over_first
-            for (cur, pending), amp in states.items():
-                for out in range(dim):
-                    for enter in range(dim):
-                        for exit_ in range(dim):
-                            if left_to_right:
-                                w = M[exit_ * dim + out][cur * dim + enter]
-                            else:
-                                w = M[out * dim + exit_][enter * dim + cur]
-                            if w.is_zero():
-                                continue
-                            bump((out, pending + ((enter, exit_),)), amp * w)
-        else:  # close
+        new_states: dict[tuple, dict] = {}
+        if step[0] == "close":
             slot = step[1]
             for (cur, pending), amp in states.items():
                 enter, exit_ = pending[slot]
                 if enter == cur:
-                    bump((exit_, pending[:slot] + pending[slot + 1:]), amp)
-        states = new_states
+                    key = (exit_, pending[:slot] + pending[slot + 1:])
+                    acc = new_states.get(key)
+                    if acc is None:
+                        new_states[key] = amp
+                    else:
+                        _sadd_into(acc, amp)
+        else:
+            if step not in weights:
+                weights[step] = _step_weights(rep, step)
+            table, d_step = weights[step]
+            for (cur, pending), amp in states.items():
+                for out, extra, w in table[cur]:
+                    prod = _smul(amp, w, K, N)
+                    if not prod:
+                        continue
+                    key = (out, pending + extra)
+                    acc = new_states.get(key)
+                    if acc is None:
+                        new_states[key] = prod
+                    else:
+                        _sadd_into(acc, prod)
+            # every state took an entry of the same matrix
+            D *= d_step
+        states = {key: amp for key, amp in new_states.items() if amp}
 
-    total = ScalarSeries.zero(caps)
+    total: dict = {}
     for (cur, _), amp in states.items():
-        total = total + amp * ev.eps_[cur]
-    return total
+        _sadd_into(total, _smul(amp, eps_[cur], K, N))
+    D *= d_eps
+    return ScalarSeries(rep.caps, {key: Fraction(c, D) for key, c in total.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,33 @@ def test_rotations_that_cancel_inside_a_crossing_cost_no_twist(monkeypatch):
     assert evaluate_Z(d, caps).element.to_json() == reference_evaluate(d, caps).to_json()
 
 
+def test_twist_drops_the_terms_it_cancels():
+    # q**t * (1 - t * q_1 * eps*hbar) at caps (1,1): the eps*hbar term
+    # cancels and leaves main, which stays the same dict
+    tables = invariant._WalkTables(Caps(1, 1))
+    t, q1 = 3, tables.ctx.q[0, 0, 1, 1]
+    unit, cancelled = tables.key(UNIT_MON, 0, 0), tables.key(UNIT_MON, 1, 1)
+    main = {unit: 1, cancelled: -t * q1}
+    tables.twist(main, t)
+    assert main == {unit: 1}
+
+
+def test_twists_leave_no_zero_term_in_the_walk(monkeypatch):
+    # the six fixtures at (1,3) twist 315 times, and 16 of those twists
+    # cancel a term to zero
+    twist, zeros = invariant._WalkTables.twist, []
+
+    def checked(self, main, t):
+        twist(self, main, t)
+        zeros.append(0 in main.values())
+
+    monkeypatch.setattr(invariant._WalkTables, "twist", checked)
+    monkeypatch.setattr(invariant, "_TABLES", {})
+    for _, d in fixtures().values():
+        evaluate_Z(d, CAPS)
+    assert zeros and not any(zeros)
+
+
 @pytest.mark.parametrize(
     "text, plan",
     [

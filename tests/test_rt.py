@@ -12,6 +12,8 @@ from knotoidal.diagram import (
     TRIVIAL_DECOMP,
     Crossing,
     Rotation,
+    chain_decompositions,
+    fixtures,
     insert_r2_pair,
     parse_decomposition,
 )
@@ -37,6 +39,7 @@ from knotoidal.rt import (
 from knotoidal.series import Caps, ScalarSeries
 
 from decomp_strategies import small_decomposition_st
+from rt_reference import reference_rt_evaluate
 
 CAPS = Caps(1, 3)
 
@@ -53,14 +56,14 @@ def series_eps(v=1):
     return ScalarSeries.term(CAPS, v, 1, 0)
 
 
-def rho_dim2():
+def rho_dim2(caps=CAPS):
     """Generator matrices of a two-dimensional representation."""
-    zero = ScalarSeries.zero(CAPS)
-    w = (ScalarSeries.one(CAPS) - ScalarSeries.term(CAPS, -1, 1, 1).exp()).shift(0, -1)
+    zero, one_ = ScalarSeries.zero(caps), ScalarSeries.one(caps)
+    w = (one_ - ScalarSeries.term(caps, -1, 1, 1).exp()).shift(0, -1)
     return {
-        "a": [[one(), zero], [zero, zero]],
-        "b": [[zero, zero], [zero, series_eps(-1)]],
-        "x": [[zero, one()], [zero, zero]],
+        "a": [[one_, zero], [zero, zero]],
+        "b": [[zero, zero], [zero, ScalarSeries.term(caps, -1, 1, 0)]],
+        "x": [[zero, one_], [zero, zero]],
         "y": [[zero, zero], [w, zero]],
     }
 
@@ -130,8 +133,23 @@ def test_dim1_monomial_formula():
             lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one(), one()], [one()] * 3)),
             DimensionMismatch,
         ),
+        (
+            lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([1, 2], [one(), one()])),
+            InvalidArgument,
+        ),
+        (
+            lambda: rt_evaluate(
+                EXAMPLE,
+                derive_rep(CAPS, rho_dim2()),
+                EndpointVectors([one(), one()], [ScalarSeries.one(Caps(1, 2))] * 2),
+            ),
+            CapsMismatch,
+        ),
     ],
-    ids=["dim-0", "dim-str", "dim-bool", "mixed-caps", "short-eta", "long-eps"],
+    ids=[
+        "dim-0", "dim-str", "dim-bool", "mixed-caps", "short-eta", "long-eps",
+        "int-eta", "eps-other-caps",
+    ],
 )
 def test_rep_errors_are_typed(make, error):
     with pytest.raises(error):
@@ -279,6 +297,75 @@ def test_state_sum_matches_brute_force(d, eta, eps_):
         [ScalarSeries.term(rep.caps, v) for v in eps_],
     )
     assert rt_evaluate(d, rep, ev) == brute_force_state_sum(d, rep, ev)
+
+
+def _rational(caps, *values):
+    """A series with ``values`` at hbar^0, hbar^1, ... as Fractions."""
+    return ScalarSeries(caps, {(0, h): Fraction(v) for h, v in enumerate(values)})
+
+
+@cache
+def _rational_rep() -> tuple[RepData, EndpointVectors]:
+    """A 2-dimensional rep and endpoint vectors over Q: every entry of ``R``
+    and ``h`` has denominators 3, 5 or 7 at hbar^0 and hbar^1, so that the
+    state sum's common denominator grows at every open and every rotation."""
+    caps = Caps(1, 1)
+    rng = random.Random(11)
+
+    def entry(diag):
+        c0, c1 = (Fraction(rng.choice((1, 2, -1, -2)), rng.choice((3, 5, 7))) for _ in range(2))
+        return _rational(caps, c0 + diag, c1)
+
+    R = [[entry(6 if r == c else 0) for c in range(4)] for r in range(4)]
+    h = [
+        [_rational(caps, "2/3", "1/5"), _rational(caps, "1/7", "2/3")],
+        [_rational(caps), _rational(caps, "3/5", "-1/7")],
+    ]
+    ev = EndpointVectors(
+        [_rational(caps, "1/3", "2/5"), _rational(caps, "-2/7", "1/3")],
+        [_rational(caps, "2/5", "-1/7"), _rational(caps, "1/7", "2/3")],
+    )
+    return RepData(2, R, h, matrix_inverse(h)), ev
+
+
+def test_rational_rep_has_a_denominator_in_every_matrix():
+    rep, ev = _rational_rep()
+    for M in (rep.R, rep.r_inverse(), rep.h, rep.h_inv, [ev.eta, ev.eps_]):
+        assert any(c.denominator > 1 for row in M for entry in row for c in entry.coeffs.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=small_decomposition_st())
+def test_rational_state_sum_matches_brute_force(d):
+    rep, ev = _rational_rep()
+    assert rt_evaluate(d, rep, ev) == brute_force_state_sum(d, rep, ev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=small_decomposition_st(), eta=_VECTOR_ST, eps_=_VECTOR_ST, rational=st.booleans())
+def test_state_sum_matches_the_series_state_sum(d, eta, eps_, rational):
+    if rational:
+        rep, ev = _rational_rep()
+    else:
+        rep = _dim2_rep()[1]
+        ev = EndpointVectors([one(v) for v in eta], [one(v) for v in eps_])
+    assert rt_evaluate(d, rep, ev) == reference_rt_evaluate(d, rep, ev)
+
+
+def test_state_sum_matches_the_series_state_sum_on_the_chain():
+    # the 5- to 40-crossing chain of 5_7 at caps (1,4) with the rep and
+    # endpoint vectors of acceptance 8
+    caps = Caps(1, 4)
+    rep = derive_rep(caps, rho_dim2(caps))
+    ev = EndpointVectors([ScalarSeries.term(caps, v) for v in (2, 3)], [ScalarSeries.term(caps, v) for v in (3, 4)])
+    base = fixtures()["5_7"][1]
+    chain = base
+    for crossings in (5, 10, 20, 40):
+        while len(chain.crossings()) < crossings:
+            chain = chain_decompositions(chain, base)
+        value = rt_evaluate(chain, rep, ev)
+        assert not value.is_zero()
+        assert value == reference_rt_evaluate(chain, rep, ev), crossings
 
 
 def test_recovery_fails_with_corrupted_rotation_weight():
