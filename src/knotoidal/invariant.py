@@ -306,15 +306,13 @@ class _WalkTables:
         return dep
 
     def twist(self, main: dict, t: int) -> None:
-        """``q**t * main`` in place, dropping the terms that cancel to zero;
-        ``q`` holds ``L**k / k!`` at (eps*hbar)^k, which adds ``k * (N+2)``
-        to a key."""
+        """``q**t * main`` in place; ``q`` holds ``L**k / k!`` at (eps*hbar)^k,
+        which adds ``k * (N+2)`` to a key."""
         q, S, N2, reach = self.ctx.q, self.S, self.ctx.N + 2, self.reach
         for key, c in list(main.items()):
             for k in range(1, reach[key % S] + 1):
                 tk = key + k * N2
-                new = main.get(tk, 0) + c * t**k * q[0, 0, k, k]
-                if new:
+                if new := main.get(tk, 0) + c * t**k * q[0, 0, k, k]:
                     main[tk] = new
                 else:
                     del main[tk]
