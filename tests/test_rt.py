@@ -330,7 +330,7 @@ def _rational_rep() -> tuple[RepData, EndpointVectors]:
 
 def test_rational_rep_has_a_denominator_in_every_matrix():
     rep, ev = _rational_rep()
-    for M in (rep.R, rep.r_inverse(), rep.h, rep.h_inv, [ev.eta, ev.eps_]):
+    for M in (rep.R, rep.r_inverse(), rep.h, rep.h_inv, [ev.eta], [ev.eps_]):
         assert any(c.denominator > 1 for row in M for entry in row for c in entry.coeffs.values())
 
 
