@@ -11,12 +11,13 @@ also follows: an open crossing waits as an ``(enter, exit)`` index pair in a
 tuple kept in opening order.
 
 The state sum carries integer amplitudes over one common denominator per
-call.  Each of ``R``, ``R^-1``, ``h``, ``h_inv`` and the two endpoint vectors
-is turned once into int coefficient dicts times the least common denominator
-``d`` of its entries.  At each step every state takes an entry of the same
-matrix, so all states share one denominator ``D = d_eta * prod(d_step) *
-d_eps``, and the sum is divided by it once, at the end.  The weights of a
-step kind list only the nonzero entries of its matrix, per current index.
+call.  The two endpoint vectors, and the weights of each step kind the walk
+meets (from ``R``, ``R^-1``, ``h`` or ``h_inv``), are turned once per call
+into int coefficient dicts times the least common denominator ``d`` of their
+entries; the weights list only the nonzero entries, per current index.  At
+each step every state takes an entry of the same matrix, so all states
+share one denominator ``D = d_eta * prod(d_step) * d_eps``, and the sum is
+divided by it once, at the end.
 The state sum shares no table with :mod:`knotoidal.algebra` or
 :mod:`knotoidal.invariant`, so it checks the universal invariant
 independently; its own oracles are the sum over every edge labeling

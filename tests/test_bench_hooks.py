@@ -50,7 +50,12 @@ def test_layer_probe_spans_the_state_sum_of_a_recovery_check(monkeypatch):
     # the worked two-crossing knotoid with the 1-dimensional rep of acceptance 8
     caps = Caps(1, 3)
     zero = ScalarSeries.zero(caps)
-    rho = {"a": [[ScalarSeries.one(caps)]], "b": [[ScalarSeries.term(caps, -1, 1, 0)]], "x": [[zero]], "y": [[zero]]}
+    rho = {
+        "a": [[ScalarSeries.one(caps)]],
+        "b": [[ScalarSeries.term(caps, -1, 1, 0)]],
+        "x": [[zero]],
+        "y": [[zero]],
+    }
     rep = rt.derive_rep(caps, rho)
     ev = rt.EndpointVectors([ScalarSeries.term(caps, 2)], [ScalarSeries.term(caps, 3)])
     example = parse_decomposition("labels 5; R+ 1 4; R+ 5 2; C- 3")

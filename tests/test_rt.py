@@ -357,7 +357,9 @@ def test_state_sum_matches_the_series_state_sum_on_the_chain():
     # endpoint vectors of acceptance 8
     caps = Caps(1, 4)
     rep = derive_rep(caps, rho_dim2(caps))
-    ev = EndpointVectors([ScalarSeries.term(caps, v) for v in (2, 3)], [ScalarSeries.term(caps, v) for v in (3, 4)])
+    ev = EndpointVectors(
+        [ScalarSeries.term(caps, v) for v in (2, 3)], [ScalarSeries.term(caps, v) for v in (3, 4)]
+    )
     base = fixtures()["5_7"][1]
     chain = base
     for crossings in (5, 10, 20, 40):
