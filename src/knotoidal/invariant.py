@@ -55,16 +55,21 @@ reaches, with that sum already added, so a walk step adds into the product
 keys as they stand: no decode, no degree test, no key add, and no tuple is
 built or hashed.  Keys are decoded back to monomials only when the result
 is built.  The terms of R (or R^-1) at one kind of crossing but ``1 (x) 1``
-are one deposit, their scalars folded into its rows and each row key tagged
-with the index g of the term's pending monomial among the kind's distinct
-ones, ``key * G + g``: an open step reads one row per state term for all
-those terms, and splits the sum by g into the new states.  Every other term
-of R and R^-1 has two factors that are not the unit, so the unit branch
-moves by reference: an open's child of tag 0, whose pending monomial is
-the unit, is the parent's own main element, and a close of a unit pending
-monomial moves the main element to its new state as it is, unless that
-state already has one to add into.  Each main element has one owner, so a
-twist may change it in place.
+are one deposit, their scalars folded into its rows, each term tagged with
+the index g of its pending monomial among the kind's distinct ones, and a
+row is split by tag: it holds, for each tag it reaches, that tag's own
+flat terms.  So an open step reads one row per state term for all those
+terms and adds each tag's products straight into that tag's child: it
+builds only the children that receive terms and makes no split pass.
+Every other term of R and R^-1 has two factors that are not the unit, so
+the unit branch moves by reference: an open's child of tag 0, whose
+pending monomial is the unit, is the parent's own main element, and a
+close of a unit pending monomial moves the main element to its new state
+as it is, unless that state already has one to add into.  Each main
+element has one owner, so a twist may change it in place.  The pending
+monomials of a state are their ids too, so a state's key is a tuple of
+small ints, which the twist reads ``w`` from and a close finds its
+deposit by.
 
 Evaluation is a pure function; repeated runs give identical results
 independent of term scheduling because coefficient arithmetic is exact.
@@ -127,6 +132,8 @@ def _crossing_terms(caps: Caps):
 
 
 _UNIT_SD = {(0, 0): 1}
+# the id of the unit monomial in every _WalkTables
+_UNIT_ID = 0
 
 
 class _Deposit:
@@ -136,27 +143,28 @@ class _Deposit:
     tagged with a g in ``range(tags)``.  ``rows`` maps the packed key ``i *
     S + e * (N+1) + h`` of a state term to its row: the element times the
     monomial of id ``i``, in normal form, cut to the terms (pe, ph) the
-    state term reaches, ``ph <= N - h`` and ``pe <= K - e``, as one flat
-    tuple of integer terms ``k, c * L**ph``.  ``k = key * tags + g``, with
-    ``key`` the packed ``(monomial, e + pe, h + ph)`` of a product term and
-    g the tag of the parts it comes from, parts of one tag summed, so that
-    every term is a tagged product term as it stands.  A crossing kind is
-    one deposit holding every term of R or R^-1 but ``1 (x) 1``, tagged by
-    its pending monomial; a close step's monomial and a rotation element
-    have one tag.
+    state term reaches, ``ph <= N - h`` and ``pe <= K - e``, split by tag:
+    for each tag whose parts leave a term, one flat tuple ``terms`` of
+    integer terms ``k, c * L**ph``, ``k`` the packed ``(monomial, e + pe, h
+    + ph)`` of a product term, parts of one tag summed, so that every term
+    is a product term of its tag as it stands.  A crossing kind is one
+    deposit holding every term of R or R^-1 but ``1 (x) 1``, tagged by its
+    pending monomial, and its row is a tuple of ``(g, terms)``, g
+    ascending; a close step's monomial and a rotation element have one tag,
+    and a row of theirs is that tag's ``terms`` alone.
 
     :meth:`fill` makes a row at e = 0: a part of lowest scalar h-degree
     d <= N - h adds its scalar times :meth:`_Context.product` of D and the
     monomial, read to ``hbar^(N - h - d)``; a part with d > N - h adds
     nothing.  The product is read once per row for all parts of D, to the
     least d among them, and a larger d is truncated by the scalar product.
-    The row is sorted by h.  :meth:`cut` makes every other row on its first
-    read, from the row at e = 0 of the same monomial at the least ``h0 <=
-    h`` made so far, filled at h if there is none: its terms with ``ph <=
-    N - h`` and ``pe <= K - e``, in the same order, each key shifted by
-    ``(e * (N+1) + h - h0) * tags``.  No row is ever replaced, and the rows
-    are the only memo of the walk's products.  A term past the caps would
-    carry out of a field of its key into the next, so both raise
+    Each tag's terms are sorted by h.  :meth:`cut` makes every other row on
+    its first read, from the row at e = 0 of the same monomial at the least
+    ``h0 <= h`` made so far, filled at h if there is none: its terms with
+    ``ph <= N - h`` and ``pe <= K - e``, tag by tag in the same order, each
+    key shifted by ``e * (N+1) + h - h0``.  No row is ever replaced, and the
+    rows are the only memo of the walk's products.  A term past the caps
+    would carry out of a field of its key into the next, so both raise
     :class:`DegreeOutOfRange` for one rather than go on with a wrong key.
     """
 
@@ -176,12 +184,12 @@ class _Deposit:
     def fill(self, key: int) -> tuple:
         """Fill the row under ``key``, the key of a state term at e = 0."""
         tables = self.tables
-        ctx, S, G = tables.ctx, tables.S, self.tags
+        ctx, S = tables.ctx, tables.S
         K, N = ctx.K, ctx.N
         mid, h = divmod(key, S)
         mon, reach = tables.mons[mid], N - h
         products: dict[Mon, EDict] = {}
-        acc: dict[int, int] = {}
+        accs: dict[int, dict[int, int]] = {}
         for dmon, dsd, d, g in self.parts:
             if d > reach:
                 continue
@@ -189,24 +197,31 @@ class _Deposit:
             if product is None:
                 product = products[dmon] = ctx.product(dmon, mon, reach - self.lows[dmon])
             unit = dsd == _UNIT_SD
+            acc = accs.get(g)
+            if acc is None:
+                acc = accs[g] = {}
             for pmon, psd in product.items():
                 if not unit:
                     # looked up in this module, where perfbench/layers.py counts it
                     psd = _smul(dsd, psd, K, reach)
-                base = tables.key(pmon, 0, h) * G + g
+                base = tables.key(pmon, 0, h)
                 for (e, ph), c in psd.items():
                     if h + ph > N or e > K:
                         raise DegreeOutOfRange(f"row term (e, h) = ({e}, {h + ph}) is past the caps")
-                    k = base + (e * (N + 1) + ph) * G
+                    k = base + e * (N + 1) + ph
                     acc[k] = acc.get(k, 0) + c
-        terms = sorted((k // G % (N + 1), k, c) for k, c in acc.items() if c)
-        row = self.rows[key] = tuple(chain.from_iterable((k, c) for _, k, c in terms))
+        split = []
+        for g in sorted(accs):
+            terms = sorted((k % (N + 1), k, c) for k, c in accs[g].items() if c)
+            if terms:
+                split.append((g, tuple(chain.from_iterable((k, c) for _, k, c in terms))))
+        row = self.rows[key] = self._row(split)
         return row
 
     def cut(self, key: int) -> tuple:
         """Make the row under ``key``, read for the first time."""
         tables = self.tables
-        rows, S, N1, G = self.rows, tables.S, tables.ctx.N + 1, self.tags
+        rows, S, N1 = self.rows, tables.S, tables.ctx.N + 1
         mid, r = divmod(key, S)
         e, h = divmod(r, N1)
         base = mid * S
@@ -218,27 +233,55 @@ class _Deposit:
             h0, row = h, self.fill(base + h)
         if h0 == h and not e:
             return row
-        top, emax, shift = N1 - 1 - h + h0, tables.ctx.K - e, (r - h0) * G
-        kept = []
-        it = iter(row)
-        for k, c in zip(it, it):
-            pk = k // G
-            if pk % N1 > top:
-                break
-            if pk % S // N1 <= emax:
-                # a term past the caps would carry out of a field of its
-                # key and leave that field below the state term's own
-                pk += r - h0
-                if pk % N1 < h or pk % S // N1 < e:
-                    raise DegreeOutOfRange(f"cut row term of key {key} is past the caps")
-                kept += (k + shift, c)
-        row = rows[key] = tuple(kept)
+        top, emax, shift = N1 - 1 - h + h0, tables.ctx.K - e, r - h0
+        cut = []
+        for g, terms in row if self.tags > 1 else [(0, row)]:
+            kept = []
+            it = iter(terms)
+            for k, c in zip(it, it):
+                if k % N1 > top:
+                    break
+                if k % S // N1 <= emax:
+                    # a term past the caps would carry out of a field of its
+                    # key and leave that field below the state term's own
+                    k += shift
+                    if k % N1 < h or k % S // N1 < e:
+                        raise DegreeOutOfRange(f"cut row term of key {key} is past the caps")
+                    kept += (k, c)
+            if kept:
+                cut.append((g, tuple(kept)))
+        row = rows[key] = self._row(cut)
         return row
 
+    def _row(self, split: list) -> tuple:
+        """The row of ``split``, its ``(g, terms)`` in ascending g: as it is
+        for a deposit of more than one tag, else the terms alone."""
+        if self.tags > 1:
+            return tuple(split)
+        return split[0][1] if split else ()
+
+    def children(self, main: dict) -> dict[int, dict]:
+        """This element times ``main`` as ``{g: child}``, each tag's packed
+        integer terms added straight into that tag's child, which is made
+        on its tag's first term.  Each state term reads the row under its
+        own key, whose terms are the product keys already."""
+        rows, kids = self.rows, {}
+        for key, mc in main.items():
+            row = rows.get(key)
+            if row is None:
+                row = self.cut(key)
+            for g, terms in row:
+                acc = kids.get(g)
+                if acc is None:
+                    acc = kids[g] = {}
+                it = iter(terms)
+                for k, c in zip(it, it):
+                    acc[k] = acc.get(k, 0) + mc * c
+        return kids
+
     def times(self, main: dict, acc: dict) -> None:
-        """Add this element times ``main`` into ``acc``, as tagged packed
-        integer terms: each state term reads the row under its own key,
-        whose terms are the product keys already."""
+        """Add this element of one tag times ``main`` into ``acc``, as
+        :meth:`children` adds into the child of a tag."""
         rows = self.rows
         for key, mc in main.items():
             row = rows.get(key)
@@ -252,20 +295,22 @@ class _Deposit:
 class _WalkTables:
     """Per-caps deposits of the walk, and the monomial ids of its keys.
 
-    ``mons[i]`` is the monomial of id i, given when a row first holds it;
-    a key is ``i * S + e * (N+1) + h`` with ``S = (K+1)(N+1)``, and a
-    deposit keeps each row under the key of the state term that reads it.
+    ``mons[i]`` is the monomial of id i, given when a row or a crossing kind
+    first holds it, the unit first, as id :data:`_UNIT_ID`; ``w[i]`` is its
+    y minus its x exponent.  A key is ``i * S + e * (N+1) + h`` with ``S =
+    (K+1)(N+1)``, and a deposit keeps each row under the key of the state
+    term that reads it.  A state's pending monomials are ids as well.
     ``monomials`` holds the bare monomial deposits the close steps deposit,
-    by monomial.  ``crossing[sign, over_first]`` is ``(deposit, pending)``
-    for R (sign 1) or R^-1 (sign -1): ``pending`` lists the unit and then
-    the distinct factors that wait, and ``deposit`` holds the factor the
-    walk multiplies on now of every term but ``1 (x) 1``, with its scalar
-    folded in, tagged by the index of its waiting factor in ``pending``; no
-    part has tag 0, the unit's, whose child the walk takes by reference.
-    There is no rotation deposit in the walk: :func:`evaluate_Z` reads a
-    decomposition only through :func:`_walk_key`, twists each crossing once
-    by ``q**(w(P) * rho)``, and deposits a whole rotation element on the
-    final state alone.
+    by id.  ``crossing[sign, over_first]`` is ``(deposit, pending)`` for R
+    (sign 1) or R^-1 (sign -1): ``pending`` lists the ids of the unit and
+    then of the distinct factors that wait, and ``deposit`` holds the
+    factor the walk multiplies on now of every term but ``1 (x) 1``, with
+    its scalar folded in, tagged by the index of its waiting factor in
+    ``pending``; no part has tag 0, the unit's, whose child the walk takes
+    by reference.  There is no rotation deposit in the walk:
+    :func:`evaluate_Z` reads a decomposition only through :func:`_walk_key`,
+    twists each crossing once by ``q**(w(P) * rho)``, and deposits a whole
+    rotation element on the final state alone.
     """
 
     def __init__(self, caps: Caps):
@@ -275,9 +320,10 @@ class _WalkTables:
         self.S = (K + 1) * (N + 1)
         # the highest power of q's eps*hbar a term at ``e * (N+1) + h`` takes
         self.reach = [min(K - e, N - h) for e in range(K + 1) for h in range(N + 1)]
-        self.ids: dict[Mon, int] = {}
-        self.mons: list[Mon] = []
-        self.monomials: dict[Mon, _Deposit] = {}
+        self.ids: dict[Mon, int] = {UNIT_MON: _UNIT_ID}
+        self.mons: list[Mon] = [UNIT_MON]
+        self.w: list[int] = [0]
+        self.monomials: dict[int, _Deposit] = {}
         self.rotation = {
             s: _Deposit(self, [(mon, sd, 0) for mon, sd in rotation_element(s, caps).raw().items()])
             for s in (1, -1)
@@ -290,19 +336,22 @@ class _WalkTables:
                 pending = (UNIT_MON, *dict.fromkeys(pend for _, pend, _ in split))
                 tag = {pend: g for g, pend in enumerate(pending)}
                 parts = [(now, sd, tag[pend]) for now, pend, sd in split]
-                self.crossing[sign, over_first] = (_Deposit(self, parts, len(pending)), pending)
+                # the id of a monomial is its key at e = h = 0 over S
+                ids = tuple(self.key(pend, 0, 0) // self.S for pend in pending)
+                self.crossing[sign, over_first] = (_Deposit(self, parts, len(pending)), ids)
 
     def key(self, mon: Mon, e: int, h: int) -> int:
         mid = self.ids.get(mon)
         if mid is None:
             mid = self.ids[mon] = len(self.mons)
             self.mons.append(mon)
+            self.w.append(mon[0] - mon[3])
         return mid * self.S + e * (self.ctx.N + 1) + h
 
-    def monomial(self, mon: Mon) -> _Deposit:
-        dep = self.monomials.get(mon)
+    def monomial(self, mid: int) -> _Deposit:
+        dep = self.monomials.get(mid)
         if dep is None:
-            dep = self.monomials[mon] = _Deposit(self, [(mon, _UNIT_SD, 0)])
+            dep = self.monomials[mid] = _Deposit(self, [(self.mons[mid], _UNIT_SD, 0)])
         return dep
 
     def twist(self, main: dict, t: int) -> None:
@@ -367,11 +416,6 @@ def _walk_tables(caps: Caps) -> _WalkTables:
         _check_cost(caps)
         tables = _TABLES[key] = _WalkTables(caps)
     return tables
-
-
-def _nonzero(acc: dict) -> dict:
-    """``acc`` without its zero terms; copied only if it has one."""
-    return {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 def _twist_plan(skeleton: tuple, rhos: tuple) -> dict[int, list]:
@@ -523,10 +567,11 @@ def _evaluate_key(key: tuple, caps: Caps) -> DElement:
     """The element of every walk whose :func:`_walk_key` is ``key``."""
     skeleton, rhos, rotation = key
     tables = _walk_tables(caps)
-    # state: pending monomials, in the order their crossings opened -> main
-    # element, the latter as {key of (monomial, e, h): coefficient * L**h}
+    # state: ids of the pending monomials, in the order their crossings
+    # opened -> main element, as {key of (monomial, e, h): coefficient * L**h}
     states: dict[tuple, dict] = {(): {tables.key(UNIT_MON, 0, 0): 1}}
     plan = _twist_plan(skeleton, rhos)
+    w = tables.w
 
     for i, step in enumerate(skeleton):
         twists = plan.get(i)
@@ -534,46 +579,48 @@ def _evaluate_key(key: tuple, caps: Caps) -> DElement:
             for pending, main in states.items():
                 t = 0
                 for slot, rho in twists:
-                    t += rho * (pending[slot][0] - pending[slot][3])
+                    t += rho * w[pending[slot]]
                 if t:
                     tables.twist(main, t)
         if step[0] == "open":
             # one read of each state term for all the crossing's terms but
-            # 1 (x) 1, the sum split by the tag of each term's pending
-            # monomial, zeros dropped; the unit's child is the parent's main
+            # 1 (x) 1, each tag's products in its own child, zeros dropped;
+            # the unit's child, first, is the parent's main
             dep, pends = tables.crossing[step[1], step[2]]
-            G, new_states = dep.tags, {}
+            new_states = {}
             for pending, main in states.items():
-                dep.times(main, acc := {})
-                parts: list[dict] = [main] + [{} for _ in pends[1:]]
-                for k, c in acc.items():
-                    if c:
-                        key, g = divmod(k, G)
-                        parts[g][key] = c
-                for pend, part in zip(pends, parts):
-                    if part:
-                        new_states[pending + (pend,)] = part
+                new_states[pending + (_UNIT_ID,)] = main
+                for g, kid in dep.children(main).items():
+                    if 0 in kid.values():
+                        kid = {key: c for key, c in kid.items() if c}
+                        if not kid:
+                            continue
+                    new_states[pending + (pends[g],)] = kid
             states = new_states
             continue
         slot = step[1]
-        new_states: dict[tuple, dict] = {}
+        new_states = {}
         for pending, main in states.items():
             rest = pending[:slot] + pending[slot + 1:]
-            # closing the unit pending monomial is the identity
-            if pending[slot] is UNIT_MON and rest not in new_states:
-                new_states[rest] = main
-            else:
-                tables.monomial(pending[slot]).times(main, new_states.setdefault(rest, {}))
+            acc = new_states.get(rest)
+            if acc is None:
+                # closing the unit pending monomial is the identity
+                if pending[slot] == _UNIT_ID:
+                    new_states[rest] = main
+                    continue
+                acc = new_states[rest] = {}
+            tables.monomial(pending[slot]).times(main, acc)
         states = {}
         for pending, acc in new_states.items():
-            main = _nonzero(acc)
-            if main:
-                states[pending] = main
+            if 0 in acc.values():
+                acc = {key: c for key, c in acc.items() if c}
+            if acc:
+                states[pending] = acc
 
     main = states.get((), {})
     for _ in range(abs(rotation)):
         tables.rotation[1 if rotation > 0 else -1].times(main, acc := {})
-        main = _nonzero(acc)
+        main = {key: c for key, c in acc.items() if c}
     return tables.element(main)
 
 

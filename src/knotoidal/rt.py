@@ -271,7 +271,9 @@ def matrix_of_element(element: DElement, rho: dict[str, Matrix]) -> Matrix:
     powers: dict[str, list[Matrix]] = {}
 
     def power(name: str, exp: int) -> Matrix:
-        cache = powers.setdefault(name, [matrix_identity(caps, dim)])
+        cache = powers.get(name)
+        if cache is None:
+            cache = powers[name] = [matrix_identity(caps, dim)]
         while len(cache) <= exp:
             cache.append(matrix_mul(cache[-1], rho[name]))
         return cache[exp]

@@ -1,3 +1,4 @@
+import sys
 import time
 from bisect import bisect_right
 from fractions import Fraction
@@ -264,6 +265,49 @@ def test_twists_leave_no_zero_term_in_the_walk(monkeypatch):
     assert zeros and not any(zeros)
 
 
+def _handed_on(d, caps) -> list:
+    """``(kind, states)`` for each step of the walk of ``d``: the kind of
+    the step and the states it hands on, read from the walk's frame."""
+    code, skeleton = invariant._evaluate_key.__code__, _key(d)[0]
+    handed: list = []
+
+    def step_line(frame, event, arg):
+        # the walk's locals at the first line of step i hold what step i - 1
+        # handed on, and on return what the last step handed on
+        if event == "return" or frame.f_locals.get("i") == len(handed) + 1:
+            states = frame.f_locals["states"]
+            handed.append((skeleton[len(handed)][0], {p: dict(main) for p, main in states.items()}))
+        return step_line
+
+    sys.settrace(lambda frame, event, arg: step_line if frame.f_code is code else None)
+    try:
+        evaluate_Z(d, caps)
+    finally:
+        sys.settrace(None)
+    assert len(handed) == len(skeleton)
+    return handed
+
+
+def test_walk_hands_on_no_empty_state_and_no_zero_term(monkeypatch):
+    # an open adds each tag's products into its child and drops the zeros
+    # of each child there, a close drops those of the states it adds into;
+    # the six fixtures at (1,3) cancel terms to zero at both kinds of step
+    children, zero_kids = invariant._Deposit.children, []
+
+    def counted(self, main):
+        kids = children(self, main)
+        zero_kids.extend(kid for kid in kids.values() if 0 in kid.values())
+        return kids
+
+    monkeypatch.setattr(invariant._Deposit, "children", counted)
+    kinds = set()
+    for _, d in fixtures().values():
+        for kind, states in _handed_on(d, CAPS):
+            kinds.add(kind)
+            assert all(main and 0 not in main.values() for main in states.values()), kind
+    assert kinds == {"open", "close"} and zero_kids
+
+
 @pytest.mark.parametrize(
     "text, plan",
     [
@@ -438,9 +482,9 @@ def _exact_parts(tables) -> list:
     """``(kind, deposit, parts)`` for every deposit of ``tables``, ``parts``
     its element as ``(D, exact scalar, tag)`` taken from the algebra, not
     from the deposit: a crossing kind's tag is the index of the term's
-    pending monomial in the kind's ``pending``."""
-    caps, terms = tables.caps, _crossing_terms(tables.caps)
-    out = [("close", dep, [(mon, {(0, 0): Fraction(1)}, 0)]) for mon, dep in tables.monomials.items()]
+    pending monomial in the kind's ``pending``, which holds monomial ids."""
+    caps, terms, mons = tables.caps, _crossing_terms(tables.caps), tables.mons
+    out = [("close", dep, [(mons[mid], {(0, 0): Fraction(1)}, 0)]) for mid, dep in tables.monomials.items()]
     for s, dep in tables.rotation.items():
         out.append(("rotation", dep, [(mon, sd, 0) for mon, sd in rotation_element(s, caps).raw().items()]))
     for (sign, over_first), (dep, pending) in tables.crossing.items():
@@ -453,6 +497,7 @@ def _exact_parts(tables) -> list:
             for over, under, sd in terms[sign]
             if (over, under) != (UNIT_MON, UNIT_MON)
         ]
+        pending = [mons[mid] for mid in pending]
         out.append(("crossing", dep, [(now, sd, pending.index(pend)) for now, pend, sd in split]))
     return out
 
@@ -467,22 +512,35 @@ def _rows() -> dict:
     }
 
 
+def _split(dep, row) -> tuple:
+    """The ``(g, terms)`` of a row of ``dep``: a row of a crossing kind
+    holds them, and the row of a deposit of one tag is its terms alone."""
+    if dep.tags > 1:
+        return row
+    return ((0, row),) if row else ()
+
+
 def _unpacked(tables, dep, key, row) -> dict:
     """The row of ``dep`` under ``key`` as ``{(tag, monomial): {(pe, ph): c * L**ph}}``,
     each product key shifted back by the state term's ``e * (N+1) + h``;
-    checked to be sorted by ph, which a cut relies on to stop at the first
-    term past its reach."""
+    checked to hold each of its tags once, in ascending order, each with at
+    least one term, and each tag's terms to be sorted by ph, which a cut
+    relies on to stop at the first term past its reach."""
     r = key % tables.S
     out: dict = {}
-    phs = []
-    it = iter(row)
-    for k, c in zip(it, it):
-        k, g = divmod(k, dep.tags)
-        mid, rest = divmod(k - r, tables.S)
-        pe, ph = divmod(rest, tables.ctx.N + 1)
-        out.setdefault((g, tables.mons[mid]), {})[pe, ph] = c
-        phs.append(ph)
-    assert phs == sorted(phs)
+    tags = [g for g, _ in _split(dep, row)]
+    assert tags == sorted(set(tags)) and set(tags) <= set(range(dep.tags))
+    for g, terms in _split(dep, row):
+        assert terms and len(terms) % 2 == 0
+        phs = []
+        it = iter(terms)
+        for k, c in zip(it, it):
+            mid, rest = divmod(k - r, tables.S)
+            pe, ph = divmod(rest, tables.ctx.N + 1)
+            assert (pe, ph) not in out.get((g, tables.mons[mid]), {})
+            out.setdefault((g, tables.mons[mid]), {})[pe, ph] = c
+            phs.append(ph)
+        assert phs == sorted(phs)
     return out
 
 
@@ -578,12 +636,12 @@ def test_rows_are_the_scalars_times_the_products_on_random_decompositions(caps, 
 def _checked_cuts(tables) -> int:
     """Check every row of ``tables`` but the deepest at e = 0 of its
     monomial against that deepest row, at (0, h0), cut to the terms its
-    state term at (e, h) reaches, ``ph <= N - h`` and ``pe <= K - e``, in
-    order and shifted by ``e * (N+1) + h - h0``; count those rows."""
+    state term at (e, h) reaches, ``ph <= N - h`` and ``pe <= K - e``, tag
+    by tag, in order and shifted by ``e * (N+1) + h - h0``, a tag left
+    with no term dropped; count those rows."""
     S, K, N1 = tables.S, tables.ctx.K, tables.ctx.N + 1
     cuts = 0
     for _, dep in _deposits(tables):
-        G = dep.tags
         for key, row in dep.rows.items():
             mid, r = divmod(key, S)
             e, h = divmod(r, N1)
@@ -591,12 +649,16 @@ def _checked_cuts(tables) -> int:
             if r == h0:
                 continue
             want = []
-            it = iter(dep.rows[mid * S + h0])
-            for k, c in zip(it, it):
-                pe, ph = divmod(k // G % S, N1)
-                if ph - h0 <= N1 - 1 - h and pe <= K - e:
-                    want += (k + (r - h0) * G, c)
-            assert row == tuple(want), (key, dep.parts)
+            for g, terms in _split(dep, dep.rows[mid * S + h0]):
+                kept = []
+                it = iter(terms)
+                for k, c in zip(it, it):
+                    pe, ph = divmod(k % S, N1)
+                    if ph - h0 <= N1 - 1 - h and pe <= K - e:
+                        kept += (k + r - h0, c)
+                if kept:
+                    want.append((g, tuple(kept)))
+            assert _split(dep, row) == tuple(want), (key, dep.parts)
             cuts += 1
     return cuts
 
@@ -626,23 +688,29 @@ def test_cut_rows_are_their_full_rows_cut_on_random_decompositions(caps, d):
 
 def test_bare_deposits_are_only_the_close_steps_and_the_unit_term(monkeypatch):
     # each crossing kind is one deposit of all its terms but 1 (x) 1, tagged
-    # by their distinct pending monomials after the unit, tag 0; the bare
-    # monomial deposits are only those the close steps multiply on
+    # by their distinct pending monomials after the unit, tag 0, and no row
+    # part carries the unit's tag; the bare monomial deposits, by id, are
+    # only those the close steps multiply on, each of one tag, whose rows
+    # are its flat terms
     caps = Caps(1, 4)
     monkeypatch.setattr(invariant, "_TABLES", {})
     for _, decomp in fixtures().values():
         evaluate_Z(decomp, caps)
     (tables,) = invariant._TABLES.values()
-    terms = _crossing_terms(caps)
+    terms, mons = _crossing_terms(caps), tables.mons
     for (sign, over_first), (dep, pending) in tables.crossing.items():
-        assert dep.tags == len(pending) == len(set(pending))
+        assert dep.tags == len(pending) == len({mons[mid] for mid in pending})
+        assert mons[pending[0]] is UNIT_MON
         split = [(over, under) if over_first else (under, over) for over, under, _ in terms[sign]]
         assert split.count((UNIT_MON, UNIT_MON)) == 1
         split.remove((UNIT_MON, UNIT_MON))
-        assert sorted((now, pending[g]) for now, _, _, g in dep.parts) == sorted(split)
+        assert sorted((now, mons[pending[g]]) for now, _, _, g in dep.parts) == sorted(split)
+        assert dep.rows and all(g for row in dep.rows.values() for g, _ in row)
     pending = {pend for _, pends in tables.crossing.values() for pend in pends}
     assert set(tables.monomials) <= pending
-    assert all(len(dep.parts) == 1 and dep.tags == 1 for dep in tables.monomials.values())
+    for mid, dep in tables.monomials.items():
+        assert [mon for mon, *_ in dep.parts] == [mons[mid]] and dep.tags == 1
+        assert all(type(k) is int for row in dep.rows.values() for k in row)
 
 
 def test_rows_written_once_give_what_a_fresh_walk_gives(monkeypatch):
@@ -700,11 +768,15 @@ def test_crossing_terms_have_one_unit_factor_in_the_unit_term(eps_order):
 
 @pytest.mark.parametrize("caps", [Caps(0, 0), Caps(0, 3), Caps(1, 4), Caps(2, 3)], ids=str)
 def test_crossing_deposits_leave_the_unit_tag_empty(caps):
-    # tag 0 is the unit pending monomial, the close tests it by identity,
-    # and no part of a crossing deposit carries it
-    for kind, (dep, pending) in invariant._WalkTables(caps).crossing.items():
-        assert pending[0] is UNIT_MON, kind
-        assert UNIT_MON not in pending[1:], kind
+    # tag 0 is the unit pending monomial, whose id the close tests, and no
+    # part of a crossing deposit carries it; the pending ids are distinct
+    tables = invariant._WalkTables(caps)
+    assert tables.mons[invariant._UNIT_ID] is UNIT_MON
+    assert tables.ids[UNIT_MON] == invariant._UNIT_ID
+    for kind, (dep, pending) in tables.crossing.items():
+        assert pending[0] == invariant._UNIT_ID, kind
+        assert len(set(pending)) == len(pending), kind
+        assert UNIT_MON not in [tables.mons[mid] for mid in pending[1:]], kind
         assert all(g for *_, g in dep.parts), kind
 
 
