@@ -54,10 +54,6 @@ class ExpDomain(KnotoidalError):
     pass
 
 
-class SqrtDomain(KnotoidalError):
-    pass
-
-
 class DegreeOutOfRange(KnotoidalError):
     pass
 

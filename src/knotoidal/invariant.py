@@ -102,8 +102,11 @@ class InvariantValue:
     """A computed invariant: normal-form element plus input fingerprint."""
 
     element: DElement
-    caps: Caps
     fingerprint: str
+
+    @property
+    def caps(self) -> Caps:
+        return self.element.caps
 
     def render(self) -> str:
         return self.element.render()
@@ -560,7 +563,7 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
         if not isinstance(arg, kind):
             raise InvalidArgument(f"evaluate_Z needs a {kind.__name__}, got {arg!r}")
     element = _evaluate_key(_walk_key(d.walk()), caps)
-    return InvariantValue(element, caps, _decomposition_fingerprint(d, caps))
+    return InvariantValue(element, _decomposition_fingerprint(d, caps))
 
 
 def _evaluate_key(key: tuple, caps: Caps) -> DElement:

@@ -2,13 +2,13 @@
 
 A representation is supplied as raw matrix data over the truncated scalar
 ring: the braiding matrix ``R`` of a positive crossing and the rotation weight
-``h`` (the image of the clockwise rotation element) with its inverse.  The
-state sum over index assignments is evaluated by sequential tensor contraction
-along the strand, so the cost is polynomial in the number of segments for a
-fixed dimension; the full state space is never materialized.  The walk is the
-one of :meth:`RotDecomp.walk`, which :func:`knotoidal.invariant.evaluate_Z`
-also follows: an open crossing waits as an ``(enter, exit)`` index pair in a
-tuple kept in opening order.
+``h`` (the image of the clockwise rotation element); :class:`RepData` derives
+the rest.  The state sum over index assignments is evaluated by sequential
+tensor contraction along the strand, so the cost is polynomial in the number
+of segments for a fixed dimension; the full state space is never
+materialized.  The walk is the one of :meth:`RotDecomp.walk`, which
+:func:`knotoidal.invariant.evaluate_Z` also follows: an open crossing waits
+as an ``(enter, exit)`` index pair in a tuple kept in opening order.
 
 The state sum carries integer amplitudes over one common denominator per
 call.  The two endpoint vectors, and the weights of each step kind the walk
@@ -73,10 +73,6 @@ def matrix_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def matrix_eq(A: Matrix, B: Matrix) -> bool:
-    return all(A[r][c] == B[r][c] for r in range(len(A)) for c in range(len(A[0])))
-
-
 def matrix_inverse(A: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan elimination over the truncated series ring.
 
@@ -108,28 +104,44 @@ def matrix_inverse(A: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # representation data
 
-class RepData:
-    """Matrix data of a finite-dimensional representation at fixed caps."""
+def _checked_caps(entries: list, what: str, caps: Caps | None = None) -> Caps:
+    """The caps of ``entries``, once each is checked to be a
+    :class:`ScalarSeries` at ``caps``, or at the first entry's caps."""
+    for entry in entries:
+        if not isinstance(entry, ScalarSeries):
+            raise InvalidArgument(f"{what} entries must be ScalarSeries, got {entry!r}")
+        if caps is None:
+            caps = entry.caps
+        elif entry.caps != caps:
+            raise CapsMismatch(f"{what} entry at {entry.caps}, expected {caps}")
+    return caps
 
-    def __init__(self, dim: int, R: Matrix, h: Matrix, h_inv: Matrix):
-        if type(dim) is not int:
-            raise InvalidArgument(f"dimension must be an int, got {dim!r}")
-        if dim < 1:
-            raise DimensionMismatch("dimension must be positive")
+
+class RepData:
+    """Matrix data of a finite-dimensional representation at fixed caps.
+
+    The inputs are ``R``, d^2 x d^2, and ``h``, d x d, every entry a
+    :class:`ScalarSeries` at one caps.  The dimension ``dim``, the ``caps``
+    and ``h_inv`` are derived from them; ``R^-1`` is derived on first use,
+    by :meth:`r_inverse`.  Raises :class:`DimensionMismatch` for an empty
+    or non-square ``h`` or an ``R`` of another shape,
+    :class:`InvalidArgument` for an entry that is not a series,
+    :class:`CapsMismatch` for entries at different caps, and
+    :class:`NotInvertible` for a singular ``h``.
+    """
+
+    def __init__(self, R: Matrix, h: Matrix):
+        dim = len(h)
+        if dim < 1 or any(len(row) != dim for row in h):
+            raise DimensionMismatch("h must be a non-empty square matrix")
         if len(R) != dim * dim or any(len(row) != dim * dim for row in R):
             raise DimensionMismatch("R must be d^2 x d^2")
-        if any(len(M) != dim or any(len(row) != dim for row in M) for M in (h, h_inv)):
-            raise DimensionMismatch("h and h_inv must be d x d")
-        caps = h[0][0].caps
-        if not matrix_eq(matrix_mul(h, h_inv), matrix_identity(caps, dim)):
-            raise DimensionMismatch("h * h_inv must be the identity")
-        if not all(e.caps == caps for M in (R, h, h_inv) for row in M for e in row):
-            raise CapsMismatch("all rep matrices must share one caps")
+        caps = _checked_caps([e for M in (R, h) for row in M for e in row], "rep matrix")
         self.dim = dim
         self.caps = caps
         self.R = R
         self.h = h
-        self.h_inv = h_inv
+        self.h_inv = matrix_inverse(h)
         self._r_inv: Matrix | None = None
 
     def r_inverse(self) -> Matrix:
@@ -161,11 +173,7 @@ def _endpoint(vector: list, rep: RepData) -> tuple[list[dict], int]:
     have ``rep.dim`` entries, each a :class:`ScalarSeries` at ``rep.caps``."""
     if len(vector) != rep.dim:
         raise DimensionMismatch("endpoint vectors must have length dim")
-    for entry in vector:
-        if not isinstance(entry, ScalarSeries):
-            raise InvalidArgument(f"endpoint vector entries must be ScalarSeries, got {entry!r}")
-        if entry.caps != rep.caps:
-            raise CapsMismatch(f"endpoint vector at {entry.caps}, rep at {rep.caps}")
+    _checked_caps(vector, "endpoint vector", rep.caps)
     return _scaled(vector)
 
 
@@ -312,9 +320,7 @@ def derive_rep(caps: Caps, rho: dict[str, Matrix]) -> RepData:
                         inc = coeff * A[j][k] * B[i][l]
                         if not inc.is_zero():
                             R[i * dim + j][k * dim + l] = R[i * dim + j][k * dim + l] + inc
-    h = matrix_of_element(rotation_element(-1, caps), rho)
-    h_inv = matrix_of_element(rotation_element(1, caps), rho)
-    return RepData(dim, R, h, h_inv)
+    return RepData(R, matrix_of_element(rotation_element(-1, caps), rho))
 
 
 @dataclass(frozen=True)

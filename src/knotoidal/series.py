@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import count, repeat
 from math import factorial
 
 from .errors import (
@@ -24,7 +24,6 @@ from .errors import (
     InvalidArgument,
     NotInvertible,
     ParseError,
-    SqrtDomain,
 )
 
 SKey = tuple[int, int]
@@ -267,17 +266,6 @@ class ScalarSeries:
         if self.constant_term:
             raise ExpDomain("exp requires zero constant term")
         return self._power_sum(self.coeffs, (Fraction(1, factorial(k)) for k in count()))
-
-    def sqrt(self) -> "ScalarSeries":
-        """Square root of a series with constant term 1."""
-        if self.constant_term != 1:
-            raise SqrtDomain("sqrt requires constant term 1")
-        rest = {key: v for key, v in self.coeffs.items() if key != (0, 0)}
-        # binom(1/2, k) = binom(1/2, k-1) * (3 - 2k) / (2k)
-        binoms = accumulate(
-            count(1), lambda c, k: c * Fraction(3 - 2 * k, 2 * k), initial=Fraction(1)
-        )
-        return self._power_sum(rest, binoms)
 
     # -- rendering
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotoidal.algebra import rotation_element
 from knotoidal.diagram import (
     TRIVIAL_DECOMP,
     Crossing,
@@ -29,10 +30,10 @@ from knotoidal.rt import (
     EndpointVectors,
     RepData,
     derive_rep,
-    matrix_eq,
     matrix_identity,
     matrix_inverse,
     matrix_mul,
+    matrix_of_element,
     recovery_check,
     rt_evaluate,
 )
@@ -52,10 +53,6 @@ def one(v=1):
     return ScalarSeries.term(CAPS, v)
 
 
-def series_eps(v=1):
-    return ScalarSeries.term(CAPS, v, 1, 0)
-
-
 def rho_dim2(caps=CAPS):
     """Generator matrices of a two-dimensional representation."""
     zero, one_ = ScalarSeries.zero(caps), ScalarSeries.one(caps)
@@ -68,12 +65,12 @@ def rho_dim2(caps=CAPS):
     }
 
 
-def rho_dim1():
+def rho_dim1(caps=CAPS):
     return {
-        "a": [[one()]],
-        "b": [[series_eps(-1)]],
-        "x": [[ScalarSeries.zero(CAPS)]],
-        "y": [[ScalarSeries.zero(CAPS)]],
+        "a": [[ScalarSeries.one(caps)]],
+        "b": [[ScalarSeries.term(caps, -1, 1, 0)]],
+        "x": [[ScalarSeries.zero(caps)]],
+        "y": [[ScalarSeries.zero(caps)]],
     }
 
 
@@ -94,7 +91,7 @@ def test_dim2_generator_matrices_satisfy_relations():
             [commut_a[r][c] - matrix_mul(rho[name], rho["a"])[r][c] for c in range(2)]
             for r in range(2)
         ]
-        assert matrix_eq(commut_a, [[rho[name][r][c] * factor for c in range(2)] for r in range(2)])
+        assert commut_a == [[rho[name][r][c] * factor for c in range(2)] for r in range(2)]
 
 
 def test_trivial_decomposition_contracts_endpoints():
@@ -107,7 +104,7 @@ def test_trivial_decomposition_contracts_endpoints():
 def test_dim1_monomial_formula():
     r = ScalarSeries.one(CAPS) + ScalarSeries.hbar(CAPS)
     t = ScalarSeries.one(CAPS) + ScalarSeries.term(CAPS, 1, 1, 1)
-    rep = RepData(1, [[r]], [[t]], [[t.invert()]])
+    rep = RepData([[r]], [[t]])
     ev = EndpointVectors([one(3)], [one(2)])
     # two positive crossings, one negative, two clockwise and one
     # counter-clockwise rotation
@@ -121,10 +118,17 @@ def test_dim1_monomial_formula():
 @pytest.mark.parametrize(
     "make, error",
     [
-        (lambda: RepData(0, [], [], []), DimensionMismatch),
-        (lambda: RepData("1", [], [], []), InvalidArgument),
-        (lambda: RepData(True, [[one()]], [[one()]], [[one()]]), InvalidArgument),
-        (lambda: RepData(1, [[ScalarSeries.one(Caps(1, 2))]], [[one()]], [[one()]]), CapsMismatch),
+        (lambda: RepData([], []), DimensionMismatch),
+        (lambda: RepData([[1]], [[1]]), InvalidArgument),
+        (lambda: RepData([[one()]], [["1"]]), InvalidArgument),
+        (lambda: RepData([[ScalarSeries.one(Caps(1, 2))]], [[one()]]), CapsMismatch),
+        (
+            lambda: RepData(
+                matrix_identity(CAPS, 4), [[one(), one()], [one(), ScalarSeries.one(Caps(1, 2))]]
+            ),
+            CapsMismatch,
+        ),
+        (lambda: RepData([[one()]], [[ScalarSeries.hbar(CAPS)]]), NotInvertible),
         (
             lambda: rt_evaluate(EXAMPLE, derive_rep(CAPS, rho_dim2()), EndpointVectors([one()], [one(), one()])),
             DimensionMismatch,
@@ -147,8 +151,8 @@ def test_dim1_monomial_formula():
         ),
     ],
     ids=[
-        "dim-0", "dim-str", "dim-bool", "mixed-caps", "short-eta", "long-eps",
-        "int-eta", "eps-other-caps",
+        "dim-0", "int-entries", "str-in-h", "mixed-caps", "mixed-caps-in-h", "singular-h",
+        "short-eta", "long-eps", "int-eta", "eps-other-caps",
     ],
 )
 def test_rep_errors_are_typed(make, error):
@@ -285,7 +289,7 @@ def _generic_rep() -> RepData:
     t = ScalarSeries.term(caps, 1, 0, 1)
     one_, zero = ScalarSeries.one(caps), ScalarSeries.zero(caps)
     h = [[one_ + t, one_], [zero, one_]]
-    return RepData(2, R, h, matrix_inverse(h))
+    return RepData(R, h)
 
 
 @settings(max_examples=30, deadline=None)
@@ -325,7 +329,7 @@ def _rational_rep() -> tuple[RepData, EndpointVectors]:
         [_rational(caps, "1/3", "2/5"), _rational(caps, "-2/7", "1/3")],
         [_rational(caps, "2/5", "-1/7"), _rational(caps, "1/7", "2/3")],
     )
-    return RepData(2, R, h, matrix_inverse(h)), ev
+    return RepData(R, h), ev
 
 
 def test_rational_rep_has_a_denominator_in_every_matrix():
@@ -373,9 +377,7 @@ def test_state_sum_matches_the_series_state_sum_on_the_chain():
 def test_recovery_fails_with_corrupted_rotation_weight():
     rho = rho_dim2()
     rep = derive_rep(CAPS, rho)
-    bad_h = matrix_mul(rep.h, rep.h)
-    bad_h_inv = matrix_mul(rep.h_inv, rep.h_inv)
-    corrupted = RepData(rep.dim, rep.R, bad_h, bad_h_inv)
+    corrupted = RepData(rep.R, matrix_mul(rep.h, rep.h))
     ev = EndpointVectors([one(1), one(2)], [one(3), one(4)])
     result = recovery_check(EXAMPLE, corrupted, rho, ev)
     assert not result.passed
@@ -385,7 +387,7 @@ def test_recovery_fails_with_corrupted_rotation_weight():
 def test_matrix_inverse_round_trip():
     rep = derive_rep(CAPS, rho_dim2())
     prod = matrix_mul(rep.R, rep.r_inverse())
-    assert matrix_eq(prod, matrix_identity(CAPS, rep.dim * rep.dim))
+    assert prod == matrix_identity(CAPS, rep.dim * rep.dim)
 
 
 def _determinant(M) -> Fraction:
@@ -413,38 +415,50 @@ def test_matrix_inverse_is_two_sided_or_raises(A):
     identity = matrix_identity(A[0][0].caps, len(A))
     if _determinant([[entry.constant_term for entry in row] for row in A]):
         inverse = matrix_inverse(A)
-        assert matrix_eq(matrix_mul(A, inverse), identity)
-        assert matrix_eq(matrix_mul(inverse, A), identity)
+        assert matrix_mul(A, inverse) == identity
+        assert matrix_mul(inverse, A) == identity
     else:
         with pytest.raises(NotInvertible):
             matrix_inverse(A)
 
 
 def test_rep_data_validation():
-    r = [[one()]]
+    # R must be d^2 x d^2 for the d of h
     t = ScalarSeries.one(CAPS) + ScalarSeries.hbar(CAPS)
     with pytest.raises(DimensionMismatch):
-        RepData(1, r, [[t]], [[t]])  # h * h_inv != 1
+        RepData([[one()]], matrix_identity(CAPS, 2))
     with pytest.raises(DimensionMismatch):
-        RepData(2, r, [[one()]], [[one()]])
+        RepData(matrix_identity(CAPS, 4), [[t]])
+    with pytest.raises(DimensionMismatch):
+        RepData([[one()], [one()], [one()], [one()]], matrix_identity(CAPS, 2))
+    rep = RepData([[one()]], [[t]])
+    assert (rep.dim, rep.caps, rep.h_inv) == (1, CAPS, [[t.invert()]])
 
 
 def test_rep_data_rejects_ragged_rotation_matrices():
     R = matrix_identity(CAPS, 4)
-    square = matrix_identity(CAPS, 2)
     ragged = [[one()], [one()]]
-    first_column = [[one()], [one(0)]]
-    for h, h_inv in ((ragged, ragged), (ragged, square), (square, first_column)):
+    for h in (ragged, [[one(), one()], [one()]], [[one(), one()]]):
         with pytest.raises(DimensionMismatch):
-            RepData(2, R, h, h_inv)
+            RepData(R, h)
     with pytest.raises(DimensionMismatch):
         matrix_inverse(ragged)
 
 
 def test_rep_json_empty_h_without_inverse_is_a_dimension_mismatch():
-    # a caller with h but no h_inv inverts h before building RepData
+    # RepData derives h_inv from h; an empty h fails there (dim-0 above)
+    # as it does in matrix_inverse
     with pytest.raises(DimensionMismatch):
         matrix_inverse([])
+
+
+@pytest.mark.parametrize("caps", [Caps(1, 3), Caps(1, 4)], ids=["caps-1-3", "caps-1-4"])
+@pytest.mark.parametrize("rho_of", [rho_dim1, rho_dim2], ids=["dim1", "dim2"])
+def test_derived_h_inv_is_the_counterclockwise_rotation_element(rho_of, caps):
+    # derive_rep's h is the image of rotation_element(-1); RepData inverts
+    # it, so its h_inv must be the image of rotation_element(+1)
+    rho = rho_of(caps)
+    assert derive_rep(caps, rho).h_inv == matrix_of_element(rotation_element(1, caps), rho)
 
 
 def test_rep_json_bad_series_entry_is_typed():

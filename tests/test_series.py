@@ -11,7 +11,6 @@ from knotoidal.errors import (
     InvalidArgument,
     KnotoidalError,
     NotInvertible,
-    SqrtDomain,
 )
 from knotoidal.series import Caps, ScalarSeries, q_factorial, q_integer
 
@@ -59,17 +58,6 @@ def test_exp_requires_zero_constant_term():
 def test_invert_requires_unit_constant():
     with pytest.raises(NotInvertible):
         series({(0, 1): 1}).invert()
-
-
-def test_sqrt_squares_back():
-    s = series({(0, 0): 1, (0, 1): 3, (1, 2): Fraction(-2, 7)})
-    r = s.sqrt()
-    assert r * r == s
-
-
-def test_sqrt_domain():
-    with pytest.raises(SqrtDomain):
-        series({(0, 0): 2}).sqrt()
 
 
 def test_caps_mismatch_raises():
@@ -185,14 +173,12 @@ def test_ring_laws(a, b, c):
 
 @settings(max_examples=40, deadline=None)
 @given(series_st(), series_st())
-def test_invert_sqrt_exp_identities(a, b):
+def test_invert_exp_identities(a, b):
     one = ScalarSeries.one(CAPS)
     if a.constant_term:
         assert a * a.invert() == one
     a0 = a - ScalarSeries.term(CAPS, a.constant_term)
     b0 = b - ScalarSeries.term(CAPS, b.constant_term)
-    unit = one + a0
-    assert unit.sqrt() * unit.sqrt() == unit
     assert (a0 + b0).exp() == a0.exp() * b0.exp()
 
 
