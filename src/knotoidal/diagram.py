@@ -6,15 +6,15 @@ as crossings with both strands upward plus whole-turn rotation tokens, with
 strand segments labeled 1..L in walk order; it is the input format of the
 invariant evaluator.
 
-Both structures are immutable after construction.  Their public
-constructors check every input: pass roles, crossing and sign sets, label
-ranges and duplicates, and every loader (``parse_*``, the CLI) goes through
-them.  Only producers that build valid codes and decompositions by
-construction skip the check, through the private keyword ``_trusted``:
-``measure.project`` for its code and decomposition, ``measure.simplify_gauss``
-for its result, and :meth:`OrientedGaussCode.relabeled`.  Whether a
-decomposition actually assembles into a planar diagram is not validated; the
-tokens are taken on trust.
+Both structures are immutable after construction.  Their constructors
+check every input: pass roles, crossing and sign sets, label ranges and
+duplicates, and every loader (``parse_*``, the CLI) goes through them.  Only
+producers that build valid codes by construction skip the code's check,
+through the private keyword ``_trusted`` of :class:`OrientedGaussCode`:
+``measure.project`` and ``measure.simplify_gauss`` for their codes, and
+:meth:`OrientedGaussCode.relabeled`.  Every decomposition is checked.
+Whether a decomposition actually assembles into a planar diagram is not
+validated; the tokens are taken on trust.
 """
 
 from __future__ import annotations
@@ -201,11 +201,7 @@ class RotDecomp:
 
     __slots__ = ("labels", "tokens")
 
-    def __init__(self, labels: int, tokens, *, _trusted: bool = False):
-        if _trusted:
-            self.labels = labels
-            self.tokens = tuple(tokens)
-            return
+    def __init__(self, labels: int, tokens):
         if type(labels) is not int:
             raise MalformedToken(f"label count must be an int, got {labels!r}")
         if labels < 1:

@@ -1,12 +1,11 @@
 """Knottedness statistics of open 3D curves by randomized projection.
 
 A polygonal open curve is projected along a direction drawn uniformly from the
-sphere; the projection yields a knotoid diagram (an oriented Gauss code plus a
-rotational decomposition with turning-derived rotation tokens), which is
-greedily simplified and tallied.  Directions whose projection hits one of the
-measure-zero bad configurations (near-parallel overlaps, endpoint grazing,
-triple points, crossings near vertices, ambiguous turning) are rejected and
-counted.
+sphere; the projection yields a knotoid diagram (an oriented Gauss code plus
+its ``(code, rho, r)`` key of turning numbers), which is greedily simplified
+and tallied.  Directions whose projection hits one of the measure-zero bad
+configurations (near-parallel overlaps, endpoint grazing, triple points,
+crossings near vertices, ambiguous turning) are rejected and counted.
 
 Geometry runs in double precision with explicit tolerances; class tallies and
 invariant averages use exact rational arithmetic, so estimates are bit-stable
@@ -27,14 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
-from .diagram import (
-    Biframing,
-    Crossing,
-    OrientedGaussCode,
-    RotDecomp,
-    Rotation,
-    writhe,
-)
+from .diagram import Biframing, OrientedGaussCode, writhe
 from .errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
@@ -162,11 +154,12 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A projection's knotoid diagram and its projected points, from which
+    """A projection's Gauss code, its ``(code, rho, r)`` key in the form of
+    ``invariant._walk_key``, and its projected points, from which
     :attr:`biframing` is computed on first access."""
 
     code: OrientedGaussCode
-    decomp: RotDecomp
+    key: tuple
     points: tuple[Vec2, ...]
 
     @cached_property
@@ -396,10 +389,6 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
             raise DegenerateDirection("turning ambiguous at half rotation")
         return int(nearest)
 
-    def rotations(spin: int, first_label: int) -> list[Rotation]:
-        step = 1 if spin > 0 else -1
-        return [Rotation(step, first_label + n) for n in range(abs(spin))]
-
     # The passes in strand order: (segment, parameter, crossing index).
     events = []
     for k, (i, t, j, s, *_) in enumerate(crossings):
@@ -412,38 +401,37 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     # that a rounding flip only ever happens for a crossing as a whole (a
     # full-crossing rotation) or for both endpoints together (a matched pair
     # of endpoint twists).  Both are invariances of the evaluated invariant;
-    # independent per-pass rounding would not be.  Rotation tokens fill the
-    # gaps between passes, and labels count tokens and passes in strand order.
-    mark = snap(lifted[0], 0.5 * math.pi)
-    leg_residual = lifted[0] - 2.0 * math.pi * mark
+    # independent per-pass rounding would not be.  A crossing's rho is its
+    # second pass's mark less its first's, and r is the head's mark less the
+    # leg's.
+    leg_mark = snap(lifted[0], 0.5 * math.pi)
+    leg_residual = lifted[0] - 2.0 * math.pi * leg_mark
     ids = [0] * len(crossings)  # crossing ids in order of first traversal
+    first_mark = [0] * len(crossings)
     residual = [0.0] * len(crossings)
-    labels = [[0, 0] for _ in crossings]  # over and under label
-    passes, signs, tokens = [], {}, []
+    pending = []  # the crossings opened and not yet closed, in opening order
+    passes, signs, skeleton, rhos = [], {}, [], []
     for seg, _par, k in events:
         i, _, _, _, over_first, sign, _ = crossings[k]
+        over = (seg == i) == over_first
         if not ids[k]:
             ids[k] = len(signs) + 1
             signs[ids[k]] = sign
-            new_mark = snap(lifted[seg], 0.5 * math.pi)
-            residual[k] = lifted[seg] - 2.0 * math.pi * new_mark
+            first_mark[k] = snap(lifted[seg], 0.5 * math.pi)
+            residual[k] = lifted[seg] - 2.0 * math.pi * first_mark[k]
+            pending.append(k)
+            skeleton.append(("open", sign, over))
         else:
-            new_mark = snap(lifted[seg], residual[k])
-        if new_mark != mark:
-            tokens += rotations(new_mark - mark, len(tokens) + len(passes) + 1)
-            mark = new_mark
-        over = (seg == i) == over_first
+            rhos.append(snap(lifted[seg], residual[k]) - first_mark[k])
+            slot = pending.index(k)
+            del pending[slot]
+            skeleton.append(("close", slot))
         passes.append((ids[k], "over" if over else "under"))
-        labels[k][0 if over else 1] = len(tokens) + len(passes)
-    head_mark = snap(lifted[-1], leg_residual)
-    tokens += rotations(head_mark - mark, len(tokens) + len(passes) + 1)
-    label_count = max(len(tokens) + len(passes), 1)
-    tokens += [Crossing(signs[ids[k]], *labels[k]) for k in range(len(crossings))]
+    r = snap(lifted[-1], leg_residual) - leg_mark
     # valid by construction: each crossing passes once over and once under
-    # with a sign of +-1, and each label from 1 to label_count holds one slot
+    # with a sign of +-1
     code = OrientedGaussCode(passes, signs, _trusted=True)
-    decomp = RotDecomp(label_count, tokens, _trusted=True)
-    return ProjectionResult(code, decomp, tuple(pts2))
+    return ProjectionResult(code, (tuple(skeleton), tuple(rhos), r), tuple(pts2))
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +582,13 @@ class MeasureEstimate:
 
 
 def _estimate_with_directions(curve, directions, tol, phi, caps):
-    from .invariant import _evaluate_key, _reduce_key, _walk_key
+    from .invariant import _evaluate_key, _reduce_key
 
     tallies: dict[str, int] = {}
     rejected = 0
-    # zmean: the count of each (code, rho, r) key of the accepted walks, in
-    # first-seen order.  evaluate_Z reads a decomposition only through
-    # invariant._walk_key, so every walk of a key has one element
+    # zmean: the count of each (code, rho, r) key of the accepted
+    # projections, in first-seen order; evaluate_Z reads a decomposition only
+    # through that key, so the projections of a key have one element
     keys: dict[tuple, int] = {}
     # the label is a function of the code, and 500 directions of the bundled
     # trefoil give fewer than 80 distinct codes; each code is labelled once
@@ -616,8 +604,7 @@ def _estimate_with_directions(curve, directions, tol, phi, caps):
             label = labels[proj.code] = class_label(proj.code)
         tallies[label] = tallies.get(label, 0) + 1
         if phi == "zmean":
-            key = _walk_key(proj.decomp.walk())
-            keys[key] = keys.get(key, 0) + 1
+            keys[proj.key] = keys.get(proj.key, 0) + 1
     # each key less its removable curls and bigons, which keeps its element
     # (see invariant._reduce_key); keys that reduce to one key sum their
     # counts, and each reduced key is evaluated once

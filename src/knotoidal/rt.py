@@ -125,12 +125,16 @@ class RepData:
     and ``h_inv`` are derived from them; ``R^-1`` is derived on first use,
     by :meth:`r_inverse`.  Raises :class:`DimensionMismatch` for an empty
     or non-square ``h`` or an ``R`` of another shape,
-    :class:`InvalidArgument` for an entry that is not a series,
+    :class:`InvalidArgument` for a matrix or row that is not a list or
+    tuple, or an entry that is not a series,
     :class:`CapsMismatch` for entries at different caps, and
     :class:`NotInvertible` for a singular ``h``.
     """
 
     def __init__(self, R: Matrix, h: Matrix):
+        for M in (R, h):
+            if not isinstance(M, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in M):
+                raise InvalidArgument(f"a rep matrix must be a list or tuple of rows, got {M!r}")
         dim = len(h)
         if dim < 1 or any(len(row) != dim for row in h):
             raise DimensionMismatch("h must be a non-empty square matrix")

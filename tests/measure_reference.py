@@ -4,8 +4,10 @@ These are the original quadratic implementations that the sweep-based
 crossing search, the sorted triple-point check, the box-filtered endpoint
 check and the incremental Gauss-code simplifier in ``knotoidal.measure``
 replaced.  The property tests require the fast versions to produce exactly
-what these produce.  :func:`perturbed` adds seeded noise to a curve for the
-stability tests.
+what these produce.  :func:`reference_decomposition` rebuilds the rotational
+decomposition that ``project`` once returned, from which its key must read
+back.  :func:`perturbed` adds seeded noise to a curve for the stability
+tests.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from unittest import mock
 
 from knotoidal import measure
-from knotoidal.diagram import OrientedGaussCode
+from knotoidal.diagram import Crossing, OrientedGaussCode, RotDecomp, Rotation
 from knotoidal.errors import DegenerateDirection, InvalidArgument
 from knotoidal.measure import OpenCurve3D, _check_seed, _point_segment_distance, _unit_float, rand64
 
@@ -101,6 +103,80 @@ def reference_project(curve, direction, tol):
             mock.patch.object(measure, "_check_triple_points", all_pairs_triple_points), \
             mock.patch.object(measure, "_check_endpoint_grazing", all_segments_grazing):
         return measure.project(curve, direction, tol)
+
+
+def reference_decomposition(curve, direction, tol):
+    """``(measure.project(curve, direction, tol), decomposition)``.
+
+    The decomposition is the one ``project`` built before it returned the
+    ``(code, rho, r)`` key, assembled from the same turn marks: whole-turn
+    rotation tokens fill the gaps between passes, and labels count tokens
+    and passes in strand order.  ``project`` runs once, with its crossing
+    search wrapped to record the crossings and the segment directions; a
+    rejected direction raises as it does.  The decomposition goes through
+    the checking constructor.
+    """
+    search, recorded = measure._segment_crossings, []
+
+    def recording(*args):
+        crossings = search(*args)
+        recorded.append((crossings, args[3]))
+        return crossings
+
+    with mock.patch.object(measure, "_segment_crossings", recording):
+        proj = measure.project(curve, direction, tol)
+    (crossings, dirs), = recorded
+
+    # the tangent-angle lift and the snapping of project, whose rejections
+    # it has passed
+    angles = [math.atan2(dy, dx) for dx, dy in dirs]
+    lifted = [angles[0]]
+    for prev, cur in zip(angles, angles[1:]):
+        delta = cur - prev
+        if delta <= -math.pi:
+            delta += 2.0 * math.pi
+        elif delta > math.pi:
+            delta -= 2.0 * math.pi
+        lifted.append(lifted[-1] + delta)
+
+    def snap(angle, anchor):
+        return int(round((angle - anchor) / (2.0 * math.pi)))
+
+    def rotations(spin, first_label):
+        step = 1 if spin > 0 else -1
+        return [Rotation(step, first_label + n) for n in range(abs(spin))]
+
+    events = []
+    for k, (i, t, j, s, *_) in enumerate(crossings):
+        events += ((i, t, k), (j, s, k))
+    events.sort(key=lambda ev: ev[:2])
+
+    mark = snap(lifted[0], 0.5 * math.pi)
+    leg_residual = lifted[0] - 2.0 * math.pi * mark
+    ids = [0] * len(crossings)
+    residual = [0.0] * len(crossings)
+    labels = [[0, 0] for _ in crossings]  # over and under label
+    passes, signs, tokens = 0, {}, []
+    for seg, _par, k in events:
+        i, _, _, _, over_first, sign, _ = crossings[k]
+        if not ids[k]:
+            ids[k] = len(signs) + 1
+            signs[ids[k]] = sign
+            new_mark = snap(lifted[seg], 0.5 * math.pi)
+            residual[k] = lifted[seg] - 2.0 * math.pi * new_mark
+        else:
+            new_mark = snap(lifted[seg], residual[k])
+        if new_mark != mark:
+            tokens += rotations(new_mark - mark, len(tokens) + passes + 1)
+            mark = new_mark
+        over = (seg == i) == over_first
+        passes += 1
+        labels[k][0 if over else 1] = len(tokens) + passes
+    head_mark = snap(lifted[-1], leg_residual)
+    tokens += rotations(head_mark - mark, len(tokens) + passes + 1)
+    label_count = max(len(tokens) + passes, 1)
+    tokens += [Crossing(signs[ids[k]], *labels[k]) for k in range(len(crossings))]
+    return proj, RotDecomp(label_count, tokens)
 
 
 def _try_r1(passes, signs):

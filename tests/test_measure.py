@@ -50,6 +50,7 @@ from knotoidal.measure import (
 from measure_reference import (
     all_pairs_triple_points,
     perturbed,
+    reference_decomposition,
     reference_project,
     reference_simplify_gauss,
 )
@@ -127,7 +128,7 @@ def test_straight_segment_projects_trivially():
     assert result.code.is_empty()
     assert result.biframing.framing == 0
     assert result.biframing.coframing == 0
-    assert result.decomp.labels == 1 and not result.decomp.tokens
+    assert result.key == ((), (), 0)
 
 
 def test_planar_simple_arc_has_no_crossings():
@@ -163,8 +164,8 @@ def test_framing_equals_writhe_on_samples(trefoil):
         except DegenerateDirection:
             continue
         assert result.biframing.framing == writhe(result.code)
-        crossings = result.decomp.crossings()
-        assert sum(c.sign for c in crossings) == result.biframing.framing
+        opens = [step for step in result.key[0] if step[0] == "open"]
+        assert sum(sign for _, sign, _ in opens) == result.biframing.framing
 
 
 def test_coframing_translation_invariant(trefoil):
@@ -433,70 +434,74 @@ def test_fixture_decompositions_read_their_codes_orientation():
         assert decomp.gauss_code() == expected, name
 
 
-def _accepted_projections(curve, seed, n):
+def _accepted_references(curve, seed, n):
+    """``(projection, decomposition)`` of ``reference_decomposition`` at each
+    accepted direction of ``n``."""
     for i in range(n):
         try:
-            yield project(curve, sample_direction(seed, i), TOL)
+            yield reference_decomposition(curve, sample_direction(seed, i), TOL)
         except DegenerateDirection:
             continue
 
 
-def test_decomposition_reads_back_the_code(trefoil):
-    walk = _walk(128, 4, False)
-    checked = 0
-    for curve in (trefoil, walk):
-        for proj in _accepted_projections(curve, 2, 12):
-            assert proj.decomp.gauss_code() == proj.code
-            checked += 1
-    assert checked >= 20
+@pytest.mark.parametrize(
+    "points, directions",
+    [(None, 40), (32, 40), (128, 16), (512, 4)],
+    ids=["trefoil", "walk32", "walk128", "walk512"],
+)
+def test_projected_key_is_the_reference_walk_key(trefoil, points, directions):
+    """On the trefoil (``points`` None) and on random walks, the key that
+    ``project`` returns is the walk key of the decomposition rebuilt from
+    its turn marks, which reads back the projection's code."""
+    from knotoidal.invariant import _walk_key
+
+    curve = trefoil if points is None else _walk(points, 4, False)
+    checked, turned, rhos = 0, 0, 0
+    for proj, decomp in _accepted_references(curve, 2, directions):
+        assert proj.key == _walk_key(decomp.walk())
+        assert decomp.gauss_code() == proj.code
+        checked += 1
+        turned += proj.key[2] != 0
+        rhos += any(proj.key[1])
+    # nonzero net rotations, so that a sign slip in rho or r would show
+    assert checked >= directions // 2 and turned and rhos
 
 
 # -- the trusted constructors -----------------------------------------------------
 
 @contextmanager
 def _trusted_builds():
-    """Record every code and decomposition built through ``_trusted=True``."""
-    built = []
-    originals = [(cls, cls.__init__) for cls in (OrientedGaussCode, RotDecomp)]
+    """Record every code built through ``_trusted=True``."""
+    built, init = [], OrientedGaussCode.__init__
 
-    def recording(init):
-        def __init__(self, *args, _trusted=False):
-            init(self, *args, _trusted=_trusted)
-            if _trusted:
-                built.append(self)
+    def __init__(self, *args, _trusted=False):
+        init(self, *args, _trusted=_trusted)
+        if _trusted:
+            built.append(self)
 
-        return __init__
-
-    for cls, init in originals:
-        cls.__init__ = recording(init)
+    OrientedGaussCode.__init__ = __init__
     try:
         yield built
     finally:
-        for cls, init in originals:
-            cls.__init__ = init
+        OrientedGaussCode.__init__ = init
 
 
-def _field_types(obj) -> tuple:
-    if isinstance(obj, OrientedGaussCode):
-        return (
-            type(obj.passes),
-            [(type(p), *map(type, p)) for p in obj.passes],
-            type(obj.signs),
-            [(type(c), type(sign)) for c, sign in obj.signs.items()],
-        )
-    return (type(obj.labels), type(obj.tokens), [type(tok) for tok in obj.tokens])
+def _field_types(code) -> tuple:
+    return (
+        type(code.passes),
+        [(type(p), *map(type, p)) for p in code.passes],
+        type(code.signs),
+        [(type(c), type(sign)) for c, sign in code.signs.items()],
+    )
 
 
 def _assert_rebuild_through_public_constructors(built) -> None:
-    """Each trusted object equals its rebuild by the checking constructor,
+    """Each trusted code equals its rebuild by the checking constructor,
     with the same hash and the same field types."""
-    for obj in built:
-        if isinstance(obj, OrientedGaussCode):
-            again = OrientedGaussCode(obj.passes, obj.signs)
-        else:
-            again = RotDecomp(obj.labels, obj.tokens)
-        assert again == obj and hash(again) == hash(obj), obj
-        assert _field_types(again) == _field_types(obj), obj
+    for code in built:
+        again = OrientedGaussCode(code.passes, code.signs)
+        assert again == code and hash(again) == hash(code), code
+        assert _field_types(again) == _field_types(code), code
 
 
 @pytest.mark.parametrize("points, directions", [(None, 300), (128, 24), (512, 6)])
@@ -505,12 +510,12 @@ def test_trusted_projections_pass_the_public_checks(trefoil, points, directions)
     curve = trefoil if points is None else _walk(points, 7, False)
     accepted = 0
     with _trusted_builds() as built:
-        for proj in _accepted_projections(curve, 5, directions):
-            assert proj.decomp.gauss_code() == proj.code
+        for proj, decomp in _accepted_references(curve, 5, directions):
+            assert decomp.gauss_code() == proj.code
             class_label(proj.code)
             accepted += 1
     assert accepted >= directions // 2
-    assert {type(obj) for obj in built} == {OrientedGaussCode, RotDecomp}
+    assert {type(obj) for obj in built} == {OrientedGaussCode}
     _assert_rebuild_through_public_constructors(built)
 
 
@@ -525,15 +530,19 @@ def test_trusted_simplification_passes_the_public_checks(code):
 
 def _projection_digest(curve, directions) -> str:
     """sha256 over each projection's code, decomposition and biframing, or
-    over its rejection reason."""
+    over its rejection reason.  The decomposition is the one ``project``
+    built before it returned a key, and the key must be its walk key."""
+    from knotoidal.invariant import _walk_key
+
     lines = []
     for direction in directions:
         try:
-            proj = project(curve, direction, TOL)
+            proj, decomp = reference_decomposition(curve, direction, TOL)
         except DegenerateDirection as exc:
             lines.append(f"rejected: {exc.reason}")
             continue
-        decomp = proj.decomp.render().replace("\n", "; ")
+        assert proj.key == _walk_key(decomp.walk())
+        decomp = decomp.render().replace("\n", "; ")
         framing = f"{proj.biframing.framing} {proj.biframing.coframing}"
         lines.append(f"{proj.code.render()} | {decomp} | {framing}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -726,7 +735,7 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     decomps = []
     for direction in directions:
         try:
-            decomps.append(project(trefoil, direction, TOL).decomp)
+            decomps.append(reference_decomposition(trefoil, direction, TOL)[1])
         except DegenerateDirection:
             pass
     # each (code, rho, r) key, reduced; each reduced key is evaluated once,
@@ -778,7 +787,7 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
 
     def means(decomps):
         # the biframing is never read, so the projected points can be empty
-        projections = iter([measure.ProjectionResult(code, d, ()) for d in decomps])
+        projections = iter([measure.ProjectionResult(code, invariant._walk_key(d.walk()), ()) for d in decomps])
         monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
         return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
 
@@ -798,30 +807,20 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     assert reduced(unreduced) == invariant._walk_key(unreduced.walk())
 
 
-def test_zmean_builds_no_decomposition_after_projecting(trefoil, monkeypatch):
-    # the projections are made first; zmean then reduces and evaluates
-    # (code, rho, r) keys, and constructs no RotDecomp of its own
-    from knotoidal import measure
-    from knotoidal.series import Caps
-
-    directions = sample_directions(0, 60)
-    projections = []
-    for direction in directions:
-        try:
-            projections.append(project(trefoil, direction, TOL))
-        except DegenerateDirection:
-            pass
+@pytest.mark.parametrize("phi", ["classes", "zmean"])
+def test_the_measure_path_builds_no_decomposition(trefoil, monkeypatch, phi):
+    # project returns each direction's (code, rho, r) key, which zmean
+    # reduces and evaluates; no RotDecomp is built on the way
     built, init = [], RotDecomp.__init__
 
     def counted(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    stubbed = iter(projections)
-    monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(stubbed))
     monkeypatch.setattr(RotDecomp, "__init__", counted)
-    mean = _estimate_with_directions(trefoil, projections, TOL, "zmean", Caps(1, 2))[2]
-    assert built == [] and mean["components"]
+    estimate = estimate_measure(trefoil, 60, phi=phi)
+    assert built == [] and estimate.accepted > 0
+    assert (estimate.invariant_mean is not None) == (phi == "zmean")
 
 
 @pytest.mark.parametrize("phi", ["classes", "zmean"])
@@ -995,9 +994,9 @@ def test_perturbed_stays_close(trefoil):
 # -- isotopy invariance of the extracted invariant --------------------------------
 
 def _axis_z_projection_value(curve, caps):
-    from knotoidal.invariant import evaluate_Z
+    from knotoidal.invariant import _evaluate_key
 
-    return evaluate_Z(project(curve, (0.0, 0.0, 1.0), TOL).decomp, caps).element
+    return _evaluate_key(project(curve, (0.0, 0.0, 1.0), TOL).key, caps)
 
 
 def test_extracted_invariant_under_in_plane_rotation(trefoil):
@@ -1017,7 +1016,7 @@ def test_extracted_invariant_under_in_plane_rotation(trefoil):
 
 
 def test_extracted_invariant_under_subdivision(trefoil):
-    from knotoidal.invariant import evaluate_Z
+    from knotoidal.invariant import _evaluate_key
     from knotoidal.series import Caps
 
     caps = Caps(1, 2)
@@ -1035,9 +1034,7 @@ def test_extracted_invariant_under_subdivision(trefoil):
         except DegenerateDirection:
             continue
         assert coarse_proj.code == fine_proj.code
-        assert evaluate_Z(coarse_proj.decomp, caps).element == evaluate_Z(
-            fine_proj.decomp, caps
-        ).element
+        assert _evaluate_key(coarse_proj.key, caps) == _evaluate_key(fine_proj.key, caps)
         checked += 1
     assert checked >= 5
 
@@ -1050,9 +1047,9 @@ def test_extracted_invariant_under_direction_wiggle(trefoil):
     wiggle = (1e-6, -2e-6, 1.0)
     norm = math.sqrt(sum(c * c for c in wiggle))
     direction = tuple(c / norm for c in wiggle)
-    from knotoidal.invariant import evaluate_Z
+    from knotoidal.invariant import _evaluate_key
 
-    value = evaluate_Z(project(trefoil, direction, TOL).decomp, caps).element
+    value = _evaluate_key(project(trefoil, direction, TOL).key, caps)
     assert value == base
 
 

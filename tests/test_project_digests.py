@@ -3,11 +3,14 @@ pinned by digest.
 
 ``golden/project_digests.json`` maps a case name to the sha256 of one line per
 direction: the code's render, the decomposition's render and the biframing,
-or the rejection reason.  The cases are the bundled trefoil at the eight
-direction seeds ``1000 * k`` of ``zmean_trefoil`` (500 directions each), and
-the eight 512-point walks of ``measure_walk512`` at their one direction.  Any
-change to the projection must leave every digest as it is.  To write the file
-afresh from the current program, run
+or the rejection reason.  The decomposition is the one ``project`` built
+before it returned a key, rebuilt by ``measure_reference``, and each accepted
+line also checks that the projected key is that decomposition's walk key.
+The cases are the bundled trefoil at the eight direction seeds ``1000 * k``
+of ``zmean_trefoil`` (500 directions each), and the eight 512-point walks of
+``measure_walk512`` at their one direction.  Any change to the projection
+must leave every digest as it is.  To write the file afresh from the current
+program, run
 ``PYTHONPATH=src python tests/test_project_digests.py``.
 """
 
@@ -17,7 +20,10 @@ import json
 from pathlib import Path
 
 from knotoidal.errors import DegenerateDirection
-from knotoidal.measure import builtin_curve_path, load_curve, project, sample_directions
+from knotoidal.invariant import _walk_key
+from knotoidal.measure import builtin_curve_path, load_curve, sample_directions
+
+from measure_reference import reference_decomposition
 
 DIGESTS = Path(__file__).parent / "golden" / "project_digests.json"
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -40,10 +46,11 @@ def _benchmark_random_walk():
 
 def _line(curve, direction) -> str:
     try:
-        proj = project(curve, direction, TOL)
+        proj, decomp = reference_decomposition(curve, direction, TOL)
     except DegenerateDirection as exc:
         return f"rejected: {exc.reason}"
-    decomp = proj.decomp.render().replace("\n", "; ")
+    assert proj.key == _walk_key(decomp.walk())
+    decomp = decomp.render().replace("\n", "; ")
     framing = f"{proj.biframing.framing} {proj.biframing.coframing}"
     return f"{proj.code.render()} | {decomp} | {framing}"
 

@@ -28,10 +28,11 @@ from knotoidal.algebra import DElement, DTensor, r_inverse, r_matrix, rotation_e
 from knotoidal.diagram import RotDecomp, insert_r2_pair, parse_decomposition
 from knotoidal.errors import DegenerateDirection
 from knotoidal.invariant import _evaluate_key, _reduce_key, _walk_key, evaluate_Z
-from knotoidal.measure import project, sample_direction
+from knotoidal.measure import sample_direction
 from knotoidal.series import Caps, _smul
 
 from decomp_strategies import small_decomposition_st
+from measure_reference import reference_decomposition
 from test_measure import _walk
 from test_z_digests import _trefoil_walks
 
@@ -216,7 +217,7 @@ def test_reducing_keeps_the_value_of_random_walk_projections(points):
     curve, kept, removed = _walk(points, 1, False), 0, 0
     for i in range(6):
         try:
-            d = project(curve, sample_direction(0, i), 1e-9).decomp
+            d = reference_decomposition(curve, sample_direction(0, i), 1e-9)[1]
         except DegenerateDirection:
             continue
         removed += _opens(d.walk()) - _opens(_assert_reduced_value(d)[0])

@@ -119,6 +119,10 @@ def test_dim1_monomial_formula():
     "make, error",
     [
         (lambda: RepData([], []), DimensionMismatch),
+        (lambda: RepData(1, 1), InvalidArgument),
+        (lambda: RepData([[None]], 5), InvalidArgument),
+        (lambda: RepData([[one()]], [one()]), InvalidArgument),
+        (lambda: RepData(None, [[one()]]), InvalidArgument),
         (lambda: RepData([[1]], [[1]]), InvalidArgument),
         (lambda: RepData([[one()]], [["1"]]), InvalidArgument),
         (lambda: RepData([[ScalarSeries.one(Caps(1, 2))]], [[one()]]), CapsMismatch),
@@ -151,7 +155,7 @@ def test_dim1_monomial_formula():
         ),
     ],
     ids=[
-        "dim-0", "int-entries", "str-in-h", "mixed-caps", "mixed-caps-in-h", "singular-h",
+        "dim-0", "int-matrices", "int-h", "series-row", "none-R", "int-entries", "str-in-h", "mixed-caps", "mixed-caps-in-h", "singular-h",
         "short-eta", "long-eps", "int-eta", "eps-other-caps",
     ],
 )

@@ -1,9 +1,9 @@
 """Only the pinned producers may skip validation.
 
-``diagram.OrientedGaussCode`` and ``diagram.RotDecomp`` take a private
-keyword-only ``_trusted=True`` that stores their fields without checks.
-Each producer below builds values that are valid by construction; a
-``_trusted=`` anywhere else in ``src/knotoidal``, or one that is not the
+``diagram.OrientedGaussCode`` takes a private keyword-only ``_trusted=True``
+that stores its fields without checks; every ``diagram.RotDecomp`` is
+checked.  Each producer below builds codes that are valid by construction;
+a ``_trusted=`` anywhere else in ``src/knotoidal``, or one that is not the
 literal ``True``, fails here, and so does a constructor that takes
 ``_trusted`` positionally, where a stray third argument would skip every
 check.  The exact layer has no such keyword: every ``DElement`` and
@@ -24,7 +24,6 @@ PRODUCERS = {
 
 CONSTRUCTORS = {
     "diagram.OrientedGaussCode.__init__",
-    "diagram.RotDecomp.__init__",
 }
 
 

@@ -6,8 +6,9 @@ fixtures and their reversals at caps (0,0), (1,0), (2,0), (3,2), (2,4), (0,6)
 and (1,5), the 40-crossing chain of ``5_7`` at (1,4), and the 126 distinct
 strand walks of the bundled trefoil at direction seed 0 (500 directions, the
 first decomposition of each walk, in first-seen order) at (1,2) and (2,3),
-where rotations are a third of the steps.  Any change to the
-walk must leave every digest as it is.  To write the file afresh from the
+where rotations are a third of the steps.  Those decompositions are the ones
+``project`` built before it returned a key, rebuilt by ``measure_reference``.
+Any change to the walk must leave every digest as it is.  To write the file afresh from the
 current program, run ``PYTHONPATH=src python tests/test_z_digests.py``.
 """
 
@@ -18,8 +19,10 @@ from pathlib import Path
 from knotoidal.diagram import chain_decompositions, fixtures, reverse_decomposition
 from knotoidal.errors import DegenerateDirection
 from knotoidal.invariant import _walk_key, evaluate_Z
-from knotoidal.measure import builtin_curve_path, load_curve, project, sample_directions
+from knotoidal.measure import builtin_curve_path, load_curve, sample_directions
 from knotoidal.series import Caps
+
+from measure_reference import reference_decomposition
 
 DIGESTS = Path(__file__).parent / "golden" / "z_digests.json"
 
@@ -32,16 +35,24 @@ TREFOIL_TOL = 1e-9
 TREFOIL_CAPS = [(1, 2), (2, 3)]
 
 
+def _trefoil_projections():
+    """``(projection, decomposition)`` of each accepted direction of the
+    bundled trefoil."""
+    curve = load_curve(builtin_curve_path("open_trefoil"))
+    out = []
+    for direction in sample_directions(TREFOIL_SEED, TREFOIL_DIRECTIONS):
+        try:
+            out.append(reference_decomposition(curve, direction, TREFOIL_TOL))
+        except DegenerateDirection:
+            continue
+    return out
+
+
 def _trefoil_walks():
     """The first decomposition of each distinct strand walk of the bundled
     trefoil, in first-seen order."""
-    curve = load_curve(builtin_curve_path("open_trefoil"))
     walks = {}
-    for direction in sample_directions(TREFOIL_SEED, TREFOIL_DIRECTIONS):
-        try:
-            decomp = project(curve, direction, TREFOIL_TOL).decomp
-        except DegenerateDirection:
-            continue
+    for _, decomp in _trefoil_projections():
         walks.setdefault(decomp.walk(), decomp)
     return list(walks.values())
 
@@ -80,11 +91,12 @@ def test_values_match_the_pinned_digests():
 
 def test_trefoil_walks_with_one_key_have_one_value():
     # zmean evaluates one walk per (code, rho, r) key of invariant._walk_key;
-    # here 126 walks fall to 90 keys
+    # here 126 walks fall to 90 keys, which are the keys project returns
     by_key: dict = {}
     for d in _trefoil_walks():
         by_key.setdefault(_walk_key(d.walk()), []).append(d)
     assert (len(by_key), sum(map(len, by_key.values()))) == (90, 126)
+    assert list(by_key) == list(dict.fromkeys(proj.key for proj, _ in _trefoil_projections()))
     for eps, hbar in TREFOIL_CAPS:
         for first, *rest in by_key.values():
             value = evaluate_Z(first, Caps(eps, hbar)).element
