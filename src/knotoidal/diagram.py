@@ -4,7 +4,8 @@ An :class:`OrientedGaussCode` records the passes of a knotoid diagram from leg
 to head together with crossing signs.  A :class:`RotDecomp` presents a diagram
 as crossings with both strands upward plus whole-turn rotation tokens, with
 strand segments labeled 1..L in walk order; it is the input format of the
-invariant evaluator.
+invariant evaluator.  :func:`walk_key` builds, from marked passes, every
+``(code, rho, r)`` key, through which every evaluation reads a diagram.
 
 Both structures are immutable after construction.  Their constructors
 check every input: pass roles, crossing and sign sets, label ranges and
@@ -179,6 +180,29 @@ def reverse_code(code: OrientedGaussCode) -> OrientedGaussCode:
 # ---------------------------------------------------------------------------
 # rotational tangle decompositions
 
+def walk_key(passes, r: int) -> tuple:
+    """The ``(code, rho, r)`` key of a strand walk of net rotation ``r``.
+
+    ``passes`` are ``(crossing, sign, over, mark)`` in strand order, each
+    crossing a hashable id passed twice.  Its first pass is the step
+    ``("open", sign, over)``, its second ``("close", slot)``, with ``slot``
+    its position among the pending crossings in opening order; its rho,
+    listed in closing order, is its second pass's mark less its first's.
+    """
+    skeleton, rhos, first, pending = [], [], {}, []
+    for crossing, sign, over, mark in passes:
+        if crossing in first:
+            slot = pending.index(crossing)
+            del pending[slot]
+            skeleton.append(("close", slot))
+            rhos.append(mark - first[crossing])
+        else:
+            first[crossing] = mark
+            pending.append(crossing)
+            skeleton.append(("open", sign, over))
+    return tuple(skeleton), tuple(rhos), r
+
+
 @dataclass(frozen=True)
 class Crossing:
     sign: int
@@ -250,50 +274,54 @@ class RotDecomp:
     def writhe(self) -> int:
         return sum(t.sign for t in self.crossings())
 
+    def _passes(self) -> list[tuple]:
+        """``(label, token)`` for each label that carries a token, ascending."""
+        at = {}
+        for tok in self.tokens:
+            if isinstance(tok, Crossing):
+                at[tok.over] = at[tok.under] = tok
+            else:
+                at[tok.label] = tok
+        return sorted(at.items())
+
     def gauss_code(self) -> OrientedGaussCode:
         """The crossings read in ascending label order, numbered by first
         appearance."""
-        at_label = {}
-        for tok in self.crossings():
-            at_label[tok.over] = (tok, "over")
-            at_label[tok.under] = (tok, "under")
-        ids = {}
-        passes = []
-        for label in sorted(at_label):
-            tok, role = at_label[label]
-            passes.append((ids.setdefault(tok, len(ids) + 1), role))
-        return OrientedGaussCode(passes, {ids[tok]: tok.sign for tok in self.crossings()})
+        ids = {tok: n for n, tok in enumerate(self.crossings(), 1)}
+        passes = [
+            (ids[tok], "over" if label == tok.over else "under")
+            for label, tok in self._passes()
+            if tok in ids
+        ]
+        return OrientedGaussCode(passes, {n: tok.sign for tok, n in ids.items()}).relabeled()
+
+    def key(self) -> tuple:
+        """The :func:`walk_key` of the crossings' passes in ascending label
+        order, each marked with the net rotation of the labels before it;
+        r is the net rotation of all of them."""
+        passes, r = [], 0
+        for label, tok in self._passes():
+            if isinstance(tok, Crossing):
+                passes.append((tok, tok.sign, label == tok.over, r))
+            else:
+                r += tok.sign
+        return walk_key(passes, r)
 
     def walk(self) -> tuple[tuple, ...]:
         """The strand walk: one step per label that carries a token, ascending.
 
-        A step is ``("rot", sign)``, ``("open", sign, over_first)`` or
-        ``("close", slot)``.  A crossing opens at the lower of its two labels,
-        where ``over_first`` says whether that is its over-segment, and closes
-        at the higher one.  Every walk state at a given label has the same
-        crossings pending, in the order they opened, so a state keeps its
-        pending data as a plain tuple in that order and ``slot`` is the
-        position of the closing crossing in it.
+        It is the skeleton of :meth:`key` with ``("rot", sign)`` at each
+        rotation label.  A crossing opens at the lower of its two labels
+        and closes at the higher one.  Every walk state at a given label has
+        the same crossings pending, in the order they opened, so a state
+        keeps its pending data as a plain tuple in that order and a close's
+        ``slot`` is the position of the closing crossing in it.
         """
-        at: dict[int, tuple] = {}
-        for tok in self.tokens:
-            if isinstance(tok, Crossing):
-                first, second = sorted((tok.over, tok.under))
-                at[first] = ("open", tok.sign, tok.over < tok.under)
-                at[second] = ("close", first)
-            else:
-                at[tok.label] = ("rot", tok.sign)
-        steps, pending = [], []
-        for label in sorted(at):
-            step = at[label]
-            if step[0] == "open":
-                pending.append(label)
-            elif step[0] == "close":
-                slot = pending.index(step[1])
-                del pending[slot]
-                step = ("close", slot)
-            steps.append(step)
-        return tuple(steps)
+        skeleton = iter(self.key()[0])
+        return tuple(
+            next(skeleton) if isinstance(tok, Crossing) else ("rot", tok.sign)
+            for _, tok in self._passes()
+        )
 
     def render(self) -> str:
         lines = [f"labels {self.labels}"]

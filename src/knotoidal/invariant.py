@@ -5,10 +5,10 @@ its labeled segments in ascending order, every crossing deposits the two
 tensor factors of the (inverse) quasitriangular structure on its over- and
 under-segment, and the deposits are multiplied together in walk order, each
 new one on the left of the running product.  :func:`evaluate_Z` reads a
-decomposition only through :func:`_walk_key` of :meth:`RotDecomp.walk`: its
-skeleton of open and close steps, each crossing's net rotation rho between
-its two labels, and the net rotation r of the walk; :func:`_evaluate_key`
-walks that key.  A crossing's second factor waits, as a monomial in a tuple
+decomposition only through its key :meth:`RotDecomp.key`: its skeleton of
+open and close steps, each crossing's net rotation rho between its two
+labels, and the net rotation r of the walk; :func:`_evaluate_key` walks that
+key.  A crossing's second factor waits, as a monomial in a tuple
 kept in opening order, from its open to its close.  A rotation deposits
 nothing where it stands: with w the y minus the x exponent, ``rot_s * M =
 q**(-s*w(M)) * M * rot_s``, and R and R^-1 have w(over) + w(under) = 0, so
@@ -92,7 +92,7 @@ from .algebra import (
     r_matrix,
     rotation_element,
 )
-from .diagram import RotDecomp
+from .diagram import RotDecomp, walk_key
 from .errors import CapsTooCostly, DegreeOutOfRange, InvalidArgument
 from .series import Caps, _smul, require_same_caps
 
@@ -311,7 +311,7 @@ class _WalkTables:
     its scalar folded in, tagged by the index of its waiting factor in
     ``pending``; no part has tag 0, the unit's, whose child the walk takes
     by reference.  There is no rotation deposit in the walk:
-    :func:`evaluate_Z` reads a decomposition only through :func:`_walk_key`,
+    :func:`evaluate_Z` reads a decomposition only through its key,
     twists each crossing once by ``q**(w(P) * rho)``, and deposits a whole
     rotation element on the final state alone.
     """
@@ -447,31 +447,8 @@ def _twist_plan(skeleton: tuple, rhos: tuple) -> dict[int, list]:
     return plan
 
 
-def _walk_key(walk: tuple) -> tuple:
-    """``(skeleton, rhos, r)``: :func:`evaluate_Z` reads a decomposition
-    only through this key.
-
-    The skeleton is the walk's open and close steps, which is the relabeled
-    Gauss code; ``rhos`` holds each crossing's net rotation rho between its
-    two labels, in the order the crossings close; ``r`` is the walk's net
-    rotation.  So walks with one key have one element at every caps; only
-    the fingerprint, which hashes the decomposition, tells them apart.
-    """
-    skeleton, rhos, opened, r = [], [], [], 0
-    for step in walk:
-        if step[0] == "rot":
-            r += step[1]
-            continue
-        skeleton.append(step)
-        if step[0] == "open":
-            opened.append(r)
-        else:
-            rhos.append(r - opened.pop(step[1]))
-    return tuple(skeleton), tuple(rhos), r
-
-
 def _reduce_key(key: tuple) -> tuple:
-    """A :func:`_walk_key` key with fewer crossings and the same element.
+    """A ``(code, rho, r)`` key with fewer crossings and the same element.
 
     Write ``rho*(s, f) = -s if f else s`` for a crossing of sign s whose
     first pass is its over-pass iff f: the net rotation of a planar curl.
@@ -535,23 +512,15 @@ def _reduce_key(key: tuple) -> tuple:
             break
         for k in drop:
             del passes[k]
+    # re-encoded with mark 0 at each open and rho at each close, curls first
     sign = 1 if curls > 0 else -1
-    skeleton = [("open", sign, True), ("close", 0)] * abs(curls)
-    rhos, pending = [-sign] * abs(curls), []
-    for c, opens in passes:
-        if opens:
-            pending.append(c)
-            skeleton.append(("open", *kinds[c]))
-        else:
-            slot = pending.index(c)
-            del pending[slot]
-            skeleton.append(("close", slot))
-            rhos.append(rho[c])
-    return tuple(skeleton), tuple(rhos), r - curls
+    marked = [(-n, sign, True, mark) for n in range(1, abs(curls) + 1) for mark in (0, -sign)]
+    marked += [(c, *kinds[c], 0 if opens else rho[c]) for c, opens in passes]
+    return walk_key(marked, r - curls)
 
 
 def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
-    """Universal invariant of the decomposition at the given caps.
+    """Universal invariant of the decomposition's key at the given caps.
 
     Raises :class:`InvalidArgument` for caps that are not a :class:`Caps`
     or a decomposition that is not a :class:`RotDecomp`, and
@@ -562,12 +531,12 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
     for arg, kind in ((caps, Caps), (d, RotDecomp)):
         if not isinstance(arg, kind):
             raise InvalidArgument(f"evaluate_Z needs a {kind.__name__}, got {arg!r}")
-    element = _evaluate_key(_walk_key(d.walk()), caps)
+    element = _evaluate_key(d.key(), caps)
     return InvariantValue(element, _decomposition_fingerprint(d, caps))
 
 
 def _evaluate_key(key: tuple, caps: Caps) -> DElement:
-    """The element of every walk whose :func:`_walk_key` is ``key``."""
+    """The element of every walk whose ``(code, rho, r)`` key is ``key``."""
     skeleton, rhos, rotation = key
     tables = _walk_tables(caps)
     # state: ids of the pending monomials, in the order their crossings

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
-from .diagram import Biframing, OrientedGaussCode, writhe
+from .diagram import Biframing, OrientedGaussCode, walk_key, writhe
 from .errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
@@ -64,6 +64,8 @@ class OpenCurve3D:
     points: tuple[Vec3, ...]
 
     def __post_init__(self):
+        if not isinstance(self.points, (tuple, list)):
+            raise InvalidArgument(f"curve points must be a tuple or a list, got {self.points!r}")
         if len(self.points) < 2:
             raise TooFewPoints("a curve needs at least two points")
         for index, p in enumerate(self.points):
@@ -154,8 +156,8 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A projection's Gauss code, its ``(code, rho, r)`` key in the form of
-    ``invariant._walk_key``, and its projected points, from which
+    """A projection's Gauss code, its ``(code, rho, r)`` key built by
+    :func:`knotoidal.diagram.walk_key`, and its projected points, from which
     :attr:`biframing` is computed on first access."""
 
     code: OrientedGaussCode
@@ -401,37 +403,31 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     # that a rounding flip only ever happens for a crossing as a whole (a
     # full-crossing rotation) or for both endpoints together (a matched pair
     # of endpoint twists).  Both are invariances of the evaluated invariant;
-    # independent per-pass rounding would not be.  A crossing's rho is its
-    # second pass's mark less its first's, and r is the head's mark less the
-    # leg's.
+    # independent per-pass rounding would not be.  ``walk_key`` takes a
+    # crossing's rho as its second pass's mark less its first's; r is the
+    # head's mark less the leg's.
     leg_mark = snap(lifted[0], 0.5 * math.pi)
     leg_residual = lifted[0] - 2.0 * math.pi * leg_mark
     ids = [0] * len(crossings)  # crossing ids in order of first traversal
-    first_mark = [0] * len(crossings)
     residual = [0.0] * len(crossings)
-    pending = []  # the crossings opened and not yet closed, in opening order
-    passes, signs, skeleton, rhos = [], {}, [], []
+    passes, signs, marked = [], {}, []
     for seg, _par, k in events:
         i, _, _, _, over_first, sign, _ = crossings[k]
         over = (seg == i) == over_first
         if not ids[k]:
             ids[k] = len(signs) + 1
             signs[ids[k]] = sign
-            first_mark[k] = snap(lifted[seg], 0.5 * math.pi)
-            residual[k] = lifted[seg] - 2.0 * math.pi * first_mark[k]
-            pending.append(k)
-            skeleton.append(("open", sign, over))
+            mark = snap(lifted[seg], 0.5 * math.pi)
+            residual[k] = lifted[seg] - 2.0 * math.pi * mark
         else:
-            rhos.append(snap(lifted[seg], residual[k]) - first_mark[k])
-            slot = pending.index(k)
-            del pending[slot]
-            skeleton.append(("close", slot))
+            mark = snap(lifted[seg], residual[k])
+        marked.append((k, sign, over, mark))
         passes.append((ids[k], "over" if over else "under"))
     r = snap(lifted[-1], leg_residual) - leg_mark
     # valid by construction: each crossing passes once over and once under
     # with a sign of +-1
     code = OrientedGaussCode(passes, signs, _trusted=True)
-    return ProjectionResult(code, (tuple(skeleton), tuple(rhos), r), tuple(pts2))
+    return ProjectionResult(code, walk_key(marked, r), tuple(pts2))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ ring: the braiding matrix ``R`` of a positive crossing and the rotation weight
 the rest.  The state sum over index assignments is evaluated by sequential
 tensor contraction along the strand, so the cost is polynomial in the number
 of segments for a fixed dimension; the full state space is never
-materialized.  The walk is the one of :meth:`RotDecomp.walk`, which
-:func:`knotoidal.invariant.evaluate_Z` also follows: an open crossing waits
-as an ``(enter, exit)`` index pair in a tuple kept in opening order.
+materialized.  The walk is :meth:`RotDecomp.walk`, the skeleton of the key
+that :func:`knotoidal.invariant.evaluate_Z` reads plus the rotation steps: an
+open crossing waits as an ``(enter, exit)`` pair in a tuple in opening order.
 
 The state sum carries integer amplitudes over one common denominator per
 call.  The two endpoint vectors, and the weights of each step kind the walk

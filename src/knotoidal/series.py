@@ -12,6 +12,7 @@ with the noncommutative layer in :mod:`knotoidal.algebra`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat
@@ -62,7 +63,10 @@ def _ascii_number(text: str, kind: type = int):
 
 def _read_text(path) -> str:
     """The text of a file for the text loaders, which must be UTF-8; other
-    bytes raise :class:`ParseError` naming the file."""
+    bytes raise :class:`ParseError` naming the file.  A path that is not a
+    str, bytes or path-like, such as a file descriptor, is refused."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidArgument(f"a file path must be a str, bytes or path-like, got {path!r}")
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()

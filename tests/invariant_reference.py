@@ -7,6 +7,13 @@ product.  The rewriting and the inverse quasitriangular structure come from
 the ``Fraction`` oracle of ``tests/algebra_reference.py``, not from the
 package's integer tables.  The property tests require the integer-scaled
 walk to produce exactly what this produces.
+
+:func:`reference_walk` and :func:`reference_walk_key` are the original
+encoders of the strand walk and of its ``(code, rho, r)`` key, each with its
+own pending list; the tests require ``RotDecomp.walk``, ``RotDecomp.key``
+and every key that ``knotoidal.diagram.walk_key`` builds to match them.
+:func:`marked_passes` decodes a key into passes that ``walk_key`` must read
+back into it.
 """
 
 from __future__ import annotations
@@ -117,3 +124,64 @@ def reference_evaluate(d: RotDecomp, caps: Caps) -> DElement:
     if leftover:
         raise InvalidDecomposition("crossing opened but never closed")
     return DElement(caps, states.get((), {}))
+
+
+def reference_walk(d: RotDecomp) -> tuple[tuple, ...]:
+    """One step per label that carries a token, ascending: ``("rot", sign)``,
+    ``("open", sign, over_first)`` at a crossing's lower label, or
+    ``("close", slot)`` at its higher one, with ``slot`` the position of the
+    closing crossing among the pending ones in opening order."""
+    at: dict[int, tuple] = {}
+    for tok in d.tokens:
+        if isinstance(tok, Crossing):
+            first, second = sorted((tok.over, tok.under))
+            at[first] = ("open", tok.sign, tok.over < tok.under)
+            at[second] = ("close", first)
+        else:
+            at[tok.label] = ("rot", tok.sign)
+    steps, pending = [], []
+    for label in sorted(at):
+        step = at[label]
+        if step[0] == "open":
+            pending.append(label)
+        elif step[0] == "close":
+            slot = pending.index(step[1])
+            del pending[slot]
+            step = ("close", slot)
+        steps.append(step)
+    return tuple(steps)
+
+
+def reference_walk_key(walk: tuple) -> tuple:
+    """``(skeleton, rhos, r)`` of a walk: its open and close steps, each
+    crossing's net rotation rho between its two labels in the order the
+    crossings close, and the walk's net rotation r."""
+    skeleton, rhos, opened, r = [], [], [], 0
+    for step in walk:
+        if step[0] == "rot":
+            r += step[1]
+            continue
+        skeleton.append(step)
+        if step[0] == "open":
+            opened.append(r)
+        else:
+            rhos.append(r - opened.pop(step[1]))
+    return tuple(skeleton), tuple(rhos), r
+
+
+def marked_passes(key: tuple) -> list[tuple]:
+    """The passes of a ``(code, rho, r)`` key as ``(crossing, sign, over,
+    mark)``, crossings numbered in opening order, marked 0 at each
+    crossing's first pass and its rho at its second: ``walk_key`` must read
+    them back into the key."""
+    skeleton, rhos, _ = key
+    passes, kinds, pending, closes = [], [], [], iter(rhos)
+    for step in skeleton:
+        if step[0] == "open":
+            pending.append(len(kinds))
+            kinds.append(step[1:])
+            passes.append((pending[-1], *step[1:], 0))
+        else:
+            c = pending.pop(step[1])
+            passes.append((c, *kinds[c], next(closes)))
+    return passes

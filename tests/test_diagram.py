@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotoidal.diagram import (
     Crossing,
@@ -17,6 +21,7 @@ from knotoidal.diagram import (
     reverse_code,
     reverse_decomposition,
     table_rows,
+    walk_key,
     writhe,
 )
 from knotoidal.errors import (
@@ -29,7 +34,10 @@ from knotoidal.errors import (
     UnknownFixture,
 )
 
-from decomp_strategies import small_decomposition_st
+from decomp_strategies import rotations_inside_crossings_st, small_decomposition_st
+from invariant_reference import marked_passes, reference_walk, reference_walk_key
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "knotoidal"
 
 ROW_5_7 = "-1 -2 3 4 -3 2 -5 1 5 -4 - - - + +"
 ROW_5_12 = "-1 2 -3 1 4 -5 -2 3 -4 5 - - - - -"
@@ -372,6 +380,52 @@ def test_walk_replays_the_tokens(d):
         else:
             assert step[0] == "close" and pending.pop(step[1]) is tok
     assert not pending
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_decomposition_st(max_slots=12), rotations_inside_crossings_st()))
+def test_walk_and_key_match_the_reference_encoders(d):
+    assert d.walk() == reference_walk(d)
+    assert d.key() == reference_walk_key(reference_walk(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_decomposition_st(max_slots=12), rotations_inside_crossings_st()))
+def test_walk_key_reads_back_a_key_marked_zero_and_rho(d):
+    # marks 0 at each crossing's first pass and rho at its second give back
+    # the key, whatever the marks were that made it
+    key = d.key()
+    assert walk_key(marked_passes(key), key[2]) == key
+
+
+def test_walk_key_of_the_worked_example():
+    # crossing "b" opens second and closes first, from slot 1 of 2; rho is
+    # the close's mark less the open's, in closing order
+    passes = [("a", 1, True, 5), ("b", -1, False, 2), ("b", 1, True, 3), ("a", -1, False, 4)]
+    assert walk_key(passes, 7) == (
+        (("open", 1, True), ("open", -1, False), ("close", 1), ("close", 0)),
+        (1, -1),
+        7,
+    )
+
+
+def test_only_walk_key_builds_open_and_close_steps():
+    # a tuple display that starts with "open" or "close" is a key step; one
+    # built anywhere but diagram.walk_key would be a second encoder
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text()))]
+        while stack:
+            scope, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                elts = child.elts if isinstance(child, ast.Tuple) else []
+                if elts and isinstance(elts[0], ast.Constant) and elts[0].value in ("open", "close"):
+                    builders.add(inner)
+                stack.append((inner, child))
+    assert builders == {"diagram.walk_key"}
 
 
 @settings(max_examples=60, deadline=None)

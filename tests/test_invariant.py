@@ -46,7 +46,7 @@ from knotoidal.series import Caps, _sadd_into, _smul
 
 from algebra_reference import reference_context
 from decomp_strategies import rotations_inside_crossings_st, small_decomposition_st
-from invariant_reference import reference_evaluate
+from invariant_reference import reference_evaluate, reference_walk, reference_walk_key
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -358,7 +358,7 @@ def test_twists_lie_in_their_spans_with_no_more_crossings_pending(d):
 
 
 def _key(d):
-    return invariant._walk_key(d.walk())
+    return reference_walk_key(reference_walk(d))
 
 
 def _replaced_rotations(d, label: int) -> list:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,6 +17,7 @@ from knotoidal.diagram import (
     fixtures,
     parse_gauss_code,
     reverse_code,
+    walk_key,
     writhe,
 )
 from knotoidal.errors import (
@@ -47,6 +49,7 @@ from knotoidal.measure import (
     sample_directions,
     simplify_gauss,
 )
+from invariant_reference import marked_passes, reference_walk, reference_walk_key
 from measure_reference import (
     all_pairs_triple_points,
     perturbed,
@@ -453,18 +456,33 @@ def test_projected_key_is_the_reference_walk_key(trefoil, points, directions):
     """On the trefoil (``points`` None) and on random walks, the key that
     ``project`` returns is the walk key of the decomposition rebuilt from
     its turn marks, which reads back the projection's code."""
-    from knotoidal.invariant import _walk_key
-
     curve = trefoil if points is None else _walk(points, 4, False)
     checked, turned, rhos = 0, 0, 0
     for proj, decomp in _accepted_references(curve, 2, directions):
-        assert proj.key == _walk_key(decomp.walk())
+        assert proj.key == reference_walk_key(reference_walk(decomp))
         assert decomp.gauss_code() == proj.code
         checked += 1
         turned += proj.key[2] != 0
         rhos += any(proj.key[1])
     # nonzero net rotations, so that a sign slip in rho or r would show
     assert checked >= directions // 2 and turned and rhos
+
+
+@pytest.mark.parametrize("points", [None, 32, 128], ids=["trefoil", "walk32", "walk128"])
+def test_walk_key_reads_back_projected_keys_marked_zero_and_rho(trefoil, points):
+    """Each projected key, decoded into passes marked 0 at each crossing's
+    first pass and rho at its second, is what ``walk_key`` makes of them."""
+    curve = trefoil if points is None else _walk(points, 1, False)
+    checked, rhos = 0, 0
+    for i in range(40):
+        try:
+            key = project(curve, sample_direction(0, i), TOL).key
+        except DegenerateDirection:
+            continue
+        assert walk_key(marked_passes(key), key[2]) == key
+        checked += 1
+        rhos += any(key[1])
+    assert checked >= 20 and rhos
 
 
 # -- the trusted constructors -----------------------------------------------------
@@ -532,8 +550,6 @@ def _projection_digest(curve, directions) -> str:
     """sha256 over each projection's code, decomposition and biframing, or
     over its rejection reason.  The decomposition is the one ``project``
     built before it returned a key, and the key must be its walk key."""
-    from knotoidal.invariant import _walk_key
-
     lines = []
     for direction in directions:
         try:
@@ -541,7 +557,7 @@ def _projection_digest(curve, directions) -> str:
         except DegenerateDirection as exc:
             lines.append(f"rejected: {exc.reason}")
             continue
-        assert proj.key == _walk_key(decomp.walk())
+        assert proj.key == reference_walk_key(reference_walk(decomp))
         decomp = decomp.render().replace("\n", "; ")
         framing = f"{proj.biframing.framing} {proj.biframing.coframing}"
         lines.append(f"{proj.code.render()} | {decomp} | {framing}")
@@ -741,7 +757,7 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     # each (code, rho, r) key, reduced; each reduced key is evaluated once,
     # in first-seen order.  91 decompositions here have 88 walks, 66 keys
     # and 40 reduced keys
-    distinct = dict.fromkeys(invariant._walk_key(d.walk()) for d in decomps)
+    distinct = dict.fromkeys(reference_walk_key(reference_walk(d)) for d in decomps)
     reduced = dict.fromkeys(invariant._reduce_key(key) for key in distinct)
     assert calls == list(reduced)
     walks = {d.walk() for d in decomps}
@@ -777,8 +793,8 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     unreduced = RotDecomp(8, [*first.tokens, Crossing(1, 5, 7), Rotation(1, 6)])
     assert first != second and first.walk() == second.walk()
     assert first.walk() != third.walk()
-    assert invariant._walk_key(first.walk()) == invariant._walk_key(third.walk())
-    assert invariant._walk_key(curl_inside.walk()) != invariant._walk_key(curl_at_end.walk())
+    assert reference_walk_key(first.walk()) == reference_walk_key(third.walk())
+    assert reference_walk_key(curl_inside.walk()) != reference_walk_key(curl_at_end.walk())
     evaluate, calls = invariant._evaluate_key, []
 
     def counted(key, caps):
@@ -787,12 +803,12 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
 
     def means(decomps):
         # the biframing is never read, so the projected points can be empty
-        projections = iter([measure.ProjectionResult(code, invariant._walk_key(d.walk()), ()) for d in decomps])
+        projections = iter([measure.ProjectionResult(code, reference_walk_key(d.walk()), ()) for d in decomps])
         monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
         return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
 
     def reduced(d):
-        return invariant._reduce_key(invariant._walk_key(d.walk()))
+        return invariant._reduce_key(reference_walk_key(d.walk()))
 
     monkeypatch.setattr(invariant, "_evaluate_key", counted)
     assert means([first, second, third, first]) == means([first] * 4)
@@ -804,7 +820,7 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     del calls[:]
     assert means([curl_inside, unreduced]) != means([curl_inside] * 2)
     assert calls == [reduced(curl_inside), reduced(unreduced), reduced(curl_inside)]
-    assert reduced(unreduced) == invariant._walk_key(unreduced.walk())
+    assert reduced(unreduced) == reference_walk_key(unreduced.walk())
 
 
 @pytest.mark.parametrize("phi", ["classes", "zmean"])
@@ -898,6 +914,12 @@ def test_estimate_validation(trefoil):
         # a bool is an int, and True would read as tol 1.0
         lambda curve: estimate_measure(curve, 5, tol=True),
         lambda curve: project(curve, (0.0, 0.0, 1.0), True),
+        # an int path would be read, and then closed, as a file descriptor
+        lambda curve: load_curve(0),
+        lambda curve: load_curve(True),
+        lambda curve: load_curve(None),
+        lambda curve: OpenCurve3D(5),
+        lambda curve: OpenCurve3D(None),
     ],
     ids=[
         "no-samples",
@@ -932,11 +954,26 @@ def test_estimate_validation(trefoil):
         "str-tol",
         "bool-tol",
         "project-bool-tol",
+        "fd-path",
+        "bool-path",
+        "none-path",
+        "int-points",
+        "none-points",
     ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):
     with pytest.raises(InvalidArgument):
         call(trefoil)
+
+
+def test_load_curve_leaves_a_file_descriptor_open():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    try:
+        with pytest.raises(InvalidArgument):
+            load_curve(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
 
 
 def test_largest_seed_is_accepted(trefoil):

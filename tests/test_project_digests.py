@@ -20,9 +20,9 @@ import json
 from pathlib import Path
 
 from knotoidal.errors import DegenerateDirection
-from knotoidal.invariant import _walk_key
 from knotoidal.measure import builtin_curve_path, load_curve, sample_directions
 
+from invariant_reference import reference_walk, reference_walk_key
 from measure_reference import reference_decomposition
 
 DIGESTS = Path(__file__).parent / "golden" / "project_digests.json"
@@ -49,7 +49,7 @@ def _line(curve, direction) -> str:
         proj, decomp = reference_decomposition(curve, direction, TOL)
     except DegenerateDirection as exc:
         return f"rejected: {exc.reason}"
-    assert proj.key == _walk_key(decomp.walk())
+    assert proj.key == reference_walk_key(reference_walk(decomp))
     decomp = decomp.render().replace("\n", "; ")
     framing = f"{proj.biframing.framing} {proj.biframing.coframing}"
     return f"{proj.code.render()} | {decomp} | {framing}"

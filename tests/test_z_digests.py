@@ -18,10 +18,11 @@ from pathlib import Path
 
 from knotoidal.diagram import chain_decompositions, fixtures, reverse_decomposition
 from knotoidal.errors import DegenerateDirection
-from knotoidal.invariant import _walk_key, evaluate_Z
+from knotoidal.invariant import evaluate_Z
 from knotoidal.measure import builtin_curve_path, load_curve, sample_directions
 from knotoidal.series import Caps
 
+from invariant_reference import reference_walk, reference_walk_key
 from measure_reference import reference_decomposition
 
 DIGESTS = Path(__file__).parent / "golden" / "z_digests.json"
@@ -90,11 +91,11 @@ def test_values_match_the_pinned_digests():
 
 
 def test_trefoil_walks_with_one_key_have_one_value():
-    # zmean evaluates one walk per (code, rho, r) key of invariant._walk_key;
+    # zmean evaluates one walk per (code, rho, r) key;
     # here 126 walks fall to 90 keys, which are the keys project returns
     by_key: dict = {}
     for d in _trefoil_walks():
-        by_key.setdefault(_walk_key(d.walk()), []).append(d)
+        by_key.setdefault(reference_walk_key(reference_walk(d)), []).append(d)
     assert (len(by_key), sum(map(len, by_key.values()))) == (90, 126)
     assert list(by_key) == list(dict.fromkeys(proj.key for proj, _ in _trefoil_projections()))
     for eps, hbar in TREFOIL_CAPS:
