@@ -274,7 +274,7 @@ class RotDecomp:
     def writhe(self) -> int:
         return sum(t.sign for t in self.crossings())
 
-    def _passes(self) -> list[tuple]:
+    def _by_label(self) -> list[tuple]:
         """``(label, token)`` for each label that carries a token, ascending."""
         at = {}
         for tok in self.tokens:
@@ -290,7 +290,7 @@ class RotDecomp:
         ids = {tok: n for n, tok in enumerate(self.crossings(), 1)}
         passes = [
             (ids[tok], "over" if label == tok.over else "under")
-            for label, tok in self._passes()
+            for label, tok in self._by_label()
             if tok in ids
         ]
         return OrientedGaussCode(passes, {n: tok.sign for tok, n in ids.items()}).relabeled()
@@ -300,7 +300,7 @@ class RotDecomp:
         order, each marked with the net rotation of the labels before it;
         r is the net rotation of all of them."""
         passes, r = [], 0
-        for label, tok in self._passes():
+        for label, tok in self._by_label():
             if isinstance(tok, Crossing):
                 passes.append((tok, tok.sign, label == tok.over, r))
             else:
@@ -320,7 +320,7 @@ class RotDecomp:
         skeleton = iter(self.key()[0])
         return tuple(
             next(skeleton) if isinstance(tok, Crossing) else ("rot", tok.sign)
-            for _, tok in self._passes()
+            for _, tok in self._by_label()
         )
 
     def render(self) -> str:
