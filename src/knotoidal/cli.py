@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except (CapsMismatch, CapsTooCostly, DegreeOutOfRange) as exc:
         print(f"caps error: {exc}", file=sys.stderr)
         return EXIT_CAPS
-    except (KnotoidalError, OSError, KeyError, ValueError) as exc:
+    except (KnotoidalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

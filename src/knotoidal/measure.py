@@ -385,49 +385,46 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         lifted.append(lifted[-1] + delta)
 
     def snap(angle: float, anchor: float) -> int:
-        turns = (angle - anchor) / (2.0 * math.pi)
-        nearest = round(turns)
-        if abs(abs(turns - nearest) - 0.5) < ANGLE_GUARD / (2.0 * math.pi):
+        ratio = (angle - anchor) / (2.0 * math.pi)
+        nearest = round(ratio)
+        if abs(abs(ratio - nearest) - 0.5) < ANGLE_GUARD / (2.0 * math.pi):
             raise DegenerateDirection("turning ambiguous at half rotation")
         return int(nearest)
 
-    # The passes in strand order: (segment, parameter, crossing index).
+    def turns(start: float, end: float) -> int:
+        """Whole turns of the tangent from angle ``start`` to ``end``.  ``start``
+        snaps against the upward direction and ``end`` against its residual,
+        so a rounding flip only ever happens for a crossing as a whole (a
+        full-crossing rotation) or for both endpoints together (a matched
+        pair of endpoint twists).  Both are invariances of the evaluated
+        invariant; independent rounding of the two angles would not be."""
+        mark = snap(start, 0.5 * math.pi)
+        return snap(end, start - 2.0 * math.pi * mark) - mark
+
+    # The passes in strand order: (segment, parameter, crossing index).  A
+    # crossing's first pass is on its lower segment ``i``.
     events = []
     for k, (i, t, j, s, *_) in enumerate(crossings):
         events += ((i, t, k), (j, s, k))
     events.sort(key=lambda ev: ev[:2])
-
-    # Integer turn marks per pass.  The first pass of each crossing and the
-    # leg snap against the upward direction; the partner pass of a crossing
-    # and the head anchor to their partner's residual direction instead, so
-    # that a rounding flip only ever happens for a crossing as a whole (a
-    # full-crossing rotation) or for both endpoints together (a matched pair
-    # of endpoint twists).  Both are invariances of the evaluated invariant;
-    # independent per-pass rounding would not be.  ``walk_key`` takes a
-    # crossing's rho as its second pass's mark less its first's; r is the
-    # head's mark less the leg's.
-    leg_mark = snap(lifted[0], 0.5 * math.pi)
-    leg_residual = lifted[0] - 2.0 * math.pi * leg_mark
     ids = [0] * len(crossings)  # crossing ids in order of first traversal
-    residual = [0.0] * len(crossings)
-    passes, signs, marked = [], {}, []
-    for seg, _par, k in events:
-        i, _, _, _, over_first, sign, _ = crossings[k]
-        over = (seg == i) == over_first
-        if not ids[k]:
-            ids[k] = len(signs) + 1
-            signs[ids[k]] = sign
-            mark = snap(lifted[seg], 0.5 * math.pi)
-            residual[k] = lifted[seg] - 2.0 * math.pi * mark
-        else:
-            mark = snap(lifted[seg], residual[k])
-        marked.append((k, sign, over, mark))
-        passes.append((ids[k], "over" if over else "under"))
-    r = snap(lifted[-1], leg_residual) - leg_mark
-    # valid by construction: each crossing passes once over and once under
-    # with a sign of +-1
+    passes, signs = [], {}
+
+    def marked():
+        # walk_key's passes, marked 0 and rho; the code's passes fill on the way
+        for seg, _par, k in events:
+            i, _, _, _, over_first, sign, _ = crossings[k]
+            over = (seg == i) == over_first
+            if seg == i:
+                ids[k] = len(signs) + 1
+                signs[ids[k]] = sign
+            passes.append((ids[k], "over" if over else "under"))
+            yield k, sign, over, 0 if seg == i else turns(lifted[i], lifted[seg])
+
+    key = walk_key(marked(), turns(lifted[0], lifted[-1]))
+    # valid by construction: one over and one under pass per crossing, signs +-1
     code = OrientedGaussCode(passes, signs, _trusted=True)
-    return ProjectionResult(code, walk_key(marked, r), tuple(pts2))
+    return ProjectionResult(code, key, tuple(pts2))
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,11 @@ def _ascii_number(text: str, kind: type = int):
 def _read_text(path) -> str:
     """The text of a file for the text loaders, which must be UTF-8; other
     bytes raise :class:`ParseError` naming the file.  A path that is not a
-    str, bytes or path-like, such as a file descriptor, is refused."""
+    str, bytes or path-like (a file descriptor), or holds a NUL, is refused."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidArgument(f"a file path must be a str, bytes or path-like, got {path!r}")
+    if "\0" in os.fsdecode(path):
+        raise InvalidArgument(f"a file path cannot hold a NUL character, got {path!r}")
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()

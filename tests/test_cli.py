@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from knotoidal.cli import _load_decomposition, build_parser
+from knotoidal.cli import _load_decomposition, build_parser, main
 from knotoidal.errors import ParseError
 from knotoidal.measure import builtin_curve_path, estimate_measure, load_curve
 
@@ -367,3 +367,14 @@ def test_measure_non_finite_coordinate_exits_2(tmp_path):
     assert "non-finite coordinate" in result.stderr
     assert "cannot convert" not in result.stderr
 
+
+
+def test_a_bare_value_error_is_a_bug_not_an_exit_code(monkeypatch):
+    # bad input raises a KnotoidalError; a bare ValueError from inside the
+    # package is a bug, so main lets it through rather than print it as one
+    def broken(*_):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("knotoidal.cli.evaluate_Z", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["invariant", "--fixture", "trivial"])

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from bisect import bisect_right
@@ -439,6 +440,52 @@ def test_the_key_needs_each_crossings_net_rotation():
     outside = parse_decomposition("labels 3; C+ 1; R+ 2 3")
     assert _key(inside)[::2] == _key(outside)[::2] and _key(inside) != _key(outside)
     assert evaluate_Z(inside, Caps(1, 2)).element != evaluate_Z(outside, Caps(1, 2)).element
+
+
+def _differences_along_rho(key, k, caps):
+    """The eps_order-th finite differences of Z along rho_k, at rho_k and at
+    rho_k + 1."""
+    skeleton, rhos, r = key
+    values = [
+        invariant._evaluate_key((skeleton, rhos[:k] + (rhos[k] + m,) + rhos[k + 1 :], r), caps)
+        for m in range(caps.eps_order + 2)
+    ]
+    for _ in range(caps.eps_order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+@pytest.mark.parametrize("caps", [Caps(1, 3), Caps(2, 3)], ids=["1,3", "2,3"])
+def test_Z_is_a_polynomial_of_degree_eps_order_in_rho(caps):
+    # rho enters the walk only through the twists q^(w(P)*rho), and q =
+    # exp(eps*hbar) is cut at eps^K: the (K+1)-th difference along any rho_k
+    # vanishes, and some K-th difference does not
+    rng, nonzero = random.Random(38), 0
+    for name, (_, decomp) in sorted(fixtures().items()):
+        skeleton, rhos, r = decomp.key()
+        for _ in range(3):
+            rhos = tuple(rng.randint(-3, 3) for _ in rhos)
+            here, next_ = _differences_along_rho((skeleton, rhos, r), rng.randrange(len(rhos)), caps)
+            assert here == next_, name
+            nonzero += not here.is_zero()
+    assert nonzero
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=small_decomposition_st(max_slots=8),
+    caps=st.sampled_from([Caps(1, 2), Caps(2, 2)]),
+    data=st.data(),
+)
+def test_Z_is_a_polynomial_in_rho_on_random_keys(d, caps, data):
+    # needs no realizability: any key's rho may be moved
+    skeleton, rhos, r = d.key()
+    assume(rhos)
+    k = data.draw(st.integers(0, len(rhos) - 1))
+    shift = data.draw(st.integers(-3, 3))
+    rhos = rhos[:k] + (rhos[k] + shift,) + rhos[k + 1 :]
+    here, next_ = _differences_along_rho((skeleton, rhos, r), k, caps)
+    assert here == next_
 
 
 def test_chain_value_is_the_product_of_the_values():

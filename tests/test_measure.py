@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import math
 import os
 import random
@@ -49,6 +51,7 @@ from knotoidal.measure import (
     sample_directions,
     simplify_gauss,
 )
+from bracket_reference import normalized_bracket
 from invariant_reference import marked_passes, reference_walk, reference_walk_key
 from measure_reference import (
     all_pairs_triple_points,
@@ -485,6 +488,20 @@ def test_walk_key_reads_back_projected_keys_marked_zero_and_rho(trefoil, points)
     assert checked >= 20 and rhos
 
 
+def test_project_snaps_only_inside_turns():
+    # every rho and r comes from the one turn rule, turns(start, end); a
+    # snap anywhere else in project would be a second copy of that rule
+    callers, stack = [], [("project", ast.parse(inspect.getsource(project)).body[0])]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "snap":
+                callers.append(scope)
+            stack.append((inner, child))
+    assert callers == ["project.turns", "project.turns"]
+
+
 # -- the trusted constructors -----------------------------------------------------
 
 @contextmanager
@@ -611,6 +628,41 @@ def test_simplify_same_sign_bigon_is_kept():
     # adjacent in both strands but equal signs: not a bigon
     code = parse_gauss_code("1 2 -1 -2 + +")
     assert len(simplify_gauss(code)) == 2
+
+
+# -- the normalized bracket: simplification keeps the knotoid --------------------
+
+def test_normalized_bracket_of_the_empty_code_and_the_trefoil():
+    assert normalized_bracket(parse_gauss_code("")) == {0: 1}
+    # the left-handed trefoil: t^-1 + t^-3 - t^-4 under t = A^-4
+    assert normalized_bracket(parse_gauss_code("1 -2 3 -1 2 -3 - - -")) == {4: 1, 12: 1, 16: -1}
+
+
+def test_simplify_keeps_the_normalized_bracket_on_trefoil_directions(trefoil):
+    values = {}
+    for direction in sample_directions(0, 300):
+        code = project(trefoil, direction, TOL).code
+        f = normalized_bracket(code)
+        assert normalized_bracket(simplify_gauss(code)) == f
+        key = tuple(sorted(f.items()))
+        values[key] = values.get(key, 0) + 1
+    # trivial, the trefoil knot, and a proper knotoid with odd powers of A^2
+    assert values == {
+        ((0, 1),): 168,
+        ((4, 1), (12, 1), (16, -1)): 96,
+        ((4, 1), (6, 1), (10, -1)): 36,
+    }
+
+
+def test_simplify_keeps_the_normalized_bracket_on_a_walk():
+    # 2^n smoothings: only codes of at most 14 crossings, 9 to 14 here
+    curve, checked = _walk(32, 1, False), 0
+    for direction in sample_directions(0, 40):
+        code = project(curve, direction, TOL).code
+        if len(code) <= 14:
+            assert normalized_bracket(simplify_gauss(code)) == normalized_bracket(code)
+            checked += 1
+    assert checked >= 10
 
 
 # -- estimation -------------------------------------------------------------------
@@ -918,6 +970,9 @@ def test_estimate_validation(trefoil):
         lambda curve: load_curve(0),
         lambda curve: load_curve(True),
         lambda curve: load_curve(None),
+        # open would raise a bare ValueError for an embedded NUL
+        lambda curve: load_curve("a\0b"),
+        lambda curve: load_curve(b"a\0b"),
         lambda curve: OpenCurve3D(5),
         lambda curve: OpenCurve3D(None),
     ],
@@ -957,6 +1012,8 @@ def test_estimate_validation(trefoil):
         "fd-path",
         "bool-path",
         "none-path",
+        "nul-path",
+        "nul-bytes-path",
         "int-points",
         "none-points",
     ],
