@@ -368,7 +368,6 @@ def test_measure_non_finite_coordinate_exits_2(tmp_path):
     assert "cannot convert" not in result.stderr
 
 
-
 def test_a_bare_value_error_is_a_bug_not_an_exit_code(monkeypatch):
     # bad input raises a KnotoidalError; a bare ValueError from inside the
     # package is a bug, so main lets it through rather than print it as one
