@@ -393,11 +393,11 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
 
     def turns(start: float, end: float) -> int:
         """Whole turns of the tangent from angle ``start`` to ``end``.  ``start``
-        snaps against the upward direction and ``end`` against its residual,
-        so a rounding flip only ever happens for a crossing as a whole (a
-        full-crossing rotation) or for both endpoints together (a matched
-        pair of endpoint twists).  Both are invariances of the evaluated
-        invariant; independent rounding of the two angles would not be."""
+        snaps against the upward direction and ``end`` against ``start`` less
+        those whole turns, so a rounding flip only ever happens for a crossing
+        as a whole (a full-crossing rotation) or for both endpoints together
+        (a matched pair of endpoint twists).  Both are invariances of the
+        evaluated invariant; independent rounding of the two angles would not be."""
         mark = snap(start, 0.5 * math.pi)
         return snap(end, start - 2.0 * math.pi * mark) - mark
 
