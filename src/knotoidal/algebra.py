@@ -30,6 +30,12 @@ moves the outer factors of a product onto it:
         * (b - (i2-r)*eps)^j1 (a - (i2-r))^k1 * Q_r * (b - (l1-r)*eps)^j2 (a - (l1-r))^k2
         * x^(l1-r+l2).
 
+Term r's left factor ``(b - (i2-r)*eps)^j1 (a - (i2-r))^k1 * Q_r`` depends on
+neither ``i1`` nor ``j2, k2, l2``, so :meth:`_Context.product` keeps the left
+factors per ``(j1, k1, l1, i2)`` and budget, and multiplies only the right
+factor per product.  A left factor is not a product: the walk's products are
+memoized only as its rows.
+
 The rewriting tables of :class:`_Context` hold integers, not fractions: a
 coefficient ``c`` at ``hbar^h`` is stored as ``c * L**h`` for the one scale
 ``L = 2 * lcm(1, ..., N+1)`` per hbar cap ``N``.  Their inputs scale to
@@ -190,13 +196,15 @@ def _relation_tail(K: int, N: int) -> EDict:
 class _Context:
     """Per-caps workspace holding memoized rewriting tables.
 
-    ``q``, ``tail``, ``tail_sums`` (the ``F_m``) and ``left_x`` hold
-    integer terms ``c * L**h`` at the scale ``L = self.scale``; ``mul``,
-    ``antipode_mon`` and ``antipode_gen_powers`` hold exact ``Fraction``
-    elements.  ``left_x[(l, i)]`` is the list of the ``Q_r`` of
-    ``x^l * y^i``; ``mul`` memoizes the monomial products of element and
-    tensor products, not those of the strand walk, whose rows are their
-    own memo.
+    ``q``, ``tail``, ``tail_sums`` (the ``F_m``), ``left_x`` and
+    ``left_factors`` hold integer terms ``c * L**h`` at the scale ``L =
+    self.scale``; ``mul``, ``antipode_mon`` and ``antipode_gen_powers`` hold
+    exact ``Fraction`` elements.  ``left_x[(l, i)]`` is the list of the
+    ``Q_r`` of ``x^l * y^i``, and ``left_factors[(j1, k1, l1, i2, n)]`` the
+    list of the left factors ``(b - (i2-r)*eps)^j1 (a - (i2-r))^k1 * Q_r``
+    of :meth:`product` to ``hbar^n``.  ``mul`` memoizes the monomial
+    products of element and tensor products, not those of the strand walk,
+    whose rows are their own memo.
     """
 
     def __init__(self, K: int, N: int):
@@ -216,6 +224,7 @@ class _Context:
         }
         self.tail_sums: list[Poly] = [{}]
         self.left_x: dict[tuple[int, int], list[Poly]] = {}
+        self.left_factors: dict[tuple[int, int, int, int, int], list[Poly]] = {}
         self.mul: dict[tuple[Mon, Mon], EDict] = {}
         self.antipode_mon: dict[Mon, EDict] = {}
         self.antipode_gen_powers: dict[Mon, list[EDict]] = {}
@@ -270,15 +279,22 @@ class _Context:
         return entry
 
     def product(self, m1: Mon, m2: Mon, hbar_cap: int | None = None) -> EDict:
-        """``m1 * m2`` in normal form to ``hbar^hbar_cap`` (default: the cap), not memoized."""
+        """``m1 * m2`` in normal form to ``hbar^hbar_cap`` (default: the cap);
+        not memoized, but its left factors are, in ``left_factors``."""
         i1, j1, k1, l1 = m1
         i2, j2, k2, l2 = m2
         K, N = self.K, self.N if hbar_cap is None else hbar_cap
+        key = (j1, k1, l1, i2, N)
+        lefts = self.left_factors.get(key)
+        if lefts is None:
+            lefts = self.left_factors[key] = [
+                _poly_mul(_shifted_ba(j1, k1, i2 - r, K), q_r, K, N)
+                for r, q_r in enumerate(self.x_power_y_power(l1, i2))
+            ]
         out: EDict = {}
-        for r, q_r in enumerate(self.x_power_y_power(l1, i2)):
-            # y^i1 b^j1 a^k1 y^(i2-r) Q_r x^(l1-r) b^j2 a^k2 x^l2
-            ba = _poly_mul(_shifted_ba(j1, k1, i2 - r, K), q_r, K, N)
-            ba = _poly_mul(ba, _shifted_ba(j2, k2, l1 - r, K), K, N)
+        for r, left in enumerate(lefts):
+            # y^i1 (b^j1 a^k1 y^(i2-r) Q_r) x^(l1-r) b^j2 a^k2 x^l2, the left factor in parentheses
+            ba = _poly_mul(left, _shifted_ba(j2, k2, l1 - r, K), K, N)
             i, l = i1 + i2 - r, l1 - r + l2
             for (j, k, e, h), c in ba.items():
                 out.setdefault((i, j, k, l), {})[(e, h)] = c

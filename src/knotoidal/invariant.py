@@ -187,7 +187,7 @@ class _Deposit:
     def fill(self, key: int) -> tuple:
         """Fill the row under ``key``, the key of a state term at e = 0."""
         tables = self.tables
-        ctx, S = tables.ctx, tables.S
+        ctx, S, ids = tables.ctx, tables.S, tables.ids
         K, N = ctx.K, ctx.N
         mid, h = divmod(key, S)
         mon, reach = tables.mons[mid], N - h
@@ -207,7 +207,8 @@ class _Deposit:
                 if not unit:
                     # looked up in this module, where perfbench/layers.py counts it
                     psd = _smul(dsd, psd, K, reach)
-                base = tables.key(pmon, 0, h)
+                pid = ids.get(pmon)
+                base = tables.key(pmon, 0, h) if pid is None else pid * S + h
                 for (e, ph), c in psd.items():
                     if h + ph > N or e > K:
                         raise DegreeOutOfRange(f"row term (e, h) = ({e}, {h + ph}) is past the caps")

@@ -77,10 +77,6 @@ class OpenCurve3D:
             if p == q:
                 raise DuplicateConsecutivePoint(f"repeated consecutive point {p}")
 
-    def translated(self, offset: Vec3) -> "OpenCurve3D":
-        ox, oy, oz = offset
-        return OpenCurve3D(tuple((x + ox, y + oy, z + oz) for x, y, z in self.points))
-
 
 def _is_vec3(v) -> bool:
     """Whether ``v`` is a tuple or list of three ints or floats."""

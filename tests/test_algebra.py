@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algebra_reference import reference_context, reference_r_inverse, yang_baxter_holds
@@ -370,7 +370,8 @@ monomial_st = st.tuples(*[st.integers(0, 4)] * 4)
 
 def _all_ints(ctx) -> bool:
     """Every value of every integer table the context holds is an ``int``."""
-    polys = [ctx.tail, ctx.q, *ctx.tail_sums, *(q_r for entry in ctx.left_x.values() for q_r in entry)]
+    entries = [*ctx.left_x.values(), *ctx.left_factors.values()]
+    polys = [ctx.tail, ctx.q, *ctx.tail_sums, *(p for entry in entries for p in entry)]
     return all(type(c) is int for p in polys for c in p.values())
 
 
@@ -409,14 +410,48 @@ def test_closed_normal_ordering_matches_fraction_oracle(m1, m2, K, N):
     assert ctx.left_x and _all_ints(ctx)
 
 
+def _truncated(product: dict, n: int) -> dict:
+    """``product`` without its terms past ``hbar^n``."""
+    truncated = {mon: {(e, h): c for (e, h), c in sd.items() if h <= n} for mon, sd in product.items()}
+    return {mon: sd for mon, sd in truncated.items() if sd}
+
+
 @settings(max_examples=60, deadline=None)
 @given(m1=monomial_st, m2=monomial_st, K=st.integers(0, 2), N=st.integers(0, 6))
 def test_product_to_a_budget_is_the_truncated_product(m1, m2, K, N):
     # the walk fills its rows to a budget below the cap; the (l, i) table stays at the cap
     ctx, full = _Context(K, N), reference_context(Caps(K, N)).mon_mul(m1, m2)
     for n in range(N + 1):
-        truncated = {mon: {(e, h): c for (e, h), c in sd.items() if h <= n} for mon, sd in full.items()}
-        assert ctx.unscaled(ctx.product(m1, m2, n)) == {mon: sd for mon, sd in truncated.items() if sd}
+        assert ctx.unscaled(ctx.product(m1, m2, n)) == _truncated(full, n)
+
+
+small_monomial_st = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    products=st.lists(
+        st.tuples(small_monomial_st, small_monomial_st, st.integers(0, 4)), min_size=1, max_size=20
+    ),
+    K=st.integers(0, 2),
+)
+@example(
+    products=[
+        ((0, 0, 0, 1), (1, 0, 0, 0), 4),  # x * y
+        ((1, 0, 0, 1), (1, 1, 1, 1), 4),  # its left factors, for another y power of D and b, a, x of M
+        ((0, 0, 0, 1), (1, 0, 0, 0), 1),  # x * y to a lower budget
+        ((0, 0, 0, 2), (1, 0, 0, 0), 4),  # another x power of D
+    ],
+    K=1,
+)
+def test_products_on_one_context_are_the_truncated_products(products, K):
+    # one context serves every product, so that later products read the
+    # memoized left factors of earlier ones
+    N = 4
+    ctx, ref = _Context(K, N), reference_context(Caps(K, N))
+    for m1, m2, n in products:
+        assert ctx.unscaled(ctx.product(m1, m2, n)) == _truncated(ref.mon_mul(m1, m2), n), (m1, m2, n)
+    assert _all_ints(ctx)
 
 
 # The degree bounds by which invariant._Deposit sizes its walk rows; deg is

@@ -175,7 +175,7 @@ def test_framing_equals_writhe_on_samples(trefoil):
 
 
 def test_coframing_translation_invariant(trefoil):
-    moved = trefoil.translated((13.5, -7.25, 2.0))
+    moved = OpenCurve3D(tuple((x + 13.5, y - 7.25, z + 2.0) for x, y, z in trefoil.points))
     for i in range(15):
         direction = sample_direction(5, i)
         try:
@@ -652,6 +652,25 @@ def test_simplify_keeps_the_normalized_bracket_on_trefoil_directions(trefoil):
         ((4, 1), (12, 1), (16, -1)): 96,
         ((4, 1), (6, 1), (10, -1)): 36,
     }
+
+
+def test_an_inserted_r1_kink_keeps_the_normalized_bracket(trefoil):
+    # every arc of the distinct trefoil codes of at most 8 crossings, both
+    # signs of the kink's crossing and both orders of its two passes
+    codes = dict.fromkeys(project(trefoil, direction, TOL).code for direction in sample_directions(0, 300))
+    checked = 0
+    for code in codes:
+        if len(code) > 8:
+            continue
+        f, new = normalized_bracket(code), max(code.signs, default=0) + 1
+        for arc in range(len(code.passes) + 1):
+            for sign in (1, -1):
+                for kink in (((new, "over"), (new, "under")), ((new, "under"), (new, "over"))):
+                    passes = code.passes[:arc] + kink + code.passes[arc:]
+                    kinked = OrientedGaussCode(passes, {**code.signs, new: sign})
+                    assert normalized_bracket(kinked) == f, (code, arc, sign, kink)
+                    checked += 1
+    assert checked >= 1000
 
 
 def test_simplify_keeps_the_normalized_bracket_on_a_walk():
