@@ -152,13 +152,28 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A projection's Gauss code, its ``(code, rho, r)`` key built by
-    :func:`knotoidal.diagram.walk_key`, and its projected points, from which
-    :attr:`biframing` is computed on first access."""
+    """A projection's Gauss code, the turn marks and net rotation ``r`` from
+    which :attr:`key` is built, and its projected points, from which
+    :attr:`biframing` is computed.  Both are built on first access, so an
+    estimate that reads neither (``classes`` mode) builds neither.
+
+    ``marks`` holds one int per pass of ``code``, in strand order: 0 at each
+    crossing's first pass and the crossing's rho at its second.
+    """
 
     code: OrientedGaussCode
-    key: tuple
+    marks: tuple[int, ...]
+    r: int
     points: tuple[Vec2, ...]
+
+    @cached_property
+    def key(self) -> tuple:
+        """The ``(code, rho, r)`` key built by :func:`knotoidal.diagram.walk_key`."""
+        signs = self.code.signs
+        return walk_key(
+            ((c, signs[c], role == "over", mark) for (c, role), mark in zip(self.code.passes, self.marks)),
+            self.r,
+        )
 
     @cached_property
     def biframing(self) -> Biframing:
@@ -398,29 +413,29 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         return snap(end, start - 2.0 * math.pi * mark) - mark
 
     # The passes in strand order: (segment, parameter, crossing index).  A
-    # crossing's first pass is on its lower segment ``i``.
+    # crossing's first pass is on its lower segment ``i``.  No two passes
+    # tie on (segment, parameter): they would be two crossings at one point,
+    # which _check_triple_points has rejected.
     events = []
     for k, (i, t, j, s, *_) in enumerate(crossings):
         events += ((i, t, k), (j, s, k))
-    events.sort(key=lambda ev: ev[:2])
+    events.sort()
+    r = turns(lifted[0], lifted[-1])
     ids = [0] * len(crossings)  # crossing ids in order of first traversal
-    passes, signs = [], {}
-
-    def marked():
-        # walk_key's passes, marked 0 and rho; the code's passes fill on the way
-        for seg, _par, k in events:
-            i, _, _, _, over_first, sign, _ = crossings[k]
-            over = (seg == i) == over_first
-            if seg == i:
-                ids[k] = len(signs) + 1
-                signs[ids[k]] = sign
-            passes.append((ids[k], "over" if over else "under"))
-            yield k, sign, over, 0 if seg == i else turns(lifted[i], lifted[seg])
-
-    key = walk_key(marked(), turns(lifted[0], lifted[-1]))
+    passes, signs, marks = [], {}, []
+    for seg, _par, k in events:
+        i, _, _, _, over_first, sign, _ = crossings[k]
+        if seg == i:
+            ids[k] = len(signs) + 1
+            signs[ids[k]] = sign
+            passes.append((ids[k], "over" if over_first else "under"))
+            marks.append(0)
+        else:
+            passes.append((ids[k], "under" if over_first else "over"))
+            marks.append(turns(lifted[i], lifted[seg]))
     # valid by construction: one over and one under pass per crossing, signs +-1
     code = OrientedGaussCode(passes, signs, _trusted=True)
-    return ProjectionResult(code, key, tuple(pts2))
+    return ProjectionResult(code, tuple(marks), r, tuple(pts2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,46 +454,39 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
     Passes stay in a linked list over their original positions, which keeps
     their order.  ``move_at`` decides the move at a junction; pending moves
     wait in one heap, where kinks sort first, and a popped move is done only
-    if ``move_at`` still returns it.  A move changes adjacencies only at the
-    junctions it leaves, so only those are examined again.
+    if ``move_at`` still returns it.  The heap starts from the junctions where
+    ``move_at`` can return a move: every kink, and each junction of an
+    opposite-sign pair that meets at two or more.  A move changes adjacencies
+    only at the junctions it leaves, so only those are examined again.
     """
     passes = code.passes
     signs = dict(code.signs)  # the crossings still present
     size = len(passes)
     cid = [c for c, _ in passes]
-    role = [r for _, r in passes]
     nxt = list(range(1, size)) + [-1]
     prv = list(range(-1, size - 1))
-    where: dict[int, list[int]] = {}
-    for k, c in enumerate(cid):
-        where.setdefault(c, []).append(k)
+    # the positions of each crossing's over pass and of its under pass
+    over: dict[int, int] = {}
+    under: dict[int, int] = {}
+    for k, (c, role) in enumerate(passes):
+        (over if role == "over" else under)[c] = k
 
     def bigon(c1: int, c2: int):
-        """Least ``(pos_a, pos_b)`` removing the pair as a bigon, or None.
+        """``(pos_a, pos_b)`` removing the pair as a bigon, or None.
 
-        A pair is adjacent at most three times, and three times only as
-        c1 c2 c1 c2, so ``pos_a`` is always the pair's first adjacency and
-        heap order is first-occurrence order."""
+        The pair's over passes must be adjacent, and so must its under
+        passes; ``pos_a`` and ``pos_b`` are the left nodes of those two
+        adjacencies, in order.  A pair is adjacent at most three times, and
+        three times only as c1 c2 c1 c2, so ``pos_a`` is always the pair's
+        first adjacency and heap order is first-occurrence order."""
         if signs[c1] == signs[c2]:
             return None
-        positions = []
-        for k in where[c1] + where[c2]:
-            n = nxt[k]
-            if n != -1 and cid[n] != cid[k] and cid[n] in (c1, c2):
-                positions.append(k)
-        positions.sort()
-        # pos_b is never the node after pos_a: there the pair reads c1 c2 c1,
-        # and c1's two passes have opposite roles
-        for pos_a in positions:
-            if role[pos_a] != role[nxt[pos_a]]:
-                continue
-            for pos_b in positions:
-                if pos_b <= pos_a:
-                    continue
-                if role[pos_b] != role[nxt[pos_b]] or role[pos_b] == role[pos_a]:
-                    continue
-                return pos_a, pos_b
-        return None
+        o1, o2, u1, u2 = over[c1], over[c2], under[c1], under[c2]
+        top = o1 if nxt[o1] == o2 else o2 if nxt[o2] == o1 else -1
+        bottom = u1 if nxt[u1] == u2 else u2 if nxt[u2] == u1 else -1
+        if top == -1 or bottom == -1:
+            return None
+        return (top, bottom) if top < bottom else (bottom, top)
 
     def move_at(p: int):
         """The move at the junction after node ``p``: ``(0, p)`` for a kink,
@@ -495,7 +503,15 @@ def simplify_gauss(code: OrientedGaussCode) -> OrientedGaussCode:
         found = bigon(c1, c2)
         return None if found is None else (1, *found, c1, c2)
 
-    heap = [move for move in map(move_at, range(size - 1)) if move]
+    seeds, meetings = [], {}
+    for p in range(size - 1):
+        c1, c2 = cid[p], cid[p + 1]
+        if c1 == c2:
+            seeds.append(p)
+        elif signs[c1] != signs[c2]:
+            meetings.setdefault((c1, c2) if c1 < c2 else (c2, c1), []).append(p)
+    seeds += [p for junctions in meetings.values() if len(junctions) > 1 for p in junctions]
+    heap = [move for move in map(move_at, seeds) if move]
     heapq.heapify(heap)
     while heap:
         move = heapq.heappop(heap)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from math import factorial
 
 from .errors import (
@@ -247,16 +247,19 @@ class ScalarSeries:
     def _power_sum(self, rest: SDict, coeffs) -> "ScalarSeries":
         """``sum_k c_k * rest**k`` for the coefficients ``c_0, c_1, ...`` of
         ``coeffs``; ``rest`` has zero constant term, so its powers truncate
-        to zero after at most ``K + N`` steps and the sum stops there."""
+        to zero after at most ``K + N`` steps and the sum stops there.  A
+        power that has not truncated by then raises
+        :class:`DegreeOutOfRange`: a product that keeps degrees past the caps
+        would otherwise sum forever."""
         K, N = self.caps.eps_order, self.caps.hbar_order
         out: SDict = {}
         power: SDict = {(0, 0): Fraction(1)}
-        for c in coeffs:
+        for c in islice(coeffs, K + N + 1):
             _sadd_into(out, power, c)
             power = _smul(power, rest, K, N)
             if not power:
-                break
-        return ScalarSeries(self.caps, out)
+                return ScalarSeries(self.caps, out)
+        raise DegreeOutOfRange(f"power {K + N + 1} of a series with zero constant term is nonzero")
 
     def invert(self) -> "ScalarSeries":
         """Multiplicative inverse; requires a nonzero constant term."""

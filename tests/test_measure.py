@@ -430,6 +430,26 @@ def test_simplify_matches_rescanning_reference(code):
     assert simplify_gauss(code) == reference_simplify_gauss(code)
 
 
+@pytest.mark.parametrize("points", [64, 128, 256])
+def test_simplify_matches_rescanning_reference_on_projected_walks(points):
+    """Random permutation codes seldom hold an opposite-sign pair that meets
+    twice; projected walks hold many, and kinks, so these codes exercise
+    both kinds of junction that seed the simplifier's heap."""
+    checked, removed = 0, 0
+    for seed in (1, 2):
+        curve = _walk(points, seed, False)
+        for i in range(10):
+            try:
+                code = project(curve, sample_direction(seed, i), TOL).code
+            except DegenerateDirection:
+                continue
+            simplified = simplify_gauss(code)
+            assert simplified == reference_simplify_gauss(code), (seed, i)
+            checked += 1
+            removed += len(code) - len(simplified)
+    assert checked >= 15 and removed >= 2 * points
+
+
 # -- label assembly ---------------------------------------------------------------
 
 def test_fixture_decompositions_read_their_codes_orientation():
@@ -778,6 +798,27 @@ def test_estimator_never_reads_the_biframing(trefoil, monkeypatch, phi):
         assert values[((1, 0, 0, 1), 2)] == "-13/5"
 
 
+@pytest.mark.parametrize("phi", ["classes", "zmean"])
+def test_only_zmean_reads_the_key(trefoil, monkeypatch, phi):
+    # the key is built on first read, so classes mode builds none
+    from knotoidal import measure
+    from knotoidal.series import Caps
+
+    def unread(self):
+        raise AssertionError("the estimator read a key")
+
+    monkeypatch.setattr(measure.ProjectionResult, "key", property(unread))
+    if phi == "classes":
+        # the pinned counts of test_estimate_golden_counts
+        estimate = estimate_measure(trefoil, 2000, seed=0, tol=TOL)
+        assert estimate.class_freq[TRIVIAL_CLASS] == Fraction(1101, 2000)
+        assert estimate.class_freq["1 -2 3 -1 2 -3 - - -"] == Fraction(27, 200)
+        assert estimate.class_freq["-1 2 -3 1 -2 3 - - -"] == Fraction(259, 2000)
+    else:
+        with pytest.raises(AssertionError, match="read a key"):
+            estimate_measure(trefoil, 20, seed=1, tol=TOL, phi="zmean", caps=Caps(1, 2))
+
+
 def test_zmean_checks_the_caps_cost_before_projecting(trefoil, monkeypatch):
     from knotoidal import measure
     from knotoidal.errors import CapsTooCostly
@@ -855,7 +896,7 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     from knotoidal import invariant, measure
     from knotoidal.series import Caps
 
-    caps, code = Caps(1, 2), parse_gauss_code("1 -2 -1 2 + -")
+    caps = Caps(1, 2)
     first = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3)])
     second = RotDecomp(8, [Rotation(1, 3), Crossing(-1, 1, 8), Crossing(1, 2, 4)])
     third = RotDecomp(8, [Crossing(1, 2, 4), Crossing(-1, 1, 8), Rotation(1, 3), Rotation(1, 5), Rotation(-1, 6)])
@@ -872,9 +913,22 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
         calls.append(key)
         return evaluate(key, caps)
 
+    def projection(key):
+        # the code, marks and r of the key's passes, crossings numbered from
+        # 1 in opening order; the biframing is never read, so the projected
+        # points can be empty
+        seen, passes, signs, marks = set(), [], {}, []
+        for c, sign, over, mark in marked_passes(key):
+            passes.append((c + 1, "over" if over != (c in seen) else "under"))
+            seen.add(c)
+            signs[c + 1] = sign
+            marks.append(mark)
+        proj = measure.ProjectionResult(OrientedGaussCode(passes, signs), tuple(marks), key[2], ())
+        assert proj.key == key
+        return proj
+
     def means(decomps):
-        # the biframing is never read, so the projected points can be empty
-        projections = iter([measure.ProjectionResult(code, reference_walk_key(d.walk()), ()) for d in decomps])
+        projections = iter([projection(reference_walk_key(d.walk())) for d in decomps])
         monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
         return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
 
@@ -1184,6 +1238,18 @@ def test_trefoil_openings_stay_nontrivial():
     assert not simplify_gauss(first).is_empty()
     assert not simplify_gauss(second).is_empty()
     assert len(first) == len(second) == 3
+
+
+def test_trefoil_opens_at_the_gap_after_pass_arc():
+    # arc 0 opens between the first and second pass; a code opened before
+    # pass arc would swap the two mirror renders.  Every opening is the
+    # trefoil knotoid, whose normalized bracket is A^4 + A^12 - A^16
+    closed = parse_gauss_code(TREFOIL_CLOSED)
+    renders = ["-1 2 -3 1 -2 3 - - -", "1 -2 3 -1 2 -3 - - -"] * 3
+    for arc, render in enumerate(renders):
+        opened = knot_to_knotoid(closed, arc)
+        assert opened.render() == render, arc
+        assert normalized_bracket(opened) == {4: 1, 12: 1, 16: -1}, arc
 
 
 def test_arc_out_of_range():

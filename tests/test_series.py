@@ -60,6 +60,31 @@ def test_invert_requires_unit_constant():
         series({(0, 1): 1}).invert()
 
 
+def test_power_sums_stop_after_k_plus_n_plus_one_terms(monkeypatch):
+    # with a product that never truncates, no power of the rest reaches
+    # zero; exp and invert raise after K + N + 1 terms instead of summing
+    # forever, and the product raises on its 300th call should they not
+    calls = []
+
+    def untruncated(a, b, K, N):
+        calls.append(None)
+        if len(calls) >= 300:
+            raise AssertionError("a power sum ran past 300 products")
+        out = {}
+        for (ea, ha), va in a.items():
+            for (eb, hb), vb in b.items():
+                out[ea + eb, ha + hb] = out.get((ea + eb, ha + hb), 0) + va * vb
+        return out
+
+    monkeypatch.setattr("knotoidal.series._smul", untruncated)
+    terms = CAPS.eps_order + CAPS.hbar_order + 1
+    for power_sum in (series({(1, 0): 1, (0, 1): -2}).exp, series({(0, 0): 3, (1, 1): 1}).invert):
+        del calls[:]
+        with pytest.raises(DegreeOutOfRange):
+            power_sum()
+        assert len(calls) == terms
+
+
 def test_caps_mismatch_raises():
     with pytest.raises(CapsMismatch):
         ScalarSeries.one(CAPS) + ScalarSeries.one(Caps(1, 5))
