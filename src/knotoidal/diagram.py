@@ -45,9 +45,9 @@ class Biframing:
 # oriented Gauss codes
 
 class OrientedGaussCode:
-    """Signed oriented Gauss code: passes leg-to-head plus crossing signs."""
+    """Signed oriented Gauss code: passes leg-to-head plus crossing signs; hashed once, on first use."""
 
-    __slots__ = ("passes", "signs")
+    __slots__ = ("passes", "signs", "_hash")
 
     def __init__(self, passes, signs, *, _trusted: bool = False):
         if _trusted:
@@ -97,7 +97,9 @@ class OrientedGaussCode:
         )
 
     def __hash__(self):
-        return hash((self.passes, tuple(sorted(self.signs.items()))))
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self.passes, tuple(sorted(self.signs.items()))))
+        return self._hash
 
     def __len__(self):
         return len(self.signs)

@@ -7,7 +7,7 @@ under-segment, and the deposits are multiplied together in walk order, each
 new one on the left of the running product.  :func:`evaluate_Z` reads a
 decomposition only through its key :meth:`RotDecomp.key`: its skeleton of
 open and close steps, each crossing's net rotation rho between its two
-labels, and the net rotation r of the walk; :func:`_evaluate_key` walks that
+labels, and the net rotation r of the walk; :func:`_scaled_walk` walks that
 key.  A crossing's second factor waits, as a monomial in a tuple
 kept in opening order, from its open to its close.  A rotation deposits
 nothing where it stands: with w the y minus the x exponent, ``rot_s * M =
@@ -370,14 +370,15 @@ class _WalkTables:
                 else:
                     del main[tk]
 
-    def element(self, state: dict) -> DElement:
+    def terms(self, state: dict) -> EDict:
+        """The exact terms of the scaled ``state``, a zero term kept as 0."""
         mons, S, N1 = self.mons, self.S, self.ctx.N + 1
         terms: EDict = {}
         for key, c in state.items():
             mid, r = divmod(key, S)
             e, h = divmod(r, N1)
             terms.setdefault(mons[mid], {})[(e, h)] = c
-        return DElement(self.caps, self.ctx.unscaled(terms))
+        return self.ctx.unscaled(terms)
 
 
 _TABLES: dict[tuple[int, int], _WalkTables] = {}
@@ -538,6 +539,12 @@ def evaluate_Z(d: RotDecomp, caps: Caps) -> InvariantValue:
 
 def _evaluate_key(key: tuple, caps: Caps) -> DElement:
     """The element of every walk whose ``(code, rho, r)`` key is ``key``."""
+    return DElement(caps, _walk_tables(caps).terms(_scaled_walk(key, caps)))
+
+
+def _scaled_walk(key: tuple, caps: Caps) -> dict:
+    """The final state of the walk of ``key``: ``{packed key of (monomial,
+    e, h): c * L**h}``, no term zero."""
     skeleton, rhos, rotation = key
     tables = _walk_tables(caps)
     # state: ids of the pending monomials, in the order their crossings
@@ -594,7 +601,7 @@ def _evaluate_key(key: tuple, caps: Caps) -> DElement:
     for _ in range(abs(rotation)):
         tables.rotation[1 if rotation > 0 else -1].times(main, acc := {})
         main = {key: c for key, c in acc.items() if c}
-    return tables.element(main)
+    return main
 
 
 # ---------------------------------------------------------------------------

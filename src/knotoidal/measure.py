@@ -154,8 +154,8 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 class ProjectionResult:
     """A projection's Gauss code, the turn marks and net rotation ``r`` from
     which :attr:`key` is built, and its projected points, from which
-    :attr:`biframing` is computed.  Both are built on first access, so an
-    estimate that reads neither (``classes`` mode) builds neither.
+    :attr:`biframing` is computed.  Both are built on first access; the
+    estimator reads neither, and keys each distinct (code, marks, r) once.
 
     ``marks`` holds one int per pass of ``code``, in strand order: 0 at each
     crossing's first pass and the crossing's rho at its second.
@@ -168,12 +168,8 @@ class ProjectionResult:
 
     @cached_property
     def key(self) -> tuple:
-        """The ``(code, rho, r)`` key built by :func:`knotoidal.diagram.walk_key`."""
-        signs = self.code.signs
-        return walk_key(
-            ((c, signs[c], role == "over", mark) for (c, role), mark in zip(self.code.passes, self.marks)),
-            self.r,
-        )
+        """The ``(code, rho, r)`` key built by :func:`_projection_key`."""
+        return _projection_key(self.code, self.marks, self.r)
 
     @cached_property
     def biframing(self) -> Biframing:
@@ -184,6 +180,13 @@ class ProjectionResult:
         both."""
         pts = self.points
         return Biframing(writhe(self.code), _winding(pts[0], pts[1:]) - _winding(pts[-1], pts[:-1]))
+
+
+def _projection_key(code: OrientedGaussCode, marks: tuple, r: int) -> tuple:
+    """The ``(code, rho, r)`` key of a projection's code, marks and ``r``,
+    built by :func:`knotoidal.diagram.walk_key`."""
+    signs = code.signs
+    return walk_key(((c, signs[c], role == "over", m) for (c, role), m in zip(code.passes, marks)), r)
 
 
 def _winding(center: Vec2, pts) -> int:
@@ -587,60 +590,51 @@ class MeasureEstimate:
 
 
 def _estimate_with_directions(curve, directions, tol, phi, caps):
-    from .invariant import _evaluate_key, _reduce_key
+    from .invariant import _reduce_key, _scaled_walk, _walk_tables
 
-    tallies: dict[str, int] = {}
+    # Two counting levels.  The loop counts each accepted direction's
+    # (marks, r) under its code, both in first-seen order.  After it each
+    # code is labelled once, the label being a function of the code (500
+    # directions of the bundled trefoil give fewer than 80 codes), and each
+    # distinct (code, marks, r) is keyed and reduced once
+    turns: dict[OrientedGaussCode, dict[tuple, int]] = {}
     rejected = 0
-    # zmean: the count of each (code, rho, r) key of the accepted
-    # projections, in first-seen order; evaluate_Z reads a decomposition only
-    # through that key, so the projections of a key have one element
-    keys: dict[tuple, int] = {}
-    # the label is a function of the code, and 500 directions of the bundled
-    # trefoil give fewer than 80 distinct codes; each code is labelled once
-    labels: dict[OrientedGaussCode, str] = {}
     for direction in directions:
         try:
             proj = project(curve, direction, tol)
         except DegenerateDirection:
             rejected += 1
             continue
-        label = labels.get(proj.code)
-        if label is None:
-            label = labels[proj.code] = class_label(proj.code)
-        tallies[label] = tallies.get(label, 0) + 1
-        if phi == "zmean":
-            keys[proj.key] = keys.get(proj.key, 0) + 1
-    # each key less its removable curls and bigons, which keeps its element
-    # (see invariant._reduce_key); keys that reduce to one key sum their
-    # counts, and each reduced key is evaluated once
-    reduced: dict[tuple, int] = {}
-    for key, count in keys.items():
-        key = _reduce_key(key)
-        reduced[key] = reduced.get(key, 0) + count
-    zsums: dict[tuple, Fraction] = {}
-    for key, count in reduced.items():
-        part = _evaluate_key(key, caps).epsilon_part(1)
-        for mon, sd in part.raw().items():
-            for (e, h), coeff in sd.items():
-                zsums[mon, h] = zsums.get((mon, h), Fraction(0)) + count * coeff
+        counts = turns.setdefault(proj.code, {})
+        turn = proj.marks, proj.r
+        counts[turn] = counts.get(turn, 0) + 1
+    tallies: dict[str, int] = {}
+    reduced: dict[tuple, int] = {}  # zmean: the count of each reduced key
+    for code, counts in turns.items():
+        label = class_label(code)
+        tallies[label] = tallies.get(label, 0) + sum(counts.values())
+        for (marks, r), count in counts.items() if phi == "zmean" else ():
+            # less its removable curls and bigons, which keeps its element
+            key = _reduce_key(_projection_key(code, marks, r))
+            reduced[key] = reduced.get(key, 0) + count
     accepted = sum(tallies.values())
     if accepted == 0:
         raise AllSamplesDegenerate("every sampled direction was degenerate")
     freq = {label: Fraction(count, accepted) for label, count in tallies.items()}
     mean = None
     if phi == "zmean":
-        mean = {
-            "caps": caps.to_json(),
-            "eps_degree": 1,
-            "components": [
-                {
-                    "monomial": list(mon),
-                    "hbar": h,
-                    "mean": str(total / accepted),
-                }
-                for (mon, h), total in sorted(zsums.items())
-            ],
-        }
+        # each reduced key is walked once; its eps^1 terms c * L**h, times
+        # its count, are summed as ints and unscaled once.  A (monomial, h)
+        # that any walk reaches stays, even at a zero total
+        tables, zsums = _walk_tables(caps), {}
+        for key, count in reduced.items():
+            for k, c in _scaled_walk(key, caps).items():
+                if k % tables.S // (caps.hbar_order + 1) == 1:
+                    zsums[k] = zsums.get(k, 0) + count * c
+        terms = tables.terms(zsums).items()
+        means = [(mon, h, total / accepted) for mon, sd in terms for (_, h), total in sd.items()]
+        components = [{"monomial": list(mon), "hbar": h, "mean": str(m)} for mon, h, m in sorted(means)]
+        mean = {"caps": caps.to_json(), "eps_degree": 1, "components": components}
     return tallies, freq, mean, rejected
 
 
@@ -683,10 +677,7 @@ def estimate_measure(
         _check_cost(caps)
         if caps.eps_order < 1:
             raise DegreeOutOfRange(f"eps degree 1 outside caps {caps}")
-    directions = sample_directions(seed, n)
-    tallies, freq, mean, rejected = _estimate_with_directions(
-        curve, directions, tol, phi, caps
-    )
+    _, freq, mean, rejected = _estimate_with_directions(curve, sample_directions(seed, n), tol, phi, caps)
     return MeasureEstimate(n, seed, freq, mean, rejected)
 
 

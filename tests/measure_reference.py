@@ -6,18 +6,21 @@ check and the incremental Gauss-code simplifier in ``knotoidal.measure``
 replaced.  The property tests require the fast versions to produce exactly
 what these produce.  :func:`reference_decomposition` rebuilds the rotational
 decomposition that ``project`` once returned, from which its key must read
-back.  :func:`perturbed` adds seeded noise to a curve for the stability
-tests.
+back.  :func:`reference_zmean_mean` is the ``zmean`` mean by the sums of
+exact ``Fraction`` elements that the estimator's integer sums replaced.
+:func:`perturbed` adds seeded noise to a curve for the stability tests.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 from knotoidal import measure
 from knotoidal.diagram import Crossing, OrientedGaussCode, RotDecomp, Rotation
 from knotoidal.errors import DegenerateDirection, InvalidArgument
+from knotoidal.invariant import _evaluate_key
 from knotoidal.measure import OpenCurve3D, _check_seed, _point_segment_distance, _unit_float, rand64
 
 
@@ -254,3 +257,30 @@ def perturbed(curve: OpenCurve3D, radius: float, seed: int) -> OpenCurve3D:
             )
         )
     return OpenCurve3D(tuple(out))
+
+
+def reference_zmean_mean(counted_keys: dict, caps) -> dict:
+    """The ``invariant_mean`` of ``zmean`` for ``(code, rho, r)`` keys
+    counted ``{key: count}``: each key's eps^1 part, an exact element, times
+    its count, summed as ``Fraction``s per ``(monomial, h)`` and divided by
+    the total count.  A ``(monomial, h)`` that any key's part holds stays,
+    even at a zero total.  The keys are evaluated as they are, unreduced."""
+    zsums = {}
+    for key, count in counted_keys.items():
+        part = _evaluate_key(key, caps).epsilon_part(1)
+        for mon, sd in part.raw().items():
+            for (e, h), coeff in sd.items():
+                zsums[mon, h] = zsums.get((mon, h), Fraction(0)) + count * coeff
+    accepted = sum(counted_keys.values())
+    return {
+        "caps": caps.to_json(),
+        "eps_degree": 1,
+        "components": [
+            {
+                "monomial": list(mon),
+                "hbar": h,
+                "mean": str(total / accepted),
+            }
+            for (mon, h), total in sorted(zsums.items())
+        ],
+    }

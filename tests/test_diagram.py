@@ -298,6 +298,31 @@ def test_reverse_trivial():
     assert reverse_decomposition(TRIVIAL_DECOMP) == TRIVIAL_DECOMP
 
 
+def test_equal_codes_hash_equal_however_built():
+    # the hash is filled on first use; equal codes hash equal whichever
+    # constructor path built them and in whichever order their signs were
+    # given, and a code hashed again answers as before
+    parsed = parse_gauss_code("1 -2 3 -1 4 -3 2 -4 + - - +")
+    forward = dict(parsed.signs)
+    backward = dict(reversed(list(forward.items())))
+    renumbered = OrientedGaussCode([(5 - c, role) for c, role in parsed.passes], {5 - c: s for c, s in forward.items()})
+    codes = [
+        parsed,
+        OrientedGaussCode(parsed.passes, forward),
+        OrientedGaussCode(list(parsed.passes), backward),
+        OrientedGaussCode(parsed.passes, backward, _trusted=True),
+        renumbered.relabeled(),
+        reverse_code(reverse_code(parsed)),
+    ]
+    assert list(backward) != list(forward) and renumbered != parsed
+    hashes = [hash(code) for code in codes]
+    assert all(code == parsed for code in codes) and len(set(hashes)) == 1
+    assert [hash(code) for code in codes] == hashes
+    assert {code: n for n, code in enumerate(codes)} == {parsed: len(codes) - 1}
+    flipped = OrientedGaussCode(parsed.passes, {**forward, 1: -forward[1]})
+    assert flipped != parsed and hash(flipped) != hash(parsed)
+
+
 def test_reverse_is_involutive_on_tokens():
     d = fixtures()["5_9"][1]
     assert reverse_decomposition(reverse_decomposition(d)) == d

@@ -268,8 +268,9 @@ def test_twists_leave_no_zero_term_in_the_walk(monkeypatch):
 
 def _handed_on(d, caps) -> list:
     """``(kind, states)`` for each step of the walk of ``d``: the kind of
-    the step and the states it hands on, read from the walk's frame."""
-    code, skeleton = invariant._evaluate_key.__code__, _key(d)[0]
+    the step and the states it hands on, read from the frame of the
+    integer walk, :func:`invariant._scaled_walk`."""
+    code, skeleton = invariant._scaled_walk.__code__, _key(d)[0]
     handed: list = []
 
     def step_line(frame, event, arg):

@@ -4,8 +4,10 @@ import inspect
 import math
 import os
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +53,9 @@ from knotoidal.measure import (
     sample_directions,
     simplify_gauss,
 )
+from knotoidal.series import Caps
 from bracket_reference import normalized_bracket
+from decomp_strategies import small_decomposition_st
 from invariant_reference import marked_passes, reference_walk, reference_walk_key
 from measure_reference import (
     all_pairs_triple_points,
@@ -59,6 +63,7 @@ from measure_reference import (
     reference_decomposition,
     reference_project,
     reference_simplify_gauss,
+    reference_zmean_mean,
 )
 
 TOL = 1e-9
@@ -800,14 +805,17 @@ def test_estimator_never_reads_the_biframing(trefoil, monkeypatch, phi):
 
 @pytest.mark.parametrize("phi", ["classes", "zmean"])
 def test_only_zmean_reads_the_key(trefoil, monkeypatch, phi):
-    # the key is built on first read, so classes mode builds none
+    # every key, the estimator's and ProjectionResult.key, is built by one
+    # helper, which classes mode never calls
     from knotoidal import measure
     from knotoidal.series import Caps
 
-    def unread(self):
+    def unread(code, marks, r):
         raise AssertionError("the estimator read a key")
 
-    monkeypatch.setattr(measure.ProjectionResult, "key", property(unread))
+    monkeypatch.setattr(measure, "_projection_key", unread)
+    with pytest.raises(AssertionError, match="read a key"):
+        project(trefoil, sample_direction(0, 0), TOL).key
     if phi == "classes":
         # the pinned counts of test_estimate_golden_counts
         estimate = estimate_measure(trefoil, 2000, seed=0, tol=TOL)
@@ -852,26 +860,31 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     from knotoidal.series import Caps
 
     caps, directions = Caps(1, 2), sample_directions(1, 200)
-    original, evaluate, calls = invariant.evaluate_Z, invariant._evaluate_key, []
+    original, walk, calls = invariant.evaluate_Z, invariant._scaled_walk, []
 
     def counted(key, caps):
         calls.append(key)
-        return evaluate(key, caps)
+        return walk(key, caps)
 
-    monkeypatch.setattr(invariant, "_evaluate_key", counted)
+    monkeypatch.setattr(invariant, "_scaled_walk", counted)
     _, _, mean, rejected = _estimate_with_directions(trefoil, directions, TOL, "zmean", caps)
+    monkeypatch.undo()
     decomps = []
     for direction in directions:
         try:
             decomps.append(reference_decomposition(trefoil, direction, TOL)[1])
         except DegenerateDirection:
             pass
-    # each (code, rho, r) key, reduced; each reduced key is evaluated once,
-    # in first-seen order.  91 decompositions here have 88 walks, 66 keys
-    # and 40 reduced keys
+    # each (code, rho, r) key, reduced; each reduced key is walked once, in
+    # the order the estimator counts: codes in first-seen order, and a
+    # code's keys in first-seen order among its own.  A key's skeleton
+    # names its code.  91 decompositions here have 88 walks, 66 keys and
+    # 40 reduced keys
     distinct = dict.fromkeys(reference_walk_key(reference_walk(d)) for d in decomps)
-    reduced = dict.fromkeys(invariant._reduce_key(key) for key in distinct)
-    assert calls == list(reduced)
+    skeletons = list(dict.fromkeys(key[0] for key in distinct))
+    by_code = sorted(distinct, key=lambda key: skeletons.index(key[0]))
+    reduced = dict.fromkeys(invariant._reduce_key(key) for key in by_code)
+    assert calls == list(reduced) and by_code != list(distinct)
     walks = {d.walk() for d in decomps}
     assert len(reduced) < len(distinct) < len(walks) < len(set(decomps)) < len(decomps) == 200 - rejected
     # the same mean as one evaluation per accepted direction
@@ -885,6 +898,62 @@ def test_zmean_evaluates_each_decomposition_once(trefoil, monkeypatch):
     ]
 
 
+def _projection_of_key(key):
+    """A projection whose key reads back as ``key``: the code, marks and r
+    of the key's passes, crossings numbered from 1 in opening order.  The
+    biframing is never read, so the projected points can be empty."""
+    from knotoidal import measure
+
+    seen, passes, signs, marks = set(), [], {}, []
+    for c, sign, over, mark in marked_passes(key):
+        passes.append((c + 1, "over" if over != (c in seen) else "under"))
+        seen.add(c)
+        signs[c + 1] = sign
+        marks.append(mark)
+    proj = measure.ProjectionResult(OrientedGaussCode(passes, signs), tuple(marks), key[2], ())
+    assert proj.key == key
+    return proj
+
+
+def _zmean_of_keys(keys, caps) -> dict:
+    """The ``zmean`` mean of the estimator with ``project`` patched to
+    return one projection of each key of ``keys``, in order."""
+    from knotoidal import measure
+
+    projections = iter([_projection_of_key(key) for key in keys])
+    with mock.patch.object(measure, "project", lambda curve, direction, tol: next(projections)):
+        return _estimate_with_directions(None, keys, TOL, "zmean", caps)[2]
+
+
+@pytest.mark.parametrize("caps", [Caps(1, 2), Caps(2, 3)], ids=["caps12", "caps23"])
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(small_decomposition_st(6), st.integers(1, 3)), min_size=1, max_size=5), st.randoms())
+def test_zmean_mean_is_the_fraction_sum_of_its_keys(caps, drawn, rnd):
+    # the estimator sums the integer eps^1 terms of each reduced key's walk,
+    # times its count, and unscales once; the reference sums the exact
+    # elements of the unreduced keys as Fractions
+    keys = [d.key() for d, count in drawn for _ in range(count)]
+    rnd.shuffle(keys)
+    assert _zmean_of_keys(keys, caps) == reference_zmean_mean(Counter(keys), caps)
+
+
+def test_zmean_keeps_a_component_whose_total_cancels():
+    # a lone C+ rotation counted twice and a lone R- crossing once: their
+    # eps^1 parts at the monomial a, hbar^1, are 1/2 and -1, so that
+    # component totals 0, and the mean prints it as "0"
+    caps = Caps(1, 2)
+    turn, crossing = ((), (), 1), ((("open", -1, True), ("close", 0)), (0,), 0)
+    mean = _zmean_of_keys([turn, crossing, turn], caps)
+    assert mean == reference_zmean_mean({turn: 2, crossing: 1}, caps)
+    assert mean["components"] == [
+        {"monomial": [0, 0, 1, 0], "hbar": 1, "mean": "0"},
+        {"monomial": [0, 1, 0, 0], "hbar": 2, "mean": "-1/3"},
+        {"monomial": [0, 1, 1, 0], "hbar": 2, "mean": "1/2"},
+        {"monomial": [0, 1, 2, 0], "hbar": 2, "mean": "1/3"},
+        {"monomial": [1, 0, 0, 1], "hbar": 2, "mean": "-2/3"},
+    ]
+
+
 def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     # two decompositions that differ only in token order have one walk, and
     # a third, with a C+ C- pair between two passes, has another walk with
@@ -893,7 +962,7 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     # curl with rho = rho* to the first: one inside a span, over first, and
     # one at the end, under first; both reduce to one key.  A curl with
     # rho = -rho* is not central and stays
-    from knotoidal import invariant, measure
+    from knotoidal import invariant
     from knotoidal.series import Caps
 
     caps = Caps(1, 2)
@@ -907,35 +976,19 @@ def test_zmean_evaluates_decompositions_of_one_walk_once(monkeypatch):
     assert first.walk() != third.walk()
     assert reference_walk_key(first.walk()) == reference_walk_key(third.walk())
     assert reference_walk_key(curl_inside.walk()) != reference_walk_key(curl_at_end.walk())
-    evaluate, calls = invariant._evaluate_key, []
+    walk, calls = invariant._scaled_walk, []
 
     def counted(key, caps):
         calls.append(key)
-        return evaluate(key, caps)
-
-    def projection(key):
-        # the code, marks and r of the key's passes, crossings numbered from
-        # 1 in opening order; the biframing is never read, so the projected
-        # points can be empty
-        seen, passes, signs, marks = set(), [], {}, []
-        for c, sign, over, mark in marked_passes(key):
-            passes.append((c + 1, "over" if over != (c in seen) else "under"))
-            seen.add(c)
-            signs[c + 1] = sign
-            marks.append(mark)
-        proj = measure.ProjectionResult(OrientedGaussCode(passes, signs), tuple(marks), key[2], ())
-        assert proj.key == key
-        return proj
+        return walk(key, caps)
 
     def means(decomps):
-        projections = iter([projection(reference_walk_key(d.walk())) for d in decomps])
-        monkeypatch.setattr(measure, "project", lambda curve, direction, tol: next(projections))
-        return _estimate_with_directions(None, decomps, TOL, "zmean", caps)[2]
+        return _zmean_of_keys([reference_walk_key(d.walk()) for d in decomps], caps)
 
     def reduced(d):
         return invariant._reduce_key(reference_walk_key(d.walk()))
 
-    monkeypatch.setattr(invariant, "_evaluate_key", counted)
+    monkeypatch.setattr(invariant, "_scaled_walk", counted)
     assert means([first, second, third, first]) == means([first] * 4)
     assert means([third, first]) == means([third] * 2)
     assert calls == [reduced(first)] * 4
@@ -1250,6 +1303,52 @@ def test_trefoil_opens_at_the_gap_after_pass_arc():
         opened = knot_to_knotoid(closed, arc)
         assert opened.render() == render, arc
         assert normalized_bracket(opened) == {4: 1, 12: 1, 16: -1}, arc
+
+
+# the closure of the braid s1 s2^-1 s1 s2^-1, a diagram of the figure-eight
+FIGURE_EIGHT_CLOSED = "1 -2 3 -1 4 -3 2 -4 + - - +"
+
+
+def _substituted(jones: dict, power: int) -> dict:
+    """A Laurent polynomial in t, ``{exponent: coefficient}``, at t = A**power."""
+    return {power * e: c for e, c in jones.items()}
+
+
+@pytest.mark.parametrize(
+    "closed, jones, chiral",
+    [
+        # the left-handed trefoil, t^-1 + t^-3 - t^-4
+        (TREFOIL_CLOSED, {-1: 1, -3: 1, -4: -1}, True),
+        # the figure-eight, t^-2 - t^-1 + 1 - t + t^2, its own mirror image
+        (FIGURE_EIGHT_CLOSED, {-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}, False),
+    ],
+    ids=["trefoil", "figure_eight"],
+)
+def test_knot_type_knotoids_have_the_knots_jones_polynomial(closed, jones, chiral):
+    # a knotoid opened from a knot diagram at any arc has the knot's
+    # normalized bracket, which is its Jones polynomial at t = A^-4; the
+    # other substitution, t = A^4, is the mirror image's, a different
+    # polynomial for the chiral trefoil
+    code = parse_gauss_code(closed)
+    expected = _substituted(jones, -4)
+    assert (expected != _substituted(jones, 4)) == chiral
+    for arc in range(len(code.passes)):
+        assert normalized_bracket(knot_to_knotoid(code, arc)) == expected, arc
+
+
+def test_fixture_codes_normalized_brackets_pinned():
+    # each fixture decomposition's gauss_code(), read along its strand; a
+    # pair with one code has one value, and 5_7 and 5_421 agree as well
+    pinned = {
+        "5_7": {-2: 1, 0: 2, 2: -1, 4: -2, 6: -1, 8: 1, 10: 1},
+        "5_421": {-2: 1, 0: 2, 2: -1, 4: -2, 6: -1, 8: 1, 10: 1},
+        "5_9": {-6: -1, -2: 2, 0: 2, 2: -2, 4: -2, 6: 1, 8: 2, 12: -1},
+        "5_561": {-6: -1, -2: 2, 0: 2, 2: -2, 4: -2, 6: 1, 8: 2, 12: -1},
+        "5_12": {8: 1, 10: 1, 14: -2, 18: 2, 20: 1, 22: -1, 24: -1},
+        "5_593": {8: 1, 10: 1, 14: -2, 18: 2, 20: 1, 22: -1, 24: -1},
+    }
+    brackets = {name: normalized_bracket(d.gauss_code()) for name, (_, d) in fixtures().items()}
+    assert brackets == pinned
 
 
 def test_arc_out_of_range():
