@@ -110,9 +110,38 @@ CATALOGUE = [
     Mutant(
         "no-cusp-guard",
         MEASURE,
-        "if any(length < tol for length in lengths):",
-        "if any(length < 0 for length in lengths):",
+        "if min(lengths) < tol:",
+        "if min(lengths) < 0:",
         "tests/test_measure.py::test_degenerate_reason",
+    ),
+    # project's fixed-cost fast paths
+    Mutant(
+        "basis-tie-goes-past-x",
+        MEASURE,
+        "if ax <= ay and ax <= az:",
+        "if ax < ay and ax <= az:",
+        "tests/test_measure.py::test_plane_basis_is_the_reference_on_ties",
+    ),
+    Mutant(
+        "boxes-left-unsorted",
+        MEASURE,
+        "    boxes.sort()\n",
+        "",
+        "tests/test_measure.py::test_project_matches_all_pairs_on_trefoil",
+    ),
+    Mutant(
+        "grazing-scan-ends-the-check",
+        MEASURE,
+        "if left > px:\n                break",
+        "if left > px:\n                return",
+        "tests/test_measure.py::test_head_grazing_is_checked_after_the_legs_scan_stops",
+    ),
+    Mutant(
+        "triple-points-need-three-crossings",
+        MEASURE,
+        "if len(crossings) > 1:",
+        "if len(crossings) > 2:",
+        "tests/test_measure.py::test_two_crossings_within_tol_are_a_triple_point",
     ),
     # the sampler draws half of the sphere
     Mutant(
@@ -128,6 +157,14 @@ CATALOGUE = [
         "theta = 2.0 * math.pi * _unit_float(",
         "theta = math.pi * _unit_float(",
         "tests/test_measure.py::test_estimate_golden_counts",
+    ),
+    # the sampler over-weights the lower half of the sphere
+    Mutant(
+        "sampler-z-skewed-down",
+        MEASURE,
+        "z = 2.0 * _unit_float(rand64(seed, 2 * index)) - 1.0",
+        "z = 2.0 * _unit_float(rand64(seed, 2 * index)) ** 2 - 1.0",
+        "tests/test_measure.py::test_bracket_frequencies_are_within_four_sigma_of_cell_areas",
     ),
     # the simplifier
     Mutant(

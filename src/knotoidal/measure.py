@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import atan2, hypot
 from operator import sub
 
 from .diagram import Biframing, OrientedGaussCode, walk_key, writhe
@@ -53,6 +54,7 @@ ZMEAN_CAPS = Caps(1, 2)
 # pinned projection outputs of the tests and the benchmark were recorded
 ANGLE_GUARD = 1.0000000000000002e-06
 
+_PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
 
@@ -211,13 +213,21 @@ def _cross3(u: Vec3, v: Vec3) -> Vec3:
 
 
 def _plane_basis(v: Vec3) -> tuple[Vec3, Vec3]:
-    axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    helper = min(axes, key=lambda ax: abs(ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2]))
-    e1 = _cross3(helper, v)
-    norm = math.sqrt(sum(c * c for c in e1))
-    e1 = tuple(c / norm for c in e1)
-    e2 = _cross3(v, e1)
-    return e1, e2
+    """An orthonormal basis ``(e1, e2)`` of the plane normal to the unit
+    vector ``v``: ``e1`` is the unit cross product of the axis least aligned
+    with ``v`` (ties go to x, then y) with ``v``, and ``e2`` is ``v x e1``."""
+    ax, ay, az = abs(v[0]), abs(v[1]), abs(v[2])
+    if ax <= ay and ax <= az:
+        helper = (1.0, 0.0, 0.0)
+    elif ay <= az:
+        helper = (0.0, 1.0, 0.0)
+    else:
+        helper = (0.0, 0.0, 1.0)
+    e1x, e1y, e1z = _cross3(helper, v)
+    # sum() of a tuple rounds as sum() of a generator does on every Python
+    norm = math.sqrt(sum((e1x * e1x, e1y * e1y, e1z * e1z)))
+    e1 = (e1x / norm, e1y / norm, e1z / norm)
+    return e1, _cross3(v, e1)
 
 
 def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
@@ -227,9 +237,9 @@ def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     dx, dy = bx - ax, by - ay
     length2 = dx * dx + dy * dy
     if length2 == 0.0:
-        return math.hypot(px - ax, py - ay)
+        return hypot(px - ax, py - ay)
     t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / length2))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    return hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def _segment_crossings(pts2, depth, tol, dirs, lengths, boxes) -> list[tuple]:
@@ -240,10 +250,11 @@ def _segment_crossings(pts2, depth, tol, dirs, lengths, boxes) -> list[tuple]:
     ``i`` is the over-strand, and ``sign`` is +1 when the cross product of
     the over-strand's direction with the under-strand's is positive.
     ``dirs``, ``lengths`` and ``boxes`` are the segment table of
-    :func:`project`.
+    :func:`project`; ``boxes`` must be sorted, which orders them by their
+    left edge.
 
-    Broad phase: sort the segments' boxes, inflated by ``2 * tol``, in place
-    by their left edge and sweep.  A pair whose inflated boxes are disjoint
+    Broad phase: sweep the segments' boxes, inflated by ``2 * tol``, in
+    the order of their left edges.  A pair whose inflated boxes are disjoint
     is more than ``4 * tol`` apart, so the narrow phase could neither record
     nor reject it: an overlap needs a gap below ``tol``, and a crossing's point
     lies within ``tol`` of both segments (its parameters may overshoot each
@@ -253,7 +264,6 @@ def _segment_crossings(pts2, depth, tol, dirs, lengths, boxes) -> list[tuple]:
     then run through the narrow phase in ascending ``(i, j)`` order, so the
     records and the first rejection are those of testing every pair.
     """
-    boxes.sort()
     lefts = [box[0] for box in boxes]
     candidates = []
     for rank, (_, i, right, low, high) in enumerate(boxes):
@@ -320,7 +330,7 @@ def _check_triple_points(points, tol) -> None:
             xn, yn = ordered[n]
             if xn - xm >= tol:
                 break
-            if math.hypot(xm - xn, ym - yn) < tol:
+            if hypot(xm - xn, ym - yn) < tol:
                 raise DegenerateDirection("two crossings within tol (triple point)")
 
 
@@ -331,13 +341,17 @@ def _check_endpoint_grazing(pts2, tol, boxes) -> None:
     The segment's box of :func:`project`, inflated by ``2 * tol``, is tested
     first: a point outside it is more than ``2 * tol`` from the segment,
     which lies in the box, so the distance could not reject it.  The margin
-    beyond ``tol`` absorbs rounding.
+    beyond ``tol`` absorbs rounding.  ``boxes`` must be sorted, as
+    :func:`project` sorts them, so the scan for an endpoint stops at the
+    first box whose left edge lies right of it.
     """
     for endpoint, own in ((pts2[0], 0), (pts2[-1], len(pts2) - 2)):
         px, py = endpoint
         for left, i, right, bottom, top in boxes:
+            if left > px:
+                break
             if (
-                left <= px <= right
+                px <= right
                 and bottom <= py <= top
                 and i != own
                 and _point_segment_distance(endpoint, pts2[i], pts2[i + 1]) < tol
@@ -355,53 +369,61 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         raise InvalidArgument(f"tol must be a positive finite int or float, got {tol!r}")
     if not _is_vec3(direction):
         raise InvalidArgument(f"direction must be three real coordinates, got {direction!r}")
-    norm = math.sqrt(sum(c * c for c in direction))
+    vx, vy, vz = direction
+    # sum() of a tuple rounds as sum() of a generator does on every Python
+    norm = math.sqrt(sum((vx * vx, vy * vy, vz * vz)))
     if not abs(norm - 1.0) <= 1e-12:  # also false for a nan component
         raise InvalidArgument("direction must be a unit vector within 1e-12")
     (e1x, e1y, e1z), (e2x, e2y, e2z) = _plane_basis(direction)
-    vx, vy, vz = direction
-    pts2, depth = [], []
-    for x, y, z in curve.points:
-        pts2.append((x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z))
-        depth.append(x * vx + y * vy + z * vz)
+    points = curve.points
+    pts2 = [(x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z) for x, y, z in points]
+    depth = [x * vx + y * vy + z * vz for x, y, z in points]
     # the segment table: each segment's direction, length, and box
-    # (left, i, right, bottom, top) inflated by 2 * tol
-    dirs, lengths, boxes = [], [], []
+    # (left, i, right, bottom, top) inflated by 2 * tol, the boxes sorted
+    dirs = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts2, pts2[1:])]
+    lengths = [hypot(dx, dy) for dx, dy in dirs]
     pad = 2.0 * tol
-    for i, ((ax, ay), (bx, by)) in enumerate(zip(pts2, pts2[1:])):
-        dx, dy = bx - ax, by - ay
-        dirs.append((dx, dy))
-        lengths.append(math.hypot(dx, dy))
-        xl, xh = (ax, bx) if ax < bx else (bx, ax)
-        yl, yh = (ay, by) if ay < by else (by, ay)
-        boxes.append((xl - pad, i, xh + pad, yl - pad, yh + pad))
+    boxes = [
+        (
+            (ax if ax < bx else bx) - pad,
+            i,
+            (bx if ax < bx else ax) + pad,
+            (ay if ay < by else by) - pad,
+            (by if ay < by else ay) + pad,
+        )
+        for i, ((ax, ay), (bx, by)) in enumerate(zip(pts2, pts2[1:]))
+    ]
+    boxes.sort()
 
     # a 3D segment parallel to the view direction projects to a point (cusp)
-    if any(length < tol for length in lengths):
+    if min(lengths) < tol:
         raise DegenerateDirection("segment parallel to view direction")
 
     crossings = _segment_crossings(pts2, depth, tol, dirs, lengths, boxes)
-    _check_triple_points([rec[6] for rec in crossings], tol)
+    if len(crossings) > 1:  # a lone crossing has no pair to be near
+        _check_triple_points([rec[6] for rec in crossings], tol)
     _check_endpoint_grazing(pts2, tol, boxes)
 
     # continuous tangent-angle lift along the polyline; an atan2 difference
     # lies in [-2pi, 2pi], so one step of 2pi wraps it into (-pi, pi]
-    angles = [math.atan2(dy, dx) for dx, dy in dirs]
-    lifted = [angles[0]]
+    angles = [atan2(dy, dx) for dx, dy in dirs]
+    total = angles[0]
+    lifted = [total]
     for prev, cur in zip(angles, angles[1:]):
         delta = cur - prev
-        if delta <= -math.pi:
+        if delta <= -_PI:
             delta += _TWO_PI
-        elif delta > math.pi:
+        elif delta > _PI:
             delta -= _TWO_PI
-        if abs(abs(delta) - math.pi) < ANGLE_GUARD:
+        if abs(abs(delta) - _PI) < ANGLE_GUARD:
             raise DegenerateDirection("projection folds back (cusp)")
-        lifted.append(lifted[-1] + delta)
+        total += delta
+        lifted.append(total)
 
     def snap(angle: float, anchor: float) -> int:
-        ratio = (angle - anchor) / (2.0 * math.pi)
+        ratio = (angle - anchor) / _TWO_PI
         nearest = round(ratio)
-        if abs(abs(ratio - nearest) - 0.5) < ANGLE_GUARD / (2.0 * math.pi):
+        if abs(abs(ratio - nearest) - 0.5) < ANGLE_GUARD / _TWO_PI:
             raise DegenerateDirection("turning ambiguous at half rotation")
         return int(nearest)
 
@@ -412,8 +434,8 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
         as a whole (a full-crossing rotation) or for both endpoints together
         (a matched pair of endpoint twists).  Both are invariances of the
         evaluated invariant; independent rounding of the two angles would not be."""
-        mark = snap(start, 0.5 * math.pi)
-        return snap(end, start - 2.0 * math.pi * mark) - mark
+        mark = snap(start, 0.5 * _PI)
+        return snap(end, start - _TWO_PI * mark) - mark
 
     # The passes in strand order: (segment, parameter, crossing index).  A
     # crossing's first pass is on its lower segment ``i``.  No two passes
@@ -661,6 +683,8 @@ def estimate_measure(
     raises :class:`CapsTooCostly` for caps past ``invariant.CAPS_COST_LIMIT``,
     and :class:`DegreeOutOfRange` for eps order 0, which holds no eps^1 part
     to average, before it samples or projects any direction."""
+    if not isinstance(curve, OpenCurve3D):
+        raise InvalidArgument(f"need an OpenCurve3D, got {type(curve).__name__}")
     if type(n) is not int or n < 1:
         raise InvalidArgument(f"need an int number of samples >= 1, got {n!r}")
     _check_seed(seed)

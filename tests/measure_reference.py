@@ -3,10 +3,11 @@
 These are the original quadratic implementations that the sweep-based
 crossing search, the sorted triple-point check, the box-filtered endpoint
 check and the incremental Gauss-code simplifier in ``knotoidal.measure``
-replaced.  The property tests require the fast versions to produce exactly
-what these produce.  :func:`reference_decomposition` rebuilds the rotational
-decomposition that ``project`` once returned, from which its key must read
-back.  :func:`reference_zmean_mean` is the ``zmean`` mean by the sums of
+replaced, and the plane basis chosen by ``min`` over the three axes that
+``_plane_basis``'s comparisons replaced.  The property tests require the
+fast versions to produce exactly what these produce.
+:func:`reference_decomposition` rebuilds the rotational decomposition that
+``project`` once returned, from which its key must read back.  :func:`reference_zmean_mean` is the ``zmean`` mean by the sums of
 exact ``Fraction`` elements that the estimator's integer sums replaced.
 :func:`perturbed` adds seeded noise to a curve for the stability tests.
 """
@@ -21,7 +22,19 @@ from knotoidal import measure
 from knotoidal.diagram import Crossing, OrientedGaussCode, RotDecomp, Rotation
 from knotoidal.errors import DegenerateDirection, InvalidArgument
 from knotoidal.invariant import _evaluate_key
-from knotoidal.measure import OpenCurve3D, _check_seed, _point_segment_distance, _unit_float, rand64
+from knotoidal.measure import OpenCurve3D, _check_seed, _cross3, _point_segment_distance, _unit_float, rand64
+
+
+def reference_plane_basis(v):
+    """The basis ``(e1, e2)`` of the plane normal to ``v`` from the axis
+    that ``min`` finds least aligned with ``v``, the first one on a tie."""
+    axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    helper = min(axes, key=lambda ax: abs(ax[0] * v[0] + ax[1] * v[1] + ax[2] * v[2]))
+    e1 = _cross3(helper, v)
+    norm = math.sqrt(sum(c * c for c in e1))
+    e1 = tuple(c / norm for c in e1)
+    e2 = _cross3(v, e1)
+    return e1, e2
 
 
 def all_pairs_crossings(pts2, depth, tol, dirs, lengths, boxes):

@@ -7,6 +7,8 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import permutations, product
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -55,12 +57,14 @@ from knotoidal.measure import (
 )
 from knotoidal.series import Caps
 from bracket_reference import normalized_bracket
+from cells_reference import Cells
 from decomp_strategies import small_decomposition_st
 from invariant_reference import marked_passes, reference_walk, reference_walk_key
 from measure_reference import (
     all_pairs_triple_points,
     perturbed,
     reference_decomposition,
+    reference_plane_basis,
     reference_project,
     reference_simplify_gauss,
     reference_zmean_mean,
@@ -254,12 +258,69 @@ DEGENERATE_CURVES = [
 ]
 
 
-@pytest.mark.parametrize("reason, points", DEGENERATE_CURVES, ids=[r for r, _ in DEGENERATE_CURVES])
-def test_degenerate_reason(reason, points):
+def _reason_along_z(points) -> str:
     curve = OpenCurve3D(tuple(tuple(float(c) for c in p) for p in points))
     with pytest.raises(DegenerateDirection) as exc:
         project(curve, (0.0, 0.0, 1.0), TOL)
-    assert exc.value.reason == reason
+    return exc.value.reason
+
+
+@pytest.mark.parametrize("reason, points", DEGENERATE_CURVES, ids=[r for r, _ in DEGENERATE_CURVES])
+def test_degenerate_reason(reason, points):
+    assert _reason_along_z(points) == reason
+
+
+def test_two_crossings_within_tol_are_a_triple_point():
+    # test_degenerate_reason's triple point has three crossings; here the
+    # strands through the two crossings on the leg's segment, half a tol
+    # apart, meet at a vertex 1e-4 above it, so there are only two
+    assert _reason_along_z(
+        ((-1, 0, 0), (1, 0, 0), (1, -2, 1), (0, -2, 1), (0, 1e-4, 1), (5e-6, -1, 1))
+    ) == "two crossings within tol (triple point)"
+
+
+def test_head_grazing_is_checked_after_the_legs_scan_stops():
+    # the head grazes the first segment, as the leg grazes the last one in
+    # test_degenerate_reason; the leg lies left of every other segment's box
+    # in the projection plane, whose first axis is -y along +z, so its scan
+    # of the sorted boxes stops at the second box
+    assert _reason_along_z(
+        ((0, 2, 1), (0, -1, 1), (2, -1, 1), (2, 1, 1), (0.1 + 5e-10, 1, 0), (5e-10, 0, 0))
+    ) == "endpoint within tol of a strand"
+
+
+def _bits(basis) -> list[str]:
+    """Every coordinate of a basis in hex, which tells -0.0 from 0.0."""
+    return [c.hex() for e in basis for c in e]
+
+
+def _tie_directions():
+    """Unit vectors on every tie of ``_plane_basis``'s axis choice: the
+    axes, two or three equal magnitudes, in every order, with every sign,
+    zeros as 0.0 and -0.0."""
+    half, third = math.sqrt(0.5), math.sqrt(1.0 / 3.0)
+    for magnitudes in ((1.0, 0.0, 0.0), (half, half, 0.0), (third, third, third), (0.6, 0.6, math.sqrt(0.28))):
+        for ordered in set(permutations(magnitudes)):
+            for signs in product((1.0, -1.0), repeat=3):
+                yield tuple(s * m for s, m in zip(signs, ordered))
+
+
+def test_plane_basis_is_the_reference_on_ties():
+    directions = list(_tie_directions())
+    assert len(directions) == 8 * (3 + 3 + 1 + 3)
+    for v in directions:
+        assert _bits(_plane_basis(v)) == _bits(reference_plane_basis(v)), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 0.5, -0.5])) for _ in range(3)]),
+    st.integers(0, 2**16),
+)
+def test_plane_basis_is_the_reference_on_unit_vectors(raw, index):
+    norm = math.sqrt(sum(c * c for c in raw))
+    for v in (sample_direction(index, index), tuple(c / norm for c in raw) if norm > 0.0 else (0.0, 0.0, 1.0)):
+        assert _bits(_plane_basis(v)) == _bits(reference_plane_basis(v)), v
 
 
 # -- oracles: the all-pairs searches and the rescanning simplifier ---------------
@@ -709,6 +770,94 @@ def test_simplify_keeps_the_normalized_bracket_on_a_walk():
     assert checked >= 10
 
 
+# -- exact cells: each cell of view directions holds one knotoid ----------------
+
+CELL_DIRECTIONS = 2000  # seed 0's directions, as estimate_measure samples them
+BRACKET_CROSSINGS = 8  # simplified codes with more are not bracketed
+
+
+def _bracket_class(code):
+    """The normalized bracket of a code's simplification as a sorted tuple,
+    or None past BRACKET_CROSSINGS crossings."""
+    simplified = simplify_gauss(code)
+    if len(simplified) > BRACKET_CROSSINGS:
+        return None
+    return tuple(sorted(normalized_bracket(simplified).items()))
+
+
+@pytest.fixture(scope="module", params=["trefoil", "walk32"])
+def sampled_cells(request, trefoil):
+    """A curve's cells with each cell's bracket class, from the first of its
+    interior directions that has one (None if none has), and for each
+    accepted direction of seed 0 the cells that hold it and its own bracket
+    class."""
+    curve = trefoil if request.param == "trefoil" else _walk(32, 1, False)
+    cells, classes = Cells(curve.points), {}
+
+    def bracket_class(direction):
+        code = project(curve, direction, TOL).code
+        if code not in classes:
+            classes[code] = _bracket_class(code)
+        return classes[code]
+
+    cell_classes = []
+    for index in range(len(cells.faces)):
+        found = None
+        for direction in cells.interior_directions(index):
+            try:
+                found = bracket_class(direction)
+            except DegenerateDirection:
+                continue
+            if found is not None:
+                break
+        cell_classes.append(found)
+    rows = []
+    for direction in sample_directions(0, CELL_DIRECTIONS):
+        try:
+            found = bracket_class(direction)
+        except DegenerateDirection:
+            continue
+        rows.append((cells.locate(direction), found))
+    return SimpleNamespace(cells=cells, cell_classes=cell_classes, rows=rows)
+
+
+def test_cells_tile_the_sphere(sampled_cells):
+    cells = sampled_cells.cells
+    vertices, edges, faces = cells.counts
+    assert vertices - edges + faces == 2
+    assert min(cells.areas) > 0.0
+    assert math.isclose(sum(cells.areas), 4.0 * math.pi, rel_tol=1e-9)
+
+
+def test_each_accepted_direction_lies_in_one_cell_of_its_bracket(sampled_cells):
+    compared = 0
+    for located, found in sampled_cells.rows:
+        assert len(located) == 1
+        cell_class = sampled_cells.cell_classes[located[0]]
+        if found is not None and cell_class is not None:
+            assert found == cell_class
+            compared += 1
+    # the rest keep more than BRACKET_CROSSINGS crossings, on the walk
+    assert compared >= 0.85 * len(sampled_cells.rows)
+
+
+def test_bracket_frequencies_are_within_four_sigma_of_cell_areas(sampled_cells):
+    # a direction whose code is too large to bracket counts in its cell's
+    # class, which the test above finds equal to its own wherever both are
+    # known; sigma is that of a frequency over the accepted directions, from
+    # the class's area
+    areas = Counter()
+    for cell_class, area in zip(sampled_cells.cell_classes, sampled_cells.cells.areas):
+        areas[cell_class] += area / (4.0 * math.pi)
+    cell_classes = sampled_cells.cell_classes
+    counts = Counter(cell_classes[located[0]] if found is None else found for located, found in sampled_cells.rows)
+    accepted = len(sampled_cells.rows)
+    for cell_class in areas.keys() | counts.keys():
+        p = areas[cell_class]
+        sigma = math.sqrt(p * (1.0 - p) / accepted)
+        assert abs(counts[cell_class] / accepted - p) <= 4.0 * sigma, cell_class
+
+
 # -- estimation -------------------------------------------------------------------
 
 def test_segment_estimate_is_all_trivial():
@@ -1101,6 +1250,8 @@ def test_estimate_validation(trefoil):
         lambda curve: load_curve(b"a\0b"),
         lambda curve: OpenCurve3D(5),
         lambda curve: OpenCurve3D(None),
+        # it used to fail inside project with a bare AttributeError
+        lambda curve: estimate_measure([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)], 10),
     ],
     ids=[
         "no-samples",
@@ -1142,6 +1293,7 @@ def test_estimate_validation(trefoil):
         "nul-bytes-path",
         "int-points",
         "none-points",
+        "list-curve",
     ],
 )
 def test_bad_arguments_are_invalid_arguments(trefoil, call):
