@@ -92,6 +92,13 @@ CATALOGUE = [
         "r = turns(lifted[-1], lifted[0])",
         "tests/test_measure.py::test_projected_key_is_the_reference_walk_key",
     ),
+    Mutant(
+        "project-crossing-sign-mirrored",
+        MEASURE,
+        "sign = 1 if (denom > 0) == over_first else -1",
+        "sign = 1 if (denom < 0) == over_first else -1",
+        "tests/test_project_digests.py::test_projections_match_the_pinned_digests",
+    ),
     # project's sweep and guards
     Mutant(
         "sweep-keeps-one-order-of-a-pair",

@@ -3,8 +3,9 @@
     python3 mutants/run.py [NAME ...]
 
 Run from anywhere; the checkout is the parent of this directory.  The
-package's ``src`` and ``tests`` and its ``pyproject.toml`` are copied to a
-temporary directory, where the named tests must first pass unmutated.  Then
+package's ``src`` and ``tests``, the ``perfbench`` and ``README.md`` that
+some tests read, and its ``pyproject.toml`` are copied to a temporary
+directory, where the named tests must first pass unmutated.  Then
 each entry, or each named one, is applied alone to that copy, its test runs
 under a timeout of TIMEOUT_S seconds, and the file is restored.  One line
 per entry says ``killed`` (the test failed), ``survived`` (it passed),
@@ -56,9 +57,10 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for folder in ("src", "tests"):
+        for folder in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / folder, copy / folder, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for file in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / file, copy)
         tests = list(dict.fromkeys(m.test for m in entries))
         if _pytest(copy, tests, TIMEOUT_S) != 0:
             print("the named tests do not all pass on the unmutated checkout", file=sys.stderr)

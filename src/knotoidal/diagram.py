@@ -33,14 +33,6 @@ from .errors import (
 from .series import _ascii_number
 
 
-@dataclass(frozen=True)
-class Biframing:
-    """The two integers attached to a biframed knotoid diagram."""
-
-    framing: int
-    coframing: int
-
-
 # ---------------------------------------------------------------------------
 # oriented Gauss codes
 

@@ -629,6 +629,9 @@ def compare(a: InvariantValue, b: InvariantValue) -> Comparison:
 
     Witness order: e-degree first, then h-degree, then monomial degree.
     """
+    for value in (a, b):
+        if not isinstance(value, InvariantValue):
+            raise InvalidArgument(f"need an InvariantValue, got {type(value).__name__}")
     require_same_caps(a, b)
     left, right = a.element.raw(), b.element.raw()
     keys = set()

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import atan2, hypot
-from operator import sub
 
-from .diagram import Biframing, OrientedGaussCode, walk_key, writhe
+from .diagram import OrientedGaussCode, walk_key
 from .errors import (
     AllSamplesDegenerate,
     ArcOutOfRange,
@@ -154,34 +153,24 @@ def sample_directions(seed: int, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """A projection's Gauss code, the turn marks and net rotation ``r`` from
-    which :attr:`key` is built, and its projected points, from which
-    :attr:`biframing` is computed.  Both are built on first access; the
-    estimator reads neither, and keys each distinct (code, marks, r) once.
+    """A projection's Gauss code ``code``, its turn marks ``marks`` and its
+    net rotation ``r``, from which :attr:`key` is built on first access; the
+    estimator keys each distinct (code, marks, r) once.
 
     ``marks`` holds one int per pass of ``code``, in strand order: 0 at each
-    crossing's first pass and the crossing's rho at its second.
+    crossing's first pass and the crossing's rho at its second.  The
+    diagram's framing is ``writhe(code)``, and its rotation data are the
+    key's rho and r; no coframing is computed.
     """
 
     code: OrientedGaussCode
     marks: tuple[int, ...]
     r: int
-    points: tuple[Vec2, ...]
 
     @cached_property
     def key(self) -> tuple:
         """The ``(code, rho, r)`` key built by :func:`_projection_key`."""
         return _projection_key(self.code, self.marks, self.r)
-
-    @cached_property
-    def biframing(self) -> Biframing:
-        """The writhe, and the coframing from winding numbers around the
-        projected endpoints.  No vertex projects onto an endpoint: it would
-        end a segment shorter than tol, or lie within tol of the endpoint on
-        a segment other than the endpoint's own, and :func:`project` rejects
-        both."""
-        pts = self.points
-        return Biframing(writhe(self.code), _winding(pts[0], pts[1:]) - _winding(pts[-1], pts[:-1]))
 
 
 def _projection_key(code: OrientedGaussCode, marks: tuple, r: int) -> tuple:
@@ -189,19 +178,6 @@ def _projection_key(code: OrientedGaussCode, marks: tuple, r: int) -> tuple:
     built by :func:`knotoidal.diagram.walk_key`."""
     signs = code.signs
     return walk_key(((c, signs[c], role == "over", m) for (c, role), m in zip(code.passes, marks)), r)
-
-
-def _winding(center: Vec2, pts) -> int:
-    """Winding number of the polyline ``pts`` around ``center``."""
-    cx, cy = center
-    angs = [math.atan2(y - cy, x - cx) for x, y in pts]
-    # sum() rounds a float total with compensation on Python >= 3.12, so
-    # a hand-written loop could round the winding differently there
-    total = sum(
-        d + _TWO_PI if d <= -math.pi else d - _TWO_PI if d > math.pi else d
-        for d in map(sub, angs[1:], angs)
-    )
-    return int(round(total / (2.0 * math.pi)))
 
 
 def _cross3(u: Vec3, v: Vec3) -> Vec3:
@@ -365,6 +341,8 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
     Raises :class:`DegenerateDirection` for the measure-zero bad directions;
     callers sampling the sphere catch it and count a rejection.
     """
+    if not isinstance(curve, OpenCurve3D):
+        raise InvalidArgument(f"need an OpenCurve3D, got {type(curve).__name__}")
     if not (type(tol) in (int, float) and 0 < tol < math.inf):
         raise InvalidArgument(f"tol must be a positive finite int or float, got {tol!r}")
     if not _is_vec3(direction):
@@ -460,7 +438,7 @@ def project(curve: OpenCurve3D, direction: Vec3, tol: float) -> ProjectionResult
             marks.append(turns(lifted[i], lifted[seg]))
     # valid by construction: one over and one under pass per crossing, signs +-1
     code = OrientedGaussCode(passes, signs, _trusted=True)
-    return ProjectionResult(code, tuple(marks), r, tuple(pts2))
+    return ProjectionResult(code, tuple(marks), r)
 
 
 # ---------------------------------------------------------------------------

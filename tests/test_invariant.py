@@ -127,6 +127,12 @@ def test_compare_caps_mismatch(fixture_values):
         compare(fixture_values["5_9"], other)
 
 
+def test_compare_needs_invariant_values(fixture_values):
+    for args in ((1, 2), (fixture_values["5_9"], "5_9"), (fixture_values["5_9"].element, fixture_values["5_9"])):
+        with pytest.raises(InvalidArgument):
+            compare(*args)
+
+
 def test_compare_witness_at_eps_one(fixture_values):
     verdict = compare(fixture_values["5_9"], fixture_values["5_561"])
     assert not verdict.equal

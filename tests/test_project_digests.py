@@ -2,8 +2,8 @@
 pinned by digest.
 
 ``golden/project_digests.json`` maps a case name to the sha256 of one line per
-direction: the code's render, the decomposition's render and the biframing,
-or the rejection reason.  The decomposition is the one ``project`` built
+direction: the code's render and the decomposition's render, or the
+rejection reason.  The decomposition is the one ``project`` built
 before it returned a key, rebuilt by ``measure_reference``, and each accepted
 line also checks that the projected key is that decomposition's walk key.
 The cases are the bundled trefoil at the eight direction seeds ``1000 * k``
@@ -51,8 +51,7 @@ def _line(curve, direction) -> str:
         return f"rejected: {exc.reason}"
     assert proj.key == reference_walk_key(reference_walk(decomp))
     decomp = decomp.render().replace("\n", "; ")
-    framing = f"{proj.biframing.framing} {proj.biframing.coframing}"
-    return f"{proj.code.render()} | {decomp} | {framing}"
+    return f"{proj.code.render()} | {decomp}"
 
 
 def _cases():
